@@ -9,7 +9,8 @@ and total-variation envelopes).  The `cli` module exposes the
 """
 
 from .analysis import (BoundInputs, InvarianceReport, ParameterDeltas,
-                       StabilityBound, bounds_differentiable, check_invariance,
+                       StabilityBound, aggregate_inputs, bound_inputs_for,
+                       bounds_differentiable, check_invariance,
                        direction_norms, kappa0, kernel_norms,
                        stability_bound_deviation,
                        stability_bound_differentiable, sup_gradient,
@@ -21,16 +22,15 @@ from .grid import (GridSpec, NormRecord, PopulationField, indicator_datum,
                    make_grid, norms)
 from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
-from .linearized import (CostSpec, cost_and_gradient, gateaux_residual,
-                         linearized_velocity, solve_linearized)
+from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
+                         gateaux_residual, solve_linearized)
 from .nonlocal_ops import (FluxPush, GradientAvoidance, Saturated, WeightedSum,
                            ZeroOp, estimate_ci, flux_push, gradient_avoidance,
                            saturate)
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
-                     StepReport, Trajectory, advection_field, apply_boundary,
-                     cfl_dt, run, split_step)
-from .velocity import (DirectionField, SpeedLaw, assemble_deviation,
-                       assemble_differentiable, constant_direction,
+                     StepReport, Trajectory, advection_field, cfl_dt, run,
+                     split_step)
+from .velocity import (DirectionField, SpeedLaw, constant_direction,
                        constant_speed_law, discomfort, linear_speed_law,
                        room_mask, smoothed_total_density)
 

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigurationError
-from .grid import GridSpec, PopulationField
+from .errors import ConfigurationError, CrowdflowError
+from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
-from .solver import DEVIATION, Trajectory
+from .nonlocal_ops import NonlocalOperator, ZeroOp, estimate_ci
+from .solver import DEVIATION, ModelSpec, Trajectory
 from .velocity import DirectionField
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
@@ -134,8 +135,9 @@ class ParameterDeltas:
 
 @dataclass(frozen=True)
 class StabilityBound:
-    value: float       # may be inf when the exponent overflows
-    log_value: float   # always finite; log of the bound
+    value: float       # inf when the bound exceeds the float range
+    log_value: float   # log of the bound: finite when it fits in a float,
+                       # +inf when it does not, -inf for a zero bound
     a: float
     b: float
 
@@ -155,21 +157,12 @@ def stability_bound_deviation(t: float, inputs1: BoundInputs,
     tv_growth = (inputs1.tv0
                  + t * cd * inputs1.q_sup * (ci + inputs1.graddiv_l1))
     ek = _exp(k0 * t)
-    a = t * ((ci + inputs2.vec_sup) * ek * tv_growth * deltas.ddq_sup
+    a = t * (_prod(ci + inputs2.vec_sup, ek, tv_growth, deltas.ddq_sup)
              + (ci + inputs2.divvec_l1) * deltas.dq_sup
              + inputs1.q_sup * deltas.ddivvec_l1
-             + ek * inputs1.dq_sup * tv_growth * deltas.dvec_sup)
-    b = ci * (ek * inputs1.dq_sup * tv_growth + inputs1.q_sup)
-    base = deltas.drho0_l1 + a
-    x = t * b
-    if x < LOG_MAX:
-        factor = 1.0 + t * math.exp(x)
-        value = factor * base
-        log_value = math.log(value) if value > 0 else -math.inf
-    else:
-        value = math.inf if base > 0 else 0.0
-        log_value = (math.log(t) + x + math.log(base)
-                     if base > 0 and t > 0 else -math.inf)
+             + _prod(ek, inputs1.dq_sup, tv_growth, deltas.dvec_sup))
+    b = _prod(ci, _prod(ek, inputs1.dq_sup, tv_growth) + inputs1.q_sup)
+    value, log_value = _gronwall(t, t * b, deltas.drho0_l1 + a)
     return StabilityBound(value=value, log_value=log_value, a=a, b=b)
 
 
@@ -184,8 +177,8 @@ def stability_bound_differentiable(t: float, inputs1: BoundInputs,
     d = inputs1.d
     k1 = k1_constant(inputs1)
     k2 = k2_constant(inputs1)
-    f = _exp((2 * d + 1) * k1 * t) * (inputs1.tv0
-                                      + t * d * wd(d) * k2 * inputs1.linf0)
+    f = _prod(_exp((2 * d + 1) * k1 * t),
+              inputs1.tv0 + t * d * wd(d) * k2 * inputs1.linf0)
     bigk = max(
         inputs1.v_w1inf * inputs1.vec_w1inf * (inputs1.n1 * inputs1.grad_eta_sup + 1.0),
         inputs2.v_w1inf * inputs2.vec_w1inf * (inputs2.n1 * inputs2.grad_eta_sup + 1.0))
@@ -205,22 +198,49 @@ def stability_bound_differentiable(t: float, inputs1: BoundInputs,
     beta_p = inputs1.dv_sup * inputs2.n1 * inputs1.vec_sup
     gamma_p = inputs1.vec_sup
     delta_p = inputs2.v_sup
-    a_eta = beta_p * f + beta * rmax * ekt
-    a_v = gamma_p * f + gamma * rmax * ekt
-    a_vec = delta_p * f + delta * rmax * ekt
-    base = (deltas.drho0_l1 + t * a_eta * deltas.deta_w1inf
-            + t * a_v * deltas.dv_w1inf
-            + t * a_vec * (deltas.dvec_sup + deltas.dvec_w11))
-    rate = f * alpha_p + rmax * ekt * alpha
+    a_eta = _prod(beta_p, f) + _prod(beta, rmax, ekt)
+    a_v = _prod(gamma_p, f) + _prod(gamma, rmax, ekt)
+    a_vec = _prod(delta_p, f) + _prod(delta, rmax, ekt)
+    base = (deltas.drho0_l1 + _prod(t, a_eta, deltas.deta_w1inf)
+            + _prod(t, a_v, deltas.dv_w1inf)
+            + _prod(t, a_vec, deltas.dvec_sup + deltas.dvec_w11))
+    rate = _prod(f, alpha_p) + _prod(rmax, ekt, alpha)
     x = t * rate
-    if x < LOG_MAX and np.isfinite(rate):
-        factor = 1.0 + t * rate * math.exp(x)
-        value = factor * base
-        log_value = math.log(value) if value > 0 else -math.inf
-    else:
-        value = math.inf if base > 0 else 0.0
-        log_value = math.inf if base > 0 else -math.inf
+    value, log_value = _gronwall(x, x, base)
     return StabilityBound(value=value, log_value=log_value, a=base, b=rate)
+
+
+def _prod(*factors: float) -> float:
+    """Product in argument order; 0 when any factor is 0, even next to an
+    overflowed (infinite) factor, so a vanishing term contributes 0."""
+    out = 1.0
+    for x in factors:
+        if x == 0.0:
+            return 0.0
+        out *= x
+    return out
+
+
+def _gronwall(c: float, x: float, base: float) -> tuple[float, float]:
+    """(value, log value) of the envelope (1 + c exp(x)) base, for
+    c, x, base >= 0.
+
+    A zero base gives 0 whatever the factor.  Past the float range the
+    value is inf and the log is evaluated in log space, where the 1 is
+    negligible: finite when it fits in a float, +inf otherwise.  NaN
+    (from inputs left NaN) stays NaN.
+    """
+    if math.isnan(x) or math.isnan(base):
+        return math.nan, math.nan
+    if base == 0.0:
+        return 0.0, -math.inf
+    growth = c * math.exp(x) if x < LOG_MAX else math.inf
+    if growth < math.inf:
+        value = (1.0 + growth) * base
+        if value < math.inf:
+            return value, math.log(value)
+        return math.inf, math.log1p(growth) + math.log(base)
+    return math.inf, math.log(c) + x + math.log(base)
 
 
 @dataclass
@@ -312,6 +332,72 @@ def direction_norms(direction: DirectionField, grid: GridSpec) -> dict:
         graddiv_l1=float(graddiv.sum()) * area,
         source="grid differences",
     )
+
+
+# ---------------------------------------------------------------------------
+# bound-input assembly
+
+
+def bound_inputs_for(model: ModelSpec,
+                     datum: PopulationField) -> list[BoundInputs]:
+    """Per-population BoundInputs measured from the configuration.
+
+    Kernel and direction norms come from dense scans / grid differences;
+    the nonlocal Lipschitz constant is an empirical lower bound from a
+    small sample family; grad_v_sup starts at 0 and is meant to be
+    updated with the running maximum of the advection field's gradient.
+    """
+    rec = norms(datum)
+    n1_total = rec.l1_total
+    out = []
+    for i in range(model.n):
+        law = model.laws[i]
+        dn = direction_norms(model.dirs[i], model.grid)
+        if model.kernels:
+            kn = kernel_norms(model.kernels[i].spec)
+        else:
+            kn = dict(eta_sup=math.nan, grad_eta_sup=math.nan,
+                      hess_eta_sup=math.nan)
+        ci = 0.0
+        if model.family == DEVIATION and not isinstance(model.ops[i], ZeroOp):
+            ci = _estimate_op_ci(model.ops[i], datum)
+        out.append(BoundInputs(
+            d=2, n1=n1_total, linf0=float(rec.linf[i]), tv0=float(rec.tv[i]),
+            v_sup=law.v_sup, dv_sup=law.dv_sup, ddv_sup=law.ddv_sup,
+            dv_l1=law.dv_sup * law.R, q_sup=law.q_sup, dq_sup=law.dq_sup,
+            vec_sup=dn["vec_sup"], vec_l1=dn["vec_l1"],
+            vec_grad_sup=dn["vec_grad_sup"], vec_grad_l1=dn["vec_grad_l1"],
+            div_sup=dn["div_sup"], divvec_l1=dn["divvec_l1"],
+            graddiv_l1=dn["graddiv_l1"],
+            eta_sup=kn["eta_sup"], grad_eta_sup=kn["grad_eta_sup"],
+            hess_eta_sup=kn["hess_eta_sup"],
+            ci=ci, grad_v_sup=0.0))
+    return out
+
+
+def _estimate_op_ci(op: NonlocalOperator, datum: PopulationField) -> float:
+    samples = [datum, PopulationField(datum.grid, 0.5 * datum.data)]
+    if float(np.abs(datum.data).sum()) == 0.0:
+        return 0.0
+    try:
+        return estimate_ci(op, samples)
+    except CrowdflowError:
+        return 0.0
+
+
+def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
+    """Worst-case merge over populations (sums for data norms, maxima
+    for parameter norms), matching the summed-TV convention."""
+    agg = BoundInputs(d=per_pop[0].d)
+    agg.n1 = per_pop[0].n1
+    agg.linf0 = max(b.linf0 for b in per_pop)
+    agg.tv0 = sum(b.tv0 for b in per_pop)
+    for name in ("v_sup", "dv_sup", "ddv_sup", "dv_l1", "q_sup", "dq_sup",
+                 "vec_sup", "vec_l1", "vec_grad_sup", "vec_grad_l1",
+                 "div_sup", "divvec_l1", "graddiv_l1", "eta_sup",
+                 "grad_eta_sup", "hess_eta_sup", "ci", "grad_v_sup"):
+        setattr(agg, name, max(getattr(b, name) for b in per_pop))
+    return agg
 
 
 def _exp(x: float) -> float:

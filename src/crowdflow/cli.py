@@ -17,18 +17,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis
-from .analysis import (BoundInputs, ParameterDeltas, direction_norms,
-                       kernel_norms, stability_bound_deviation, sup_gradient,
+from .analysis import (ParameterDeltas, aggregate_inputs, bound_inputs_for,
+                       stability_bound_deviation, sup_gradient,
                        tv_bound_deviation)
 from .config import RunConfig, parse_config, preset
-from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
-                     NumericError)
-from .grid import GridSpec, PopulationField, norms
-from .kernel import bump_kernel, sample_kernel
-from .linearized import CostSpec, cost_and_gradient, gateaux_residual
-from .nonlocal_ops import ZeroOp, estimate_ci
-from .solver import DEVIATION, DIFFERENTIABLE, ModelSpec, run
-from .velocity import constant_direction, linear_speed_law
+from .errors import BoundViolationError, ConfigurationError, NumericError
+from .grid import PopulationField, norms
+from .linearized import gateaux_benchmark, gateaux_residual
+from .solver import DEVIATION, ModelSpec, advection_field, run
 
 FMT = "%.17g"
 
@@ -55,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tmax", type=float, help="override final time")
         sp.add_argument("--cfl", type=float, help="override CFL number")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--threads", type=int,
-                        help="BLAS/OpenMP thread count (best effort)")
         sp.add_argument("--strict", action="store_true",
                         help="abort when the maximum principle is violated")
         sp.add_argument("--normalize-kernel", action="store_true",
@@ -96,8 +90,6 @@ def load_config(args) -> RunConfig:
         cfg = replace(cfg, cfl=args.cfl)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     if args.strict:
         cfg = replace(cfg, strict=True)
     if args.normalize_kernel:
@@ -105,19 +97,24 @@ def load_config(args) -> RunConfig:
     return cfg
 
 
-def _limit_threads(n: int):
-    if n and n > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(limits=n)
-        except ImportError:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = str(n)
-
-
 # ---------------------------------------------------------------------------
 # snapshot output
+
+
+def _snapshot_name(pop: int, t: float) -> str:
+    return f"pop{pop}_t{t:.3f}.csv"
+
+
+def _check_snapshot_names(model: ModelSpec) -> None:
+    """Reject distinct output times that would write the same file."""
+    seen = {}
+    for t in sorted({float(s) for s in model.snapshot_times} | {model.t_max}):
+        name = _snapshot_name(1, t)
+        if name in seen:
+            raise ConfigurationError(
+                f"snapshot times {seen[name]!r} and {t!r} would both be "
+                f"written as {name} (names keep 3 decimals)")
+        seen[name] = t
 
 
 def write_snapshot(state: PopulationField, t: float, out_dir: str) -> list[str]:
@@ -127,7 +124,7 @@ def write_snapshot(state: PopulationField, t: float, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i in range(state.n):
-        path = os.path.join(out_dir, f"pop{i + 1}_t{t:.3f}.csv")
+        path = os.path.join(out_dir, _snapshot_name(i + 1, t))
         try:
             with open(path, "w", newline="\n") as fh:
                 fh.write("nx,ny,x0,y0,dx,dy,t\n")
@@ -164,67 +161,15 @@ def read_snapshot(path: str) -> tuple[np.ndarray, dict]:
 
 
 # ---------------------------------------------------------------------------
-# bound-input assembly
-
-
-def bound_inputs_for(model: ModelSpec, datum: PopulationField,
-                     ci_samples: int = 2) -> list[BoundInputs]:
-    """Per-population BoundInputs measured from the configuration.
-
-    Kernel and direction norms come from dense scans / grid differences;
-    the nonlocal Lipschitz constant is an empirical lower bound from a
-    small sample family; grad_v_sup starts at the initial advection
-    field's value and is meant to be updated with the running maximum.
-    """
-    rec = norms(datum)
-    n1_total = rec.l1_total
-    out = []
-    for i in range(model.n):
-        law = model.laws[i]
-        dn = direction_norms(model.dirs[i], model.grid)
-        if model.kernels:
-            kn = kernel_norms(model.kernels[i].spec)
-        else:
-            kn = dict(eta_sup=math.nan, grad_eta_sup=math.nan,
-                      hess_eta_sup=math.nan)
-        ci = 0.0
-        if model.family == DEVIATION and not isinstance(model.ops[i], ZeroOp):
-            ci = _estimate_op_ci(model.ops[i], datum)
-        out.append(BoundInputs(
-            d=2, n1=n1_total, linf0=float(rec.linf[i]), tv0=float(rec.tv[i]),
-            v_sup=law.v_sup, dv_sup=law.dv_sup, ddv_sup=law.ddv_sup,
-            dv_l1=law.dv_sup * law.R, q_sup=law.q_sup, dq_sup=law.dq_sup,
-            vec_sup=dn["vec_sup"], vec_l1=dn["vec_l1"],
-            vec_grad_sup=dn["vec_grad_sup"], vec_grad_l1=dn["vec_grad_l1"],
-            div_sup=dn["div_sup"], divvec_l1=dn["divvec_l1"],
-            graddiv_l1=dn["graddiv_l1"],
-            eta_sup=kn["eta_sup"], grad_eta_sup=kn["grad_eta_sup"],
-            hess_eta_sup=kn["hess_eta_sup"],
-            ci=ci, grad_v_sup=0.0))
-    return out
-
-
-def _estimate_op_ci(op, datum: PopulationField) -> float:
-    samples = [datum, PopulationField(datum.grid, 0.5 * datum.data)]
-    if float(np.abs(datum.data).sum()) == 0.0:
-        return 0.0
-    try:
-        return estimate_ci(op, samples)
-    except CrowdflowError:
-        return 0.0
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_run(args, with_bounds: bool) -> int:
     cfg = load_config(args)
-    _limit_threads(cfg.threads)
     model, datum = cfg.build()
+    _check_snapshot_names(model)
     os.makedirs(cfg.out_dir, exist_ok=True)
     inputs = bound_inputs_for(model, datum)
-    rec0 = norms(datum)
 
     diag_path = os.path.join(cfg.out_dir, "diagnostics.csv")
     header = ["t", "dt"]
@@ -307,42 +252,14 @@ def _cmd_run(args, with_bounds: bool) -> int:
     return 0
 
 
-def _gateaux_benchmark(mesh: float = 1.0 / 64.0,
-                       t_max: float = 0.2) -> tuple[ModelSpec, PopulationField,
-                                                    PopulationField]:
-    """Smooth two-population differentiable setup on the unit square."""
-    from .grid import make_grid
-    grid = make_grid((0.0, 0.0, 1.0, 1.0), mesh, mesh)
-    kern = sample_kernel(bump_kernel(0.25), grid)
-    laws = (linear_speed_law(1.0, 1.0), linear_speed_law(1.0, 1.0))
-    dirs = (constant_direction(grid, 1.0, 0.0, 0.0, restrict_to_room=False),
-            constant_direction(grid, 0.0, 1.0, 0.0, restrict_to_room=False))
-    model = ModelSpec(family=DIFFERENTIABLE, grid=grid, laws=laws, dirs=dirs,
-                      kernels=(kern, kern), t_max=t_max)
-    X = grid.xc[:, None]
-    Y = grid.yc[None, :]
-
-    def hump(cx, cy, r, amp):
-        d2 = ((X - cx) ** 2 + (Y - cy) ** 2) / r ** 2
-        return amp * np.where(d2 < 1, np.cos(0.5 * np.pi * np.sqrt(d2)) ** 2,
-                              0.0)
-
-    rho0 = PopulationField.from_arrays(grid, hump(0.35, 0.5, 0.25, 0.4),
-                                       hump(0.6, 0.4, 0.2, 0.3))
-    sigma0 = PopulationField.from_arrays(grid, hump(0.45, 0.55, 0.3, 0.2),
-                                         hump(0.5, 0.45, 0.25, -0.15))
-    return model, rho0, sigma0
-
-
 def _cmd_gateaux(args) -> int:
     out_dir = args.out or "out"
-    _limit_threads(args.threads or 0)
     t_max = args.tmax if args.tmax is not None else 0.2
     mesh = args.mesh if args.mesh is not None else 1.0 / 64.0
     hs = [float(h) for h in args.hs.split(",") if h]
     if not hs or any(h <= 0 for h in hs):
         raise ConfigurationError("perturbation sizes must be positive")
-    model, rho0, sigma0 = _gateaux_benchmark(mesh, t_max)
+    model, rho0, sigma0 = gateaux_benchmark(mesh, t_max)
     base = run(model, rho0, record=True).trajectory
     rows = []
     print(f"{'h':>10} {'r(h)':>14} {'r(h)/h':>14}")
@@ -362,7 +279,6 @@ def _cmd_gateaux(args) -> int:
 
 def _cmd_stability(args) -> int:
     cfg = load_config(args)
-    _limit_threads(cfg.threads)
     if cfg.family != DEVIATION:
         raise ConfigurationError("stability compares deviation-family runs")
     model, datum1 = cfg.build()
@@ -390,10 +306,10 @@ def _cmd_stability(args) -> int:
     inputs = bound_inputs_for(model, datum1)
     inputs2 = bound_inputs_for(model, datum2)
     # both runs share every model parameter; only the datum differs
-    agg1 = _aggregate_inputs(inputs)
-    agg2 = _aggregate_inputs(inputs2)
+    agg1 = aggregate_inputs(inputs)
+    agg2 = aggregate_inputs(inputs2)
     agg1.grad_v_sup = max(
-        sup_gradient(_initial_advection(model, d), model.grid)
+        sup_gradient(advection_field(d, model), model.grid)
         for d in (datum1, datum2))
     drho0 = float(np.abs(datum1.data - datum2.data).sum()) * model.grid.cell_area
     deltas = ParameterDeltas(drho0_l1=drho0)
@@ -413,26 +329,6 @@ def _cmd_stability(args) -> int:
             print(f"{t:8.3f} {dist:14.6e} {sb.value:14.6e} {sb.log_value:12.4f}")
     print(f"stability table: {path}")
     return 0
-
-
-def _aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
-    """Worst-case merge over populations (sums for data norms, maxima
-    for parameter norms), matching the summed-TV convention."""
-    agg = BoundInputs(d=per_pop[0].d)
-    agg.n1 = per_pop[0].n1
-    agg.linf0 = max(b.linf0 for b in per_pop)
-    agg.tv0 = sum(b.tv0 for b in per_pop)
-    for name in ("v_sup", "dv_sup", "ddv_sup", "dv_l1", "q_sup", "dq_sup",
-                 "vec_sup", "vec_l1", "vec_grad_sup", "vec_grad_l1",
-                 "div_sup", "divvec_l1", "graddiv_l1", "eta_sup",
-                 "grad_eta_sup", "hess_eta_sup", "ci", "grad_v_sup"):
-        setattr(agg, name, max(getattr(b, name) for b in per_pop))
-    return agg
-
-
-def _initial_advection(model: ModelSpec, datum: PopulationField) -> np.ndarray:
-    from .solver import advection_field
-    return advection_field(datum, model)
 
 
 def main(argv=None) -> int:

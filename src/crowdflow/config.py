@@ -53,7 +53,6 @@ class RunConfig:
     strict: bool = False
     out_dir: str = "out"
     diag_every: int = 10
-    threads: int = 0                 # 0 = leave BLAS/OpenMP defaults alone
 
     @property
     def n(self) -> int:
@@ -147,7 +146,7 @@ _MODEL_KEYS = {"preset", "family", "tmax", "cfl", "strict", "r",
                "snapshot_times"}
 _POP_KEYS = {"vmax", "gx", "gy", "eps", "datum"}
 _KERNEL_KEYS = {"half_width", "normalize"}
-_OUTPUT_KEYS = {"dir", "diag_every", "threads"}
+_OUTPUT_KEYS = {"dir", "diag_every"}
 
 
 def parse_config(path: str) -> RunConfig:
@@ -307,6 +306,4 @@ def _parse_output(sec: dict, cfg: RunConfig) -> RunConfig:
         cfg = replace(cfg, out_dir=sec["dir"].strip())
     if "diag_every" in sec:
         cfg = replace(cfg, diag_every=int(sec["diag_every"]))
-    if "threads" in sec:
-        cfg = replace(cfg, threads=int(sec["threads"]))
     return cfg

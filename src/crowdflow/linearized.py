@@ -15,11 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedModelError
-from .grid import PopulationField
-from .kernel import convolve
-from .solver import (DIFFERENTIABLE, ModelSpec, Trajectory, _boundary_layout,
-                     _sweep, run)
-from .velocity import clamped_speed_arg, smoothed_total_density
+from .grid import PopulationField, make_grid
+from .kernel import bump_kernel, sample_kernel
+from .solver import (DIFFERENTIABLE, ModelSpec, Trajectory, _linear_flux,
+                     _sweep_xy, run)
+from .velocity import (clamped_speed_arg, constant_direction,
+                       linear_speed_law, smoothed_total_density)
 
 
 @dataclass
@@ -37,63 +38,25 @@ class CostSpec:
     t: float
 
 
-def linearized_velocity(rho: PopulationField, sigma: PopulationField,
-                        model: ModelSpec) -> np.ndarray:
-    """Perturbation flux (rho_i v'(arg) (sigma conv) + sigma_i v(arg)) dir_i.
-
-    Shape (n, 2, nx, ny); arg is the total smoothed density of rho.
-    """
-    _require_differentiable(model)
-    arg = clamped_speed_arg(smoothed_total_density(rho, model.kernels))
-    sconv = smoothed_total_density(sigma, model.kernels)
-    out = np.empty((model.n, 2, model.grid.nx, model.grid.ny))
-    for i in range(model.n):
-        coeff = (rho.data[i] * model.laws[i].dv(arg) * sconv
-                 + sigma.data[i] * model.laws[i].v(arg))
-        out[i] = coeff[None, :, :] * model.dirs[i].total
-    return out
-
-
 def _linearized_step(sigma: PopulationField, rho: PopulationField,
                      model: ModelSpec, dt: float) -> PopulationField:
-    """One split LxF step of the linearized system with frozen rho."""
-    g = model.grid
-    copy, xwall, ywall = _boundary_layout(g)
+    """One split LxF step of the linearized system with frozen rho.
+
+    The flux of sigma_i is sigma_i v_i(arg) dir_i plus the
+    sigma-independent term rho_i v_i'(arg) (sigma conv) dir_i, with arg
+    the total smoothed density of rho: a linear flux with an additive
+    part, carried through the same face average.
+    """
     arg = clamped_speed_arg(smoothed_total_density(rho, model.kernels))
     sconv = smoothed_total_density(sigma, model.kernels)
-    lam_x, lam_y = g.dx / dt, g.dy / dt
     new = np.empty_like(sigma.data)
     for i in range(model.n):
-        a = model.laws[i].v(arg)  # advection speed of sigma_i
-        e = rho.data[i] * model.laws[i].dv(arg) * sconv  # sigma-independent part
-        vx, vy = model.dirs[i].total
-        # flux along x: sigma * (a vx) + e vx; treated as q(s) = s with an
-        # additive source flux, both carried through the same face average
-        s, _ = _affine_sweep(sigma.data[i], a * vx, e * vx, lam_x,
-                             copy["left"], copy["right"], xwall)
-        s, _ = _affine_sweep(s.T, (a * vy).T, (e * vy).T, lam_y,
-                             copy["bottom"], copy["top"], ywall.T)
-        new[i] = s.T
-    return PopulationField(g, new)
-
-
-def _affine_sweep(s, a, e, lam, copy_lo, copy_hi, wall_faces):
-    if not (a.any() or e.any()):
-        return s, 0.0
-
-    def pad(arr, lo_mask, hi_mask):
-        p = np.empty((arr.shape[0] + 2, arr.shape[1]))
-        p[1:-1] = arr
-        p[0] = arr[0] * lo_mask
-        p[-1] = arr[-1] * hi_mask
-        return p
-
-    s_pad = pad(s, copy_lo, copy_hi)
-    f = s_pad * pad(a, copy_lo, copy_hi) + pad(e, copy_lo, copy_hi)
-    F = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (s_pad[1:] - s_pad[:-1])
-    F[wall_faces] = 0.0
-    new = s - (1.0 / lam) * (F[1:] - F[:-1])
-    return new, float(F[-1].sum() - F[0].sum())
+        total = model.dirs[i].total
+        a = model.laws[i].v(arg)[None, :, :] * total
+        e = (rho.data[i] * model.laws[i].dv(arg) * sconv)[None, :, :] * total
+        new[i], _ = _sweep_xy(sigma.data[i], a, _linear_flux, model.grid,
+                              dt, e)
+    return PopulationField(model.grid, new)
 
 
 def solve_linearized(traj: Trajectory, sigma0: PopulationField,
@@ -172,6 +135,35 @@ def _state_at(traj: Trajectory, t: float) -> PopulationField:
         raise ConfigurationError(
             f"time {t} not recorded in trajectory (nearest {times[k]})")
     return traj.states[k]
+
+
+def gateaux_benchmark(mesh: float = 1.0 / 64.0, t_max: float = 0.2,
+                      ) -> tuple[ModelSpec, PopulationField, PopulationField]:
+    """Smooth two-population differentiable setup on the unit square.
+
+    Returns (model, rho0, sigma0): the model, the datum and the
+    perturbation direction the `crowdflow gateaux` command sweeps.
+    """
+    grid = make_grid((0.0, 0.0, 1.0, 1.0), mesh, mesh)
+    kern = sample_kernel(bump_kernel(0.25), grid)
+    laws = (linear_speed_law(1.0, 1.0), linear_speed_law(1.0, 1.0))
+    dirs = (constant_direction(grid, 1.0, 0.0, 0.0, restrict_to_room=False),
+            constant_direction(grid, 0.0, 1.0, 0.0, restrict_to_room=False))
+    model = ModelSpec(family=DIFFERENTIABLE, grid=grid, laws=laws, dirs=dirs,
+                      kernels=(kern, kern), t_max=t_max)
+    X = grid.xc[:, None]
+    Y = grid.yc[None, :]
+
+    def hump(cx, cy, r, amp):
+        d2 = ((X - cx) ** 2 + (Y - cy) ** 2) / r ** 2
+        return amp * np.where(d2 < 1, np.cos(0.5 * np.pi * np.sqrt(d2)) ** 2,
+                              0.0)
+
+    rho0 = PopulationField.from_arrays(grid, hump(0.35, 0.5, 0.25, 0.4),
+                                       hump(0.6, 0.4, 0.2, 0.3))
+    sigma0 = PopulationField.from_arrays(grid, hump(0.45, 0.55, 0.3, 0.2),
+                                         hump(0.5, 0.45, 0.25, -0.15))
+    return model, rho0, sigma0
 
 
 def _require_differentiable(model: ModelSpec) -> None:

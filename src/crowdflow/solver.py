@@ -28,7 +28,6 @@ DIFFERENTIABLE = "differentiable"
 DEVIATION = "deviation"
 
 MAX_PRINCIPLE_TOL = 1e-6
-DT_FLOOR = 1e-12
 
 
 @dataclass
@@ -126,23 +125,6 @@ def _boundary_layout(grid: GridSpec):
     return copy, xwall, ywall
 
 
-def apply_boundary(state: PopulationField, grid: GridSpec) -> np.ndarray:
-    """State padded with one ghost layer, shape (n, nx+2, ny+2).
-
-    Ghost cells copy the adjacent interior cell on exit segments
-    (zero-gradient outflow) and are zero elsewhere.  Corners are zero.
-    """
-    copy, _, _ = _boundary_layout(grid)
-    n = state.n
-    padded = np.zeros((n, grid.nx + 2, grid.ny + 2))
-    padded[:, 1:-1, 1:-1] = state.data
-    padded[:, 0, 1:-1] = state.data[:, 0, :] * copy["left"]
-    padded[:, -1, 1:-1] = state.data[:, -1, :] * copy["right"]
-    padded[:, 1:-1, 0] = state.data[:, :, 0] * copy["bottom"]
-    padded[:, 1:-1, -1] = state.data[:, :, -1] * copy["top"]
-    return padded
-
-
 def advection_field(state: PopulationField, model: ModelSpec) -> np.ndarray:
     """Frozen per-step field multiplying the scalar flux, shape (n, 2, nx, ny).
 
@@ -173,8 +155,9 @@ def cfl_dt(state: PopulationField, V: np.ndarray, laws: Sequence[SpeedLaw],
 
     V is the advection field of `advection_field`.  The characteristic
     speed is |q'(rho)| |V component| (q' = 1 when the flux is linear);
-    dt = cfl * min(dx, dy) / sup speed, floored at 1e-12 and capped at
-    dt_cap when no wave moves.
+    dt = cfl * min(dx, dy) / sup speed, capped at dt_cap (which is
+    returned when no wave moves).  A non-finite speed has no stable
+    step and raises NumericError.
     """
     g = state.grid
     smax = 0.0
@@ -185,40 +168,74 @@ def cfl_dt(state: PopulationField, V: np.ndarray, laws: Sequence[SpeedLaw],
         else:
             dq = np.abs(laws[i].dq(np.clip(state.data[i], 0.0, laws[i].R)))
             s = float((dq[None, :, :] * np.abs(V[i])).max())
+        if not np.isfinite(s):
+            raise NumericError(f"non-finite wave speed in population {i}")
         smax = max(smax, s)
     if smax <= 0.0:
         if not np.isfinite(dt_cap):
             raise ConfigurationError("zero maximal speed and no time-step cap")
         return dt_cap
-    return float(min(max(cfl * min(g.dx, g.dy) / smax, DT_FLOOR), dt_cap))
+    return float(min(cfl * min(g.dx, g.dy) / smax, dt_cap))
+
+
+def _linear_flux(rho: np.ndarray) -> np.ndarray:
+    return rho
+
+
+def _pad(arr: np.ndarray, copy_lo: np.ndarray,
+         copy_hi: np.ndarray) -> np.ndarray:
+    """arr with one ghost row at each end of axis 0.
+
+    Ghost cells copy the adjacent interior cell on exit segments
+    (zero-gradient outflow) and are zero elsewhere.
+    """
+    p = np.empty((arr.shape[0] + 2, arr.shape[1]))
+    p[1:-1] = arr
+    p[0] = arr[0] * copy_lo
+    p[-1] = arr[-1] * copy_hi
+    return p
 
 
 def _sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
            copy_lo: np.ndarray, copy_hi: np.ndarray,
-           wall_faces: np.ndarray) -> tuple[np.ndarray, float]:
-    """One conservative LxF sweep along axis 0.
+           wall_faces: np.ndarray,
+           e: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """One conservative LxF sweep along axis 0 of the flux q(rho) a + e.
 
     Returns the updated field and the net outgoing boundary flux (per
-    unit time and unit transverse length).  A population whose advection
-    component vanishes identically has zero flux and is left untouched.
+    unit time and unit transverse length).  A population whose flux
+    vanishes identically is left untouched.
     """
-    if not a.any():
+    if not a.any() and (e is None or not e.any()):
         return rho, 0.0
-    m = rho.shape[0]
-    rho_pad = np.empty((m + 2, rho.shape[1]))
-    rho_pad[1:-1] = rho
-    rho_pad[0] = rho[0] * copy_lo
-    rho_pad[-1] = rho[-1] * copy_hi
-    a_pad = np.empty_like(rho_pad)
-    a_pad[1:-1] = a
-    a_pad[0] = a[0] * copy_lo
-    a_pad[-1] = a[-1] * copy_hi
-    f = qfun(rho_pad) * a_pad
+    rho_pad = _pad(rho, copy_lo, copy_hi)
+    f = qfun(rho_pad) * _pad(a, copy_lo, copy_hi)
+    if e is not None:
+        f += _pad(e, copy_lo, copy_hi)
     F = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (rho_pad[1:] - rho_pad[:-1])
     F[wall_faces] = 0.0
     new = rho - (1.0 / lam) * (F[1:] - F[:-1])
     out = float(F[-1].sum() - F[0].sum())
     return new, out
+
+
+def _sweep_xy(rho: np.ndarray, w: np.ndarray, qfun, grid: GridSpec,
+              dt: float, e: np.ndarray | None = None,
+              ) -> tuple[np.ndarray, float]:
+    """x sweep then y sweep of one population with the frozen field w
+    (and additive flux e), both (2, nx, ny).
+
+    Returns the new density and the mass that crossed the domain
+    boundary during the step.
+    """
+    copy, xwall, ywall = _boundary_layout(grid)
+    r, out_x = _sweep(rho, w[0], qfun, grid.dx / dt,
+                      copy["left"], copy["right"], xwall,
+                      None if e is None else e[0])
+    r, out_y = _sweep(r.T, w[1].T, qfun, grid.dy / dt,
+                      copy["bottom"], copy["top"], ywall.T,
+                      None if e is None else e[1].T)
+    return r.T, dt * (grid.dy * out_x + grid.dx * out_y)
 
 
 def split_step(state: PopulationField, model: ModelSpec, dt: float,
@@ -234,20 +251,12 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
     if W is None:
         W = advection_field(state, model)
     g = state.grid
-    copy, xwall, ywall = _boundary_layout(g)
     linear = _flux_is_linear(model)
-    lam_x = g.dx / dt
-    lam_y = g.dy / dt
     new = np.empty_like(state.data)
     outflow = np.zeros(state.n)
     for i in range(state.n):
-        qfun = (lambda r: r) if linear else model.laws[i].q
-        r, out_x = _sweep(state.data[i], W[i, 0], qfun, lam_x,
-                          copy["left"], copy["right"], xwall)
-        r, out_y = _sweep(r.T, W[i, 1].T, qfun, lam_y,
-                          copy["bottom"], copy["top"], ywall.T)
-        new[i] = r.T
-        outflow[i] = dt * (g.dy * out_x + g.dx * out_y)
+        qfun = _linear_flux if linear else model.laws[i].q
+        new[i], outflow[i] = _sweep_xy(state.data[i], W[i], qfun, g, dt)
         if not np.all(np.isfinite(new[i])):
             bad = np.argwhere(~np.isfinite(new[i]))[0]
             raise NumericError(

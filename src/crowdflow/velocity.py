@@ -1,4 +1,4 @@
-"""Speed laws, preferred-direction fields and velocity assembly.
+"""Speed laws, preferred-direction fields and the smoothed total density.
 
 The two model families share the same ingredients: a scalar speed law
 v(rho), a preferred direction g + delta (geodesic plus wall discomfort),
@@ -181,38 +181,3 @@ def smoothed_total_density(state: PopulationField,
     for j in range(state.n):
         out += convolve(state.data[j], kernels[j])
     return out
-
-
-def assemble_differentiable(state: PopulationField,
-                            laws: Sequence[SpeedLaw],
-                            dirs: Sequence[DirectionField],
-                            kernels: Sequence[SampledKernel]) -> np.ndarray:
-    """Velocity V_i = v_i(sum_j conv(rho_j, eta_j)) * dir_i, shape (n, 2, nx, ny)."""
-    _check_n(state, laws, dirs, kernels)
-    arg = clamped_speed_arg(smoothed_total_density(state, kernels))
-    V = np.empty((state.n, 2, state.grid.nx, state.grid.ny))
-    for i in range(state.n):
-        V[i] = laws[i].v(arg)[None, :, :] * dirs[i].total
-    return V
-
-
-def assemble_deviation(state: PopulationField,
-                       laws: Sequence[SpeedLaw],
-                       dirs: Sequence[DirectionField],
-                       ops: Sequence[Callable[[PopulationField], np.ndarray]],
-                       ) -> np.ndarray:
-    """Velocity V_i = v_i(rho_i) * (dir_i + I_i(rho)), shape (n, 2, nx, ny)."""
-    _check_n(state, laws, dirs, ops)
-    V = np.empty((state.n, 2, state.grid.nx, state.grid.ny))
-    for i in range(state.n):
-        arg = clamped_speed_arg(state.data[i], "density")
-        V[i] = laws[i].v(np.minimum(arg, laws[i].R))[None, :, :] \
-            * (dirs[i].total + ops[i](state))
-    return V
-
-
-def _check_n(state: PopulationField, *seqs) -> None:
-    for s in seqs:
-        if len(s) != state.n:
-            raise ConfigurationError(
-                f"expected {state.n} per-population components, got {len(s)}")

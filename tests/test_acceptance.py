@@ -18,9 +18,9 @@ from crowdflow import (DIFFERENTIABLE, CostSpec, ModelSpec, PopulationField,
                        convolve, cost_and_gradient, gateaux_residual,
                        linear_speed_law, make_grid, norms, preset, run,
                        sample_kernel, tv_bound_deviation, wd)
-from crowdflow.cli import (_aggregate_inputs, _gateaux_benchmark,
-                           bound_inputs_for, main)
-from crowdflow.analysis import sup_gradient
+from crowdflow.analysis import aggregate_inputs, bound_inputs_for, sup_gradient
+from crowdflow.cli import main
+from crowdflow.linearized import gateaux_benchmark
 
 from test_solver import symmetric_crossing
 
@@ -106,7 +106,7 @@ def test_04_dimensional_constants():
 def test_05_tv_bound_domination():
     snaps = tuple(np.round(np.arange(0.0, 0.51, 0.1), 3))
     model, datum = crossing_model(0.1, 0.5, snaps)
-    agg = _aggregate_inputs(bound_inputs_for(model, datum))
+    agg = aggregate_inputs(bound_inputs_for(model, datum))
     tracker = {"grad": 0.0}
     rows = []
 
@@ -148,7 +148,7 @@ def test_06_stability_bound(tmp_path):
 
 def test_07_gateaux_residual():
     hs = (0.2, 0.1, 0.05, 0.025)
-    model, rho0, sigma0 = _gateaux_benchmark(mesh=1.0 / 64.0, t_max=0.2)
+    model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 64.0, t_max=0.2)
     base = run(model, rho0, record=True).trajectory
     rs = [gateaux_residual(model, rho0, sigma0, 0.2, h, base_traj=base)
           for h in hs]

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from crowdflow import (BoundInputs, ConfigurationError, ParameterDeltas,
                        stability_bound_deviation,
                        stability_bound_differentiable, sup_gradient,
                        tv_bound_deviation, wd)
+from crowdflow.analysis import LOG_MAX
 from crowdflow.solver import DEVIATION, ModelSpec
 from crowdflow.nonlocal_ops import ZeroOp
 
@@ -24,6 +25,19 @@ def sample_inputs(**kw):
                 hess_eta_sup=24.0, ci=0.5, grad_v_sup=1.0)
     base.update(kw)
     return BoundInputs(**base)
+
+
+def all_ones(**kw):
+    """BoundInputs with every norm 1.0, overridden by kw."""
+    base = {f.name: 1.0 for f in fields(BoundInputs) if f.name != "d"}
+    base.update(kw)
+    return BoundInputs(**base)
+
+
+def assert_infinite_envelope(sb):
+    assert sb.value == math.inf
+    assert sb.log_value == math.inf
+    assert not math.isnan(sb.a) and not math.isnan(sb.b)
 
 
 class TestWd:
@@ -126,6 +140,15 @@ class TestStabilityBoundDeviation:
         assert sb.value == math.inf
         assert np.isfinite(sb.log_value) and sb.log_value > 0
 
+    def test_overflow_with_zero_deltas_is_not_zero(self):
+        # exp(k0 t) overflows while the parameter deltas are 0: the zero
+        # deltas contribute nothing, the datum difference keeps the bound
+        bi = all_ones(grad_v_sup=100.0)
+        sb = stability_bound_deviation(10.0, bi, bi,
+                                       ParameterDeltas(drho0_l1=0.1))
+        assert sb.a == 0.0
+        assert_infinite_envelope(sb)
+
     def test_monotone_in_time(self):
         bi = sample_inputs(grad_v_sup=0.2, ci=0.3)
         deltas = ParameterDeltas(drho0_l1=0.1, dq_sup=0.05)
@@ -148,6 +171,22 @@ class TestStabilityBoundDifferentiable:
         deltas = ParameterDeltas(deta_w1inf=0.1)
         sb = stability_bound_differentiable(0.3, bi, bi, deltas)
         assert sb.value > 0.0 and np.isfinite(sb.value)
+
+    def test_overflow_with_zero_deltas_is_not_zero(self):
+        bi = all_ones(grad_v_sup=100.0)
+        sb = stability_bound_differentiable(200.0, bi, bi,
+                                            ParameterDeltas(drho0_l1=0.1))
+        assert sb.a == pytest.approx(0.1)
+        assert_infinite_envelope(sb)
+
+    def test_overflow_log_finite_when_it_fits(self):
+        bi = all_ones()
+        sb = stability_bound_differentiable(0.2, bi, bi,
+                                            ParameterDeltas(drho0_l1=0.1))
+        x = 0.2 * sb.b
+        assert LOG_MAX <= x < math.inf
+        assert sb.value == math.inf
+        assert sb.log_value == pytest.approx(math.log(x) + x + math.log(0.1))
 
     def test_datum_difference_passthrough_at_t_zero(self):
         bi = sample_inputs()

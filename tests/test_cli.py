@@ -66,6 +66,9 @@ class TestParseConfig:
         p.write_text("[model]\npreset = crossing\nwibble = 3\n")
         with pytest.raises(ConfigurationError, match="wibble"):
             parse_config(str(p))
+        p.write_text("[model]\npreset = crossing\n[output]\nthreads = 2\n")
+        with pytest.raises(ConfigurationError, match="threads"):
+            parse_config(str(p))
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -179,6 +182,20 @@ class TestMain:
         assert main(["run", "--preset", "nope"]) == 1
         assert main(["run"]) == 1
         assert main(["frobnicate"]) == 1
+        assert main(["run", "--preset", "crossing", "--threads", "2"]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    def test_colliding_snapshot_names_rejected(self, tmp_path, capsys,
+                                               command):
+        # 0.0011 and 0.0014 would both be written as pop*_t0.001.csv
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\npreset = crossing\ntmax = 0.002\n"
+                     "snapshot_times = 0 0.0011 0.0014 0.002\n"
+                     "[grid]\nmesh = 0.4\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+        assert "t0.001" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

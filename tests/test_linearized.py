@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
-                       CostSpec, ModelSpec, PopulationField,
+                       CostSpec, ModelSpec, PopulationField, Trajectory,
                        UnsupportedModelError, ZeroOp, bump_kernel,
                        constant_direction, constant_speed_law,
-                       cost_and_gradient, gateaux_residual, linear_speed_law,
-                       linearized_velocity, make_grid, run, sample_kernel,
-                       solve_linearized)
-from crowdflow.cli import _gateaux_benchmark
+                       cost_and_gradient, gateaux_benchmark, gateaux_residual,
+                       linear_speed_law, make_grid, run, sample_kernel,
+                       solve_linearized, split_step)
+from crowdflow.linearized import _linearized_step
 
 
 def closed_model(t_max=0.2, vmax=1.0, constant=False):
@@ -33,33 +33,41 @@ def hump(grid, cx, cy, r, amp):
 
 
 class TestLinearizedVelocity:
+    """The perturbation flux (rho_i v'(arg) (sigma conv) + sigma_i v(arg))
+    dir_i, seen through one step of the linearized scheme."""
+
+    DT = 0.005
+
     def test_zero_sigma(self):
         model = closed_model()
         rho = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
         sigma = PopulationField.zeros(model.grid, 1)
-        out = linearized_velocity(rho, sigma, model)
-        assert np.all(out == 0.0)
+        out = _linearized_step(sigma, rho, model, self.DT)
+        assert np.all(out.data == 0.0)
 
     def test_constant_speed_pure_advection(self):
+        # v' = 0: sigma is transported like a density of the same model
         model = closed_model(constant=True)
         rho = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
         sigma = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.4, 0.25, 0.2))
-        out = linearized_velocity(rho, sigma, model)
-        expect = sigma.data[0][None] * 1.0 * model.dirs[0].total
-        assert np.allclose(out[0], expect, atol=1e-14)
+        out = _linearized_step(sigma, rho, model, self.DT)
+        expect, _ = split_step(sigma, model, self.DT)
+        assert np.allclose(out.data, expect.data, atol=1e-14)
 
     def test_zero_rho(self):
+        # rho = 0: sigma moves with the frozen speed v(0)
         model = closed_model()
         rho = PopulationField.zeros(model.grid, 1)
         sigma = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.4, 0.25, 0.2))
-        out = linearized_velocity(rho, sigma, model)
-        expect = sigma.data[0][None] * model.laws[0].v(0.0) \
-            * model.dirs[0].total
-        assert np.allclose(out[0], expect, atol=1e-14)
+        out = _linearized_step(sigma, rho, model, self.DT)
+        frozen = replace(model, laws=(
+            constant_speed_law(float(model.laws[0].v(0.0))),))
+        expect, _ = split_step(sigma, frozen, self.DT)
+        assert np.allclose(out.data, expect.data, atol=1e-14)
 
     def test_deviation_family_unsupported(self, corridor_grid):
         model = ModelSpec(family=DEVIATION, grid=corridor_grid,
@@ -68,7 +76,7 @@ class TestLinearizedVelocity:
                           ops=(ZeroOp(),))
         f = PopulationField.zeros(corridor_grid, 1)
         with pytest.raises(UnsupportedModelError):
-            linearized_velocity(f, f, model)
+            solve_linearized(Trajectory(model, [0.0], [], [f]), f, 0.0)
 
 
 class TestSolveLinearized:
@@ -140,7 +148,7 @@ class TestGateauxResidual:
         assert r == 0.0
 
     def test_residual_second_order(self):
-        model, rho0, sigma0 = _gateaux_benchmark(mesh=1.0 / 64.0, t_max=0.2)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 64.0, t_max=0.2)
         base = run(model, rho0, record=True).trajectory
         rs = [gateaux_residual(model, rho0, sigma0, 0.2, h, base_traj=base)
               for h in (0.2, 0.1, 0.05)]

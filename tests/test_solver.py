@@ -5,11 +5,12 @@ import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        ConfigurationError, GradientAvoidance, ModelSpec,
-                       PopulationField, ZeroOp, advection_field,
-                       apply_boundary, bump_kernel, cfl_dt,
+                       NumericError, PopulationField, ZeroOp,
+                       advection_field, bump_kernel, cfl_dt,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, norms,
                        preset, run, sample_kernel, split_step)
+from crowdflow.solver import _boundary_layout, _pad
 
 
 def local_deviation_model(grid, vmax=4.0, gx=1.0, gy=0.0, **kw):
@@ -75,6 +76,22 @@ class TestCflDt:
         dt = cfl_dt(state, V, [law], 0.9)
         assert dt >= 0.9 * unit_grid.dx / (4.0 * B) - 1e-15
 
+    def test_tiny_step_is_not_floored(self, unit_grid):
+        # a huge speed gives a tiny step; it must still satisfy the CFL bound
+        state = PopulationField.zeros(unit_grid, 1)
+        V = np.full((1, 2, unit_grid.nx, unit_grid.ny), 1e20)
+        dt = cfl_dt(state, V, [linear_speed_law(4.0, 1.0)], 0.9)
+        assert 0.0 < dt * 4.0 * 1e20 <= 0.9 * unit_grid.dx * (1 + 1e-15)
+
+    def test_non_finite_speed_raises(self, unit_grid):
+        state = PopulationField.zeros(unit_grid, 1)
+        law = linear_speed_law(4.0, 1.0)
+        for bad in (np.inf, np.nan):
+            V = np.zeros((1, 2, unit_grid.nx, unit_grid.ny))
+            V[0, 0, 3, 3] = bad
+            with pytest.raises(NumericError, match="wave speed"):
+                cfl_dt(state, V, [law], 0.9, dt_cap=0.25)
+
 
 class TestSplitStep:
     def test_zero_velocity_keeps_state_exactly(self, unit_grid, rng):
@@ -136,7 +153,6 @@ class TestSplitStep:
             state = new
 
     def test_nan_reports_cell(self, unit_grid):
-        from crowdflow import NumericError
         model = local_deviation_model(unit_grid)
         data = np.zeros((1, unit_grid.nx, unit_grid.ny))
         data[0, 5, 5] = np.inf
@@ -147,31 +163,33 @@ class TestSplitStep:
 
 
 class TestApplyBoundary:
+    """The ghost-cell rule of the sweeps, padding along x."""
+
+    def pad_x(self, data, grid):
+        copy, _, _ = _boundary_layout(grid)
+        return _pad(data, copy["left"], copy["right"])
+
     def test_interior_untouched(self, corridor_grid, rng):
-        state = PopulationField(
-            corridor_grid, rng.random((1, corridor_grid.nx, corridor_grid.ny)))
-        padded = apply_boundary(state, corridor_grid)
-        assert np.array_equal(padded[:, 1:-1, 1:-1], state.data)
+        data = rng.random((corridor_grid.nx, corridor_grid.ny))
+        padded = self.pad_x(data, corridor_grid)
+        assert np.array_equal(padded[1:-1], data)
 
     def test_exit_ghosts_copy_interior(self, corridor_grid):
-        state = PopulationField(
-            corridor_grid,
-            np.ones((1, corridor_grid.nx, corridor_grid.ny)))
-        padded = apply_boundary(state, corridor_grid)
+        ones = np.ones((corridor_grid.nx, corridor_grid.ny))
+        padded = self.pad_x(ones, corridor_grid)
         yc = corridor_grid.yc
         on_exit = (yc > -3.0) & (yc < 3.0)
-        assert np.all(padded[0, 0, 1:-1][on_exit] == 1.0)
-        assert np.all(padded[0, 0, 1:-1][~on_exit] == 0.0)
+        assert np.all(padded[0][on_exit] == 1.0)
+        assert np.all(padded[0][~on_exit] == 0.0)
         # top and bottom are not exits
-        assert np.all(padded[0, 1:-1, 0] == 0.0)
-        assert np.all(padded[0, 1:-1, -1] == 0.0)
+        copy, _, _ = _boundary_layout(corridor_grid)
+        padded_y = _pad(ones.T, copy["bottom"], copy["top"])
+        assert np.all(padded_y[0] == 0.0) and np.all(padded_y[-1] == 0.0)
 
     def test_corners_zero(self, corridor_grid):
-        state = PopulationField(
-            corridor_grid,
-            np.ones((1, corridor_grid.nx, corridor_grid.ny)))
-        padded = apply_boundary(state, corridor_grid)
-        assert padded[0, 0, 0] == 0.0 and padded[0, -1, -1] == 0.0
+        ones = np.ones((corridor_grid.nx, corridor_grid.ny))
+        padded = self.pad_x(ones, corridor_grid)
+        assert padded[0, 0] == 0.0 and padded[-1, -1] == 0.0
 
 
 class TestRun:

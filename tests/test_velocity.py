@@ -1,11 +1,29 @@
 import numpy as np
 import pytest
 
-from crowdflow import (PopulationField, assemble_deviation,
-                       assemble_differentiable, bump_kernel,
-                       constant_direction, constant_speed_law, discomfort,
-                       linear_speed_law, make_grid, room_mask, sample_kernel)
+from crowdflow import (DEVIATION, DIFFERENTIABLE, ModelSpec, PopulationField,
+                       advection_field, bump_kernel, constant_direction,
+                       constant_speed_law, discomfort, linear_speed_law,
+                       make_grid, room_mask, sample_kernel)
 from crowdflow.nonlocal_ops import ZeroOp
+
+
+def differentiable_field(state, laws, dirs, kernels):
+    """advection_field of the differentiable family: v_i(smoothed total) dir_i."""
+    model = ModelSpec(family=DIFFERENTIABLE, grid=state.grid,
+                      laws=tuple(laws), dirs=tuple(dirs),
+                      kernels=tuple(kernels))
+    return advection_field(state, model)
+
+
+def deviation_velocity(state, laws, dirs, ops):
+    """v_i(rho_i) (dir_i + I_i(rho)): the speed law times the
+    deviation-family advection_field, whose flux is q_i(rho_i) times it."""
+    model = ModelSpec(family=DEVIATION, grid=state.grid, laws=tuple(laws),
+                      dirs=tuple(dirs), ops=tuple(ops))
+    W = advection_field(state, model)
+    return np.stack([law.v(np.clip(state.data[i], 0.0, law.R))[None] * W[i]
+                     for i, law in enumerate(laws)])
 
 
 def cell_index(grid, x, y):
@@ -79,7 +97,7 @@ class TestAssembleDifferentiable:
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         kern = sample_kernel(bump_kernel(0.5), corridor_grid)
         state = PopulationField.zeros(corridor_grid, 1)
-        V = assemble_differentiable(state, [law], [direction], [kern])
+        V = differentiable_field(state, [law], [direction], [kern])
         assert np.allclose(V[0], 4.0 * direction.total, atol=1e-14)
 
     def test_constant_density_interior(self, unit_grid):
@@ -89,7 +107,7 @@ class TestAssembleDifferentiable:
         kern = sample_kernel(bump_kernel(0.25), unit_grid)
         state = PopulationField.from_arrays(
             unit_grid, np.full((unit_grid.nx, unit_grid.ny), 0.5))
-        V = assemble_differentiable(state, [law], [direction], [kern])
+        V = differentiable_field(state, [law], [direction], [kern])
         b = kern.bandwidth_x
         expect = 4.0 * (1.0 - 0.5 * kern.mass)
         assert np.allclose(V[0, 0, b:-b, b:-b], expect, atol=1e-10)
@@ -104,7 +122,7 @@ class TestAssembleDifferentiable:
         kern = sample_kernel(bump_kernel(0.25), unit_grid)
         r = rng.random((unit_grid.nx, unit_grid.ny)) * 0.4
         state = PopulationField.from_arrays(unit_grid, r, r)
-        V = assemble_differentiable(state, [law, law], [d1, d2], [kern, kern])
+        V = differentiable_field(state, [law, law], [d1, d2], [kern, kern])
         assert np.allclose(np.abs(V[0]), np.abs(V[1]), atol=1e-14)
 
 
@@ -114,7 +132,7 @@ class TestAssembleDeviation:
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         r = rng.random((corridor_grid.nx, corridor_grid.ny)) * 0.9
         state = PopulationField.from_arrays(corridor_grid, r)
-        V = assemble_deviation(state, [law], [direction], [ZeroOp()])
+        V = deviation_velocity(state, [law], [direction], [ZeroOp()])
         expect = law.v(r)[None] * direction.total
         assert np.allclose(V[0], expect, atol=1e-14)
 
@@ -123,7 +141,7 @@ class TestAssembleDeviation:
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         state = PopulationField.from_arrays(
             corridor_grid, np.ones((corridor_grid.nx, corridor_grid.ny)))
-        V = assemble_deviation(state, [law], [direction], [ZeroOp()])
+        V = deviation_velocity(state, [law], [direction], [ZeroOp()])
         assert np.allclose(V[0], 0.0, atol=1e-12)
 
     def test_speed_bound(self, corridor_grid, rng):
@@ -134,7 +152,7 @@ class TestAssembleDeviation:
         op = GradientAvoidance(j=0, eps=0.3, kernel=kern)
         r = rng.random((corridor_grid.nx, corridor_grid.ny)) * 0.9
         state = PopulationField.from_arrays(corridor_grid, r)
-        V = assemble_deviation(state, [law], [direction], [op])
+        V = deviation_velocity(state, [law], [direction], [op])
         mag = np.abs(V[0]).sum(axis=0)
         assert mag.max() <= 4.0 * (1.0 + 0.8 + 0.3) + 1e-9
 
@@ -150,6 +168,6 @@ class TestAssembleDeviation:
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         r = rng.random((corridor_grid.nx, corridor_grid.ny)) * 0.9
         state = PopulationField.from_arrays(corridor_grid, r)
-        V1 = assemble_deviation(state, [law], [direction], [ZeroOp()])
-        V2 = assemble_deviation(state, [law], [direction], [ZeroOp()])
+        V1 = deviation_velocity(state, [law], [direction], [ZeroOp()])
+        V2 = deviation_velocity(state, [law], [direction], [ZeroOp()])
         assert np.array_equal(V1, V2)
