@@ -24,9 +24,8 @@ from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
 from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
                          gateaux_residual, solve_linearized)
-from .nonlocal_ops import (FluxPush, GradientAvoidance, Saturated, WeightedSum,
-                           ZeroOp, estimate_ci, flux_push, gradient_avoidance,
-                           saturate)
+from .nonlocal_ops import (GradientAvoidance, estimate_ci, flux_push,
+                           gradient_avoidance, saturate)
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
                      StepReport, Trajectory, advection_field, cfl_dt, run,
                      split_step)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from .errors import ConfigurationError, CrowdflowError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
-from .nonlocal_ops import NonlocalOperator, ZeroOp, estimate_ci
+from .nonlocal_ops import NonlocalOperator, estimate_ci
 from .solver import DEVIATION, ModelSpec, Trajectory
 from .velocity import DirectionField
 
@@ -342,25 +342,25 @@ def bound_inputs_for(model: ModelSpec,
                      datum: PopulationField) -> list[BoundInputs]:
     """Per-population BoundInputs measured from the configuration.
 
-    Kernel and direction norms come from dense scans / grid differences;
-    the nonlocal Lipschitz constant is an empirical lower bound from a
-    small sample family; grad_v_sup starts at 0 and is meant to be
-    updated with the running maximum of the advection field's gradient.
+    Kernel and direction norms come from dense scans / grid differences
+    (each distinct kernel is scanned once); the nonlocal Lipschitz
+    constants are empirical lower bounds from a small sample family;
+    grad_v_sup starts at 0 and is meant to be updated with the running
+    maximum of the advection field's gradient.
     """
     rec = norms(datum)
     n1_total = rec.l1_total
+    kn = {spec: kernel_norms(spec) for spec in {k.spec for k in model.kernels}}
+    nan_kn = dict(eta_sup=math.nan, grad_eta_sup=math.nan,
+                  hess_eta_sup=math.nan)
+    ci = np.zeros(model.n)
+    if model.family == DEVIATION:
+        ci = _estimate_ci(model.deviation, datum)
     out = []
     for i in range(model.n):
         law = model.laws[i]
         dn = direction_norms(model.dirs[i], model.grid)
-        if model.kernels:
-            kn = kernel_norms(model.kernels[i].spec)
-        else:
-            kn = dict(eta_sup=math.nan, grad_eta_sup=math.nan,
-                      hess_eta_sup=math.nan)
-        ci = 0.0
-        if model.family == DEVIATION and not isinstance(model.ops[i], ZeroOp):
-            ci = _estimate_op_ci(model.ops[i], datum)
+        kni = kn[model.kernels[i].spec] if model.kernels else nan_kn
         out.append(BoundInputs(
             d=2, n1=n1_total, linf0=float(rec.linf[i]), tv0=float(rec.tv[i]),
             v_sup=law.v_sup, dv_sup=law.dv_sup, ddv_sup=law.ddv_sup,
@@ -369,20 +369,20 @@ def bound_inputs_for(model: ModelSpec,
             vec_grad_sup=dn["vec_grad_sup"], vec_grad_l1=dn["vec_grad_l1"],
             div_sup=dn["div_sup"], divvec_l1=dn["divvec_l1"],
             graddiv_l1=dn["graddiv_l1"],
-            eta_sup=kn["eta_sup"], grad_eta_sup=kn["grad_eta_sup"],
-            hess_eta_sup=kn["hess_eta_sup"],
-            ci=ci, grad_v_sup=0.0))
+            eta_sup=kni["eta_sup"], grad_eta_sup=kni["grad_eta_sup"],
+            hess_eta_sup=kni["hess_eta_sup"],
+            ci=float(ci[i]), grad_v_sup=0.0))
     return out
 
 
-def _estimate_op_ci(op: NonlocalOperator, datum: PopulationField) -> float:
+def _estimate_ci(op: NonlocalOperator, datum: PopulationField) -> np.ndarray:
     samples = [datum, PopulationField(datum.grid, 0.5 * datum.data)]
     if float(np.abs(datum.data).sum()) == 0.0:
-        return 0.0
+        return np.zeros(datum.n)
     try:
         return estimate_ci(op, samples)
     except CrowdflowError:
-        return 0.0
+        return np.zeros(datum.n)
 
 
 def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:

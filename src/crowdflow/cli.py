@@ -303,12 +303,10 @@ def _cmd_stability(args) -> int:
     run(model, datum1, on_snapshot=lambda t, s: states1.setdefault(t, s.copy()))
     run(model, datum2, on_snapshot=lambda t, s: states2.setdefault(t, s.copy()))
 
-    inputs = bound_inputs_for(model, datum1)
-    inputs2 = bound_inputs_for(model, datum2)
-    # both runs share every model parameter; only the datum differs
-    agg1 = aggregate_inputs(inputs)
-    agg2 = aggregate_inputs(inputs2)
-    agg1.grad_v_sup = max(
+    # both runs share every model parameter and the envelope reads only
+    # parameter norms from the second run's inputs: one aggregate serves both
+    agg = aggregate_inputs(bound_inputs_for(model, datum1))
+    agg.grad_v_sup = max(
         sup_gradient(advection_field(d, model), model.grid)
         for d in (datum1, datum2))
     drho0 = float(np.abs(datum1.data - datum2.data).sum()) * model.grid.cell_area
@@ -323,7 +321,7 @@ def _cmd_stability(args) -> int:
         for t in times:
             s1, s2 = states1[t], states2[t]
             dist = float(np.abs(s1.data - s2.data).sum()) * model.grid.cell_area
-            sb = stability_bound_deviation(t, agg1, agg2, deltas)
+            sb = stability_bound_deviation(t, agg, agg, deltas)
             fh.write(",".join(_fmt(v) for v in (t, dist, sb.value,
                                                 sb.log_value)) + "\n")
             print(f"{t:8.3f} {dist:14.6e} {sb.value:14.6e} {sb.log_value:12.4f}")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
 from .grid import Exit, GridSpec, PopulationField, Rect, indicator_datum, make_grid
-from .kernel import SampledKernel, bump_kernel, sample_kernel
-from .nonlocal_ops import GradientAvoidance, WeightedSum, ZeroOp
+from .kernel import bump_kernel, sample_kernel
+from .nonlocal_ops import GradientAvoidance
 from .solver import DEVIATION, DIFFERENTIABLE, ModelSpec
 from .velocity import constant_direction, linear_speed_law
 
@@ -71,17 +71,18 @@ class RunConfig:
         grid = self.build_grid()
         kern = sample_kernel(
             bump_kernel(self.kernel_half_width, self.normalize_kernel), grid)
-        laws, dirs, ops = [], [], []
+        laws, dirs, eps = [], [], []
         for p in self.populations:
             laws.append(linear_speed_law(p.vmax, self.R))
             dirs.append(constant_direction(grid, p.gx, p.gy,
                                            self.delta_max, self.delta_r))
-            ops.append(self._avoidance_op(p, kern))
+            eps.append(self._avoidance_row(p))
         snaps = tuple(self.snapshot_times) or (0.0, self.t_max)
         model = ModelSpec(
             family=self.family, grid=grid, laws=tuple(laws), dirs=tuple(dirs),
             kernels=tuple(kern for _ in self.populations),
-            ops=tuple(ops) if self.family == DEVIATION else (),
+            deviation=(GradientAvoidance(eps, kern)
+                       if self.family == DEVIATION else None),
             R=self.R, cfl=self.cfl, t_max=self.t_max,
             snapshot_times=snaps, strict=self.strict)
         data = []
@@ -92,14 +93,12 @@ class RunConfig:
                 data.append(indicator_datum(grid, p.datum_value, p.datum_rect))
         return model, PopulationField.from_arrays(grid, *data)
 
-    def _avoidance_op(self, p: PopulationConfig, kern: SampledKernel):
+    def _avoidance_row(self, p: PopulationConfig) -> tuple[float, ...]:
         eps = p.eps if p.eps else (0.0,) * self.n
         if len(eps) != self.n:
             raise ConfigurationError(
                 f"avoidance row has {len(eps)} entries for {self.n} populations")
-        terms = tuple((1.0, GradientAvoidance(j=j, eps=e, kernel=kern))
-                      for j, e in enumerate(eps) if e != 0.0)
-        return WeightedSum(terms) if terms else ZeroOp()
+        return eps
 
 
 def preset(name: str) -> RunConfig:

@@ -143,6 +143,9 @@ def gateaux_benchmark(mesh: float = 1.0 / 64.0, t_max: float = 0.2,
 
     Returns (model, rho0, sigma0): the model, the datum and the
     perturbation direction the `crowdflow gateaux` command sweeps.
+    sigma0's negative hump lies inside rho0's second hump, so the
+    perturbed data rho0 + h sigma0 stay nonnegative for h <= 2 and the
+    residual never meets the speed-argument clamp.
     """
     grid = make_grid((0.0, 0.0, 1.0, 1.0), mesh, mesh)
     kern = sample_kernel(bump_kernel(0.25), grid)
@@ -162,7 +165,7 @@ def gateaux_benchmark(mesh: float = 1.0 / 64.0, t_max: float = 0.2,
     rho0 = PopulationField.from_arrays(grid, hump(0.35, 0.5, 0.25, 0.4),
                                        hump(0.6, 0.4, 0.2, 0.3))
     sigma0 = PopulationField.from_arrays(grid, hump(0.45, 0.55, 0.3, 0.2),
-                                         hump(0.5, 0.45, 0.25, -0.15))
+                                         hump(0.6, 0.4, 0.2, -0.15))
     return model, rho0, sigma0
 
 

@@ -1,10 +1,14 @@
-"""Nonlocal deviation operators and their algebra.
+"""Nonlocal deviation operators.
 
-Operators map a multi-population density field to a 2-vector field per
-cell.  Leaves are gradient avoidance (steer away from increasing smoothed
-density) and flux push (get dragged by another population's smoothed
-flux); they compose through saturation and weighted sums, which preserve
-the Lipschitz hypothesis controlling all deviation-model bounds.
+A deviation operator maps the whole multi-population density field to
+one 2-vector field per population and cell: a new float array of shape
+(n, 2, nx, ny), which the solver completes in place.  The
+built-in one is gradient avoidance, I_i = -sum_j eps_ij N(grad(rho_j
+conv eta)): population i steers away from increasing smoothed density
+of every population j, with the saturation N keeping the Lipschitz
+hypothesis that controls all deviation-model bounds.  Flux push (get
+dragged by another population's smoothed flux) is a single-term leaf
+for custom operators.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import ConfigurationError, EstimationError
 from .grid import GridSpec, PopulationField
 from .kernel import SampledKernel, convolve, convolve_gradient
 from .velocity import DirectionField, SpeedLaw
@@ -29,13 +33,25 @@ def saturate(u: np.ndarray) -> np.ndarray:
     return u / np.sqrt(1.0 + mag2)[None, :, :]
 
 
-def gradient_avoidance(state: PopulationField, j: int, eps: float,
-                       k: SampledKernel, saturated: bool = True) -> np.ndarray:
-    """-eps * N(grad(rho_j conv eta)); magnitude at most eps."""
-    g = convolve_gradient(state.data[j], k)
-    if saturated:
-        g = saturate(g)
-    return -eps * g
+def gradient_avoidance(state: PopulationField, eps: np.ndarray,
+                       k: SampledKernel) -> np.ndarray:
+    """I_i = -sum_j eps_ij N(grad(rho_j conv eta)), shape (n, 2, nx, ny).
+
+    Each saturated gradient is computed once, and only for a nonzero
+    column of the (n, n) matrix eps; the terms are summed in j order.
+    |I_i| is at most sum_j |eps_ij|.
+    """
+    n, g = state.n, state.grid
+    if eps.shape != (n, n):
+        raise ConfigurationError(
+            f"avoidance matrix of shape {eps.shape} for {n} populations")
+    out = np.zeros((n, 2, g.nx, g.ny))
+    for j in range(n):
+        if eps[:, j].any():
+            G = saturate(convolve_gradient(state.data[j], k))
+            for i in range(n):
+                out[i] -= eps[i, j] * G
+    return out
 
 
 def flux_push(state: PopulationField, j: int, law: SpeedLaw,
@@ -49,52 +65,22 @@ def flux_push(state: PopulationField, j: int, law: SpeedLaw,
 
 @dataclass(frozen=True)
 class GradientAvoidance:
-    j: int
-    eps: float
-    kernel: SampledKernel
-    saturated: bool = True
+    """The gradient-avoidance deviation operator with coefficient matrix
+    eps (row i, column j: avoidance of population j by population i)."""
 
-    def __call__(self, state: PopulationField) -> np.ndarray:
-        return gradient_avoidance(state, self.j, self.eps, self.kernel,
-                                  self.saturated)
-
-
-@dataclass(frozen=True)
-class FluxPush:
-    j: int
-    law: SpeedLaw
-    direction: DirectionField
+    eps: np.ndarray
     kernel: SampledKernel
 
-    def __call__(self, state: PopulationField) -> np.ndarray:
-        return flux_push(state, self.j, self.law, self.direction, self.kernel)
-
-
-@dataclass(frozen=True)
-class Saturated:
-    child: NonlocalOperator
-
-    def __call__(self, state: PopulationField) -> np.ndarray:
-        return saturate(self.child(state))
-
-
-@dataclass(frozen=True)
-class WeightedSum:
-    """sum_k w_k * op_k with scalar or smooth-field weights."""
-
-    terms: tuple  # of (weight, operator)
+    def __post_init__(self):
+        eps = np.array(self.eps, dtype=float)
+        if eps.ndim != 2 or eps.shape[0] != eps.shape[1]:
+            raise ConfigurationError(
+                f"avoidance matrix must be square, got shape {eps.shape}")
+        eps.flags.writeable = False
+        object.__setattr__(self, "eps", eps)
 
     def __call__(self, state: PopulationField) -> np.ndarray:
-        out = np.zeros((2, state.grid.nx, state.grid.ny))
-        for w, op in self.terms:
-            out += np.asarray(w) * op(state)
-        return out
-
-
-@dataclass(frozen=True)
-class ZeroOp:
-    def __call__(self, state: PopulationField) -> np.ndarray:
-        return np.zeros((2, state.grid.nx, state.grid.ny))
+        return gradient_avoidance(state, self.eps, self.kernel)
 
 
 def _cd_gradient(f: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -108,10 +94,12 @@ def _divergence(u: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def estimate_ci(op: NonlocalOperator,
-                samples: Sequence[PopulationField]) -> float:
-    """Empirical lower bound for the Lipschitz constant of the operator.
+                samples: Sequence[PopulationField]) -> np.ndarray:
+    """Empirical lower bound for the Lipschitz constant of each
+    population's deviation I_i, shape (n,).
 
-    Maximizes the four defining ratios over sample pairs (sup and L1-of-
+    Evaluates the operator once per sample and, for each population,
+    maximizes the four defining ratios over sample pairs (sup and L1-of-
     divergence Lipschitz quotients) and single samples (sup of gradient
     and L1 of gradient-of-divergence against the L1 norm of the density).
     Divergences and gradients use second-order central differences.
@@ -121,31 +109,32 @@ def estimate_ci(op: NonlocalOperator,
     grid = samples[0].grid
     area = grid.cell_area
     vals = [op(s) for s in samples]
-    best = 0.0
-    # single-sample ratios
-    for s, I in zip(samples, vals):
-        l1 = float(np.abs(s.data).sum()) * area
-        if l1 == 0.0:
-            continue
-        grad_sup = 0.0
-        for comp in I:
-            gx, gy = _cd_gradient(comp, grid)
-            grad_sup = max(grad_sup, float((np.abs(gx) + np.abs(gy)).max()))
-        div = _divergence(I, grid)
-        dgx, dgy = _cd_gradient(div, grid)
-        graddiv_l1 = float((np.abs(dgx) + np.abs(dgy)).sum()) * area
-        best = max(best, grad_sup / l1, graddiv_l1 / l1)
-    # pair ratios
-    used_pair = False
+    l1s = [float(np.abs(s.data).sum()) * area for s in samples]
+    pairs = []
     for (s1, I1), (s2, I2) in combinations(zip(samples, vals), 2):
         dl1 = float(np.abs(s1.data - s2.data).sum()) * area
-        if dl1 == 0.0:
-            continue
-        used_pair = True
-        dI = I1 - I2
-        sup = float((np.abs(dI[0]) + np.abs(dI[1])).max())
-        ddiv_l1 = float(np.abs(_divergence(dI, grid)).sum()) * area
-        best = max(best, sup / dl1, ddiv_l1 / dl1)
-    if not used_pair:
+        if dl1 != 0.0:
+            pairs.append((dl1, I1, I2))
+    if not pairs:
         raise EstimationError("all sample pairs are identical")
+    best = np.zeros(samples[0].n)
+    for i in range(len(best)):
+        # single-sample ratios
+        for l1, I in zip(l1s, vals):
+            if l1 == 0.0:
+                continue
+            grad_sup = 0.0
+            for comp in I[i]:
+                gx, gy = _cd_gradient(comp, grid)
+                grad_sup = max(grad_sup, float((np.abs(gx) + np.abs(gy)).max()))
+            div = _divergence(I[i], grid)
+            dgx, dgy = _cd_gradient(div, grid)
+            graddiv_l1 = float((np.abs(dgx) + np.abs(dgy)).sum()) * area
+            best[i] = max(best[i], grad_sup / l1, graddiv_l1 / l1)
+        # pair ratios
+        for dl1, I1, I2 in pairs:
+            dI = I1[i] - I2[i]
+            sup = float((np.abs(dI[0]) + np.abs(dI[1])).max())
+            ddiv_l1 = float(np.abs(_divergence(dI, grid)).sum()) * area
+            best[i] = max(best[i], sup / dl1, ddiv_l1 / dl1)
     return best

@@ -37,7 +37,7 @@ class ModelSpec:
     laws: tuple[SpeedLaw, ...]
     dirs: tuple[DirectionField, ...]
     kernels: tuple[SampledKernel, ...] = ()
-    ops: tuple[NonlocalOperator, ...] = ()
+    deviation: NonlocalOperator | None = None
     R: float = 1.0
     cfl: float = 0.9
     t_max: float = 1.0
@@ -54,9 +54,9 @@ class ModelSpec:
         if self.family == DIFFERENTIABLE and len(self.kernels) != self.n:
             raise ConfigurationError("differentiable family needs one kernel "
                                      "per population")
-        if self.family == DEVIATION and len(self.ops) != self.n:
-            raise ConfigurationError("deviation family needs one nonlocal "
-                                     "operator per population")
+        if self.family == DEVIATION and self.deviation is None:
+            raise ConfigurationError("deviation family needs a nonlocal "
+                                     "deviation operator")
         if any(t < 0 or t > self.t_max + 1e-12 for t in self.snapshot_times):
             raise ConfigurationError("snapshot times must lie in [0, t_max]")
 
@@ -132,15 +132,16 @@ def advection_field(state: PopulationField, model: ModelSpec) -> np.ndarray:
     (the flux is then linear in rho).  Deviation family: dir_i + I_i(rho)
     (the flux is q_i(rho) times this field).
     """
+    if model.family == DEVIATION:
+        W = model.deviation(state)  # a new array, completed in place
+        for i, d in enumerate(model.dirs):
+            W[i] += d.total
+        return W
     n, g = model.n, model.grid
     W = np.empty((n, 2, g.nx, g.ny))
-    if model.family == DIFFERENTIABLE:
-        arg = clamped_speed_arg(smoothed_total_density(state, model.kernels))
-        for i in range(n):
-            W[i] = model.laws[i].v(arg)[None, :, :] * model.dirs[i].total
-    else:
-        for i in range(n):
-            W[i] = model.dirs[i].total + model.ops[i](state)
+    arg = clamped_speed_arg(smoothed_total_density(state, model.kernels))
+    for i in range(n):
+        W[i] = model.laws[i].v(arg)[None, :, :] * model.dirs[i].total
     return W
 
 

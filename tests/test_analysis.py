@@ -9,12 +9,13 @@ from crowdflow import (BoundInputs, ConfigurationError, ParameterDeltas,
                        check_invariance, direction_norms, kappa0,
                        kernel_norms, bump_kernel, constant_direction,
                        linear_speed_law, make_grid, preset, run,
+                       sample_kernel,
                        stability_bound_deviation,
                        stability_bound_differentiable, sup_gradient,
                        tv_bound_deviation, wd)
 from crowdflow.analysis import LOG_MAX
 from crowdflow.solver import DEVIATION, ModelSpec
-from crowdflow.nonlocal_ops import ZeroOp
+from crowdflow.nonlocal_ops import GradientAvoidance
 
 
 def sample_inputs(**kw):
@@ -200,7 +201,10 @@ class TestCheckInvariance:
         return ModelSpec(family=DEVIATION, grid=grid,
                          laws=(linear_speed_law(4.0, 1.0),),
                          dirs=(constant_direction(grid, 1.0, 0.0, 0.8, 0.75),),
-                         ops=(ZeroOp(),), t_max=t_max)
+                         deviation=GradientAvoidance(
+                             np.zeros((1, 1)),
+                             sample_kernel(bump_kernel(0.5), grid)),
+                         t_max=t_max)
 
     def test_zero_datum_passes(self, corridor_grid):
         model = self.deviation_model(corridor_grid)

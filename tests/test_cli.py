@@ -1,9 +1,11 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from crowdflow import ConfigurationError, PopulationField, parse_config, preset
+from crowdflow import (ConfigurationError, PopulationField, gateaux_benchmark,
+                       parse_config, preset)
 from crowdflow.cli import main, read_snapshot, write_snapshot
 from crowdflow.grid import make_grid
 
@@ -167,6 +169,18 @@ class TestMain:
         ratios = [float(r.split(",")[2]) for r in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
+    def test_gateaux_data_nonnegative_no_warning(self, tmp_path, capsys):
+        # rho0 + h sigma0 >= 0 keeps the speed-argument clamp out of the
+        # residual; its warning would flag a negative smoothed density
+        _, rho0, sigma0 = gateaux_benchmark()
+        for h in (0.2, 0.1, 0.05, 0.025, 2.0):
+            assert (rho0.data + h * sigma0.data).min() >= 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gateaux", "--out", str(tmp_path)]) == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     def test_stability_identical_configs(self, tmp_path, capsys):
         code = main(["stability", "--preset", "crossing", "--mesh", "0.2",
                      "--tmax", "0.2", "--out", str(tmp_path),
@@ -183,6 +197,14 @@ class TestMain:
         assert main(["run"]) == 1
         assert main(["frobnicate"]) == 1
         assert main(["run", "--preset", "crossing", "--threads", "2"]) == 1
+
+    def test_eps_row_length_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\npreset = crossing\n[grid]\nmesh = 0.4\n"
+                     "[population.1]\neps = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+        assert "avoidance row has 1 entries" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "bounds"])
     def test_colliding_snapshot_names_rejected(self, tmp_path, capsys,

@@ -5,7 +5,7 @@ import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
                        CostSpec, ModelSpec, PopulationField, Trajectory,
-                       UnsupportedModelError, ZeroOp, bump_kernel,
+                       GradientAvoidance, UnsupportedModelError, bump_kernel,
                        constant_direction, constant_speed_law,
                        cost_and_gradient, gateaux_benchmark, gateaux_residual,
                        linear_speed_law, make_grid, run, sample_kernel,
@@ -73,7 +73,9 @@ class TestLinearizedVelocity:
         model = ModelSpec(family=DEVIATION, grid=corridor_grid,
                           laws=(linear_speed_law(4.0, 1.0),),
                           dirs=(constant_direction(corridor_grid, 1.0, 0.0),),
-                          ops=(ZeroOp(),))
+                          deviation=GradientAvoidance(
+                              np.zeros((1, 1)),
+                              sample_kernel(bump_kernel(0.5), corridor_grid)))
         f = PopulationField.zeros(corridor_grid, 1)
         with pytest.raises(UnsupportedModelError):
             solve_linearized(Trajectory(model, [0.0], [], [f]), f, 0.0)

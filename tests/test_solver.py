@@ -5,7 +5,7 @@ import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        ConfigurationError, GradientAvoidance, ModelSpec,
-                       NumericError, PopulationField, ZeroOp,
+                       NumericError, PopulationField,
                        advection_field, bump_kernel, cfl_dt,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, norms,
@@ -13,12 +13,18 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
 from crowdflow.solver import _boundary_layout, _pad
 
 
+def no_deviation(grid):
+    """Gradient avoidance with a zero matrix: no nonlocal term."""
+    return GradientAvoidance(np.zeros((1, 1)),
+                             sample_kernel(bump_kernel(0.5), grid))
+
+
 def local_deviation_model(grid, vmax=4.0, gx=1.0, gy=0.0, **kw):
     """Single population, no nonlocal term."""
     return ModelSpec(
         family=DEVIATION, grid=grid, laws=(linear_speed_law(vmax, 1.0),),
         dirs=(constant_direction(grid, gx, gy, 0.0, restrict_to_room=False),),
-        ops=(ZeroOp(),), **kw)
+        deviation=no_deviation(grid), **kw)
 
 
 def symmetric_crossing(mesh=0.1, t_max=1.0):
@@ -31,13 +37,9 @@ def symmetric_crossing(mesh=0.1, t_max=1.0):
     law = linear_speed_law(4.0, 1.0)
     d1 = constant_direction(grid, 1.0, 0.0, 0.8, 0.75)
     d2 = constant_direction(grid, -1.0, 0.0, 0.8, 0.75)
-    from crowdflow import WeightedSum
-    op1 = WeightedSum(terms=((1.0, GradientAvoidance(j=0, eps=0.3, kernel=kern)),
-                             (1.0, GradientAvoidance(j=1, eps=0.7, kernel=kern))))
-    op2 = WeightedSum(terms=((1.0, GradientAvoidance(j=0, eps=0.7, kernel=kern)),
-                             (1.0, GradientAvoidance(j=1, eps=0.3, kernel=kern))))
+    op = GradientAvoidance([[0.3, 0.7], [0.7, 0.3]], kern)
     model = ModelSpec(family=DEVIATION, grid=grid, laws=(law, law),
-                      dirs=(d1, d2), ops=(op1, op2), t_max=t_max)
+                      dirs=(d1, d2), deviation=op, t_max=t_max)
     r1 = indicator_datum(grid, 0.8, (-6.4, -2.4, -3.2, 2.4))
     r2 = indicator_datum(grid, 0.8, (3.2, -2.4, 6.4, 2.4))
     datum = PopulationField.from_arrays(grid, r1, r2)
@@ -279,7 +281,7 @@ class TestRun:
         direction = DirectionField(g=g, delta=np.zeros_like(g))
         model = ModelSpec(family=DEVIATION, grid=grid,
                           laws=(linear_speed_law(4.0, 1.0),),
-                          dirs=(direction,), ops=(ZeroOp(),),
+                          dirs=(direction,), deviation=no_deviation(grid),
                           t_max=1.0, strict=True)
         datum = PopulationField.from_arrays(
             grid, indicator_datum(grid, 0.95, (-3.0, -2.0, 3.0, 2.0)))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from crowdflow import (DEVIATION, DIFFERENTIABLE, ModelSpec, PopulationField,
-                       advection_field, bump_kernel, constant_direction,
-                       constant_speed_law, discomfort, linear_speed_law,
-                       make_grid, room_mask, sample_kernel)
-from crowdflow.nonlocal_ops import ZeroOp
+from crowdflow import (DEVIATION, DIFFERENTIABLE, GradientAvoidance,
+                       ModelSpec, PopulationField, advection_field,
+                       bump_kernel, constant_direction, constant_speed_law,
+                       discomfort, linear_speed_law, make_grid, room_mask,
+                       sample_kernel)
 
 
 def differentiable_field(state, laws, dirs, kernels):
@@ -16,11 +16,13 @@ def differentiable_field(state, laws, dirs, kernels):
     return advection_field(state, model)
 
 
-def deviation_velocity(state, laws, dirs, ops):
+def deviation_velocity(state, laws, dirs, eps):
     """v_i(rho_i) (dir_i + I_i(rho)): the speed law times the
-    deviation-family advection_field, whose flux is q_i(rho_i) times it."""
+    deviation-family advection_field, whose flux is q_i(rho_i) times it,
+    for gradient avoidance with the matrix eps."""
+    kern = sample_kernel(bump_kernel(0.5), state.grid)
     model = ModelSpec(family=DEVIATION, grid=state.grid, laws=tuple(laws),
-                      dirs=tuple(dirs), ops=tuple(ops))
+                      dirs=tuple(dirs), deviation=GradientAvoidance(eps, kern))
     W = advection_field(state, model)
     return np.stack([law.v(np.clip(state.data[i], 0.0, law.R))[None] * W[i]
                      for i, law in enumerate(laws)])
@@ -132,7 +134,7 @@ class TestAssembleDeviation:
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         r = rng.random((corridor_grid.nx, corridor_grid.ny)) * 0.9
         state = PopulationField.from_arrays(corridor_grid, r)
-        V = deviation_velocity(state, [law], [direction], [ZeroOp()])
+        V = deviation_velocity(state, [law], [direction], [[0.0]])
         expect = law.v(r)[None] * direction.total
         assert np.allclose(V[0], expect, atol=1e-14)
 
@@ -141,18 +143,15 @@ class TestAssembleDeviation:
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         state = PopulationField.from_arrays(
             corridor_grid, np.ones((corridor_grid.nx, corridor_grid.ny)))
-        V = deviation_velocity(state, [law], [direction], [ZeroOp()])
+        V = deviation_velocity(state, [law], [direction], [[0.0]])
         assert np.allclose(V[0], 0.0, atol=1e-12)
 
     def test_speed_bound(self, corridor_grid, rng):
-        from crowdflow import GradientAvoidance
         law = linear_speed_law(4.0, 1.0)
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
-        kern = sample_kernel(bump_kernel(0.5), corridor_grid)
-        op = GradientAvoidance(j=0, eps=0.3, kernel=kern)
         r = rng.random((corridor_grid.nx, corridor_grid.ny)) * 0.9
         state = PopulationField.from_arrays(corridor_grid, r)
-        V = deviation_velocity(state, [law], [direction], [op])
+        V = deviation_velocity(state, [law], [direction], [[0.3]])
         mag = np.abs(V[0]).sum(axis=0)
         assert mag.max() <= 4.0 * (1.0 + 0.8 + 0.3) + 1e-9
 
@@ -168,6 +167,6 @@ class TestAssembleDeviation:
         direction = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         r = rng.random((corridor_grid.nx, corridor_grid.ny)) * 0.9
         state = PopulationField.from_arrays(corridor_grid, r)
-        V1 = deviation_velocity(state, [law], [direction], [ZeroOp()])
-        V2 = deviation_velocity(state, [law], [direction], [ZeroOp()])
+        V1 = deviation_velocity(state, [law], [direction], [[0.0]])
+        V2 = deviation_velocity(state, [law], [direction], [[0.0]])
         assert np.array_equal(V1, V2)
