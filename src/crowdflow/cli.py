@@ -26,11 +26,8 @@ from .grid import PopulationField, norms
 from .linearized import gateaux_benchmark, gateaux_residual
 from .solver import DEVIATION, ModelSpec, advection_field, run
 
-FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return FMT % x
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,13 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "population crowd models")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--preset", choices=("crossing", "evacuation"))
-        sp.add_argument("--config", help="INI configuration file")
+    def shared(sp):  # every command reads these
         sp.add_argument("--mesh", type=float, help="override cell size")
         sp.add_argument("--tmax", type=float, help="override final time")
-        sp.add_argument("--cfl", type=float, help="override CFL number")
         sp.add_argument("--out", help="output directory")
+
+    def common(sp):  # the commands that run a configured model
+        shared(sp)
+        sp.add_argument("--preset", choices=("crossing", "evacuation"))
+        sp.add_argument("--config", help="INI configuration file")
+        sp.add_argument("--cfl", type=float, help="override CFL number")
         sp.add_argument("--strict", action="store_true",
                         help="abort when the maximum principle is violated")
         sp.add_argument("--normalize-kernel", action="store_true",
@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gateaux",
                        help="directional-derivative residual sweep on a "
                             "built-in smooth benchmark")
-    common(g)
-    g.add_argument("--hs", default="0.2,0.1,0.05,0.025",
+    shared(g)
+    g.set_defaults(mesh=1.0 / 64.0, tmax=0.2, out="out")
+    g.add_argument("--hs", type=_float_list, default="0.2,0.1,0.05,0.025",
                    help="comma-separated perturbation sizes")
     s = sub.add_parser("stability",
                        help="paired runs with a datum perturbation vs. the "
@@ -98,7 +99,19 @@ def load_config(args) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# snapshot output
+# output
+
+
+def _write_table(path: str, header: str, *blocks) -> None:
+    """CSV file: the header line, then the rows of each block, every value
+    as "%.17g" (an integral value prints as an integer).  Deterministic."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(header + "\n")
+            for rows in blocks:
+                np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}")
 
 
 def _snapshot_name(pop: int, t: float) -> str:
@@ -122,20 +135,11 @@ def write_snapshot(state: PopulationField, t: float, out_dir: str) -> list[str]:
     of nx densities (row j = y index ascending).  Deterministic bytes."""
     g = state.grid
     os.makedirs(out_dir, exist_ok=True)
+    meta = [[g.nx, g.ny, g.x0, g.y0, g.dx, g.dy, t]]
     paths = []
     for i in range(state.n):
         path = os.path.join(out_dir, _snapshot_name(i + 1, t))
-        try:
-            with open(path, "w", newline="\n") as fh:
-                fh.write("nx,ny,x0,y0,dx,dy,t\n")
-                fh.write(",".join([str(g.nx), str(g.ny), _fmt(g.x0),
-                                   _fmt(g.y0), _fmt(g.dx), _fmt(g.dy),
-                                   _fmt(t)]) + "\n")
-                for j in range(g.ny):
-                    fh.write(",".join(_fmt(v) for v in state.data[i, :, j]))
-                    fh.write("\n")
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write snapshot {path}: {exc}")
+        _write_table(path, "nx,ny,x0,y0,dx,dy,t", meta, state.data[i].T)
         paths.append(path)
     return paths
 
@@ -172,13 +176,11 @@ def _cmd_run(args, with_bounds: bool) -> int:
     inputs = bound_inputs_for(model, datum)
 
     diag_path = os.path.join(cfg.out_dir, "diagnostics.csv")
-    header = ["t", "dt"]
-    for i in range(model.n):
-        header += [f"mass_{i + 1}", f"linf_{i + 1}", f"tv_{i + 1}",
-                   f"tv_bound_{i + 1}", f"escaped_{i + 1}"]
-    state_tracker = {"grad_v_sup": 0.0, "escaped": np.zeros(model.n),
-                     "steps": 0}
-    bound_rows = []
+    header = ["t", "dt"] + [f"{name}_{i + 1}" for i in range(model.n)
+                            for name in ("mass", "linf", "tv", "tv_bound",
+                                         "escaped")]
+    state_tracker = {"grad_v_sup": 0.0}
+    diag_rows, bound_rows = [], []
 
     def tv_bounds_at(t: float) -> list[float]:
         vals = []
@@ -190,45 +192,41 @@ def _cmd_run(args, with_bounds: bool) -> int:
                 vals.append(analysis.bounds_differentiable(t, bi)[1])
         return vals
 
-    with open(diag_path, "w", newline="\n") as diag:
-        diag.write(",".join(header) + "\n")
+    def diag_row(t, dt, state, escaped):
+        rec = norms(state)
+        tvb = tv_bounds_at(t)
+        per_pop = np.column_stack((rec.l1, rec.linf, rec.tv, tvb, escaped))
+        diag_rows.append([t, dt, *per_pop.ravel()])
 
-        def write_diag(t, dt, state, escaped):
+    def on_step(report, state, W):
+        state_tracker["grad_v_sup"] = max(
+            state_tracker["grad_v_sup"], sup_gradient(W, model.grid))
+        if report.step % cfg.diag_every == 0:
+            diag_row(report.t, report.dt, state, report.escaped)
+
+    def on_snapshot(t, state):
+        write_snapshot(state, t, cfg.out_dir)
+        if with_bounds:
             rec = norms(state)
             tvb = tv_bounds_at(t)
-            row = [_fmt(t), _fmt(dt)]
             for i in range(model.n):
-                row += [_fmt(rec.l1[i]), _fmt(rec.linf[i]), _fmt(rec.tv[i]),
-                        _fmt(tvb[i]), _fmt(escaped[i])]
-            diag.write(",".join(row) + "\n")
+                meas = float(rec.tv[i])
+                slack = tvb[i] / meas if meas > 0 else math.inf
+                bound_rows.append((t, i + 1, meas, tvb[i], slack,
+                                   float(rec.linf[i]),
+                                   model.R if model.family == DEVIATION
+                                   else analysis.bounds_differentiable(
+                                       t, inputs[i])[0]))
 
-        def on_step(report, state, W):
-            state_tracker["grad_v_sup"] = max(
-                state_tracker["grad_v_sup"], sup_gradient(W, model.grid))
-            state_tracker["escaped"] = state_tracker["escaped"] + report.outflow
-            state_tracker["steps"] += 1
-            if state_tracker["steps"] % cfg.diag_every == 0:
-                write_diag(report.t, report.dt, state,
-                           state_tracker["escaped"])
-
-        def on_snapshot(t, state):
-            write_snapshot(state, t, cfg.out_dir)
-            if with_bounds:
-                rec = norms(state)
-                tvb = tv_bounds_at(t)
-                for i in range(model.n):
-                    meas = float(rec.tv[i])
-                    slack = tvb[i] / meas if meas > 0 else math.inf
-                    bound_rows.append((t, i + 1, meas, tvb[i], slack,
-                                       float(rec.linf[i]),
-                                       model.R if model.family == DEVIATION
-                                       else analysis.bounds_differentiable(
-                                           t, inputs[i])[0]))
-
-        write_diag(0.0, 0.0, datum, np.zeros(model.n))
+    diag_row(0.0, 0.0, datum, np.zeros(model.n))
+    try:
         result = run(model, datum, on_snapshot=on_snapshot, on_step=on_step)
-        write_diag(model.t_max, result.reports[-1].dt if result.reports else 0.0,
-                   result.state, result.escaped)
+        # the final state, unless the last step already wrote its row
+        if len(result.reports) % cfg.diag_every:
+            diag_row(model.t_max, result.reports[-1].dt, result.state,
+                     result.escaped)
+    finally:  # a failed run still leaves the rows it reached
+        _write_table(diag_path, ",".join(header), diag_rows)
 
     total0 = float(datum.mass().sum())
     total1 = float(result.state.mass().sum() + result.escaped.sum())
@@ -236,11 +234,8 @@ def _cmd_run(args, with_bounds: bool) -> int:
     print(f"mass: initial {total0:.12g}, final+escaped {total1:.12g}")
     if with_bounds:
         bpath = os.path.join(cfg.out_dir, "bounds.csv")
-        with open(bpath, "w", newline="\n") as fh:
-            fh.write("t,population,tv,tv_bound,slack,linf,linf_bound\n")
-            for row in bound_rows:
-                fh.write(",".join([_fmt(row[0]), str(row[1])]
-                                  + [_fmt(v) for v in row[2:]]) + "\n")
+        _write_table(bpath, "t,population,tv,tv_bound,slack,linf,linf_bound",
+                     bound_rows)
         violated = [r for r in bound_rows
                     if np.isfinite(r[3]) and r[2] > r[3] * (1 + 1e-12)]
         for t, i, meas, bound, *_ in violated:
@@ -253,26 +248,15 @@ def _cmd_run(args, with_bounds: bool) -> int:
 
 
 def _cmd_gateaux(args) -> int:
-    out_dir = args.out or "out"
-    t_max = args.tmax if args.tmax is not None else 0.2
-    mesh = args.mesh if args.mesh is not None else 1.0 / 64.0
-    hs = [float(h) for h in args.hs.split(",") if h]
-    if not hs or any(h <= 0 for h in hs):
-        raise ConfigurationError("perturbation sizes must be positive")
-    model, rho0, sigma0 = gateaux_benchmark(mesh, t_max)
-    base = run(model, rho0, record=True).trajectory
-    rows = []
+    model, rho0, sigma0 = gateaux_benchmark(args.mesh, args.tmax)
+    rs = gateaux_residual(model, rho0, sigma0, args.tmax, args.hs)
+    rows = [(h, r, r / h) for h, r in zip(args.hs, rs)]
     print(f"{'h':>10} {'r(h)':>14} {'r(h)/h':>14}")
-    for h in hs:
-        r = gateaux_residual(model, rho0, sigma0, t_max, h, base_traj=base)
-        rows.append((h, r, r / h))
-        print(f"{h:10.4g} {r:14.6e} {r / h:14.6e}")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "gateaux.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("h,residual,residual_over_h\n")
-        for h, r, ratio in rows:
-            fh.write(",".join(_fmt(v) for v in (h, r, ratio)) + "\n")
+    for h, r, ratio in rows:
+        print(f"{h:10.4g} {r:14.6e} {ratio:14.6e}")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "gateaux.csv")
+    _write_table(path, "h,residual,residual_over_h", rows)
     print(f"residual table: {path}")
     return 0
 
@@ -316,15 +300,14 @@ def _cmd_stability(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "stability.csv")
     print(f"{'t':>8} {'measured L1':>14} {'bound':>14} {'log bound':>12}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,measured_l1,bound,log_bound\n")
-        for t in times:
-            s1, s2 = states1[t], states2[t]
-            dist = float(np.abs(s1.data - s2.data).sum()) * model.grid.cell_area
-            sb = stability_bound_deviation(t, agg, agg, deltas)
-            fh.write(",".join(_fmt(v) for v in (t, dist, sb.value,
-                                                sb.log_value)) + "\n")
-            print(f"{t:8.3f} {dist:14.6e} {sb.value:14.6e} {sb.log_value:12.4f}")
+    rows = []
+    for t in times:
+        s1, s2 = states1[t], states2[t]
+        dist = float(np.abs(s1.data - s2.data).sum()) * model.grid.cell_area
+        sb = stability_bound_deviation(t, agg, agg, deltas)
+        rows.append((t, dist, sb.value, sb.log_value))
+        print(f"{t:8.3f} {dist:14.6e} {sb.value:14.6e} {sb.log_value:12.4f}")
+    _write_table(path, "t,measured_l1,bound,log_bound", rows)
     print(f"stability table: {path}")
     return 0
 

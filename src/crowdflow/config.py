@@ -197,12 +197,14 @@ def _check_keys(section: str, got: dict, allowed: set) -> None:
                 f"unknown key {key!r} in section [{section}]")
 
 
-def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
+def _numbers(text: str, n: int | None, what: str,
+             kind: type = float) -> tuple:
+    """The n (None: any number of) comma/space-separated values, as kind."""
     parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise ConfigurationError(f"{what} needs {n} numbers, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(kind(p) for p in parts)
     except ValueError as exc:
         raise ConfigurationError(f"bad number in {what}: {exc}") from exc
 
@@ -219,7 +221,7 @@ def _bool(text: str, what: str) -> bool:
 def _parse_grid(sec: dict, cfg: RunConfig) -> RunConfig:
     _check_keys("grid", sec, _GRID_KEYS)
     if "bounds" in sec:
-        bounds = _floats(sec["bounds"], 4, "bounds")
+        bounds = _numbers(sec["bounds"], 4, "bounds")
         cfg = replace(cfg, bounds=bounds)
         # a new domain invalidates an inherited room/exit layout
         if "room" not in sec:
@@ -227,14 +229,14 @@ def _parse_grid(sec: dict, cfg: RunConfig) -> RunConfig:
         if "exits" not in sec:
             cfg = replace(cfg, exits=())
     if "mesh" in sec:
-        h = _floats(sec["mesh"], 1, "mesh")[0]
+        h = _numbers(sec["mesh"], 1, "mesh")[0]
         cfg = replace(cfg, dx=h, dy=h)
     if "dx" in sec:
-        cfg = replace(cfg, dx=_floats(sec["dx"], 1, "dx")[0])
+        cfg = replace(cfg, dx=_numbers(sec["dx"], 1, "dx")[0])
     if "dy" in sec:
-        cfg = replace(cfg, dy=_floats(sec["dy"], 1, "dy")[0])
+        cfg = replace(cfg, dy=_numbers(sec["dy"], 1, "dy")[0])
     if "room" in sec:
-        cfg = replace(cfg, room=_floats(sec["room"], 4, "room"))
+        cfg = replace(cfg, room=_numbers(sec["room"], 4, "room"))
     if "exits" in sec:
         exits = []
         for part in sec["exits"].split(";"):
@@ -245,7 +247,9 @@ def _parse_grid(sec: dict, cfg: RunConfig) -> RunConfig:
             if len(bits) != 3:
                 raise ConfigurationError(
                     f"exit must be side:lo:hi, got {part!r}")
-            exits.append((bits[0].strip(), float(bits[1]), float(bits[2])))
+            lo, hi = _numbers(f"{bits[1]} {bits[2]}", 2,
+                              f"exits entry {part!r}")
+            exits.append((bits[0].strip(), lo, hi))
         cfg = replace(cfg, exits=tuple(exits))
     return cfg
 
@@ -257,16 +261,16 @@ def _parse_model(sec: dict, cfg: RunConfig) -> RunConfig:
             raise ConfigurationError(f"unknown family {fam!r}")
         cfg = replace(cfg, family=fam)
     if "tmax" in sec:
-        cfg = replace(cfg, t_max=_floats(sec["tmax"], 1, "tmax")[0])
+        cfg = replace(cfg, t_max=_numbers(sec["tmax"], 1, "tmax")[0])
     if "cfl" in sec:
-        cfg = replace(cfg, cfl=_floats(sec["cfl"], 1, "cfl")[0])
+        cfg = replace(cfg, cfl=_numbers(sec["cfl"], 1, "cfl")[0])
     if "r" in sec:
-        cfg = replace(cfg, R=_floats(sec["r"], 1, "r")[0])
+        cfg = replace(cfg, R=_numbers(sec["r"], 1, "r")[0])
     if "strict" in sec:
         cfg = replace(cfg, strict=_bool(sec["strict"], "strict"))
     if "snapshot_times" in sec:
-        parts = [p for p in sec["snapshot_times"].replace(",", " ").split() if p]
-        cfg = replace(cfg, snapshot_times=tuple(float(p) for p in parts))
+        cfg = replace(cfg, snapshot_times=_numbers(
+            sec["snapshot_times"], None, "snapshot_times"))
     return cfg
 
 
@@ -274,16 +278,15 @@ def _parse_population(name: str, sec: dict,
                       pop: PopulationConfig) -> PopulationConfig:
     _check_keys(name, sec, _POP_KEYS)
     if "vmax" in sec:
-        pop = replace(pop, vmax=_floats(sec["vmax"], 1, "vmax")[0])
+        pop = replace(pop, vmax=_numbers(sec["vmax"], 1, "vmax")[0])
     if "gx" in sec:
-        pop = replace(pop, gx=_floats(sec["gx"], 1, "gx")[0])
+        pop = replace(pop, gx=_numbers(sec["gx"], 1, "gx")[0])
     if "gy" in sec:
-        pop = replace(pop, gy=_floats(sec["gy"], 1, "gy")[0])
+        pop = replace(pop, gy=_numbers(sec["gy"], 1, "gy")[0])
     if "eps" in sec:
-        parts = [p for p in sec["eps"].replace(",", " ").split() if p]
-        pop = replace(pop, eps=tuple(float(p) for p in parts))
+        pop = replace(pop, eps=_numbers(sec["eps"], None, "eps"))
     if "datum" in sec:
-        vals = _floats(sec["datum"], 5, "datum (value x0 y0 x1 y1)")
+        vals = _numbers(sec["datum"], 5, "datum (value x0 y0 x1 y1)")
         pop = replace(pop, datum_value=vals[0], datum_rect=vals[1:])
     return pop
 
@@ -292,7 +295,7 @@ def _parse_kernel(sec: dict, cfg: RunConfig) -> RunConfig:
     _check_keys("kernel", sec, _KERNEL_KEYS)
     if "half_width" in sec:
         cfg = replace(cfg,
-                      kernel_half_width=_floats(sec["half_width"], 1,
+                      kernel_half_width=_numbers(sec["half_width"], 1,
                                                 "half_width")[0])
     if "normalize" in sec:
         cfg = replace(cfg, normalize_kernel=_bool(sec["normalize"], "normalize"))
@@ -304,5 +307,9 @@ def _parse_output(sec: dict, cfg: RunConfig) -> RunConfig:
     if "dir" in sec:
         cfg = replace(cfg, out_dir=sec["dir"].strip())
     if "diag_every" in sec:
-        cfg = replace(cfg, diag_every=int(sec["diag_every"]))
+        every = _numbers(sec["diag_every"], 1, "diag_every", int)[0]
+        if every < 1:
+            raise ConfigurationError(
+                f"diag_every must be a positive integer, got {every}")
+        cfg = replace(cfg, diag_every=every)
     return cfg

@@ -9,8 +9,8 @@ survive discretization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,30 +79,32 @@ def solve_linearized(traj: Trajectory, sigma0: PopulationField,
 
 
 def gateaux_residual(model: ModelSpec, rho0: PopulationField,
-                     sigma0: PopulationField, t: float, h: float,
-                     base_traj: Trajectory | None = None) -> float:
-    """L1 defect of the first-order expansion at step h.
+                     sigma0: PopulationField, t: float,
+                     hs: Sequence[float]) -> list[float]:
+    """L1 defect of the first-order expansion at each step h in hs.
 
-    r(h) = || S_t(rho0 + h sigma0) - S_t rho0 - h Sigma_t sigma0 ||_L1,
-    with the perturbed run replaying the base run's dt sequence.
+    r(h) = || S_t(rho0 + h sigma0) - S_t rho0 - h Sigma_t sigma0 ||_L1.
+    The base run and Sigma_t sigma0 do not depend on h and are computed
+    once; each perturbed run replays the base run's dt sequence.
     """
     _require_differentiable(model)
-    if h <= 0:
-        raise ConfigurationError("h must be positive")
+    if not hs or not all(h > 0 for h in hs):
+        raise ConfigurationError(f"need positive perturbation sizes, got {hs}")
     m = _until(model, t)
-    if base_traj is None:
-        base_traj = run(m, rho0, record=True).trajectory
-    perturbed = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
-    res_h = run(m, perturbed, forced_dts=base_traj.dts)
-    sigma_t = solve_linearized(base_traj, sigma0, t)
-    defect = res_h.state.data - base_traj.states[-1].data - h * sigma_t.data
-    return float(np.abs(defect).sum()) * rho0.grid.cell_area
+    base = run(m, rho0, record=True).trajectory
+    sigma_t = solve_linearized(base, sigma0, t)
+    rs = []
+    for h in hs:
+        perturbed = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
+        res_h = run(m, perturbed, forced_dts=base.dts)
+        defect = res_h.state.data - base.states[-1].data - h * sigma_t.data
+        rs.append(float(np.abs(defect).sum()) * rho0.grid.cell_area)
+    return rs
 
 
 def _until(model: ModelSpec, t: float) -> ModelSpec:
     if abs(t - model.t_max) <= 1e-12:
         return model
-    from dataclasses import replace
     return replace(model, t_max=t, snapshot_times=())
 
 

@@ -67,12 +67,14 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class StepReport:
+    step: int               # steps taken, counted from 1
     t: float
     dt: float
     mass: np.ndarray
     min: np.ndarray
     max: np.ndarray
-    outflow: np.ndarray
+    outflow: np.ndarray     # mass out across the boundary in this step
+    escaped: np.ndarray     # mass out across the boundary since t = 0
 
 
 @dataclass
@@ -313,9 +315,9 @@ def run(model: ModelSpec, datum: PopulationField,
         t += dt
         step += 1
         report = StepReport(
-            t=t, dt=dt, mass=state.mass(),
+            step=step, t=t, dt=dt, mass=state.mass(),
             min=state.data.min(axis=(1, 2)), max=state.data.max(axis=(1, 2)),
-            outflow=outflow)
+            outflow=outflow, escaped=escaped.copy())
         reports.append(report)
         if record:
             traj.times.append(t)

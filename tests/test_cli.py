@@ -6,7 +6,7 @@ import pytest
 
 from crowdflow import (ConfigurationError, PopulationField, gateaux_benchmark,
                        parse_config, preset)
-from crowdflow.cli import main, read_snapshot, write_snapshot
+from crowdflow.cli import _write_table, main, read_snapshot, write_snapshot
 from crowdflow.grid import make_grid
 
 
@@ -139,6 +139,18 @@ class TestSnapshots:
             == ["pop1_t0.500.csv", "pop2_t0.500.csv"]
 
 
+class TestWriteTable:
+    def test_bytes_match_per_value_join(self, tmp_path):
+        rows = [[0.0, -0.0, 1e-300, np.inf, np.nan, 7, 0.1, -np.inf, 2.5e17],
+                [1.0 / 3.0, -1e-5, 5e-324, 12, 1, 2, 3, 4, 123456789]]
+        path = tmp_path / "t.csv"
+        _write_table(str(path), "a,b", rows, np.array(rows[1:]) * 2)
+        oracle = "a,b\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n"
+            for row in rows + [[2 * v for v in rows[1]]])
+        assert path.read_bytes() == oracle.encode()
+
+
 class TestMain:
     def test_run_crossing(self, tmp_path, capsys):
         code = main(["run", "--preset", "crossing", "--mesh", "0.2",
@@ -169,6 +181,23 @@ class TestMain:
         ratios = [float(r.split(",")[2]) for r in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
+    @pytest.mark.parametrize("flag", [
+        ["--preset", "crossing"], ["--config", "/nonexistent.ini"],
+        ["--cfl", "0.01"], ["--strict"], ["--normalize-kernel"]],
+        ids=lambda f: f[0])
+    def test_gateaux_rejects_unread_flags(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert main(["gateaux", "--mesh", "0.125", "--tmax", "0.05",
+                     "--out", str(out), *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gateaux_bad_hs_exit_code(self, tmp_path, capsys):
+        for hs in ("0.1,abc", "0.1,-0.05", ","):
+            assert main(["gateaux", "--mesh", "0.125", "--tmax", "0.05",
+                         "--out", str(tmp_path), "--hs", hs]) == 1
+            assert "configuration error:" in capsys.readouterr().err
+
     def test_gateaux_data_nonnegative_no_warning(self, tmp_path, capsys):
         # rho0 + h sigma0 >= 0 keeps the speed-argument clamp out of the
         # residual; its warning would flag a negative smoothed density
@@ -197,6 +226,41 @@ class TestMain:
         assert main(["run"]) == 1
         assert main(["frobnicate"]) == 1
         assert main(["run", "--preset", "crossing", "--threads", "2"]) == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("population.1", "eps", "0.3 x"),
+        ("model", "snapshot_times", "0 a"),
+        ("grid", "exits", "left:a:3"),
+        ("output", "diag_every", "ten"),
+        ("output", "diag_every", "2.5"),
+        ("output", "diag_every", "0"),
+        ("output", "diag_every", "-2")])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, section, key,
+                                        value):
+        sections = {"model": "preset = crossing\ntmax = 0.05\n",
+                    "grid": "mesh = 0.4\n"}
+        sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+        p = tmp_path / "c.ini"
+        p.write_text("".join(f"[{name}]\n{body}"
+                             for name, body in sections.items()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert key in err
+        assert not out.exists()
+
+    def test_diagnostics_every_step_has_no_repeated_row(self, tmp_path,
+                                                         capsys):
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\npreset = evacuation\ntmax = 0.2\n"
+                     "[grid]\nmesh = 0.4\n[output]\ndiag_every = 1\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 0
+        steps = int(capsys.readouterr().out.split("steps = ")[1].split()[0])
+        lines = open(tmp_path / "diagnostics.csv").read().splitlines()[1:]
+        ts = [float(row.split(",")[0]) for row in lines]
+        assert len(ts) == steps + 1
+        assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_eps_row_length_exit_code(self, tmp_path, capsys):
         p = tmp_path / "c.ini"

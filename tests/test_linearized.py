@@ -146,14 +146,12 @@ class TestGateauxResidual:
         rho0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
         sigma0 = PopulationField.zeros(model.grid, 1)
-        r = gateaux_residual(model, rho0, sigma0, model.t_max, 0.1)
-        assert r == 0.0
+        assert gateaux_residual(model, rho0, sigma0, model.t_max, [0.1]) \
+            == [0.0]
 
     def test_residual_second_order(self):
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 64.0, t_max=0.2)
-        base = run(model, rho0, record=True).trajectory
-        rs = [gateaux_residual(model, rho0, sigma0, 0.2, h, base_traj=base)
-              for h in (0.2, 0.1, 0.05)]
+        rs = gateaux_residual(model, rho0, sigma0, 0.2, [0.2, 0.1, 0.05])
         assert rs[0] / 0.2 > rs[1] / 0.1 > rs[2] / 0.05
         assert rs[1] / rs[0] <= 0.6
         assert rs[2] / rs[1] <= 0.6
@@ -164,15 +162,30 @@ class TestGateauxResidual:
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
         sigma0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.45, 0.55, 0.15, 0.2))
-        for h in (0.2, 0.05):
-            r = gateaux_residual(model, rho0, sigma0, model.t_max, h)
+        for r in gateaux_residual(model, rho0, sigma0, model.t_max,
+                                  [0.2, 0.05]):
             assert r <= 1e-10
 
     def test_nonpositive_h_rejected(self):
         model = closed_model()
         f = PopulationField.zeros(model.grid, 1)
         with pytest.raises(ConfigurationError):
-            gateaux_residual(model, f, f, model.t_max, 0.0)
+            gateaux_residual(model, f, f, model.t_max, [0.0])
+
+    @pytest.mark.parametrize("hs", [[], [0.1, -0.05], [0.1, float("nan")]],
+                             ids=["empty", "negative", "nan"])
+    def test_bad_step_list_rejected(self, hs):
+        model = closed_model()
+        f = PopulationField.zeros(model.grid, 1)
+        with pytest.raises(ConfigurationError, match="positive perturbation sizes"):
+            gateaux_residual(model, f, f, model.t_max, hs)
+
+    def test_sweep_equals_one_h_at_a_time(self):
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        hs = [0.2, 0.1, 0.05]
+        rs = gateaux_residual(model, rho0, sigma0, 0.1, hs)
+        assert rs == [gateaux_residual(model, rho0, sigma0, 0.1, [h])[0]
+                      for h in hs]
 
 
 class TestCostAndGradient:

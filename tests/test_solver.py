@@ -210,14 +210,26 @@ class TestRun:
         cfg = dc_replace(cfg, t_max=1.0)
         model, datum = cfg.build()
         total0 = datum.mass().sum()
-        escaped = {"v": 0.0}
 
         def on_step(report, state, W):
-            escaped["v"] += report.outflow.sum()
-            total = state.mass().sum() + escaped["v"]
+            total = state.mass().sum() + report.escaped.sum()
             assert abs(total - total0) <= 1e-10 * total0
 
         run(model, datum, on_step=on_step)
+
+    def test_step_reports_count_steps_and_escaped_mass(self):
+        from dataclasses import replace as dc_replace
+        cfg = preset("crossing").with_mesh(0.2)
+        model, datum = dc_replace(cfg, t_max=0.5).build()
+        res = run(model, datum)
+        assert [r.step for r in res.reports] \
+            == list(range(1, len(res.reports) + 1))
+        escaped = np.zeros(model.n)
+        for r in res.reports:
+            escaped = escaped + r.outflow
+            assert np.array_equal(r.escaped, escaped)
+        assert res.escaped.all()  # mass crosses both exits
+        assert np.array_equal(res.reports[-1].escaped, res.escaped)
 
     def test_maximum_principle_crossing(self):
         from dataclasses import replace as dc_replace
