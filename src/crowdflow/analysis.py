@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, CrowdflowError
 from .grid import GridSpec, PopulationField, norms
@@ -25,11 +24,14 @@ LOG_MAX = 700.0  # exp argument beyond which float64 overflows
 
 
 def wd(d: int) -> float:
-    """int_0^{pi/2} cos(theta)^d dtheta, by adaptive quadrature."""
+    """int_0^{pi/2} cos(theta)^d dtheta, by the Wallis recursion
+    W_0 = pi/2, W_1 = 1, W_d = (d - 1)/d W_{d-2}."""
     if d < 0 or int(d) != d:
         raise ConfigurationError("dimension must be a nonnegative integer")
-    val, _ = quad(lambda th: math.cos(th) ** d, 0.0, math.pi / 2,
-                  epsabs=1e-13, epsrel=1e-13)
+    d = int(d)
+    val = math.pi / 2 if d % 2 == 0 else 1.0
+    for k in range(2 + d % 2, d + 1, 2):
+        val *= (k - 1) / k
     return val
 
 

@@ -114,6 +114,16 @@ def _write_table(path: str, header: str, *blocks) -> None:
         raise ConfigurationError(f"cannot write {path}: {exc}")
 
 
+def _make_out_dir(path: str) -> str:
+    """Create the output directory (and its parents) if it is missing."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {path}: "
+                                 f"{exc}")
+    return path
+
+
 def _snapshot_name(pop: int, t: float) -> str:
     return f"pop{pop}_t{t:.3f}.csv"
 
@@ -134,7 +144,7 @@ def write_snapshot(state: PopulationField, t: float, out_dir: str) -> list[str]:
     """One CSV per population: header names, header values, then ny rows
     of nx densities (row j = y index ascending).  Deterministic bytes."""
     g = state.grid
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     meta = [[g.nx, g.ny, g.x0, g.y0, g.dx, g.dy, t]]
     paths = []
     for i in range(state.n):
@@ -172,7 +182,7 @@ def _cmd_run(args, with_bounds: bool) -> int:
     cfg = load_config(args)
     model, datum = cfg.build()
     _check_snapshot_names(model)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     inputs = bound_inputs_for(model, datum)
 
     diag_path = os.path.join(cfg.out_dir, "diagnostics.csv")
@@ -249,13 +259,12 @@ def _cmd_run(args, with_bounds: bool) -> int:
 
 def _cmd_gateaux(args) -> int:
     model, rho0, sigma0 = gateaux_benchmark(args.mesh, args.tmax)
+    path = os.path.join(_make_out_dir(args.out), "gateaux.csv")
     rs = gateaux_residual(model, rho0, sigma0, args.tmax, args.hs)
     rows = [(h, r, r / h) for h, r in zip(args.hs, rs)]
     print(f"{'h':>10} {'r(h)':>14} {'r(h)/h':>14}")
     for h, r, ratio in rows:
         print(f"{h:10.4g} {r:14.6e} {ratio:14.6e}")
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "gateaux.csv")
     _write_table(path, "h,residual,residual_over_h", rows)
     print(f"residual table: {path}")
     return 0
@@ -279,6 +288,7 @@ def _cmd_stability(args) -> int:
     data2 = datum1.data.copy()
     data2[0] *= (1.0 - shrink)
     datum2 = PopulationField(model.grid, data2)
+    path = os.path.join(_make_out_dir(cfg.out_dir), "stability.csv")
 
     times = sorted(set([0.0] + [float(t) for t in model.snapshot_times]
                        + [model.t_max]))
@@ -296,9 +306,6 @@ def _cmd_stability(args) -> int:
     drho0 = float(np.abs(datum1.data - datum2.data).sum()) * model.grid.cell_area
     deltas = ParameterDeltas(drho0_l1=drho0)
 
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "stability.csv")
     print(f"{'t':>8} {'measured L1':>14} {'bound':>14} {'log bound':>12}")
     rows = []
     for t in times:

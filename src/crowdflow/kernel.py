@@ -5,6 +5,12 @@ center offsets into banded Toeplitz matrices A (x axis) and B (y axis),
 so that the discrete convolution of a field F is A @ F @ B.  Derivative
 matrices built from a' and b' give the gradient of the convolution
 without differencing the convolved field.
+
+An entry more than the bandwidth b off the diagonal is zero, so the
+products are taken in row blocks: rows [i0, i1) of A @ F read only the
+columns [i0 - b, i1 + b) of A and the same rows of F, one dense product
+per block.  The right factor is applied the same way to the transposes,
+F @ B = (B^T F^T)^T.  A grid of at most one block is one dense product.
 """
 
 from __future__ import annotations
@@ -85,19 +91,30 @@ class SampledKernel:
     grid: GridSpec
 
 
+def _toeplitz(taps: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) matrix with M[i, h] = taps[band + i - h] where |i - h| <= band
+    (taps has 2 band + 1 entries, band < n) and 0 elsewhere, written
+    diagonal by diagonal."""
+    band = (len(taps) - 1) // 2
+    m = np.zeros((n, n))
+    flat = m.reshape(-1)
+    for d in range(-band, band + 1):
+        start = d * n if d >= 0 else -d  # first entry of diagonal i - h = d
+        flat[start::n + 1][:n - abs(d)] = taps[band + d]
+    return m
+
+
 def _axis_matrices(profile: Profile, deriv: Profile, n: int, h: float,
                    half_width: float) -> tuple[np.ndarray, np.ndarray, float, int]:
-    # offsets between cell centers are integer multiples of h
-    idx = np.arange(n)
-    off = (idx[:, None] - idx[None, :]) * h
+    # offsets between cell centers are integer multiples of h, so the
+    # profile is evaluated once per offset within the band
     band = int(np.ceil(half_width / h))
-    inside = np.abs(off) <= half_width + 1e-12 * half_width
-    m = np.where(inside, profile(off), 0.0) * h
-    md = np.where(inside, deriv(off), 0.0) * h
     ks = np.arange(-band, band + 1) * h
-    mass1d = float(np.sum(np.where(np.abs(ks) <= half_width + 1e-12 * half_width,
-                                   profile(ks), 0.0)) * h)
-    return m, md, mass1d, band
+    inside = np.abs(ks) <= half_width + 1e-12 * half_width
+    vals = np.where(inside, profile(ks), 0.0)
+    dvals = np.where(inside, deriv(ks), 0.0)
+    return (_toeplitz(vals * h, n), _toeplitz(dvals * h, n),
+            float(np.sum(vals) * h), band)
 
 
 def sample_kernel(spec: KernelSpec, grid: GridSpec) -> SampledKernel:
@@ -135,7 +152,7 @@ def convolve(field: np.ndarray, k: SampledKernel) -> np.ndarray:
     field extended by zero outside the domain.
     """
     _check_shape(field, k)
-    return k.A @ field @ k.B
+    return _sandwich(k.A, field, k.B, k, np.empty(field.shape))
 
 
 def convolve_gradient(field: np.ndarray, k: SampledKernel) -> np.ndarray:
@@ -145,9 +162,35 @@ def convolve_gradient(field: np.ndarray, k: SampledKernel) -> np.ndarray:
     factors: x component uses (Ax, B), y component uses (A, By).
     """
     _check_shape(field, k)
-    gx = k.Ax @ field @ k.B
-    gy = k.A @ field @ k.By
-    return np.stack([gx, gy])
+    out = np.empty((2,) + field.shape)
+    _sandwich(k.Ax, field, k.B, k, out[0])
+    _sandwich(k.A, field, k.By, k, out[1])
+    return out
+
+
+_BLOCK = 32  # rows per block of a banded product
+
+
+def _band_left(M: np.ndarray, X: np.ndarray, b: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """M @ X for a square M whose entries vanish more than b off the
+    diagonal, one dense product per block of _BLOCK rows."""
+    n = M.shape[0]
+    if out is None:
+        out = np.empty((n,) + X.shape[1:])
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        lo, hi = max(0, i0 - b), min(n, i1 + b)
+        np.matmul(M[i0:i1, lo:hi], X[lo:hi], out=out[i0:i1])
+    return out
+
+
+def _sandwich(L: np.ndarray, field: np.ndarray, R: np.ndarray,
+              k: SampledKernel, out: np.ndarray) -> np.ndarray:
+    """out = (L @ field) @ R for x-axis L and y-axis R of the kernel k."""
+    left = _band_left(L, field, k.bandwidth_x)
+    _band_left(R.T, left.T, k.bandwidth_y, out=out.T)
+    return out
 
 
 def _check_shape(field: np.ndarray, k: SampledKernel) -> None:

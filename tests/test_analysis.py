@@ -47,6 +47,16 @@ class TestWd:
         assert abs(wd(2) - math.pi / 4) <= 1e-10
         assert abs(wd(3) - 2.0 / 3.0) <= 1e-10
 
+    @pytest.mark.parametrize("d,closed_form", [
+        (0, math.pi / 2), (1, 1.0), (2, math.pi / 4), (3, 2.0 / 3.0),
+        (4, 3.0 * math.pi / 16.0), (5, 8.0 / 15.0)])
+    def test_closed_forms(self, d, closed_form):
+        assert wd(d) == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+
+    def test_d2_is_exactly_pi_over_4(self):
+        # the only dimension the solver uses: its bound columns depend on it
+        assert wd(2) == math.pi / 4
+
     def test_strictly_decreasing_and_bounded(self):
         vals = [wd(d) for d in range(1, 8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))

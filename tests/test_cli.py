@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import crowdflow
 from crowdflow import (ConfigurationError, PopulationField, gateaux_benchmark,
                        parse_config, preset)
 from crowdflow.cli import _write_table, main, read_snapshot, write_snapshot
@@ -283,6 +286,18 @@ class TestMain:
         assert "t0.001" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "crossing", "--mesh", "0.4", "--tmax", "0.01"],
+        ["bounds", "--preset", "crossing", "--mesh", "0.4", "--tmax", "0.01"],
+        ["gateaux", "--mesh", "0.125", "--tmax", "0.05"],
+        ["stability", "--preset", "crossing", "--mesh", "0.4",
+         "--tmax", "0.01"]], ids=lambda a: a[0])
+    def test_unusable_out_dir_exit_code(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*argv, "--out", str(blocker / "x")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     def test_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -292,3 +307,15 @@ class TestMain:
             b1 = open(out1 / name, "rb").read()
             b2 = open(out2 / name, "rb").read()
             assert b1 == b2, name
+
+
+def test_import_does_not_load_scipy():
+    # the tests import scipy for their oracles, so check in a fresh process
+    src = os.path.dirname(os.path.dirname(crowdflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, crowdflow, crowdflow.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.signal import convolve2d
 
-from crowdflow import (ConfigurationError, bump_kernel, convolve,
+from crowdflow import (ConfigurationError, KernelSpec, bump_kernel, convolve,
                        convolve_gradient, make_grid, sample_kernel)
 
 AXIS_MASS = 16.0 / 35.0  # integral of (1 - (2x)^2)^3 over [-1/2, 1/2]
@@ -16,6 +16,66 @@ def brute_force(field, spec, grid):
     kx = spec.fx(xs[:, None] - xs[None, :])
     ky = spec.fy(ys[:, None] - ys[None, :])
     return np.einsum("ih,hl,jl->ij", kx, field, ky) * grid.cell_area
+
+
+def dense_axis_matrices(profile, deriv, n, h, half_width):
+    """The profile evaluated on the full (n, n) grid of cell-center offsets."""
+    idx = np.arange(n)
+    off = (idx[:, None] - idx[None, :]) * h
+    inside = np.abs(off) <= half_width + 1e-12 * half_width
+    band = int(np.ceil(half_width / h))
+    ks = np.arange(-band, band + 1) * h
+    mass1d = float(np.sum(np.where(np.abs(ks) <= half_width + 1e-12 * half_width,
+                                   profile(ks), 0.0)) * h)
+    return (np.where(inside, profile(off), 0.0) * h,
+            np.where(inside, deriv(off), 0.0) * h, mass1d)
+
+
+def dense_sampled(spec, grid):
+    """(A, Ax, B, By, mass) of sample_kernel, built from n x n offsets."""
+    A, Ax, mx = dense_axis_matrices(spec.fx, spec.dfx, grid.nx, grid.dx,
+                                    spec.half_width_x)
+    Bt, Byt, my = dense_axis_matrices(spec.fy, spec.dfy, grid.ny, grid.dy,
+                                      spec.half_width_y)
+    B, By = Bt.T, Byt.T
+    if spec.normalize:
+        return A / mx, Ax / mx, B / my, By / my, 1.0
+    return A, Ax, B, By, mx * my
+
+
+# neither even nor zero at the edge of its support, so the orientation of
+# the sampled matrices and the outermost diagonals of the band both count
+def _lopsided(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) <= 0.5, 1.0 + x, 0.0)
+
+
+def _lopsided_deriv(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) <= 0.5, 1.0, 0.0)
+
+
+LOPSIDED = KernelSpec(fx=_lopsided, dfx=_lopsided_deriv, fy=_lopsided,
+                      dfy=_lopsided_deriv, half_width_x=0.5, half_width_y=0.5)
+
+# (bounds, mesh, kernel): one block, n not a multiple of 32, a band wider
+# than a block, nx != ny
+BANDED_CASES = {
+    "one-block-16x16": ((0.0, 0.0, 1.0, 1.0), 1.0 / 16.0, bump_kernel(0.25)),
+    "ragged-75x50": ((0.0, 0.0, 1.5, 1.0), 0.02, bump_kernel(0.25)),
+    "wide-band-256x256": ((0.0, 0.0, 1.0, 1.0), 1.0 / 256.0,
+                          bump_kernel(0.25)),
+    "rect-160x80": ((-8.0, -4.0, 8.0, 4.0), 0.1, bump_kernel(0.5)),
+    "lopsided-160x80": ((-8.0, -4.0, 8.0, 4.0), 0.1, LOPSIDED),
+    "lopsided-wide-band-150x100": ((0.0, 0.0, 1.5, 1.0), 0.01, LOPSIDED),
+}
+SAMPLING_CASES = {
+    **BANDED_CASES,
+    "crossing-640x320": ((-8.0, -4.0, 8.0, 4.0), 0.025, bump_kernel(0.5)),
+    "normalized-640x320": ((-8.0, -4.0, 8.0, 4.0), 0.025,
+                           bump_kernel(0.5, normalize=True)),
+    "crossing-1280x640": ((-8.0, -4.0, 8.0, 4.0), 0.0125, bump_kernel(0.5)),
+}
 
 
 class TestKernelSpec:
@@ -59,6 +119,16 @@ class TestSampleKernel:
         idx = np.arange(unit_grid.nx)
         far = np.abs(idx[:, None] - idx[None, :]) > band
         assert np.all(k.A[far] == 0.0)
+
+    @pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
+    def test_taps_match_dense_construction(self, case):
+        bounds, mesh, spec = SAMPLING_CASES[case]
+        g = make_grid(bounds, mesh, mesh)
+        k = sample_kernel(spec, g)
+        A, Ax, B, By, mass = dense_sampled(spec, g)
+        for got, want in ((k.A, A), (k.Ax, Ax), (k.B, B), (k.By, By)):
+            assert np.array_equal(got, want)
+        assert k.mass == mass
 
     def test_support_smaller_than_cell_rejected(self):
         g = make_grid((0.0, 0.0, 1.0, 1.0), 0.25, 0.25)
@@ -126,6 +196,34 @@ class TestConvolve:
     def test_shape_mismatch(self, unit_kernel):
         with pytest.raises(ConfigurationError):
             convolve(np.zeros((5, 5)), unit_kernel)
+
+
+class TestBandedProducts:
+    """The banded row-block products against the full dense products."""
+
+    @pytest.mark.parametrize("case", sorted(BANDED_CASES))
+    def test_match_dense_products(self, case, rng):
+        bounds, mesh, spec = BANDED_CASES[case]
+        g = make_grid(bounds, mesh, mesh)
+        k = sample_kernel(spec, g)
+        field = rng.random((g.nx, g.ny))
+        grad = convolve_gradient(field, k)
+        for got, ref in ((convolve(field, k), k.A @ field @ k.B),
+                         (grad[0], k.Ax @ field @ k.B),
+                         (grad[1], k.A @ field @ k.By)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_grids_cover_the_block_cases(self):
+        sizes = {}
+        for case, (bounds, mesh, spec) in BANDED_CASES.items():
+            g = make_grid(bounds, mesh, mesh)
+            k = sample_kernel(spec, g)
+            sizes[case] = (g.nx, g.ny, k.bandwidth_x)
+        assert sizes["one-block-16x16"][:2] == (16, 16)
+        assert sizes["ragged-75x50"][0] % 32 and sizes["ragged-75x50"][1] % 32
+        assert sizes["wide-band-256x256"][2] == 64 > 32
+        assert sizes["rect-160x80"][:2] == (160, 80)
+        assert sizes["lopsided-wide-band-150x100"] == (150, 100, 50)
 
 
 class TestConvolveGradient:
