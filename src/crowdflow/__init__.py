@@ -27,8 +27,7 @@ from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
 from .nonlocal_ops import (GradientAvoidance, estimate_ci, flux_push,
                            gradient_avoidance, saturate)
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
-                     StepReport, Trajectory, advection_field, cfl_dt, run,
-                     split_step)
+                     StepReport, advection_field, cfl_dt, run, split_step)
 from .velocity import (DirectionField, SpeedLaw, constant_direction,
                        constant_speed_law, discomfort, linear_speed_law,
                        room_mask, smoothed_total_density)

@@ -17,7 +17,7 @@ from .errors import ConfigurationError, CrowdflowError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import NonlocalOperator, estimate_ci
-from .solver import DEVIATION, ModelSpec, Trajectory
+from .solver import DEVIATION, ModelSpec, RunResult
 from .velocity import DirectionField
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
@@ -254,22 +254,18 @@ class InvarianceReport:
     tol: float = 1e-6
 
 
-def check_invariance(traj: Trajectory, R: float,
+def check_invariance(model: ModelSpec, result: RunResult,
                      tol: float = 1e-6) -> InvarianceReport:
-    """Min/max per population per snapshot; pass iff within [-tol, R+tol]."""
-    if traj.model.family != DEVIATION:
+    """Min/max per population after every step of a deviation-family run;
+    pass iff within [-tol, R + tol], R = model.R."""
+    if model.family != DEVIATION:
         raise ConfigurationError("invariance check targets the deviation family")
-    times, mins, maxs = [], [], []
-    ok = True
-    for t, st in zip(traj.times, traj.states):
-        lo = st.data.min(axis=(1, 2))
-        hi = st.data.max(axis=(1, 2))
-        times.append(t)
-        mins.append(lo)
-        maxs.append(hi)
-        if lo.min() < -tol or hi.max() > R + tol:
-            ok = False
-    return InvarianceReport(times=times, mins=mins, maxs=maxs, ok=ok, tol=tol)
+    reports = result.reports
+    ok = all(r.min.min() >= -tol and r.max.max() <= model.R + tol
+             for r in reports)
+    return InvarianceReport(times=[r.t for r in reports],
+                            mins=[r.min for r in reports],
+                            maxs=[r.max for r in reports], ok=ok, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .config import RunConfig, parse_config, preset
 from .errors import BoundViolationError, ConfigurationError, NumericError
 from .grid import PopulationField, norms
 from .linearized import gateaux_benchmark, gateaux_residual
-from .solver import DEVIATION, ModelSpec, advection_field, run
+from .solver import DEVIATION, ModelSpec, run
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
@@ -294,15 +294,21 @@ def _cmd_stability(args) -> int:
                        + [model.t_max]))
     model = replace(model, snapshot_times=tuple(times))
     states1, states2 = {}, {}
-    run(model, datum1, on_snapshot=lambda t, s: states1.setdefault(t, s.copy()))
-    run(model, datum2, on_snapshot=lambda t, s: states2.setdefault(t, s.copy()))
+    grad_v_sup = 0.0  # sup of the velocity gradient over both runs
+
+    def on_step(report, state, W):
+        nonlocal grad_v_sup
+        grad_v_sup = max(grad_v_sup, sup_gradient(W, model.grid))
+
+    run(model, datum1, on_step=on_step,
+        on_snapshot=lambda t, s: states1.setdefault(t, s.copy()))
+    run(model, datum2, on_step=on_step,
+        on_snapshot=lambda t, s: states2.setdefault(t, s.copy()))
 
     # both runs share every model parameter and the envelope reads only
     # parameter norms from the second run's inputs: one aggregate serves both
     agg = aggregate_inputs(bound_inputs_for(model, datum1))
-    agg.grad_v_sup = max(
-        sup_gradient(advection_field(d, model), model.grid)
-        for d in (datum1, datum2))
+    agg.grad_v_sup = grad_v_sup
     drho0 = float(np.abs(datum1.data - datum2.data).sum()) * model.grid.cell_area
     deltas = ParameterDeltas(drho0_l1=drho0)
 

@@ -1,10 +1,11 @@
 """Linearized semigroup of the differentiable model and cost functionals.
 
 The directional derivative of the solution map is obtained by evolving a
-(signed) perturbation with the formally linearized flux along a stored
-trajectory of the nonlinear run, using the same split Lax-Friedrichs
-scheme and the recorded time-step sequence so that exact cancellations
-survive discretization.
+(signed) perturbation with the formally linearized flux in lockstep with
+the nonlinear run: each linearized step takes the base step's dt and its
+pre-step state, with the same split Lax-Friedrichs scheme, so that exact
+cancellations survive discretization.  Only the current base state is
+held, never the whole run.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedModelError
 from .grid import PopulationField, make_grid
 from .kernel import bump_kernel, sample_kernel
-from .solver import (DIFFERENTIABLE, ModelSpec, Trajectory, _linear_flux,
-                     _sweep_xy, run)
+from .solver import (DIFFERENTIABLE, ModelSpec, RunResult, _linear_flux,
+                     _sweep_xy, run, split_step)
 from .velocity import (clamped_speed_arg, constant_direction,
                        linear_speed_law, smoothed_total_density)
 
@@ -59,23 +60,25 @@ def _linearized_step(sigma: PopulationField, rho: PopulationField,
     return PopulationField(model.grid, new)
 
 
-def solve_linearized(traj: Trajectory, sigma0: PopulationField,
-                     t: float) -> PopulationField:
-    """Evolve a perturbation to time t along the stored trajectory."""
-    model = traj.model
+def solve_linearized(model: ModelSpec, rho0: PopulationField,
+                     sigma0: PopulationField,
+                     t: float) -> tuple[RunResult, PopulationField]:
+    """Run the model from rho0 to time t and evolve sigma0 beside it.
+
+    Returns the base run and Sigma_t sigma0.  Each step of the
+    linearized system is taken with the base step's dt, frozen at the
+    base state before that step.  A negative t raises ConfigurationError.
+    """
     _require_differentiable(model)
-    if t < -1e-12 or t > traj.t_final + 1e-12:
-        raise ConfigurationError(
-            f"time {t} outside trajectory span [0, {traj.t_final}]")
-    sigma = sigma0.copy()
-    elapsed = 0.0
-    for k, dt in enumerate(traj.dts):
-        if elapsed >= t - 1e-12:
-            break
-        step_dt = min(dt, t - elapsed)
-        sigma = _linearized_step(sigma, traj.states[k], model, step_dt)
-        elapsed += step_dt
-    return sigma
+    sigma, before = sigma0.copy(), rho0
+
+    def advance(report, state, W):
+        nonlocal sigma, before
+        sigma = _linearized_step(sigma, before, model, report.dt)
+        before = state
+
+    result = run(_until(model, t), rho0, on_step=advance)
+    return result, sigma
 
 
 def gateaux_residual(model: ModelSpec, rho0: PopulationField,
@@ -85,19 +88,20 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
 
     r(h) = || S_t(rho0 + h sigma0) - S_t rho0 - h Sigma_t sigma0 ||_L1.
     The base run and Sigma_t sigma0 do not depend on h and are computed
-    once; each perturbed run replays the base run's dt sequence.
+    once; each perturbed datum is then advanced, one h at a time, with
+    the base run's dt sequence.
     """
     _require_differentiable(model)
     if not hs or not all(h > 0 for h in hs):
         raise ConfigurationError(f"need positive perturbation sizes, got {hs}")
-    m = _until(model, t)
-    base = run(m, rho0, record=True).trajectory
-    sigma_t = solve_linearized(base, sigma0, t)
+    base, sigma_t = solve_linearized(model, rho0, sigma0, t)
+    dts = [r.dt for r in base.reports]
     rs = []
     for h in hs:
-        perturbed = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
-        res_h = run(m, perturbed, forced_dts=base.dts)
-        defect = res_h.state.data - base.states[-1].data - h * sigma_t.data
+        state = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
+        for dt in dts:
+            state, _ = split_step(state, model, dt)
+        defect = state.data - base.state.data - h * sigma_t.data
         rs.append(float(np.abs(defect).sum()) * rho0.grid.cell_area)
     return rs
 
@@ -108,35 +112,27 @@ def _until(model: ModelSpec, t: float) -> ModelSpec:
     return replace(model, t_max=t, snapshot_times=())
 
 
-def cost_and_gradient(traj: Trajectory, cost: CostSpec,
+def cost_and_gradient(model: ModelSpec, rho0: PopulationField,
+                      cost: CostSpec,
                       sigma0: PopulationField) -> tuple[float, float]:
-    """Evaluate the cost and its directional derivative along sigma0."""
-    model = traj.model
-    _require_differentiable(model)
-    if cost.t < -1e-12 or cost.t > traj.t_final + 1e-12:
-        raise ConfigurationError("cost time outside trajectory span")
-    rho_t = _state_at(traj, cost.t)
+    """The cost J of the run from rho0 and its derivative along sigma0.
+
+    Runs the model to cost.t beside the linearized system; a negative
+    cost.t raises ConfigurationError.
+    """
+    base, sigma_t = solve_linearized(model, rho0, sigma0, cost.t)
+    rho_t = base.state
     area = model.grid.cell_area
     psi = np.asarray(cost.psi)
     fval = cost.f(rho_t.data)
     if not np.all(np.isfinite(fval)):
         raise ConfigurationError("cost integrand not finite on attained range")
     J = float((fval * psi).sum()) * area
-    sigma_t = solve_linearized(traj, sigma0, cost.t)
     fp = cost.fprime(rho_t.data)
     if not np.all(np.isfinite(fp)):
         raise ConfigurationError("cost derivative not finite on attained range")
     DJ = float((fp * sigma_t.data * psi).sum()) * area
     return J, DJ
-
-
-def _state_at(traj: Trajectory, t: float) -> PopulationField:
-    times = np.asarray(traj.times)
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > 1e-9:
-        raise ConfigurationError(
-            f"time {t} not recorded in trajectory (nearest {times[k]})")
-    return traj.states[k]
 
 
 def gateaux_benchmark(mesh: float = 1.0 / 64.0, t_max: float = 0.2,

@@ -11,7 +11,7 @@ accounted per step so that conservation is an exact identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -78,25 +78,10 @@ class StepReport:
 
 
 @dataclass
-class Trajectory:
-    """Per-step snapshots of a run, for the linearized solver."""
-
-    model: ModelSpec
-    times: list[float]          # step start times, plus the final time
-    dts: list[float]
-    states: list[PopulationField]  # states[k] is the state at times[k]
-
-    @property
-    def t_final(self) -> float:
-        return self.times[-1]
-
-
-@dataclass
 class RunResult:
     state: PopulationField
     reports: list[StepReport]
     escaped: np.ndarray
-    trajectory: Trajectory | None = None
 
 
 @lru_cache(maxsize=32)
@@ -271,14 +256,14 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
 def run(model: ModelSpec, datum: PopulationField,
         on_snapshot: Callable[[float, PopulationField], None] | None = None,
         on_step: Callable[[StepReport, PopulationField, np.ndarray], None] | None = None,
-        forced_dts: Sequence[float] | None = None,
-        record: bool = False) -> RunResult:
+        ) -> RunResult:
     """Integrate the model from the datum to t_max.
 
     Snapshot times are hit exactly (dt truncated at them).  on_step
-    receives (report, state, frozen advection field) after every step.
-    When forced_dts is given the recorded sequence is replayed instead of
-    the CFL controller; it must reach t_max.
+    receives (report, state, frozen advection field) after every step:
+    the post-step state, and the field the step used, computed from the
+    pre-step state.  Work that advances beside the run, such as the
+    linearized solve, takes the step's dt from the report.
     """
     if datum.grid is not model.grid and datum.grid != model.grid:
         raise ConfigurationError("datum grid does not match model grid")
@@ -291,7 +276,6 @@ def run(model: ModelSpec, datum: PopulationField,
     events = sorted({float(s) for s in model.snapshot_times} | {model.t_max})
     reports: list[StepReport] = []
     escaped = np.zeros(model.n)
-    traj = Trajectory(model, [0.0], [], [state.copy()]) if record else None
 
     t = 0.0
     if on_snapshot is not None and any(abs(e) <= 1e-12 for e in events):
@@ -300,16 +284,9 @@ def run(model: ModelSpec, datum: PopulationField,
     step = 0
     linear = _flux_is_linear(model)
     while t < model.t_max - 1e-12:
-        next_event = events[0]
         W = advection_field(state, model)
-        if forced_dts is not None:
-            if step >= len(forced_dts):
-                raise ConfigurationError("forced dt sequence too short")
-            dt = float(forced_dts[step])
-        else:
-            dt = cfl_dt(state, W, model.laws, model.cfl,
-                        dt_cap=next_event - t, linear_flux=linear)
-            dt = min(dt, next_event - t)
+        dt = cfl_dt(state, W, model.laws, model.cfl,
+                    dt_cap=events[0] - t, linear_flux=linear)
         state, outflow = split_step(state, model, dt, W)
         escaped += outflow
         t += dt
@@ -319,10 +296,6 @@ def run(model: ModelSpec, datum: PopulationField,
             min=state.data.min(axis=(1, 2)), max=state.data.max(axis=(1, 2)),
             outflow=outflow, escaped=escaped.copy())
         reports.append(report)
-        if record:
-            traj.times.append(t)
-            traj.dts.append(dt)
-            traj.states.append(state.copy())
         if model.strict and model.family == DEVIATION:
             if (report.min.min() < -MAX_PRINCIPLE_TOL
                     or report.max.max() > model.R + MAX_PRINCIPLE_TOL):
@@ -335,5 +308,4 @@ def run(model: ModelSpec, datum: PopulationField,
             if on_snapshot is not None:
                 on_snapshot(events[0], state)
             events.pop(0)
-    return RunResult(state=state, reports=reports, escaped=escaped,
-                     trajectory=traj)
+    return RunResult(state=state, reports=reports, escaped=escaped)

@@ -11,7 +11,7 @@ to the direction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -138,16 +138,16 @@ def discomfort(grid: GridSpec, delta_max: float, delta_r: float) -> np.ndarray:
 
 @dataclass
 class DirectionField:
-    """Preferred direction g + delta for one population, (2, nx, ny) each."""
+    """Preferred direction of one population: the sum g + delta of a
+    geodesic field and a wall discomfort, (2, nx, ny) each.  Only the
+    sum, `total`, is kept."""
 
-    g: np.ndarray
-    delta: np.ndarray
-    delta_max: float = 0.0
-    delta_r: float = 0.0
+    g: InitVar[np.ndarray]
+    delta: InitVar[np.ndarray]
+    total: np.ndarray = field(init=False)
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.g + self.delta
+    def __post_init__(self, g: np.ndarray, delta: np.ndarray):
+        self.total = g + delta
 
 
 def constant_direction(grid: GridSpec, gx: float, gy: float,
@@ -161,7 +161,7 @@ def constant_direction(grid: GridSpec, gx: float, gy: float,
         g *= room_mask(grid)[None, :, :]
     d = (discomfort(grid, delta_max, delta_r) if delta_max > 0
          else np.zeros_like(g))
-    return DirectionField(g=g, delta=d, delta_max=delta_max, delta_r=delta_r)
+    return DirectionField(g=g, delta=d)
 
 
 def clamped_speed_arg(arg: np.ndarray, what: str = "convolved density") -> np.ndarray:

@@ -218,9 +218,8 @@ class TestCheckInvariance:
 
     def test_zero_datum_passes(self, corridor_grid):
         model = self.deviation_model(corridor_grid)
-        traj = run(model, PopulationField.zeros(corridor_grid, 1),
-                   record=True).trajectory
-        rep = check_invariance(traj, 1.0)
+        result = run(model, PopulationField.zeros(corridor_grid, 1))
+        rep = check_invariance(model, result)
         assert rep.ok
         assert all(m.max() == 0.0 for m in rep.maxs)
 
@@ -233,30 +232,28 @@ class TestCheckInvariance:
         from crowdflow import room_mask
         datum = PopulationField.from_arrays(
             grid, room_mask(grid).astype(float))
-        traj = run(model, datum, record=True).trajectory
-        rep = check_invariance(traj, 1.0)
+        result = run(model, datum)
+        rep = check_invariance(model, result)
         assert rep.ok
         # v(R) = 0: nothing moves
-        assert np.array_equal(traj.states[-1].data, datum.data)
+        assert np.array_equal(result.state.data, datum.data)
 
     def test_crossing_preset_passes(self):
         cfg = preset("crossing").with_mesh(0.1)
         cfg = replace(cfg, t_max=1.0)
         model, datum = cfg.build()
-        traj = run(model, datum, record=True).trajectory
-        assert check_invariance(traj, 1.0).ok
+        assert check_invariance(model, run(model, datum)).ok
 
     def test_differentiable_family_rejected(self, unit_grid):
-        from crowdflow import DIFFERENTIABLE, Trajectory, sample_kernel
+        from crowdflow import DIFFERENTIABLE, sample_kernel
         kern = sample_kernel(bump_kernel(0.25), unit_grid)
         model = ModelSpec(family=DIFFERENTIABLE, grid=unit_grid,
                           laws=(linear_speed_law(1.0, 1.0),),
                           dirs=(constant_direction(unit_grid, 1.0, 0.0),),
-                          kernels=(kern,))
-        traj = Trajectory(model, [0.0], [],
-                          [PopulationField.zeros(unit_grid, 1)])
+                          kernels=(kern,), t_max=0.0)
+        result = run(model, PopulationField.zeros(unit_grid, 1))
         with pytest.raises(ConfigurationError):
-            check_invariance(traj, 1.0)
+            check_invariance(model, result)
 
 
 class TestNormHelpers:

@@ -1,24 +1,38 @@
-"""The benchmark's expected spans still name public crowdflow functions.
+"""The benchmark's expected spans still name, and reach, public functions.
 
 `bench/run.py --trace 1` wraps every public function and public method
 defined in the package and aborts when an expected span of a workload
 records no calls.  A span resolves to the wrapped name itself or, when
 the binding moved, to the one wrapped name with the same qualified name
-in another module.  This test applies that rule without running the
-benchmark, so a rename fails here first.
+in another module.  These tests apply that rule without running the
+benchmark, so a rename, or a call path that no longer reaches a span,
+fails here first.
 """
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import crowdflow
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOADS = BENCH / "workloads.py"
+# Each workload's command on a coarse mesh and a short time
+COARSE_ARGS = {
+    "gateaux-fine": ["gateaux", "--mesh", "0.03125", "--tmax", "0.05"],
+    "crossing-fine": ["run", "--preset", "crossing", "--mesh", "0.4",
+                      "--tmax", "0.05"],
+    "evacuation-io": ["bounds", "--preset", "evacuation", "--mesh", "0.4",
+                      "--tmax", "0.05"],
+}
 
 
 def _wrapped_names() -> set[str]:
@@ -63,6 +77,27 @@ def test_expected_spans_resolve(name):
     assert spans
     missing = [s for s in spans if _resolve(s, wrapped) is None]
     assert not missing, f"{name}: no public function for {missing}"
+
+
+@pytest.mark.parametrize("name", sorted(_workloads))
+def test_expected_spans_called(name, tmp_path):
+    # the benchmark's own tracer, in a fresh process as the benchmark runs it
+    assert _workloads[name].command == COARSE_ARGS[name][0]
+    spans_path = tmp_path / "spans.json"
+    src = os.path.dirname(os.path.dirname(crowdflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(BENCH / "child.py"), "trace",
+                           str(spans_path), *COARSE_ARGS[name],
+                           "--out", str(tmp_path / "out")],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    trace = json.loads(spans_path.read_text())
+    wrapped = set(trace["wrapped"])
+    called = {span[0] for span in trace["spans"]}
+    missing = [s for s in _workloads[name].expected_spans
+               if _resolve(s, wrapped) not in called]
+    assert not missing, f"{name}: no call recorded for {missing}"
 
 
 def test_resolve_rule():

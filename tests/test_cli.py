@@ -2,13 +2,17 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crowdflow
-from crowdflow import (ConfigurationError, PopulationField, gateaux_benchmark,
-                       parse_config, preset)
+from crowdflow import (ConfigurationError, PopulationField,
+                       advection_field, gateaux_benchmark, parse_config,
+                       preset, run)
+from crowdflow import cli
+from crowdflow.analysis import sup_gradient
 from crowdflow.cli import _write_table, main, read_snapshot, write_snapshot
 from crowdflow.grid import make_grid
 
@@ -223,6 +227,34 @@ class TestMain:
             _, dist, bound, _ = row.split(",")
             assert float(dist) == 0.0
             assert float(bound) == 0.0
+
+    @pytest.mark.parametrize("name", ["crossing", "evacuation"])
+    def test_stability_envelope_uses_running_gradient(self, tmp_path, capsys,
+                                                      monkeypatch, name):
+        # kappa0 is a sup over [0, t], so grad_v_sup must cover every step
+        # of both runs, not only the two data
+        seen = []
+        bound = cli.stability_bound_deviation
+
+        def spy(t, bi1, bi2, deltas):
+            seen.append(bi1.grad_v_sup)
+            return bound(t, bi1, bi2, deltas)
+
+        monkeypatch.setattr(cli, "stability_bound_deviation", spy)
+        assert main(["stability", "--preset", name, "--mesh", "0.4",
+                     "--tmax", "0.5", "--out", str(tmp_path)]) == 0
+
+        model, datum1 = preset(name).with_mesh(0.4).build()
+        model = replace(model, t_max=0.5, snapshot_times=())
+        data2 = datum1.data.copy()
+        data2[0] *= 1.0 - 0.1 / datum1.mass()[0]  # the default --perturb
+        sups = []
+        for datum in (datum1, PopulationField(model.grid, data2)):
+            run(model, datum, on_step=lambda r, s, W: sups.append(
+                sup_gradient(W, model.grid)))
+        assert seen and all(g == max(sups) for g in seen)
+        assert max(sups) > sup_gradient(advection_field(datum1, model),
+                                        model.grid)
 
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--preset", "nope"]) == 1

@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
-                       CostSpec, ModelSpec, PopulationField, Trajectory,
+                       CostSpec, ModelSpec, PopulationField,
                        GradientAvoidance, UnsupportedModelError, bump_kernel,
                        constant_direction, constant_speed_law,
                        cost_and_gradient, gateaux_benchmark, gateaux_residual,
@@ -78,7 +79,7 @@ class TestLinearizedVelocity:
                               sample_kernel(bump_kernel(0.5), corridor_grid)))
         f = PopulationField.zeros(corridor_grid, 1)
         with pytest.raises(UnsupportedModelError):
-            solve_linearized(Trajectory(model, [0.0], [], [f]), f, 0.0)
+            solve_linearized(model, f, f, 0.0)
 
 
 class TestSolveLinearized:
@@ -86,20 +87,18 @@ class TestSolveLinearized:
         model = closed_model()
         rho0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
-        traj = run(model, rho0, record=True).trajectory
-        sigma = solve_linearized(traj, PopulationField.zeros(model.grid, 1),
-                                 model.t_max)
+        _, sigma = solve_linearized(
+            model, rho0, PopulationField.zeros(model.grid, 1), model.t_max)
         assert np.all(sigma.data == 0.0)
 
     def test_mass_conserved_in_closed_domain(self):
         model = closed_model()
         rho0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.15, 0.3))
-        traj = run(model, rho0, record=True).trajectory
         sigma0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.45, 0.55, 0.1, 0.2)
             - hump(model.grid, 0.35, 0.45, 0.1, 0.1))
-        sigma = solve_linearized(traj, sigma0, model.t_max)
+        _, sigma = solve_linearized(model, rho0, sigma0, model.t_max)
         assert sigma.data.sum() * model.grid.cell_area == pytest.approx(
             sigma0.data.sum() * model.grid.cell_area, rel=1e-12, abs=1e-12)
 
@@ -107,37 +106,49 @@ class TestSolveLinearized:
         model = closed_model(constant=True)
         rho0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
-        traj = run(model, rho0, record=True).trajectory
         sigma0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.45, 0.55, 0.15, 0.2))
-        sigma = solve_linearized(traj, sigma0, model.t_max)
-        # with v' = 0 the nonlinear flux is linear, so running the solver
+        base, sigma = solve_linearized(model, rho0, sigma0, model.t_max)
+        # with v' = 0 the nonlinear flux is linear, so stepping the solver
         # on sigma0 with the same dt sequence gives the same evolution
-        direct = run(model, sigma0, forced_dts=traj.dts)
-        assert np.allclose(sigma.data, direct.state.data, atol=1e-12)
+        direct = sigma0
+        for rep in base.reports:
+            direct, _ = split_step(direct, model, rep.dt)
+        assert np.allclose(sigma.data, direct.data, atol=1e-12)
 
     def test_linearity(self):
         model = closed_model()
         rho0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
-        traj = run(model, rho0, record=True).trajectory
         s1 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.45, 0.55, 0.15, 0.2))
         s2 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.45, 0.12, -0.15))
         combo = PopulationField(model.grid, 2.0 * s1.data - 0.5 * s2.data)
-        out = solve_linearized(traj, combo, model.t_max)
-        expect = (2.0 * solve_linearized(traj, s1, model.t_max).data
-                  - 0.5 * solve_linearized(traj, s2, model.t_max).data)
-        assert np.abs(out.data - expect).max() <= 1e-10
+
+        def solve(sigma0):
+            return solve_linearized(model, rho0, sigma0, model.t_max)[1].data
+
+        out = solve(combo)
+        expect = 2.0 * solve(s1) - 0.5 * solve(s2)
+        assert np.abs(out - expect).max() <= 1e-10
 
     def test_time_out_of_range(self):
         model = closed_model()
         rho0 = PopulationField.zeros(model.grid, 1)
         rho0.data[0] = hump(model.grid, 0.4, 0.5, 0.2, 0.3)
-        traj = run(model, rho0, record=True).trajectory
-        with pytest.raises(ConfigurationError, match="span"):
-            solve_linearized(traj, rho0, model.t_max + 1.0)
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            solve_linearized(model, rho0, rho0, -1.0)
+
+    def test_time_past_model_t_max(self):
+        # the run is made to t, whatever the model's own final time
+        model = closed_model(t_max=0.05)
+        rho0 = PopulationField.from_arrays(
+            model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
+        base, _ = solve_linearized(model, rho0, rho0, 0.1)
+        assert base.reports[-1].t == pytest.approx(0.1, abs=1e-12)
+        longer = run(replace(model, t_max=0.1), rho0)
+        assert np.array_equal(base.state.data, longer.state.data)
 
 
 class TestGateauxResidual:
@@ -187,66 +198,109 @@ class TestGateauxResidual:
         assert rs == [gateaux_residual(model, rho0, sigma0, 0.1, [h])[0]
                       for h in hs]
 
+    def test_matches_stored_trajectory_algorithm(self):
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.2)
+        hs = [0.2, 0.1, 0.05, 0.025]
+        assert gateaux_residual(model, rho0, sigma0, 0.2, hs) \
+            == stored_trajectory_residual(model, rho0, sigma0, hs)
+
+    def test_memory_independent_of_step_count(self):
+        # 29 base steps; storing the base run would hold 30 states
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 128.0, t_max=0.2)
+        tracemalloc.start()
+        try:
+            gateaux_residual(model, rho0, sigma0, 0.2, [0.2, 0.1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * rho0.data.nbytes
+
+
+def stored_trajectory_residual(model, rho0, sigma0, hs):
+    """Reference for gateaux_residual at t = model.t_max: store every state
+    of the base run, evolve sigma0 along the stored states afterwards, then
+    replay the base run's dt sequence from each perturbed datum."""
+    states, dts = [rho0.copy()], []
+
+    def keep(report, state, W):
+        states.append(state.copy())
+        dts.append(report.dt)
+
+    run(model, rho0, on_step=keep)
+    sigma = sigma0.copy()
+    for rho, dt in zip(states, dts):
+        sigma = _linearized_step(sigma, rho, model, dt)
+    rs = []
+    for h in hs:
+        state = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
+        for dt in dts:
+            state, _ = split_step(state, model, dt)
+        defect = state.data - states[-1].data - h * sigma.data
+        rs.append(float(np.abs(defect).sum()) * rho0.grid.cell_area)
+    return rs
+
 
 class TestCostAndGradient:
-    def setup_traj(self):
+    def setup_model(self):
         model = closed_model()
         rho0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
-        traj = run(model, rho0, record=True).trajectory
         sigma0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.45, 0.55, 0.15, 0.2))
-        return model, rho0, traj, sigma0
+        return model, rho0, sigma0
 
     def test_total_mass_cost(self):
-        model, rho0, traj, sigma0 = self.setup_traj()
+        model, rho0, sigma0 = self.setup_model()
         cost = CostSpec(f=lambda r: r.sum(axis=0),
                         fprime=lambda r: np.ones_like(r),
                         psi=1.0, t=model.t_max)
-        J, DJ = cost_and_gradient(traj, cost, sigma0)
+        J, DJ = cost_and_gradient(model, rho0, cost, sigma0)
         assert J == pytest.approx(rho0.mass()[0], rel=1e-10)
         assert DJ == pytest.approx(sigma0.mass()[0], abs=1e-10)
 
     def test_zero_weight(self):
-        model, rho0, traj, sigma0 = self.setup_traj()
+        model, rho0, sigma0 = self.setup_model()
         cost = CostSpec(f=lambda r: r.sum(axis=0),
                         fprime=lambda r: np.ones_like(r),
                         psi=np.zeros((model.grid.nx, model.grid.ny)),
                         t=model.t_max)
-        J, DJ = cost_and_gradient(traj, cost, sigma0)
+        J, DJ = cost_and_gradient(model, rho0, cost, sigma0)
         assert J == 0.0 and DJ == 0.0
 
     def test_finite_difference_check(self):
-        model, rho0, traj, sigma0 = self.setup_traj()
+        model, rho0, sigma0 = self.setup_model()
         cost = CostSpec(f=lambda r: (r ** 2).sum(axis=0),
                         fprime=lambda r: 2.0 * r,
                         psi=1.0, t=model.t_max)
-        _, DJ = cost_and_gradient(traj, cost, sigma0)
+        _, DJ = cost_and_gradient(model, rho0, cost, sigma0)
+        base = run(model, rho0)
+        J0 = float((base.state.data ** 2).sum()) * model.grid.cell_area
         errs = []
         for h in (0.2, 0.1, 0.05):
+            # replay the base run's dt sequence from the perturbed datum
             pert = PopulationField(model.grid, rho0.data + h * sigma0.data)
-            res = run(model, pert, forced_dts=traj.dts)
-            Jh = float((res.state.data ** 2).sum()) * model.grid.cell_area
-            J0 = float((traj.states[-1].data ** 2).sum()) * model.grid.cell_area
+            for rep in base.reports:
+                pert, _ = split_step(pert, model, rep.dt)
+            Jh = float((pert.data ** 2).sum()) * model.grid.cell_area
             errs.append(abs((Jh - J0) / h - DJ))
         assert errs[0] > errs[1] > errs[2]
 
     def test_dj_linear_in_sigma(self):
-        model, rho0, traj, sigma0 = self.setup_traj()
+        model, rho0, sigma0 = self.setup_model()
         tau0 = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.45, 0.12, -0.15))
         cost = CostSpec(f=lambda r: (r ** 2).sum(axis=0),
                         fprime=lambda r: 2.0 * r, psi=1.0, t=model.t_max)
-        _, d1 = cost_and_gradient(traj, cost, sigma0)
-        _, d2 = cost_and_gradient(traj, cost, tau0)
+        _, d1 = cost_and_gradient(model, rho0, cost, sigma0)
+        _, d2 = cost_and_gradient(model, rho0, cost, tau0)
         combo = PopulationField(model.grid, 2.0 * sigma0.data - 0.5 * tau0.data)
-        _, dc = cost_and_gradient(traj, cost, combo)
+        _, dc = cost_and_gradient(model, rho0, cost, combo)
         assert dc == pytest.approx(2.0 * d1 - 0.5 * d2, abs=1e-10)
 
     def test_cost_time_outside_span(self):
-        model, rho0, traj, sigma0 = self.setup_traj()
+        model, rho0, sigma0 = self.setup_model()
         cost = CostSpec(f=lambda r: r.sum(axis=0),
                         fprime=lambda r: np.ones_like(r),
-                        psi=1.0, t=model.t_max + 1.0)
+                        psi=1.0, t=-1.0)
         with pytest.raises(ConfigurationError):
-            cost_and_gradient(traj, cost, sigma0)
+            cost_and_gradient(model, rho0, cost, sigma0)

@@ -273,18 +273,9 @@ class TestRun:
         with pytest.raises(ConfigurationError, match=r"\[0, R\]"):
             run(model, datum)
 
-    def test_forced_dts_replay(self, corridor_grid):
-        model = local_deviation_model(corridor_grid, t_max=0.3)
-        datum = PopulationField.from_arrays(
-            corridor_grid,
-            indicator_datum(corridor_grid, 0.5, (-2.0, -1.0, 0.0, 1.0)))
-        res1 = run(model, datum, record=True)
-        res2 = run(model, datum, forced_dts=res1.trajectory.dts)
-        assert np.array_equal(res1.state.data, res2.state.data)
-
     def test_strict_mode_raises_on_violation(self, corridor_grid):
-        # a transport field with huge divergence piles density above R fast;
-        # use an oversized forced time step to provoke the violation
+        # a compressive transport field with a constant speed, so that
+        # q(R) = cR != 0: density piles above R under ordinary CFL steps
         grid = corridor_grid
         X = grid.xc[:, None]
         from crowdflow import DirectionField
@@ -292,13 +283,13 @@ class TestRun:
         g[0] = np.where(X < 0, 1.0, -1.0)  # compressive
         direction = DirectionField(g=g, delta=np.zeros_like(g))
         model = ModelSpec(family=DEVIATION, grid=grid,
-                          laws=(linear_speed_law(4.0, 1.0),),
+                          laws=(constant_speed_law(4.0, 1.0),),
                           dirs=(direction,), deviation=no_deviation(grid),
                           t_max=1.0, strict=True)
         datum = PopulationField.from_arrays(
             grid, indicator_datum(grid, 0.95, (-3.0, -2.0, 3.0, 2.0)))
         with pytest.raises(BoundViolationError):
-            run(model, datum, forced_dts=[0.05] * 20)
+            run(model, datum)
 
 
 class TestSymmetry:
