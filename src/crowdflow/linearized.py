@@ -2,10 +2,11 @@
 
 The directional derivative of the solution map is obtained by evolving a
 (signed) perturbation with the formally linearized flux in lockstep with
-the nonlinear run: each linearized step takes the base step's dt and its
-pre-step state, with the same split Lax-Friedrichs scheme, so that exact
-cancellations survive discretization.  Only the current base state is
-held, never the whole run.
+the nonlinear run: each linearized step takes the base step's dt, its
+pre-step state and its advection field, through the same split
+Lax-Friedrichs sweep and boundary rule, so that exact cancellations
+survive discretization.  Only the current base state is held, never the
+whole run.
 """
 
 from __future__ import annotations
@@ -40,22 +41,22 @@ class CostSpec:
 
 
 def _linearized_step(sigma: PopulationField, rho: PopulationField,
-                     model: ModelSpec, dt: float) -> PopulationField:
+                     W: np.ndarray, model: ModelSpec, dt: float,
+                     ) -> PopulationField:
     """One split LxF step of the linearized system with frozen rho.
 
-    The flux of sigma_i is sigma_i v_i(arg) dir_i plus the
-    sigma-independent term rho_i v_i'(arg) (sigma conv) dir_i, with arg
-    the total smoothed density of rho: a linear flux with an additive
-    part, carried through the same face average.
+    W is rho's advection field v_i(arg) dir_i, arg the total smoothed
+    density of rho.  The flux of sigma_i is sigma_i W_i plus the
+    sigma-independent rho_i v_i'(arg) (sigma conv) dir_i: a linear flux
+    with an additive part, through the base step's sweep.
     """
     arg = clamped_speed_arg(smoothed_total_density(rho, model.kernels))
     sconv = smoothed_total_density(sigma, model.kernels)
     new = np.empty_like(sigma.data)
     for i in range(model.n):
-        total = model.dirs[i].total
-        a = model.laws[i].v(arg)[None, :, :] * total
-        e = (rho.data[i] * model.laws[i].dv(arg) * sconv)[None, :, :] * total
-        new[i], _ = _sweep_xy(sigma.data[i], a, _linear_flux, model.grid,
+        e = ((rho.data[i] * model.laws[i].dv(arg) * sconv)[None, :, :]
+             * model.dirs[i].total)
+        new[i], _ = _sweep_xy(sigma.data[i], W[i], _linear_flux, model.grid,
                               dt, e)
     return PopulationField(model.grid, new)
 
@@ -74,7 +75,7 @@ def solve_linearized(model: ModelSpec, rho0: PopulationField,
 
     def advance(report, state, W):
         nonlocal sigma, before
-        sigma = _linearized_step(sigma, before, model, report.dt)
+        sigma = _linearized_step(sigma, before, W, model, report.dt)
         before = state
 
     result = run(_until(model, t), rho0, on_step=advance)

@@ -5,7 +5,8 @@ state, then performs an x sweep followed by a y sweep of conservative
 Lax-Friedrichs for every population.  For the deviation family the flux
 is q(rho) * (dir + I) with the speed law inside the flux; for the
 differentiable family the speed is folded into the advection field and
-the flux is linear in rho.  Mass crossing the domain boundary is
+the flux is linear in rho.  Walls are closed, the domain edge is empty
+outside and an exit passes flux outward only, so mass only leaves; it is
 accounted per step so that conservation is an exact identity.
 """
 
@@ -73,7 +74,7 @@ class StepReport:
     mass: np.ndarray
     min: np.ndarray
     max: np.ndarray
-    outflow: np.ndarray     # mass out across the boundary in this step
+    outflow: np.ndarray     # mass out across the boundary in this step, >= 0
     escaped: np.ndarray     # mass out across the boundary since t = 0
 
 
@@ -86,13 +87,13 @@ class RunResult:
 
 @lru_cache(maxsize=32)
 def _boundary_layout(grid: GridSpec):
-    """Exit-copy masks for the four boundary sides and wall face masks."""
+    """(exit_lo, exit_hi, wall_faces) per sweep: x, then y transposed."""
     tol = 1e-9 * max(grid.width, grid.height)
-    copy = {s: np.zeros(grid.ny if s in ("left", "right") else grid.nx,
-                        dtype=bool) for s in ("left", "right", "bottom", "top")}
+    exits = {s: np.zeros(grid.ny if s in ("left", "right") else grid.nx,
+                         dtype=bool) for s in ("left", "right", "bottom", "top")}
     for side, lo, hi in grid.exits:
         coords = grid.yc if side in ("left", "right") else grid.xc
-        copy[side] |= (coords > lo - tol) & (coords < hi + tol)
+        exits[side] |= (coords > lo - tol) & (coords < hi + tol)
     # wall faces: room edges strictly inside the domain
     xwall = np.zeros((grid.nx + 1, grid.ny), dtype=bool)
     ywall = np.zeros((grid.nx, grid.ny + 1), dtype=bool)
@@ -109,7 +110,8 @@ def _boundary_layout(grid: GridSpec):
             j = int(round((ye - grid.y0) / grid.dy))
             if abs(grid.y0 + j * grid.dy - ye) <= tol:
                 ywall[inx, j] = True
-    return copy, xwall, ywall
+    return ((exits["left"], exits["right"], xwall),
+            (exits["bottom"], exits["top"], ywall.T))
 
 
 def advection_field(state: PopulationField, model: ModelSpec) -> np.ndarray:
@@ -170,37 +172,32 @@ def _linear_flux(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _pad(arr: np.ndarray, copy_lo: np.ndarray,
-         copy_hi: np.ndarray) -> np.ndarray:
-    """arr with one ghost row at each end of axis 0.
-
-    Ghost cells copy the adjacent interior cell on exit segments
-    (zero-gradient outflow) and are zero elsewhere.
-    """
-    p = np.empty((arr.shape[0] + 2, arr.shape[1]))
-    p[1:-1] = arr
-    p[0] = arr[0] * copy_lo
-    p[-1] = arr[-1] * copy_hi
-    return p
-
-
 def _sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
-           copy_lo: np.ndarray, copy_hi: np.ndarray,
+           exit_lo: np.ndarray, exit_hi: np.ndarray,
            wall_faces: np.ndarray,
            e: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """One conservative LxF sweep along axis 0 of the flux q(rho) a + e.
+    """One conservative LxF sweep along axis 0 of the flux f = q(rho) a + e.
 
-    Returns the updated field and the net outgoing boundary flux (per
-    unit time and unit transverse length).  A population whose flux
-    vanishes identically is left untouched.
+    Interior faces take the LxF flux of their two cells.  An edge face on
+    an exit where a points out passes the edge cell's own f; any other
+    edge face sees an empty outside, f/2 -+ lam rho/2 (low/high edge),
+    which under the CFL condition only lets mass out.  Wall faces carry
+    nothing.  Returns the new field and the net outgoing boundary flux
+    (per unit time and unit transverse length).  A population whose flux
+    vanishes identically is left untouched: LxF diffusion alone would
+    still spread it.
     """
     if not a.any() and (e is None or not e.any()):
         return rho, 0.0
-    rho_pad = _pad(rho, copy_lo, copy_hi)
-    f = qfun(rho_pad) * _pad(a, copy_lo, copy_hi)
+    f = qfun(rho) * a
     if e is not None:
-        f += _pad(e, copy_lo, copy_hi)
-    F = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (rho_pad[1:] - rho_pad[:-1])
+        f += e
+    F = np.empty((rho.shape[0] + 1, rho.shape[1]))
+    F[1:-1] = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (rho[1:] - rho[:-1])
+    F[0] = np.where(exit_lo & (a[0] < 0), f[0],
+                    0.5 * f[0] - 0.5 * lam * rho[0])
+    F[-1] = np.where(exit_hi & (a[-1] > 0), f[-1],
+                     0.5 * f[-1] + 0.5 * lam * rho[-1])
     F[wall_faces] = 0.0
     new = rho - (1.0 / lam) * (F[1:] - F[:-1])
     out = float(F[-1].sum() - F[0].sum())
@@ -216,12 +213,10 @@ def _sweep_xy(rho: np.ndarray, w: np.ndarray, qfun, grid: GridSpec,
     Returns the new density and the mass that crossed the domain
     boundary during the step.
     """
-    copy, xwall, ywall = _boundary_layout(grid)
-    r, out_x = _sweep(rho, w[0], qfun, grid.dx / dt,
-                      copy["left"], copy["right"], xwall,
+    x_edges, y_edges = _boundary_layout(grid)
+    r, out_x = _sweep(rho, w[0], qfun, grid.dx / dt, *x_edges,
                       None if e is None else e[0])
-    r, out_y = _sweep(r.T, w[1].T, qfun, grid.dy / dt,
-                      copy["bottom"], copy["top"], ywall.T,
+    r, out_y = _sweep(r.T, w[1].T, qfun, grid.dy / dt, *y_edges,
                       None if e is None else e[1].T)
     return r.T, dt * (grid.dy * out_x + grid.dx * out_y)
 

@@ -131,7 +131,7 @@ def test_06_stability_bound(tmp_path):
     code = main(["stability", "--preset", "crossing", "--mesh", "0.1",
                  "--tmax", "0.5", "--out", str(tmp_path),
                  "--perturb", "0.1"])
-    rows = open(tmp_path / "stability.csv").read().splitlines()[1:]
+    rows = (tmp_path / "stability.csv").read_text().splitlines()[1:]
     ok = code == 0 and len(rows) >= 2
     detail = []
     for row in rows:
@@ -267,7 +267,7 @@ def test_11_determinism(tmp_path):
     names = sorted(os.listdir(outs[0]))
     ok = names == sorted(os.listdir(outs[1])) and len(names) >= 3
     for name in names:
-        ok = ok and (open(outs[0] / name, "rb").read()
-                     == open(outs[1] / name, "rb").read())
+        ok = ok and ((outs[0] / name).read_bytes()
+                     == (outs[1] / name).read_bytes())
     _verdict(11, "bitwise determinism", ok,
              f"{len(names)} files compared")

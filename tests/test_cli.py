@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestSnapshots:
         g = make_grid((0.0, 0.0, 1.0, 1.0), 0.5, 0.5)
         state = PopulationField.zeros(g, 1)
         (path,) = write_snapshot(state, 0.0, str(tmp_path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "nx,ny,x0,y0,dx,dy,t"
         assert lines[2:] == ["0,0", "0,0"]
 
@@ -167,7 +168,7 @@ class TestMain:
         snaps = [f for f in files if f.startswith("pop")]
         assert len(snaps) >= 2
         assert "diagnostics.csv" in files
-        header = open(tmp_path / "diagnostics.csv").readline().strip()
+        header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header.split(",")[:2] == ["t", "dt"]
         assert "tv_bound_1" in header and "escaped_2" in header
 
@@ -176,7 +177,7 @@ class TestMain:
                      "--tmax", "0.2", "--out", str(tmp_path)])
         assert code == 0
         assert "bounds.csv" in os.listdir(tmp_path)
-        rows = open(tmp_path / "bounds.csv").read().splitlines()
+        rows = (tmp_path / "bounds.csv").read_text().splitlines()
         assert rows[0].startswith("t,population,tv,tv_bound")
         assert len(rows) > 1
 
@@ -184,7 +185,7 @@ class TestMain:
         code = main(["gateaux", "--mesh", "0.03125", "--tmax", "0.1",
                      "--out", str(tmp_path), "--hs", "0.2,0.1,0.05"])
         assert code == 0
-        rows = open(tmp_path / "gateaux.csv").read().splitlines()[1:]
+        rows = (tmp_path / "gateaux.csv").read_text().splitlines()[1:]
         ratios = [float(r.split(",")[2]) for r in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
@@ -222,7 +223,7 @@ class TestMain:
                      "--tmax", "0.2", "--out", str(tmp_path),
                      "--perturb", "0"])
         assert code == 0
-        rows = open(tmp_path / "stability.csv").read().splitlines()[1:]
+        rows = (tmp_path / "stability.csv").read_text().splitlines()[1:]
         for row in rows:
             _, dist, bound, _ = row.split(",")
             assert float(dist) == 0.0
@@ -292,7 +293,7 @@ class TestMain:
                      "[grid]\nmesh = 0.4\n[output]\ndiag_every = 1\n")
         assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 0
         steps = int(capsys.readouterr().out.split("steps = ")[1].split()[0])
-        lines = open(tmp_path / "diagnostics.csv").read().splitlines()[1:]
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
         ts = [float(row.split(",")[0]) for row in lines]
         assert len(ts) == steps + 1
         assert all(a < b for a, b in zip(ts, ts[1:]))
@@ -336,8 +337,8 @@ class TestMain:
             assert main(["run", "--preset", "crossing", "--mesh", "0.2",
                          "--tmax", "0.2", "--out", str(out)]) == 0
         for name in sorted(os.listdir(out1)):
-            b1 = open(out1 / name, "rb").read()
-            b2 = open(out2 / name, "rb").read()
+            b1 = (out1 / name).read_bytes()
+            b2 = (out2 / name).read_bytes()
             assert b1 == b2, name
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
                        CostSpec, ModelSpec, PopulationField,
-                       GradientAvoidance, UnsupportedModelError, bump_kernel,
+                       GradientAvoidance, UnsupportedModelError,
+                       advection_field, bump_kernel,
                        constant_direction, constant_speed_law,
                        cost_and_gradient, gateaux_benchmark, gateaux_residual,
                        linear_speed_law, make_grid, run, sample_kernel,
@@ -44,7 +45,8 @@ class TestLinearizedVelocity:
         rho = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
         sigma = PopulationField.zeros(model.grid, 1)
-        out = _linearized_step(sigma, rho, model, self.DT)
+        out = _linearized_step(sigma, rho, advection_field(rho, model), model,
+                               self.DT)
         assert np.all(out.data == 0.0)
 
     def test_constant_speed_pure_advection(self):
@@ -54,7 +56,8 @@ class TestLinearizedVelocity:
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
         sigma = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.4, 0.25, 0.2))
-        out = _linearized_step(sigma, rho, model, self.DT)
+        out = _linearized_step(sigma, rho, advection_field(rho, model), model,
+                               self.DT)
         expect, _ = split_step(sigma, model, self.DT)
         assert np.allclose(out.data, expect.data, atol=1e-14)
 
@@ -64,7 +67,8 @@ class TestLinearizedVelocity:
         rho = PopulationField.zeros(model.grid, 1)
         sigma = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.4, 0.25, 0.2))
-        out = _linearized_step(sigma, rho, model, self.DT)
+        out = _linearized_step(sigma, rho, advection_field(rho, model), model,
+                               self.DT)
         frozen = replace(model, laws=(
             constant_speed_law(float(model.laws[0].v(0.0))),))
         expect, _ = split_step(sigma, frozen, self.DT)
@@ -229,7 +233,8 @@ def stored_trajectory_residual(model, rho0, sigma0, hs):
     run(model, rho0, on_step=keep)
     sigma = sigma0.copy()
     for rho, dt in zip(states, dts):
-        sigma = _linearized_step(sigma, rho, model, dt)
+        sigma = _linearized_step(sigma, rho, advection_field(rho, model),
+                                 model, dt)
     rs = []
     for h in hs:
         state = PopulationField(rho0.grid, rho0.data + h * sigma0.data)

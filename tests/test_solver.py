@@ -10,7 +10,7 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, norms,
                        preset, run, sample_kernel, split_step)
-from crowdflow.solver import _boundary_layout, _pad
+from crowdflow.solver import _boundary_layout, _linear_flux, _sweep
 
 
 def no_deviation(grid):
@@ -164,34 +164,117 @@ class TestSplitStep:
                 split_step(state, model, 1e-3)
 
 
-class TestApplyBoundary:
-    """The ghost-cell rule of the sweeps, padding along x."""
+def ghost_cell_sweep(rho, a, qfun, lam, copy_lo, copy_hi, wall_faces,
+                     e=None):
+    """Reference for `_sweep`: the LxF sweep over one ghost row at each
+    end of axis 0 that copies the edge cell where copy_lo / copy_hi is
+    set and is empty elsewhere."""
+    if not a.any() and (e is None or not e.any()):
+        return rho, 0.0
 
-    def pad_x(self, data, grid):
-        copy, _, _ = _boundary_layout(grid)
-        return _pad(data, copy["left"], copy["right"])
+    def pad(arr):
+        p = np.empty((arr.shape[0] + 2, arr.shape[1]))
+        p[1:-1] = arr
+        p[0] = arr[0] * copy_lo
+        p[-1] = arr[-1] * copy_hi
+        return p
+
+    rho_pad = pad(rho)
+    f = qfun(rho_pad) * pad(a)
+    if e is not None:
+        f += pad(e)
+    F = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (rho_pad[1:] - rho_pad[:-1])
+    F[wall_faces] = 0.0
+    new = rho - (1.0 / lam) * (F[1:] - F[:-1])
+    return new, float(F[-1].sum() - F[0].sum())
+
+
+class TestApplyBoundary:
+    """The domain-edge faces of the x sweep on the corridor, whose left
+    and right edges are exits for |y| < 3."""
+
+    LAM = 10.0
+
+    def sweep_x(self, rho, a, grid):
+        x_edges, _ = _boundary_layout(grid)
+        new, _ = _sweep(rho, a, _linear_flux, self.LAM, *x_edges)
+        return new
+
+    def edge_faces(self, rho, a, grid):
+        """Fluxes through the low and high edge faces, read back from
+        the update of the edge cells."""
+        lam = self.LAM
+        new = self.sweep_x(rho, a, grid)
+        f = rho * a
+        F1 = 0.5 * (f[0] + f[1]) - 0.5 * lam * (rho[1] - rho[0])
+        Fn = 0.5 * (f[-2] + f[-1]) - 0.5 * lam * (rho[-1] - rho[-2])
+        return F1 + lam * (new[0] - rho[0]), Fn - lam * (new[-1] - rho[-1])
 
     def test_interior_untouched(self, corridor_grid, rng):
-        data = rng.random((corridor_grid.nx, corridor_grid.ny))
-        padded = self.pad_x(data, corridor_grid)
-        assert np.array_equal(padded[1:-1], data)
+        # cells away from the edges see only interior LxF faces
+        lam = self.LAM
+        rho = rng.random((corridor_grid.nx, corridor_grid.ny))
+        a = rng.uniform(-1.0, 1.0, rho.shape)
+        new = self.sweep_x(rho, a, corridor_grid)
+        f = rho * a
+        F = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (rho[1:] - rho[:-1])
+        expect = rho[1:-1] - (1.0 / lam) * (F[1:] - F[:-1])
+        assert np.array_equal(new[1:-1], expect)
 
-    def test_exit_ghosts_copy_interior(self, corridor_grid):
-        ones = np.ones((corridor_grid.nx, corridor_grid.ny))
-        padded = self.pad_x(ones, corridor_grid)
-        yc = corridor_grid.yc
-        on_exit = (yc > -3.0) & (yc < 3.0)
-        assert np.all(padded[0][on_exit] == 1.0)
-        assert np.all(padded[0][~on_exit] == 0.0)
+    def test_exit_ghosts_copy_interior(self, corridor_grid, rng):
+        # exit faces carry the edge cell's flux f where the field points
+        # out; closed edges take f/2 - lam rho/2 (low), f/2 + lam rho/2 (high)
+        lam = self.LAM
+        rho = rng.random((corridor_grid.nx, corridor_grid.ny))
+        on_exit = (corridor_grid.yc > -3.0) & (corridor_grid.yc < 3.0)
+        for sign in (1.0, -1.0):
+            a = sign * rng.uniform(0.5, 1.0, rho.shape)
+            lo, hi = self.edge_faces(rho, a, corridor_grid)
+            f = rho * a
+            closed_lo = 0.5 * f[0] - 0.5 * lam * rho[0]
+            closed_hi = 0.5 * f[-1] + 0.5 * lam * rho[-1]
+            out_lo, out_hi = on_exit & (sign < 0), on_exit & (sign > 0)
+            assert np.allclose(lo, np.where(out_lo, f[0], closed_lo),
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(hi, np.where(out_hi, f[-1], closed_hi),
+                               rtol=1e-12, atol=1e-12)
         # top and bottom are not exits
-        copy, _, _ = _boundary_layout(corridor_grid)
-        padded_y = _pad(ones.T, copy["bottom"], copy["top"])
-        assert np.all(padded_y[0] == 0.0) and np.all(padded_y[-1] == 0.0)
+        _, (exit_lo, exit_hi, _) = _boundary_layout(corridor_grid)
+        assert not exit_lo.any() and not exit_hi.any()
 
-    def test_corners_zero(self, corridor_grid):
-        ones = np.ones((corridor_grid.nx, corridor_grid.ny))
-        padded = self.pad_x(ones, corridor_grid)
-        assert padded[0, 0] == 0.0 and padded[-1, -1] == 0.0
+    def test_corners_zero(self, corridor_grid, rng):
+        # the corner cells lie off the exits: their edge faces are closed
+        lam = self.LAM
+        rho = rng.random((corridor_grid.nx, corridor_grid.ny))
+        a = np.ones_like(rho)
+        a[: rho.shape[0] // 2] = -1.0  # out of the domain at both edges
+        lo, hi = self.edge_faces(rho, a, corridor_grid)
+        for j in (0, -1):
+            assert lo[j] == pytest.approx(-0.5 * (1 + lam) * rho[0, j])
+            assert hi[j] == pytest.approx(0.5 * (1 + lam) * rho[-1, j])
+        (exit_lo, exit_hi, _), _ = _boundary_layout(corridor_grid)
+        assert not (exit_lo[[0, -1]].any() or exit_hi[[0, -1]].any())
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_matches_ghost_cell_sweep(self, corridor_grid, rng, axis):
+        # bitwise against the ghost-cell sweep whose ghosts copy the edge
+        # cell exactly on the exit faces where the field points out
+        x_edges, y_edges = _boundary_layout(corridor_grid)
+        exit_lo, exit_hi, walls = x_edges if axis == "x" else y_edges
+        shape = (corridor_grid.nx, corridor_grid.ny)
+        if axis == "y":
+            shape = shape[::-1]
+        law = linear_speed_law(4.0, 1.0)
+        for qfun, with_e in ((law.q, False), (_linear_flux, True)):
+            rho = rng.random(shape)
+            a = rng.uniform(-1.0, 1.0, shape)
+            e = rng.uniform(-0.5, 0.5, shape) if with_e else None
+            new, out = _sweep(rho, a, qfun, 12.5, exit_lo, exit_hi, walls, e)
+            ref, ref_out = ghost_cell_sweep(
+                rho, a, qfun, 12.5, exit_lo & (a[0] < 0),
+                exit_hi & (a[-1] > 0), walls, e)
+            assert np.array_equal(new, ref)
+            assert out == ref_out
 
 
 class TestRun:
@@ -240,6 +323,23 @@ class TestRun:
         for rep in res.reports:
             assert rep.min.min() >= -1e-6
             assert rep.max.max() <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("name", ["crossing", "evacuation"])
+    def test_outflow_never_negative(self, name):
+        model, datum = replace(preset(name).with_mesh(0.2), t_max=0.5).build()
+        res = run(model, datum)
+        for r in res.reports:
+            assert np.all(r.outflow >= 0.0), (r.step, r.outflow)
+        assert np.all(res.escaped >= 0.0)
+
+    def test_inward_field_at_exit_lets_nothing_in(self, corridor_grid):
+        # the field points into the room at the left exit, where the mass
+        # starts: it may leave there, never enter
+        model = local_deviation_model(corridor_grid, t_max=0.2)
+        rho = indicator_datum(corridor_grid, 0.5, (-8.0, -2.0, -6.0, 2.0))
+        res = run(model, PopulationField.from_arrays(corridor_grid, rho))
+        for r in res.reports:
+            assert np.all(r.outflow >= 0.0), (r.step, r.outflow)
 
     def test_evacuation_support_confined(self):
         # population 2 only yields: its mass stays in the room until the
