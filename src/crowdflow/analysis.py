@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, CrowdflowError
+from .errors import ConfigurationError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import NonlocalOperator, estimate_ci
@@ -96,8 +96,8 @@ def tv_bound_deviation(t: float, inputs: BoundInputs) -> float:
     k0 = kappa0(inputs)
     cd = inputs.d * wd(inputs.d)
     growth = _exp(k0 * t)
-    return (inputs.tv0 * growth
-            + cd * growth * inputs.q_sup * (inputs.ci + inputs.div_sup) * t)
+    return (_prod(inputs.tv0, growth)
+            + _prod(cd, growth, inputs.q_sup, inputs.ci + inputs.div_sup, t))
 
 
 def k1_constant(inputs: BoundInputs) -> float:
@@ -115,9 +115,9 @@ def bounds_differentiable(t: float, inputs: BoundInputs) -> tuple[float, float]:
     k1 = k1_constant(inputs)
     k2 = k2_constant(inputs)
     d = inputs.d
-    linf_bound = inputs.linf0 * _exp(k1 * t)
-    tv_bound = (inputs.tv0 * _exp((2 * d + 1) * k1 * t)
-                + t * _exp(k1 * t) * d * wd(d) * k2 * inputs.linf0)
+    linf_bound = _prod(inputs.linf0, _exp(k1 * t))
+    tv_bound = (_prod(inputs.tv0, _exp((2 * d + 1) * k1 * t))
+                + _prod(t, _exp(k1 * t), d, wd(d), k2, inputs.linf0))
     return linf_bound, tv_bound
 
 
@@ -377,10 +377,7 @@ def _estimate_ci(op: NonlocalOperator, datum: PopulationField) -> np.ndarray:
     samples = [datum, PopulationField(datum.grid, 0.5 * datum.data)]
     if float(np.abs(datum.data).sum()) == 0.0:
         return np.zeros(datum.n)
-    try:
-        return estimate_ci(op, samples)
-    except CrowdflowError:
-        return np.zeros(datum.n)
+    return estimate_ci(op, samples)
 
 
 def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:

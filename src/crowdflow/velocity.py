@@ -27,8 +27,9 @@ UNDERSHOOT_TOL = 1e-10
 class SpeedLaw:
     """Scalar speed law v with derivative, certified on [0, R].
 
-    Sup-norm metadata is computed once by a dense scan of [0, R] and is
-    used by the bound evaluators.
+    Sup-norm metadata is computed once by a dense scan of [0, R].  The
+    bound evaluators read it, and `solver.cfl_dt` takes dq_sup, the sup
+    of |q'|, as the wave-speed factor of every step.
     """
 
     v: Callable[[np.ndarray], np.ndarray]

@@ -4,8 +4,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from crowdflow import (BoundInputs, ConfigurationError, ParameterDeltas,
-                       PopulationField, bounds_differentiable,
+from crowdflow import (BoundInputs, ConfigurationError, NumericError,
+                       ParameterDeltas, PopulationField, bound_inputs_for,
+                       bounds_differentiable,
                        check_invariance, direction_norms, kappa0,
                        kernel_norms, bump_kernel, constant_direction,
                        linear_speed_law, make_grid, preset, run,
@@ -97,6 +98,15 @@ class TestTvBoundDeviation:
         vals = [tv_bound_deviation(t, bi) for t in ts]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
+    def test_empty_population_past_overflow_is_not_nan(self):
+        # tv0 = 0 next to a growth factor past LOG_MAX: that term is 0,
+        # not 0 * inf, so the envelope is inf, or 0 with no forcing
+        bi = sample_inputs(tv0=0.0, grad_v_sup=1e6)
+        assert kappa0(bi) * 16.0 > LOG_MAX
+        assert tv_bound_deviation(16.0, bi) == math.inf
+        unforced = replace(bi, ci=0.0, div_sup=0.0)
+        assert tv_bound_deviation(16.0, unforced) == 0.0
+
 
 class TestBoundsDifferentiable:
     def test_t_zero(self):
@@ -107,6 +117,11 @@ class TestBoundsDifferentiable:
 
     def test_zero_datum_stays_zero(self):
         bi = sample_inputs(n1=0.0, linf0=0.0, tv0=0.0)
+        linf, tv = bounds_differentiable(1.0, bi)
+        assert linf == 0.0 and tv == 0.0
+
+    def test_zero_datum_past_overflow_stays_zero(self):
+        bi = sample_inputs(n1=0.0, linf0=0.0, tv0=0.0, vec_grad_sup=1e6)
         linf, tv = bounds_differentiable(1.0, bi)
         assert linf == 0.0 and tv == 0.0
 
@@ -204,6 +219,32 @@ class TestStabilityBoundDifferentiable:
         deltas = ParameterDeltas(drho0_l1=0.2, dv_w1inf=1.0)
         sb = stability_bound_differentiable(0.0, bi, bi, deltas)
         assert sb.value == pytest.approx(0.2)
+
+
+class TestBoundInputsFor:
+    def test_failing_deviation_operator_propagates(self):
+        # an operator that cannot evaluate the half datum has no C_I;
+        # reporting 0 would drop the C_I term from the TV envelope
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        op = model.deviation
+
+        def fails_on_half(state):
+            if state.data.max() < 0.5:
+                raise NumericError("operator undefined here")
+            return op(state)
+
+        with pytest.raises(NumericError, match="undefined here"):
+            bound_inputs_for(replace(model, deviation=fails_on_half), datum)
+
+    def test_zero_datum_has_zero_ci(self):
+        model, datum = preset("crossing").with_mesh(0.4).build()
+
+        def never_called(state):
+            raise AssertionError("C_I of a zero datum needs no sample")
+
+        zero = PopulationField.zeros(model.grid, model.n)
+        inputs = bound_inputs_for(replace(model, deviation=never_called), zero)
+        assert [bi.ci for bi in inputs] == [0.0, 0.0]
 
 
 class TestCheckInvariance:

@@ -6,7 +6,9 @@ records no calls.  A span resolves to the wrapped name itself or, when
 the binding moved, to the one wrapped name with the same qualified name
 in another module.  These tests apply that rule without running the
 benchmark, so a rename, or a call path that no longer reaches a span,
-fails here first.
+fails here first.  The benchmark's other two child modes are guarded
+the same way: `setup` must still print its JSON record, and the calls
+that `micro` times must still take their positional arguments.
 """
 
 import importlib
@@ -17,11 +19,16 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crowdflow
+from crowdflow import cli, kernel, solver
+from crowdflow.config import preset
+from crowdflow.grid import make_grid
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = BENCH / "workloads.py"
@@ -98,6 +105,40 @@ def test_expected_spans_called(name, tmp_path):
     missing = [s for s in _workloads[name].expected_spans
                if _resolve(s, wrapped) not in called]
     assert not missing, f"{name}: no call recorded for {missing}"
+
+
+@pytest.mark.parametrize("name", sorted(_workloads))
+def test_setup_mode_reports_setup_time(name, tmp_path):
+    # `setup_s` comes from `child.py setup` on the workload's command line
+    src = os.path.dirname(os.path.dirname(crowdflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(BENCH / "child.py"), "setup",
+                           *COARSE_ARGS[name]],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    record = json.loads(proc.stdout)
+    assert isinstance(record, dict)
+    assert record["setup_s"] > 0
+
+
+def test_micro_mode_calls_keep_their_signatures(tmp_path):
+    # the public calls `child.py micro` times, with its positional arguments
+    model, datum = preset("crossing").with_mesh(0.4).build()
+    W = solver.advection_field(datum, model)
+    dt = solver.cfl_dt(datum, W, model.laws, model.cfl)
+    solver.split_step(datum, model, dt, W)
+    state = solver.run(replace(model, t_max=0.1, snapshot_times=()),
+                       datum).state
+    paths = cli.write_snapshot(state, 0.1, str(tmp_path))
+    assert len(paths) == model.n
+    assert all(os.path.getsize(p) > 0 for p in paths)
+
+    grid = make_grid((0.0, 0.0, 1.0, 1.0), 1 / 16, 1 / 16)
+    k = kernel.sample_kernel(kernel.bump_kernel(0.25), grid)
+    f = np.random.default_rng(0).random((grid.nx, grid.ny))
+    assert kernel.convolve(f, k).shape == f.shape
+    assert kernel.convolve_gradient(f, k).shape == (2, *f.shape)
 
 
 def test_resolve_rule():

@@ -181,6 +181,30 @@ class TestMain:
         assert rows[0].startswith("t,population,tv,tv_bound")
         assert len(rows) > 1
 
+    def test_empty_population_envelope_is_inf_not_nan(self, tmp_path,
+                                                       capsys):
+        # population 2 starts empty and kappa0 t passes LOG_MAX by t = 16:
+        # its envelope overflows to inf, never to 0 * inf = nan
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\npreset = crossing\ntmax = 16\n"
+                     "snapshot_times = 0 16\n[grid]\nmesh = 0.4\n"
+                     "[population.2]\ndatum = 0 3.2 -2.4 6.4 2.4\n")
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(p), "--out", str(out)]) == 0
+        rows = (out / "bounds.csv").read_text().splitlines()
+        assert rows[-1].split(",")[:4] == ["16", "2", "0", "inf"]
+        assert "nan" not in (out / "diagnostics.csv").read_text()
+
+    def test_nan_envelope_is_a_violation(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(cli, "tv_bound_deviation",
+                            lambda t, bi: float("nan"))
+        argv = ["bounds", "--preset", "crossing", "--mesh", "0.4",
+                "--tmax", "0.05"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        assert "bound violation: population 1" in capsys.readouterr().out
+        assert main([*argv, "--strict", "--out", str(tmp_path / "b")]) == 3
+
     def test_gateaux_command(self, tmp_path, capsys):
         code = main(["gateaux", "--mesh", "0.03125", "--tmax", "0.1",
                      "--out", str(tmp_path), "--hs", "0.2,0.1,0.05"])

@@ -10,7 +10,8 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, norms,
                        preset, run, sample_kernel, split_step)
-from crowdflow.solver import _boundary_layout, _linear_flux, _sweep
+from crowdflow.solver import (MAX_PRINCIPLE_TOL, _boundary_layout,
+                              _linear_flux, _sweep)
 
 
 def no_deviation(grid):
@@ -84,6 +85,18 @@ class TestCflDt:
         V = np.full((1, 2, unit_grid.nx, unit_grid.ny), 1e20)
         dt = cfl_dt(state, V, [linear_speed_law(4.0, 1.0)], 0.9)
         assert 0.0 < dt * 4.0 * 1e20 <= 0.9 * unit_grid.dx * (1 + 1e-15)
+
+    def test_slope_is_sup_over_range_not_at_cells(self, unit_grid):
+        # q'(0.5) = 0 for the linear law: every cell has zero slope, yet
+        # waves move at up to sup|q'| = 4 once the state leaves 0.5
+        state = PopulationField(
+            unit_grid, np.full((1, unit_grid.nx, unit_grid.ny), 0.5))
+        V = np.zeros((1, 2, unit_grid.nx, unit_grid.ny))
+        V[0, 0] = 1.5
+        V[0, 1, 2, 3] = -3.0
+        law = linear_speed_law(4.0, 1.0)
+        dt = cfl_dt(state, V, [law], 0.9, dt_cap=1.0)
+        assert dt == 0.9 * unit_grid.dx / (law.dq_sup * 3.0)
 
     def test_non_finite_speed_raises(self, unit_grid):
         state = PopulationField.zeros(unit_grid, 1)
@@ -323,6 +336,18 @@ class TestRun:
         for rep in res.reports:
             assert rep.min.min() >= -1e-6
             assert rep.max.max() <= 1.0 + 1e-6
+
+    def test_maximum_principle_where_q_prime_vanishes(self):
+        # a 10x10 box filled at rho = 0.5, where q'(rho) = 0: the step
+        # still follows sup|q'| over [0, R], so the state stays in [0, R]
+        grid = make_grid((0.0, 0.0, 1.0, 1.0), 0.1, 0.1)
+        model = local_deviation_model(grid, t_max=1.0)
+        datum = PopulationField(grid, np.full((1, grid.nx, grid.ny), 0.5))
+        res = run(model, datum)
+        assert len(res.reports) > 1
+        for r in res.reports:
+            assert r.min.min() >= -MAX_PRINCIPLE_TOL, (r.step, r.min)
+            assert r.max.max() <= model.R + MAX_PRINCIPLE_TOL, (r.step, r.max)
 
     @pytest.mark.parametrize("name", ["crossing", "evacuation"])
     def test_outflow_never_negative(self, name):
