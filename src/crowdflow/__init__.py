@@ -11,7 +11,7 @@ and total-variation envelopes).  The `cli` module exposes the
 from .analysis import (BoundInputs, InvarianceReport, ParameterDeltas,
                        StabilityBound, aggregate_inputs, bound_inputs_for,
                        bounds_differentiable, check_invariance,
-                       direction_norms, kappa0, kernel_norms,
+                       direction_norms, estimate_ci, kappa0, kernel_norms,
                        stability_bound_deviation,
                        stability_bound_differentiable, sup_gradient,
                        tv_bound_deviation, wd)
@@ -24,8 +24,8 @@ from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
 from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
                          gateaux_residual, solve_linearized)
-from .nonlocal_ops import (GradientAvoidance, estimate_ci, flux_push,
-                           gradient_avoidance, saturate)
+from .nonlocal_ops import (GradientAvoidance, flux_push, gradient_avoidance,
+                           saturate)
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
                      StepReport, advection_field, cfl_dt, run, split_step)
 from .velocity import (DirectionField, SpeedLaw, constant_direction,

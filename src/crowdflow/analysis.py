@@ -4,19 +4,24 @@ All estimates are worst-case envelopes: comparisons assert domination
 only, never tightness, and slack factors of several orders of magnitude
 are normal.  Exponents can exceed float range for rough data; the
 stability evaluator therefore also reports the bound in log space.
+The envelope inputs are measured here too: the sup of grad V, the
+direction-field norms and the sampled C_I (estimate_ci) all differentiate
+on the grid by one central-difference rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EstimationError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
-from .nonlocal_ops import NonlocalOperator, estimate_ci
+from .nonlocal_ops import NonlocalOperator
 from .solver import DEVIATION, ModelSpec, RunResult
 from .velocity import DirectionField
 
@@ -269,6 +274,34 @@ def check_invariance(model: ModelSpec, result: RunResult,
 
 
 # ---------------------------------------------------------------------------
+# grid differences: every norm below takes its partial derivatives from
+# _diff, second-order central differences (one-sided at the edges)
+
+
+def _diff(f: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
+    return np.gradient(f, grid.dx if axis == 0 else grid.dy, axis=axis)
+
+
+def _jacobian_norm1(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """|d0 u0| + |d1 u0| + |d0 u1| + |d1 u1|, added in that order."""
+    total = np.zeros(u.shape[1:])
+    for comp in u:
+        for axis in (0, 1):
+            total += np.abs(_diff(comp, grid, axis))
+    return total
+
+
+def _divergence(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """d0 u0 + d1 u1 of a (2, nx, ny) field."""
+    return _diff(u[0], grid, 0) + _diff(u[1], grid, 1)
+
+
+def _gradient_norm1(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """|d0 f| + |d1 f| per cell of an (nx, ny) array."""
+    return np.abs(_diff(f, grid, 0)) + np.abs(_diff(f, grid, 1))
+
+
+# ---------------------------------------------------------------------------
 # norm helpers feeding BoundInputs
 
 
@@ -279,14 +312,7 @@ def sup_gradient(V: np.ndarray, grid: GridSpec) -> float:
     """
     if V.ndim == 3:
         V = V[None]
-    best = 0.0
-    for vi in V:
-        total = np.zeros(vi.shape[1:])
-        for comp in vi:
-            total += np.abs(np.gradient(comp, grid.dx, axis=0))
-            total += np.abs(np.gradient(comp, grid.dy, axis=1))
-        best = max(best, float(total.max()))
-    return best
+    return max(0.0, *(float(_jacobian_norm1(vi, grid).max()) for vi in V))
 
 
 def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
@@ -306,7 +332,7 @@ def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
             + np.abs(ax)[:, None] * np.abs(ddby)[None, :])
     hess_eta_sup = float(hess.max())
     return dict(eta_sup=eta_sup, grad_eta_sup=grad_eta_sup,
-                hess_eta_sup=hess_eta_sup, source="scan")
+                hess_eta_sup=hess_eta_sup)
 
 
 def direction_norms(direction: DirectionField, grid: GridSpec) -> dict:
@@ -314,12 +340,9 @@ def direction_norms(direction: DirectionField, grid: GridSpec) -> dict:
     v = direction.total
     area = grid.cell_area
     absv = np.abs(v[0]) + np.abs(v[1])
-    grads = [np.gradient(v[c], grid.dx if ax == 0 else grid.dy, axis=ax)
-             for c in (0, 1) for ax in (0, 1)]
-    gradsum = sum(np.abs(gv) for gv in grads)
-    div = np.gradient(v[0], grid.dx, axis=0) + np.gradient(v[1], grid.dy, axis=1)
-    graddiv = (np.abs(np.gradient(div, grid.dx, axis=0))
-               + np.abs(np.gradient(div, grid.dy, axis=1)))
+    gradsum = _jacobian_norm1(v, grid)
+    div = _divergence(v, grid)
+    graddiv = _gradient_norm1(div, grid)
     return dict(
         vec_sup=float(absv.max()),
         vec_l1=float(absv.sum()) * area,
@@ -328,12 +351,56 @@ def direction_norms(direction: DirectionField, grid: GridSpec) -> dict:
         div_sup=float(np.abs(div).max()),
         divvec_l1=float(np.abs(div).sum()) * area,
         graddiv_l1=float(graddiv.sum()) * area,
-        source="grid differences",
     )
 
 
+def estimate_ci(op: NonlocalOperator,
+                samples: Sequence[PopulationField]) -> np.ndarray:
+    """Empirical lower bound for the Lipschitz constant of each
+    population's deviation I_i, shape (n,).
+
+    Evaluates the operator once per sample and, for each population,
+    maximizes the four defining ratios over sample pairs (sup and L1-of-
+    divergence Lipschitz quotients) and single samples (sup of gradient
+    and L1 of gradient-of-divergence against the L1 norm of the density).
+    Divergences and gradients use second-order central differences.
+    """
+    if len(samples) < 2:
+        raise EstimationError("need at least two density samples")
+    grid = samples[0].grid
+    area = grid.cell_area
+    vals = [op(s) for s in samples]
+    l1s = [float(np.abs(s.data).sum()) * area for s in samples]
+    pairs = []
+    for (s1, I1), (s2, I2) in combinations(zip(samples, vals), 2):
+        dl1 = float(np.abs(s1.data - s2.data).sum()) * area
+        if dl1 != 0.0:
+            pairs.append((dl1, I1, I2))
+    if not pairs:
+        raise EstimationError("all sample pairs are identical")
+    best = np.zeros(samples[0].n)
+    for i in range(len(best)):
+        # single-sample ratios
+        for l1, I in zip(l1s, vals):
+            if l1 == 0.0:
+                continue
+            grad_sup = max(0.0, *(float(_gradient_norm1(c, grid).max())
+                                  for c in I[i]))
+            graddiv = _gradient_norm1(_divergence(I[i], grid), grid)
+            graddiv_l1 = float(graddiv.sum()) * area
+            best[i] = max(best[i], grad_sup / l1, graddiv_l1 / l1)
+        # pair ratios
+        for dl1, I1, I2 in pairs:
+            dI = I1[i] - I2[i]
+            sup = float((np.abs(dI[0]) + np.abs(dI[1])).max())
+            ddiv_l1 = float(np.abs(_divergence(dI, grid)).sum()) * area
+            best[i] = max(best[i], sup / dl1, ddiv_l1 / dl1)
+    return best
+
+
 # ---------------------------------------------------------------------------
-# bound-input assembly
+# bound-input assembly: the norm helpers return dicts keyed by BoundInputs
+# field names
 
 
 def bound_inputs_for(model: ModelSpec,
@@ -347,52 +414,32 @@ def bound_inputs_for(model: ModelSpec,
     maximum of the advection field's gradient.
     """
     rec = norms(datum)
-    n1_total = rec.l1_total
     kn = {spec: kernel_norms(spec) for spec in {k.spec for k in model.kernels}}
-    nan_kn = dict(eta_sup=math.nan, grad_eta_sup=math.nan,
-                  hess_eta_sup=math.nan)
     ci = np.zeros(model.n)
-    if model.family == DEVIATION:
-        ci = _estimate_ci(model.deviation, datum)
+    if model.family == DEVIATION and float(np.abs(datum.data).sum()) != 0.0:
+        ci = estimate_ci(model.deviation,
+                         [datum, PopulationField(datum.grid, 0.5 * datum.data)])
     out = []
-    for i in range(model.n):
-        law = model.laws[i]
-        dn = direction_norms(model.dirs[i], model.grid)
-        kni = kn[model.kernels[i].spec] if model.kernels else nan_kn
+    for i, law in enumerate(model.laws):
         out.append(BoundInputs(
-            d=2, n1=n1_total, linf0=float(rec.linf[i]), tv0=float(rec.tv[i]),
+            d=2, n1=rec.l1_total, linf0=float(rec.linf[i]), tv0=float(rec.tv[i]),
             v_sup=law.v_sup, dv_sup=law.dv_sup, ddv_sup=law.ddv_sup,
             dv_l1=law.dv_sup * law.R, q_sup=law.q_sup, dq_sup=law.dq_sup,
-            vec_sup=dn["vec_sup"], vec_l1=dn["vec_l1"],
-            vec_grad_sup=dn["vec_grad_sup"], vec_grad_l1=dn["vec_grad_l1"],
-            div_sup=dn["div_sup"], divvec_l1=dn["divvec_l1"],
-            graddiv_l1=dn["graddiv_l1"],
-            eta_sup=kni["eta_sup"], grad_eta_sup=kni["grad_eta_sup"],
-            hess_eta_sup=kni["hess_eta_sup"],
+            **direction_norms(model.dirs[i], model.grid),
+            **(kn[model.kernels[i].spec] if model.kernels else {}),
             ci=float(ci[i]), grad_v_sup=0.0))
     return out
-
-
-def _estimate_ci(op: NonlocalOperator, datum: PopulationField) -> np.ndarray:
-    samples = [datum, PopulationField(datum.grid, 0.5 * datum.data)]
-    if float(np.abs(datum.data).sum()) == 0.0:
-        return np.zeros(datum.n)
-    return estimate_ci(op, samples)
 
 
 def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
     """Worst-case merge over populations (sums for data norms, maxima
     for parameter norms), matching the summed-TV convention."""
-    agg = BoundInputs(d=per_pop[0].d)
-    agg.n1 = per_pop[0].n1
-    agg.linf0 = max(b.linf0 for b in per_pop)
-    agg.tv0 = sum(b.tv0 for b in per_pop)
-    for name in ("v_sup", "dv_sup", "ddv_sup", "dv_l1", "q_sup", "dq_sup",
-                 "vec_sup", "vec_l1", "vec_grad_sup", "vec_grad_l1",
-                 "div_sup", "divvec_l1", "graddiv_l1", "eta_sup",
-                 "grad_eta_sup", "hess_eta_sup", "ci", "grad_v_sup"):
-        setattr(agg, name, max(getattr(b, name) for b in per_pop))
-    return agg
+    params = {f.name: max(getattr(b, f.name) for b in per_pop)
+              for f in fields(BoundInputs)
+              if f.name not in ("d", "n1", "linf0", "tv0")}
+    return BoundInputs(d=per_pop[0].d, n1=per_pop[0].n1,
+                       linf0=max(b.linf0 for b in per_pop),
+                       tv0=sum(b.tv0 for b in per_pop), **params)
 
 
 def _exp(x: float) -> float:

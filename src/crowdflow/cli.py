@@ -164,13 +164,15 @@ def read_snapshot(path: str) -> tuple[np.ndarray, dict]:
             nx, ny = int(meta["nx"]), int(meta["ny"])
             rows = [list(map(float, fh.readline().strip().split(",")))
                     for _ in range(ny)]
+        data = np.array(rows).T  # rows are y slices; store x-major
+        meta = {k: (int(v) if k in ("nx", "ny") else float(v))
+                for k, v in meta.items()}
     except OSError as exc:
         raise ConfigurationError(f"cannot read snapshot {path}: {exc}")
-    data = np.array(rows).T  # rows are y slices; store x-major
+    except (KeyError, ValueError) as exc:
+        raise ConfigurationError(f"malformed snapshot {path}: {exc!r}")
     if data.shape != (nx, ny):
         raise ConfigurationError(f"snapshot {path} has inconsistent shape")
-    meta = {k: (int(v) if k in ("nx", "ny") else float(v))
-            for k, v in meta.items()}
     return data, meta
 
 

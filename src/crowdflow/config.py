@@ -11,7 +11,7 @@ coefficients.  Anything richer is built directly against the library.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
 from .grid import Exit, GridSpec, PopulationField, Rect, indicator_datum, make_grid

@@ -7,7 +7,8 @@ x index and j the y index, so separable convolutions read A @ data @ B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +36,12 @@ class GridSpec:
     exits: tuple[Exit, ...] = ()
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dy <= 0:
-            raise ConfigurationError("cell sizes must be positive")
+        if not (0 < self.dx < math.inf and 0 < self.dy < math.inf):
+            raise ConfigurationError("cell sizes must be positive and finite")
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError("need at least one cell per axis")
+        if not all(map(math.isfinite, (self.x0, self.y0, *self.room))):
+            raise ConfigurationError("grid origin and room must be finite")
         rx0, ry0, rx1, ry1 = self.room
         eps = 1e-9 * max(self.width, self.height)
         if rx0 < self.x0 - eps or ry0 < self.y0 - eps \
@@ -47,7 +50,7 @@ class GridSpec:
         for side, lo, hi in self.exits:
             if side not in _SIDES:
                 raise ConfigurationError(f"unknown boundary side {side!r}")
-            if hi <= lo:
+            if not hi > lo:
                 raise ConfigurationError("empty exit segment")
 
     @property
@@ -90,8 +93,8 @@ def make_grid(bounds: Rect, dx: float, dy: float,
     the cell size (relative tolerance 1e-9).
     """
     x0, y0, x1, y1 = bounds
-    if x1 <= x0 or y1 <= y0:
-        raise ConfigurationError("bounds must be a nonempty rectangle")
+    if not (all(map(math.isfinite, bounds)) and x1 > x0 and y1 > y0):
+        raise ConfigurationError("bounds must be a finite nonempty rectangle")
     nx = _divide_extent(x1 - x0, dx, "x")
     ny = _divide_extent(y1 - y0, dy, "y")
     if room is None:
@@ -101,8 +104,9 @@ def make_grid(bounds: Rect, dx: float, dy: float,
 
 
 def _divide_extent(length: float, h: float, axis: str) -> int:
-    if h <= 0:
-        raise ConfigurationError(f"cell size on axis {axis} must be positive")
+    if not 0 < h < math.inf:
+        raise ConfigurationError(
+            f"cell size on axis {axis} must be positive and finite, got {h}")
     n = length / h
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ConfigurationError(

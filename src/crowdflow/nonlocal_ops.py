@@ -8,19 +8,19 @@ conv eta)): population i steers away from increasing smoothed density
 of every population j, with the saturation N keeping the Lipschitz
 hypothesis that controls all deviation-model bounds.  Flux push (get
 dragged by another population's smoothed flux) is a single-term leaf
-for custom operators.
+for custom operators.  The module holds operators only; the sampled
+Lipschitz constant of an operator is analysis.estimate_ci.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError
-from .grid import GridSpec, PopulationField
+from .errors import ConfigurationError
+from .grid import PopulationField
 from .kernel import SampledKernel, convolve, convolve_gradient
 from .velocity import DirectionField, SpeedLaw
 
@@ -81,60 +81,3 @@ class GradientAvoidance:
 
     def __call__(self, state: PopulationField) -> np.ndarray:
         return gradient_avoidance(state, self.eps, self.kernel)
-
-
-def _cd_gradient(f: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.gradient(f, grid.dx, axis=0)
-    gy = np.gradient(f, grid.dy, axis=1)
-    return gx, gy
-
-
-def _divergence(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.gradient(u[0], grid.dx, axis=0) + np.gradient(u[1], grid.dy, axis=1)
-
-
-def estimate_ci(op: NonlocalOperator,
-                samples: Sequence[PopulationField]) -> np.ndarray:
-    """Empirical lower bound for the Lipschitz constant of each
-    population's deviation I_i, shape (n,).
-
-    Evaluates the operator once per sample and, for each population,
-    maximizes the four defining ratios over sample pairs (sup and L1-of-
-    divergence Lipschitz quotients) and single samples (sup of gradient
-    and L1 of gradient-of-divergence against the L1 norm of the density).
-    Divergences and gradients use second-order central differences.
-    """
-    if len(samples) < 2:
-        raise EstimationError("need at least two density samples")
-    grid = samples[0].grid
-    area = grid.cell_area
-    vals = [op(s) for s in samples]
-    l1s = [float(np.abs(s.data).sum()) * area for s in samples]
-    pairs = []
-    for (s1, I1), (s2, I2) in combinations(zip(samples, vals), 2):
-        dl1 = float(np.abs(s1.data - s2.data).sum()) * area
-        if dl1 != 0.0:
-            pairs.append((dl1, I1, I2))
-    if not pairs:
-        raise EstimationError("all sample pairs are identical")
-    best = np.zeros(samples[0].n)
-    for i in range(len(best)):
-        # single-sample ratios
-        for l1, I in zip(l1s, vals):
-            if l1 == 0.0:
-                continue
-            grad_sup = 0.0
-            for comp in I[i]:
-                gx, gy = _cd_gradient(comp, grid)
-                grad_sup = max(grad_sup, float((np.abs(gx) + np.abs(gy)).max()))
-            div = _divergence(I[i], grid)
-            dgx, dgy = _cd_gradient(div, grid)
-            graddiv_l1 = float((np.abs(dgx) + np.abs(dgy)).sum()) * area
-            best[i] = max(best[i], grad_sup / l1, graddiv_l1 / l1)
-        # pair ratios
-        for dl1, I1, I2 in pairs:
-            dI = I1[i] - I2[i]
-            sup = float((np.abs(dI[0]) + np.abs(dI[1])).max())
-            ddiv_l1 = float(np.abs(_divergence(dI, grid)).sum()) * area
-            best[i] = max(best[i], sup / dl1, ddiv_l1 / dl1)
-    return best

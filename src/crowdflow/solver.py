@@ -12,6 +12,7 @@ accounted per step so that conservation is an exact identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -50,15 +51,15 @@ class ModelSpec:
             raise ConfigurationError(f"unknown model family {self.family!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigurationError("CFL number must be in (0, 1]")
-        if self.t_max < 0:
-            raise ConfigurationError("t_max must be nonnegative")
+        if not 0 <= self.t_max < math.inf:
+            raise ConfigurationError("t_max must be finite and nonnegative")
         if self.family == DIFFERENTIABLE and len(self.kernels) != self.n:
             raise ConfigurationError("differentiable family needs one kernel "
                                      "per population")
         if self.family == DEVIATION and self.deviation is None:
             raise ConfigurationError("deviation family needs a nonlocal "
                                      "deviation operator")
-        if any(t < 0 or t > self.t_max + 1e-12 for t in self.snapshot_times):
+        if not all(0 <= t <= self.t_max + 1e-12 for t in self.snapshot_times):
             raise ConfigurationError("snapshot times must lie in [0, t_max]")
 
     @property

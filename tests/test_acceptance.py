@@ -10,7 +10,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy.signal import find_peaks
 
 from crowdflow import (DIFFERENTIABLE, CostSpec, ModelSpec, PopulationField,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from crowdflow import (BoundInputs, ConfigurationError, NumericError,
-                       ParameterDeltas, PopulationField, bound_inputs_for,
+                       ParameterDeltas, PopulationField, aggregate_inputs,
+                       bound_inputs_for,
                        bounds_differentiable,
                        check_invariance, direction_norms, kappa0,
                        kernel_norms, bump_kernel, constant_direction,
@@ -17,6 +18,22 @@ from crowdflow import (BoundInputs, ConfigurationError, NumericError,
 from crowdflow.analysis import LOG_MAX
 from crowdflow.solver import DEVIATION, ModelSpec
 from crowdflow.nonlocal_ops import GradientAvoidance
+
+
+# Envelope inputs of preset("crossing") at mesh 0.4, pinned bit for bit:
+# the parameter norms both populations share, each population's datum
+# norms, and C_I per family (0 outside the deviation family)
+CROSSING_PARAMS = dict(
+    d=2, n1=24.576, v_sup=4.0, dv_sup=4.0, ddv_sup=0.0, dv_l1=4.0,
+    q_sup=1.0, dq_sup=4.0, vec_sup=1.8, vec_l1=99.84000000000002,
+    vec_grad_sup=2.25, vec_grad_l1=57.60000000000001, div_sup=1.0,
+    divvec_l1=25.600000000000005, graddiv_l1=64.00000000000001, eta_sup=1.0,
+    grad_eta_sup=4.493154440351227, hess_eta_sup=47.9997333337037,
+    grad_v_sup=0.0)
+CROSSING_DATA = (dict(linf0=0.9000000000000001, tv0=14.400000000000002),
+                 dict(linf0=0.7, tv0=11.2))
+CROSSING_CI = {"deviation": (0.634457974612126, 0.7006750996465252),
+               "differentiable": (0.0, 0.0)}
 
 
 def sample_inputs(**kw):
@@ -331,3 +348,35 @@ class TestNormHelpers:
         assert dn["vec_sup"] == pytest.approx(1.8, abs=1e-12)
         assert dn["vec_grad_sup"] > 0.0
         assert dn["graddiv_l1"] > 0.0
+
+    def test_sup_gradient_matches_direction_grad_sup(self):
+        # one difference rule: the same field gives the same bits
+        model, _ = preset("crossing").with_mesh(0.1).build()
+        for d in model.dirs:
+            assert sup_gradient(d.total, model.grid) \
+                == direction_norms(d, model.grid)["vec_grad_sup"]
+
+
+class TestBoundInputAssembly:
+    @pytest.mark.parametrize("family", ["deviation", "differentiable"])
+    def test_crossing_inputs_pinned(self, family):
+        cfg = replace(preset("crossing").with_mesh(0.4), family=family)
+        model, datum = cfg.build()
+        want = [BoundInputs(**CROSSING_PARAMS, **data, ci=ci)
+                for data, ci in zip(CROSSING_DATA, CROSSING_CI[family])]
+        assert bound_inputs_for(model, datum) == want
+
+    def test_crossing_aggregate_pinned(self):
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        assert aggregate_inputs(bound_inputs_for(model, datum)) \
+            == BoundInputs(**CROSSING_PARAMS, linf0=0.9000000000000001,
+                           tv0=25.6, ci=0.7006750996465252)
+
+    def test_aggregate_merges_every_parameter_field(self):
+        # a parameter field left out of the merge would stay NaN
+        params = [f.name for f in fields(BoundInputs)
+                  if f.name not in ("d", "n1", "linf0", "tv0")]
+        lo = BoundInputs(**{name: 1.0 for name in params})
+        hi = BoundInputs(**{name: 2.0 for name in params})
+        agg = aggregate_inputs([lo, hi])
+        assert all(getattr(agg, name) == 2.0 for name in params)

@@ -18,6 +18,10 @@ from crowdflow.cli import _write_table, main, read_snapshot, write_snapshot
 from crowdflow.grid import make_grid
 
 
+def _solver_must_not_start(*args, **kwargs):
+    raise AssertionError("the solver started on an invalid configuration")
+
+
 class TestPreset:
     def test_crossing_parameters(self):
         cfg = preset("crossing")
@@ -138,6 +142,23 @@ class TestSnapshots:
         data, meta = read_snapshot(p1)
         mass = data.sum() * meta["dx"] * meta["dy"]
         assert mass == pytest.approx(13.824, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["truncated", "non-numeric",
+                                      "missing header name"])
+    def test_malformed_file_is_a_configuration_error(self, tmp_path, case):
+        g = make_grid((0.0, 0.0, 1.0, 1.0), 0.5, 0.5)
+        (path,) = write_snapshot(PopulationField.zeros(g, 1), 0.0,
+                                 str(tmp_path))
+        lines = Path(path).read_text().splitlines()
+        if case == "truncated":
+            lines = lines[:-1]  # one of the ny rows is missing
+        elif case == "non-numeric":
+            lines[2] = "0,abc"
+        else:
+            lines[0] = lines[0].replace("ny", "rows")
+        Path(path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match="pop1_t0.000.csv"):
+            read_snapshot(path)
 
     def test_file_names(self, tmp_path):
         g = make_grid((0.0, 0.0, 1.0, 1.0), 0.5, 0.5)
@@ -308,6 +329,41 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--mesh", "nan"], ["--mesh", "inf"],
+        ["--mesh", "0.4", "--tmax", "nan"],
+        ["--mesh", "0.4", "--tmax", "inf"]], ids=" ".join)
+    def test_non_finite_flag_exit_code(self, tmp_path, capsys, monkeypatch,
+                                       args):
+        # rejected when the model is built: the solver never starts
+        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "crossing", *args,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "snapshot_times", "0 nan 0.05"),
+        ("model", "tmax", "inf"),
+        ("grid", "mesh", "nan"),
+        ("grid", "bounds", "-8 -4 inf 4")])
+    def test_non_finite_config_value_exit_code(self, tmp_path, capsys,
+                                               monkeypatch, section, key,
+                                               value):
+        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        sections = {"model": {"preset": "crossing", "tmax": "0.05"},
+                    "grid": {"mesh": "0.4"}}
+        sections[section][key] = value
+        p = tmp_path / "c.ini"
+        p.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+            for name, body in sections.items()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
         assert not out.exists()
 
     def test_diagnostics_every_step_has_no_repeated_row(self, tmp_path,

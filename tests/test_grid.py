@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdflow import (ConfigurationError, NumericError, PopulationField,
-                       indicator_datum, make_grid, norms)
+from crowdflow import (ConfigurationError, GridSpec, NumericError,
+                       PopulationField, indicator_datum, make_grid, norms)
 
 
 class TestMakeGrid:
@@ -42,6 +42,34 @@ class TestMakeGrid:
         with pytest.raises(ConfigurationError):
             make_grid((0.0, 0.0, 1.0, 1.0), 0.1, 0.1,
                       exits=(("left", 1.0, 0.0),))
+        with pytest.raises(ConfigurationError):
+            make_grid((0.0, 0.0, 1.0, 1.0), 0.1, 0.1,
+                      exits=(("left", np.nan, 1.0),))
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_size_rejected(self, h):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_grid((0.0, 0.0, 1.0, 1.0), h, 0.5)
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_grid((0.0, 0.0, 1.0, 1.0), 0.5, h)
+        with pytest.raises(ConfigurationError, match="finite"):
+            GridSpec(x0=0.0, y0=0.0, dx=0.5, dy=h, nx=2, ny=2,
+                     room=(0.0, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0, np.nan, 1.0),
+                                        (-np.inf, 0.0, 1.0, 1.0),
+                                        (0.0, 0.0, 1.0, np.inf)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_grid(bounds, 0.5, 0.5)
+
+    def test_non_finite_origin_or_room_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            GridSpec(x0=np.nan, y0=0.0, dx=0.5, dy=0.5, nx=2, ny=2,
+                     room=(0.0, 0.0, 1.0, 1.0))
+        with pytest.raises(ConfigurationError, match="finite"):
+            GridSpec(x0=0.0, y0=0.0, dx=0.5, dy=0.5, nx=2, ny=2,
+                     room=(0.0, 0.0, np.nan, 1.0))
 
 
 class TestIndicatorDatum:

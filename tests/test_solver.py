@@ -8,8 +8,8 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        NumericError, PopulationField,
                        advection_field, bump_kernel, cfl_dt,
                        constant_direction, constant_speed_law,
-                       indicator_datum, linear_speed_law, make_grid, norms,
-                       preset, run, sample_kernel, split_step)
+                       indicator_datum, linear_speed_law, make_grid, preset,
+                       run, sample_kernel, split_step)
 from crowdflow.solver import (MAX_PRINCIPLE_TOL, _boundary_layout,
                               _linear_flux, _sweep)
 
@@ -288,6 +288,18 @@ class TestApplyBoundary:
                 exit_hi & (a[-1] > 0), walls, e)
             assert np.array_equal(new, ref)
             assert out == ref_out
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf])
+    def test_non_finite_t_max_rejected(self, corridor_grid, t_max):
+        with pytest.raises(ConfigurationError, match="t_max"):
+            local_deviation_model(corridor_grid, t_max=t_max)
+
+    def test_non_finite_snapshot_time_rejected(self, corridor_grid):
+        with pytest.raises(ConfigurationError, match="snapshot"):
+            local_deviation_model(corridor_grid, t_max=0.1,
+                                  snapshot_times=(0.0, np.nan, 0.05))
 
 
 class TestRun:
