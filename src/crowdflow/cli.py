@@ -276,10 +276,11 @@ def _cmd_stability(args) -> int:
     cfg = load_config(args)
     if cfg.family != DEVIATION:
         raise ConfigurationError("stability compares deviation-family runs")
+    if not 0 <= args.perturb < math.inf:
+        raise ConfigurationError(
+            "perturbation size must be nonnegative and finite")
     model, datum1 = cfg.build()
     mass1 = float(np.abs(datum1.data[0]).sum()) * model.grid.cell_area
-    if args.perturb < 0:
-        raise ConfigurationError("perturbation size must be nonnegative")
     if args.perturb > 0 and mass1 <= 0:
         raise ConfigurationError("population 1 datum is empty; nothing to "
                                  "perturb")

@@ -172,8 +172,11 @@ def indicator_datum(grid: GridSpec, value: float, rect: Rect) -> np.ndarray:
     """Cell averages of value * indicator(rect); exact partial-cell overlap.
 
     The returned array integrates to value * area(rect) for any grid
-    alignment of the rectangle.
+    alignment of the rectangle.  A non-finite value raises
+    ConfigurationError.
     """
+    if not math.isfinite(value):
+        raise ConfigurationError(f"datum value must be finite, got {value}")
     rx0, ry0, rx1, ry1 = rect
     eps = 1e-9 * max(grid.width, grid.height)
     if rx0 < grid.x0 - eps or ry0 < grid.y0 - eps \

@@ -15,6 +15,7 @@ F @ B = (B^T F^T)^T.  A grid of at most one block is one dense product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +49,12 @@ class KernelSpec:
     half_width_y: float
     normalize: bool = False
 
+    def __post_init__(self):
+        for hw in (self.half_width_x, self.half_width_y):
+            if not 0 < hw < math.inf:
+                raise ConfigurationError(
+                    f"kernel half width must be positive and finite, got {hw}")
+
     def __call__(self, x, y):
         return self.fx(np.asarray(x, dtype=float)) * self.fy(np.asarray(y, dtype=float))
 
@@ -58,13 +65,14 @@ def bump_kernel(half_width: float = 0.5, normalize: bool = False) -> KernelSpec:
     With half_width 0.5 this is the experiments' kernel; its continuum
     1D mass is 16/35 per axis.
     """
-    s = 0.5 / half_width
+    # the scale 0.5 / w is taken at each call, so that KernelSpec, not a
+    # division here, rejects a zero width
 
-    def f(x, _s=s):
-        return _bump(_s * x)
+    def f(x, _w=half_width):
+        return _bump(0.5 / _w * x)
 
-    def df(x, _s=s):
-        return _s * _bump_deriv(_s * x)
+    def df(x, _w=half_width):
+        return 0.5 / _w * _bump_deriv(0.5 / _w * x)
 
     return KernelSpec(fx=f, dfx=df, fy=f, dfy=df,
                       half_width_x=half_width, half_width_y=half_width,

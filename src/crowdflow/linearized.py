@@ -11,6 +11,7 @@ whole run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -93,8 +94,9 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     the base run's dt sequence.
     """
     _require_differentiable(model)
-    if not hs or not all(h > 0 for h in hs):
-        raise ConfigurationError(f"need positive perturbation sizes, got {hs}")
+    if not hs or not all(0 < h < math.inf for h in hs):
+        raise ConfigurationError(
+            f"need finite positive perturbation sizes, got {hs}")
     base, sigma_t = solve_linearized(model, rho0, sigma0, t)
     dts = [r.dt for r in base.reports]
     rs = []

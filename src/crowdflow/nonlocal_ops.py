@@ -76,6 +76,8 @@ class GradientAvoidance:
         if eps.ndim != 2 or eps.shape[0] != eps.shape[1]:
             raise ConfigurationError(
                 f"avoidance matrix must be square, got shape {eps.shape}")
+        if not np.isfinite(eps).all():
+            raise ConfigurationError("avoidance matrix has a non-finite entry")
         eps.flags.writeable = False
         object.__setattr__(self, "eps", eps)
 

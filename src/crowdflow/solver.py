@@ -49,6 +49,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in (DIFFERENTIABLE, DEVIATION):
             raise ConfigurationError(f"unknown model family {self.family!r}")
+        if not 0 < self.R < math.inf:
+            raise ConfigurationError(
+                f"R must be positive and finite, got {self.R}")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigurationError("CFL number must be in (0, 1]")
         if not 0 <= self.t_max < math.inf:
@@ -263,9 +266,11 @@ def run(model: ModelSpec, datum: PopulationField,
     if datum.grid is not model.grid and datum.grid != model.grid:
         raise ConfigurationError("datum grid does not match model grid")
     state = datum.copy()
+    if not np.isfinite(state.data).all():
+        raise ConfigurationError("datum has a non-finite cell")
     if model.family == DEVIATION:
         lo, hi = state.data.min(), state.data.max()
-        if lo < -MAX_PRINCIPLE_TOL or hi > model.R + MAX_PRINCIPLE_TOL:
+        if not (lo >= -MAX_PRINCIPLE_TOL and hi <= model.R + MAX_PRINCIPLE_TOL):
             raise ConfigurationError(
                 f"deviation-family datum must lie in [0, R]; got [{lo}, {hi}]")
     events = sorted({float(s) for s in model.snapshot_times} | {model.t_max})

@@ -10,6 +10,7 @@ to the direction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
@@ -37,6 +38,11 @@ class SpeedLaw:
     R: float
     ddv: Callable[[np.ndarray], np.ndarray] | None = None
     _scan: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not 0 < self.R < math.inf:
+            raise ConfigurationError(
+                f"maximal density R must be positive and finite, got {self.R}")
 
     def q(self, rho):
         return rho * self.v(rho)
@@ -78,8 +84,15 @@ class SpeedLaw:
         return self._norms()["ddv_sup"]
 
 
+def _check_speed(value: float, what: str) -> None:
+    if not 0 <= value < math.inf:
+        raise ConfigurationError(
+            f"{what} must be nonnegative and finite, got {value}")
+
+
 def linear_speed_law(vmax: float = 4.0, R: float = 1.0) -> SpeedLaw:
     """v(rho) = vmax (1 - rho / R); vanishes at the maximal density R."""
+    _check_speed(vmax, "vmax")
     return SpeedLaw(
         v=lambda r: vmax * (1.0 - np.asarray(r, dtype=float) / R),
         dv=lambda r: np.full_like(np.asarray(r, dtype=float), -vmax / R),
@@ -88,6 +101,7 @@ def linear_speed_law(vmax: float = 4.0, R: float = 1.0) -> SpeedLaw:
 
 
 def constant_speed_law(c: float, R: float = 1.0) -> SpeedLaw:
+    _check_speed(c, "constant speed")
     return SpeedLaw(
         v=lambda r: np.full_like(np.asarray(r, dtype=float), c),
         dv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
@@ -112,8 +126,9 @@ def discomfort(grid: GridSpec, delta_max: float, delta_r: float) -> np.ndarray:
     not lie on the numerical-domain boundary (domain-boundary edges are
     governed by the exit list instead).
     """
-    if delta_r <= 0:
-        raise ConfigurationError("delta_r must be positive")
+    if not 0 < delta_r < math.inf:
+        raise ConfigurationError(
+            f"delta_r must be positive and finite, got {delta_r}")
     out = np.zeros((2, grid.nx, grid.ny))
     mask = room_mask(grid)
     rx0, ry0, rx1, ry1 = grid.room
@@ -154,7 +169,20 @@ class DirectionField:
 def constant_direction(grid: GridSpec, gx: float, gy: float,
                        delta_max: float = 0.0, delta_r: float = 0.75,
                        restrict_to_room: bool = True) -> DirectionField:
-    """Constant geodesic field (gx, gy) inside the room plus discomfort."""
+    """Constant geodesic field (gx, gy) inside the room plus discomfort.
+
+    gx and gy must be finite, delta_max nonnegative and finite and
+    delta_r positive and finite, or ConfigurationError is raised.
+    """
+    if not (math.isfinite(gx) and math.isfinite(gy)):
+        raise ConfigurationError(
+            f"geodesic direction must be finite, got ({gx}, {gy})")
+    if not 0 <= delta_max < math.inf:
+        raise ConfigurationError(
+            f"delta_max must be nonnegative and finite, got {delta_max}")
+    if not 0 < delta_r < math.inf:
+        raise ConfigurationError(
+            f"delta_r must be positive and finite, got {delta_r}")
     g = np.zeros((2, grid.nx, grid.ny))
     g[0] = gx
     g[1] = gy
@@ -177,8 +205,22 @@ def clamped_speed_arg(arg: np.ndarray, what: str = "convolved density") -> np.nd
 
 def smoothed_total_density(state: PopulationField,
                            kernels: Sequence[SampledKernel]) -> np.ndarray:
-    """sum_j conv(rho_j, eta_j), the argument of the differentiable speed law."""
-    out = np.zeros((state.grid.nx, state.grid.ny))
+    """sum_j conv(rho_j, eta_j), the argument of the differentiable speed law.
+
+    The sum is linear in rho, so the populations that share a kernel
+    object (by identity) are added, in population order, and convolved
+    once: one convolution per distinct kernel, in order of first
+    appearance.  A kernel of one population convolves its density
+    directly, so with all-distinct kernels this is the per-population
+    sum bit for bit; a shared kernel may differ from it in the last bits.
+    """
+    groups: dict[int, list[int]] = {}  # id(kernel) -> populations
     for j in range(state.n):
-        out += convolve(state.data[j], kernels[j])
+        groups.setdefault(id(kernels[j]), []).append(j)
+    out = np.zeros((state.grid.nx, state.grid.ny))
+    for members in groups.values():
+        total = state.data[members[0]]
+        for j in members[1:]:
+            total = total + state.data[j]
+        out += convolve(total, kernels[members[0]])
     return out

@@ -246,7 +246,7 @@ class TestMain:
         assert not out.exists()
 
     def test_gateaux_bad_hs_exit_code(self, tmp_path, capsys):
-        for hs in ("0.1,abc", "0.1,-0.05", ","):
+        for hs in ("0.1,abc", "0.1,-0.05", ",", "inf,0.1"):
             assert main(["gateaux", "--mesh", "0.125", "--tmax", "0.05",
                          "--out", str(tmp_path), "--hs", hs]) == 1
             assert "configuration error:" in capsys.readouterr().err
@@ -273,6 +273,18 @@ class TestMain:
             _, dist, bound, _ = row.split(",")
             assert float(dist) == 0.0
             assert float(bound) == 0.0
+
+    @pytest.mark.parametrize("perturb", ["nan", "inf", "-0.1"])
+    def test_stability_bad_perturb_exit_code(self, tmp_path, capsys,
+                                             monkeypatch, perturb):
+        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        out = tmp_path / "out"
+        assert main(["stability", "--preset", "crossing", "--mesh", "0.4",
+                     "--tmax", "0.1", "--perturb", perturb,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: perturbation size")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["crossing", "evacuation"])
     def test_stability_envelope_uses_running_gradient(self, tmp_path, capsys,
@@ -349,14 +361,22 @@ class TestMain:
         ("model", "snapshot_times", "0 nan 0.05"),
         ("model", "tmax", "inf"),
         ("grid", "mesh", "nan"),
-        ("grid", "bounds", "-8 -4 inf 4")])
+        ("grid", "bounds", "-8 -4 inf 4"),
+        ("kernel", "half_width", "nan"),
+        ("kernel", "half_width", "0"),
+        ("model", "r", "nan"),
+        ("model", "r", "0"),
+        ("population.1", "vmax", "nan"),
+        ("population.1", "eps", "nan 0"),
+        ("population.1", "gx", "inf"),
+        ("population.1", "datum", "nan -6 -2 -3 2")])
     def test_non_finite_config_value_exit_code(self, tmp_path, capsys,
                                                monkeypatch, section, key,
                                                value):
         monkeypatch.setattr(cli, "run", _solver_must_not_start)
         sections = {"model": {"preset": "crossing", "tmax": "0.05"},
                     "grid": {"mesh": "0.4"}}
-        sections[section][key] = value
+        sections.setdefault(section, {})[key] = value
         p = tmp_path / "c.ini"
         p.write_text("".join(
             f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())

@@ -88,6 +88,11 @@ class TestIndicatorDatum:
         datum = indicator_datum(unit_grid, 1.0, (0.0, 0.0, 1.0, 1.0))
         assert np.all(datum == 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, unit_grid, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            indicator_datum(unit_grid, value, (0.25, 0.25, 0.75, 0.75))
+
     def test_rect_outside_bounds_rejected(self, unit_grid):
         with pytest.raises(ConfigurationError):
             indicator_datum(unit_grid, 1.0, (0.5, 0.5, 1.5, 1.0))

@@ -140,6 +140,15 @@ class TestSampleKernel:
         with pytest.raises(ConfigurationError, match="does not fit"):
             sample_kernel(bump_kernel(0.75), g)
 
+    @pytest.mark.parametrize("half_width", [np.nan, np.inf, 0.0, -0.25])
+    def test_bad_half_width_rejected(self, half_width):
+        with pytest.raises(ConfigurationError, match="half width"):
+            bump_kernel(half_width)
+        with pytest.raises(ConfigurationError, match="half width"):
+            KernelSpec(fx=_lopsided, dfx=_lopsided_deriv, fy=_lopsided,
+                       dfy=_lopsided_deriv, half_width_x=0.5,
+                       half_width_y=half_width)
+
 
 class TestConvolve:
     def test_zero_field(self, unit_grid, unit_kernel):

@@ -12,6 +12,8 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
                        cost_and_gradient, gateaux_benchmark, gateaux_residual,
                        linear_speed_law, make_grid, run, sample_kernel,
                        solve_linearized, split_step)
+from crowdflow import linearized, velocity
+from crowdflow.kernel import convolve
 from crowdflow.linearized import _linearized_step
 
 
@@ -187,8 +189,9 @@ class TestGateauxResidual:
         with pytest.raises(ConfigurationError):
             gateaux_residual(model, f, f, model.t_max, [0.0])
 
-    @pytest.mark.parametrize("hs", [[], [0.1, -0.05], [0.1, float("nan")]],
-                             ids=["empty", "negative", "nan"])
+    @pytest.mark.parametrize("hs", [[], [0.1, -0.05], [0.1, float("nan")],
+                                    [float("inf"), 0.1]],
+                             ids=["empty", "negative", "nan", "inf"])
     def test_bad_step_list_rejected(self, hs):
         model = closed_model()
         f = PopulationField.zeros(model.grid, 1)
@@ -207,6 +210,40 @@ class TestGateauxResidual:
         hs = [0.2, 0.1, 0.05, 0.025]
         assert gateaux_residual(model, rho0, sigma0, 0.2, hs) \
             == stored_trajectory_residual(model, rho0, sigma0, hs)
+
+    def test_pinned_at_mesh_1_64(self):
+        # per-population convolutions gave these; convolving the sum of
+        # the two populations, which share one kernel, moves the last bits
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 64.0, t_max=0.2)
+        rs = gateaux_residual(model, rho0, sigma0, 0.2,
+                              [0.2, 0.1, 0.05, 0.025])
+        assert rs == pytest.approx([4.411803954120959e-06,
+                                    1.10310200865239e-06,
+                                    2.75794333544099e-07,
+                                    6.8950934423875e-08], rel=1e-9)
+
+    def test_one_convolution_per_shared_kernel_and_pass(self, monkeypatch):
+        # each base step smooths once for its own field and twice in the
+        # linearized step (rho and sigma), and each h's replay once: the
+        # two populations share one kernel, so each pass is one convolution
+        calls, bases = [], []
+
+        def counted(field, k):
+            calls.append(1)
+            return convolve(field, k)
+
+        def keep_base(*args):
+            result = solve_linearized(*args)
+            bases.append(result[0])
+            return result
+
+        monkeypatch.setattr(velocity, "convolve", counted)
+        monkeypatch.setattr(linearized, "solve_linearized", keep_base)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.2)
+        hs = [0.2, 0.1]
+        gateaux_residual(model, rho0, sigma0, 0.2, hs)
+        assert model.kernels[0] is model.kernels[1]
+        assert len(calls) == len(bases[0].reports) * (3 + len(hs))
 
     def test_memory_independent_of_step_count(self):
         # 29 base steps; storing the base run would hold 30 states

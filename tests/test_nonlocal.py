@@ -128,6 +128,11 @@ class TestGradientAvoidance:
         with pytest.raises(ConfigurationError, match="for 1 populations"):
             op(PopulationField.zeros(unit_grid, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_entry_rejected(self, unit_kernel, bad):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            GradientAvoidance([[0.3, 0.7], [bad, 0.3]], unit_kernel)
+
 
 class TestFluxPush:
     def test_zero_density(self, unit_grid, unit_kernel):

@@ -301,6 +301,11 @@ class TestModelSpec:
             local_deviation_model(corridor_grid, t_max=0.1,
                                   snapshot_times=(0.0, np.nan, 0.05))
 
+    @pytest.mark.parametrize("R", [np.nan, np.inf, 0.0])
+    def test_bad_R_rejected(self, corridor_grid, R):
+        with pytest.raises(ConfigurationError, match="R must be positive"):
+            local_deviation_model(corridor_grid, R=R)
+
 
 class TestRun:
     def test_tmax_zero_returns_datum(self, corridor_grid, rng):
@@ -409,6 +414,19 @@ class TestRun:
             1.5 * np.ones((1, corridor_grid.nx, corridor_grid.ny)))
         with pytest.raises(ConfigurationError, match=r"\[0, R\]"):
             run(model, datum)
+
+    @pytest.mark.parametrize("family", [DEVIATION, DIFFERENTIABLE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_datum_rejected(self, corridor_grid, family, bad):
+        model = local_deviation_model(corridor_grid)
+        if family == DIFFERENTIABLE:
+            model = replace(model, family=DIFFERENTIABLE, deviation=None,
+                            kernels=(sample_kernel(bump_kernel(0.5),
+                                                   corridor_grid),))
+        data = np.zeros((1, corridor_grid.nx, corridor_grid.ny))
+        data[0, 40, 30] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            run(model, PopulationField(corridor_grid, data))
 
     def test_strict_mode_raises_on_violation(self, corridor_grid):
         # a compressive transport field with a constant speed, so that

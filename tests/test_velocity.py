@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from crowdflow import (DEVIATION, DIFFERENTIABLE, GradientAvoidance,
-                       ModelSpec, PopulationField, advection_field,
-                       bump_kernel, constant_direction, constant_speed_law,
-                       discomfort, linear_speed_law, make_grid, room_mask,
-                       sample_kernel)
+from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
+                       GradientAvoidance, ModelSpec, PopulationField,
+                       advection_field, bump_kernel, constant_direction,
+                       constant_speed_law, convolve, discomfort,
+                       linear_speed_law, make_grid, room_mask, sample_kernel,
+                       smoothed_total_density)
+from crowdflow import velocity
 
 
 def differentiable_field(state, laws, dirs, kernels):
@@ -52,6 +54,34 @@ class TestSpeedLaw:
         law = constant_speed_law(2.0)
         assert law.dv_sup == 0.0
         assert law.v_sup == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: linear_speed_law(np.nan, 1.0),
+        lambda: linear_speed_law(np.inf, 1.0),
+        lambda: linear_speed_law(-1.0, 1.0),
+        lambda: linear_speed_law(4.0, np.nan),
+        lambda: linear_speed_law(4.0, np.inf),
+        lambda: linear_speed_law(4.0, 0.0),
+        lambda: constant_speed_law(np.nan),
+        lambda: constant_speed_law(np.inf),
+        lambda: constant_speed_law(2.0, np.nan)],
+        ids=["vmax-nan", "vmax-inf", "vmax-negative", "R-nan", "R-inf",
+             "R-zero", "c-nan", "c-inf", "c-R-nan"])
+    def test_bad_parameter_rejected(self, make):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make()
+
+
+class TestConstantDirection:
+    @pytest.mark.parametrize("kw", [
+        dict(gx=np.nan), dict(gy=np.inf), dict(delta_max=np.nan),
+        dict(delta_max=np.inf), dict(delta_max=-0.1), dict(delta_r=np.nan),
+        dict(delta_r=np.inf), dict(delta_r=0.0)],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_parameter_rejected(self, corridor_grid, kw):
+        args = dict(gx=1.0, gy=0.0, delta_max=0.8, delta_r=0.75) | kw
+        with pytest.raises(ConfigurationError, match="finite"):
+            constant_direction(corridor_grid, **args)
 
 
 class TestDiscomfort:
@@ -126,6 +156,43 @@ class TestAssembleDifferentiable:
         state = PopulationField.from_arrays(unit_grid, r, r)
         V = differentiable_field(state, [law, law], [d1, d2], [kern, kern])
         assert np.allclose(np.abs(V[0]), np.abs(V[1]), atol=1e-14)
+
+
+class TestSmoothedTotalDensity:
+    @staticmethod
+    def count_convolutions(monkeypatch):
+        calls = []
+
+        def counted(field, k):
+            calls.append(id(k))
+            return convolve(field, k)
+
+        monkeypatch.setattr(velocity, "convolve", counted)
+        return calls
+
+    def test_shared_kernel_convolves_once(self, unit_grid, unit_kernel, rng,
+                                          monkeypatch):
+        data = rng.random((3, unit_grid.nx, unit_grid.ny))
+        state = PopulationField(unit_grid, data)
+        ref = sum(convolve(r, unit_kernel) for r in data)
+        calls = self.count_convolutions(monkeypatch)
+        out = smoothed_total_density(state, [unit_kernel] * 3)
+        assert calls == [id(unit_kernel)]
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_distinct_kernels_are_the_per_population_sum(self, unit_grid,
+                                                         rng, monkeypatch):
+        kernels = [sample_kernel(bump_kernel(w), unit_grid)
+                   for w in (0.25, 0.125)]
+        data = rng.random((2, unit_grid.nx, unit_grid.ny))
+        state = PopulationField(unit_grid, data)
+        ref = np.zeros((unit_grid.nx, unit_grid.ny))
+        for r, k in zip(data, kernels):
+            ref += convolve(r, k)
+        calls = self.count_convolutions(monkeypatch)
+        out = smoothed_total_density(state, kernels)
+        assert calls == [id(k) for k in kernels]
+        assert np.array_equal(out, ref)
 
 
 class TestAssembleDeviation:
