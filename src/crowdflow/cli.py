@@ -23,7 +23,7 @@ from .analysis import (ParameterDeltas, aggregate_inputs, bound_inputs_for,
 from .config import RunConfig, parse_config, preset
 from .errors import BoundViolationError, ConfigurationError, NumericError
 from .grid import PopulationField, norms
-from .linearized import gateaux_benchmark, gateaux_residual
+from .linearized import check_steps, gateaux_benchmark, gateaux_residual
 from .solver import DEVIATION, ModelSpec, run
 
 def _float_list(text: str) -> list[float]:
@@ -102,6 +102,34 @@ def load_config(args) -> RunConfig:
 # output
 
 
+def _write_rows(fh, rows) -> None:
+    """Write one block as np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+    does, byte for byte, one line at a time.
+
+    A 1-D block is one value per line.  The runs of +0.0 (tested by bit
+    pattern, so -0.0 still prints "-0") at either end of a row are
+    written as cached "0"s, a row of all +0.0 as one cached line; only
+    the span between them goes through "%.17g".
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    n = rows.shape[1]
+    nonzero = rows.view(np.int64) != 0
+    first = nonzero.argmax(axis=1).tolist()
+    end = (n - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    # 2k chars of lead or trail are k zeros, 6k - 1 of fmt k formats
+    lead, trail, fmt = "0," * n, ",0" * n, "%.17g," * n
+    zero_line = trail[1:] + "\n"
+    for row, any_, a, b in zip(rows, nonzero.any(axis=1).tolist(), first,
+                               end):
+        if not any_:
+            fh.write(zero_line)
+            continue
+        fh.write(lead[:2 * a] + fmt[:6 * (b - a) - 1]
+                 % tuple(row[a:b].tolist()) + trail[:2 * (n - b)] + "\n")
+
+
 def _write_table(path: str, header: str, *blocks) -> None:
     """CSV file: the header line, then the rows of each block, every value
     as "%.17g" (an integral value prints as an integer).  Deterministic."""
@@ -109,7 +137,7 @@ def _write_table(path: str, header: str, *blocks) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write(header + "\n")
             for rows in blocks:
-                np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+                _write_rows(fh, rows)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}")
 
@@ -260,6 +288,7 @@ def _cmd_run(args, with_bounds: bool) -> int:
 
 
 def _cmd_gateaux(args) -> int:
+    check_steps(args.hs)  # before the output directory is made
     model, rho0, sigma0 = gateaux_benchmark(args.mesh, args.tmax)
     path = os.path.join(_make_out_dir(args.out), "gateaux.csv")
     rs = gateaux_residual(model, rho0, sigma0, args.tmax, args.hs)

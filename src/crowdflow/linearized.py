@@ -83,6 +83,14 @@ def solve_linearized(model: ModelSpec, rho0: PopulationField,
     return result, sigma
 
 
+def check_steps(hs: Sequence[float]) -> None:
+    """Raise ConfigurationError unless hs is a nonempty list of finite
+    positive perturbation sizes."""
+    if not hs or not all(0 < h < math.inf for h in hs):
+        raise ConfigurationError(
+            f"need finite positive perturbation sizes, got {hs}")
+
+
 def gateaux_residual(model: ModelSpec, rho0: PopulationField,
                      sigma0: PopulationField, t: float,
                      hs: Sequence[float]) -> list[float]:
@@ -94,9 +102,7 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     the base run's dt sequence.
     """
     _require_differentiable(model)
-    if not hs or not all(0 < h < math.inf for h in hs):
-        raise ConfigurationError(
-            f"need finite positive perturbation sizes, got {hs}")
+    check_steps(hs)
     base, sigma_t = solve_linearized(model, rho0, sigma0, t)
     dts = [r.dt for r in base.reports]
     rs = []

@@ -195,7 +195,8 @@ def _sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
     f = qfun(rho) * a
     if e is not None:
         f += e
-    F = np.empty((rho.shape[0] + 1, rho.shape[1]))
+    # in rho's own layout, so the y sweep's F-order view is not transposed
+    F = np.empty_like(rho, shape=(rho.shape[0] + 1, rho.shape[1]))
     F[1:-1] = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (rho[1:] - rho[:-1])
     F[0] = np.where(exit_lo & (a[0] < 0), f[0],
                     0.5 * f[0] - 0.5 * lam * rho[0])

@@ -1,12 +1,17 @@
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import crowdflow
 from crowdflow import (ConfigurationError, PopulationField,
@@ -14,7 +19,8 @@ from crowdflow import (ConfigurationError, PopulationField,
                        preset, run)
 from crowdflow import cli
 from crowdflow.analysis import sup_gradient
-from crowdflow.cli import _write_table, main, read_snapshot, write_snapshot
+from crowdflow.cli import (_write_rows, _write_table, main, read_snapshot,
+                           write_snapshot)
 from crowdflow.grid import make_grid
 
 
@@ -179,6 +185,91 @@ class TestWriteTable:
             for row in rows + [[2 * v for v in rows[1]]])
         assert path.read_bytes() == oracle.encode()
 
+    @staticmethod
+    def savetxt_bytes(header, *blocks):
+        """Test oracle: the header line, then np.savetxt of each block."""
+        buf = io.BytesIO()
+        buf.write((header + "\n").encode())
+        for rows in blocks:
+            np.savetxt(buf, rows, fmt="%.17g", delimiter=",")
+        return buf.getvalue()
+
+    def assert_matches_savetxt(self, tmp_path, *blocks):
+        path = tmp_path / "t.csv"
+        _write_table(str(path), "a,b", *blocks)
+        assert path.read_bytes() == self.savetxt_bytes("a,b", *blocks)
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((3, 5)),
+        [[0, 0, 1.5, 0, 2, 0, 0], [0, 3, 0, 0, 0, 0, 0],
+         [7, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 2]],
+        [[-0.0, 0, 1, 0, -0.0], [-0.0] * 5, [0, 0, 0, 0, -0.0],
+         [-0.0, 0, 0, 0, 0]],
+        [[np.nan, 0, 0, np.inf], [-np.inf, 0, 0, 5e-324],
+         [5e-324, 0, 0, np.nan], [0, 0, -5e-324, 0], [0, np.nan, np.inf, 0]],
+        [[0.0], [-0.0], [1.5], [0.0], [np.nan]],
+        np.array([0.0, -0.0, 2.5, 0.0, np.nan, 1e-300]),
+        np.array([]),
+        [],
+        np.zeros((0, 4)),
+        [[3, 160, -8.0, -4.0, 0.05, 0.05, 0.1]],
+    ], ids=["all-zero", "zero-runs", "negative-zero", "non-finite-ends",
+            "one-column", "1d", "empty-1d", "empty-list", "no-rows",
+            "integral-values"])
+    def test_matches_savetxt(self, tmp_path, rows):
+        self.assert_matches_savetxt(tmp_path, rows)
+
+    def test_transposed_view_matches_savetxt(self, tmp_path, rng):
+        data = rng.random((12, 7))
+        data[:4] = 0.0
+        data[:, -2:] = 0.0
+        data[6, 3] = -0.0
+        view = data.T  # not C-contiguous, as a snapshot's state.data[i].T
+        assert not view.flags.c_contiguous
+        self.assert_matches_savetxt(tmp_path, [[1, 2]], view, view[::2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        st.one_of(st.tuples(st.integers(0, 9)),
+                  st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        elements=st.one_of(
+            st.sampled_from([0.0, 0.0, -0.0, np.nan, np.inf, -np.inf]),
+            st.floats())),
+        st.booleans())
+    def test_property_matches_savetxt(self, rows, transpose):
+        if transpose:
+            rows = rows.T
+        buf = io.StringIO()
+        _write_rows(buf, rows)
+        assert buf.getvalue().encode() == self.savetxt_bytes("", rows)[1:]
+
+    def test_crossing_snapshot_matches_savetxt(self, tmp_path):
+        model, datum = preset("crossing").with_mesh(0.2).build()
+        state = run(replace(model, t_max=0.1, snapshot_times=()),
+                    datum).state
+        g = state.grid
+        meta = [[g.nx, g.ny, g.x0, g.y0, g.dx, g.dy, 0.1]]
+        for i, path in enumerate(write_snapshot(state, 0.1, str(tmp_path))):
+            assert Path(path).read_bytes() == self.savetxt_bytes(
+                "nx,ny,x0,y0,dx,dy,t", meta, state.data[i].T)
+
+    @pytest.mark.parametrize("field", ["datum", "random"])
+    def test_snapshot_streams_its_rows(self, tmp_path, rng, field):
+        # a 640x320 population is 1.6 MB of doubles and more than 1 MB of
+        # text; a writer that built the whole table would exceed the bound
+        model, datum = preset("crossing").build()
+        if field == "random":
+            datum = PopulationField(model.grid, rng.random(datum.data.shape))
+        assert (datum.grid.nx, datum.grid.ny) == (640, 320)
+        tracemalloc.start()
+        try:
+            write_snapshot(datum, 0.0, str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < datum.data[0].nbytes / 2
+
 
 class TestMain:
     def test_run_crossing(self, tmp_path, capsys):
@@ -250,6 +341,16 @@ class TestMain:
             assert main(["gateaux", "--mesh", "0.125", "--tmax", "0.05",
                          "--out", str(tmp_path), "--hs", hs]) == 1
             assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hs", ["inf,0.1", ""], ids=["inf", "empty"])
+    def test_gateaux_bad_hs_leaves_no_directory(self, tmp_path, capsys,
+                                                monkeypatch, hs):
+        monkeypatch.setattr(cli, "gateaux_residual", _solver_must_not_start)
+        out = tmp_path / "out"
+        assert main(["gateaux", "--mesh", "0.0625", "--out", str(out),
+                     "--hs", hs]) == 1
+        assert "configuration error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gateaux_data_nonnegative_no_warning(self, tmp_path, capsys):
         # rho0 + h sigma0 >= 0 keeps the speed-argument clamp out of the

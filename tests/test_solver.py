@@ -289,6 +289,25 @@ class TestApplyBoundary:
             assert np.array_equal(new, ref)
             assert out == ref_out
 
+    def test_transposed_view_gives_the_same_bits(self, corridor_grid, rng):
+        # the y sweep gets F-order views; a C-order copy of the same
+        # values must give the same field and outflow bit for bit
+        _, (exit_lo, exit_hi, walls) = _boundary_layout(corridor_grid)
+        law = linear_speed_law(4.0, 1.0)
+        shape = (corridor_grid.nx, corridor_grid.ny)
+        for qfun, with_e in ((law.q, False), (_linear_flux, True)):
+            rho, a, e = (rng.random(shape), rng.uniform(-1.0, 1.0, shape),
+                         rng.uniform(-0.5, 0.5, shape))
+            e = e.T if with_e else None
+            view, view_out = _sweep(rho.T, a.T, qfun, 12.5, exit_lo,
+                                    exit_hi, walls, e)
+            copy, copy_out = _sweep(
+                np.ascontiguousarray(rho.T), np.ascontiguousarray(a.T),
+                qfun, 12.5, exit_lo, exit_hi, walls,
+                None if e is None else np.ascontiguousarray(e))
+            assert np.array_equal(view, copy)
+            assert view_out == copy_out
+
 
 class TestModelSpec:
     @pytest.mark.parametrize("t_max", [np.nan, np.inf])
