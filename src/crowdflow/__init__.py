@@ -9,8 +9,9 @@ and total-variation envelopes).  The `cli` module exposes the
 """
 
 from .analysis import (BoundInputs, InvarianceReport, ParameterDeltas,
-                       StabilityBound, aggregate_inputs, bound_inputs_for,
-                       bounds_differentiable, check_invariance,
+                       RunningEnvelope, StabilityBound, aggregate_inputs,
+                       bound_inputs_for, bounds_differentiable,
+                       check_invariance,
                        direction_norms, estimate_ci, kappa0, kernel_norms,
                        stability_bound_deviation,
                        stability_bound_differentiable, sup_gradient,

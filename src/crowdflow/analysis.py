@@ -6,7 +6,8 @@ are normal.  Exponents can exceed float range for rough data; the
 stability evaluator therefore also reports the bound in log space.
 The envelope inputs are measured here too: the sup of grad V, the
 direction-field norms and the sampled C_I (estimate_ci) all differentiate
-on the grid by one central-difference rule.
+on the grid by one central-difference rule, and RunningEnvelope keeps
+the running sup of grad V along a run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ConfigurationError, EstimationError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import NonlocalOperator
-from .solver import DEVIATION, ModelSpec, RunResult
+from .solver import DEVIATION, ModelSpec, RunResult, StepReport
 from .velocity import DirectionField
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
@@ -278,16 +279,36 @@ def check_invariance(model: ModelSpec, result: RunResult,
 # _diff, second-order central differences (one-sided at the edges)
 
 
-def _diff(f: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    return np.gradient(f, grid.dx if axis == 0 else grid.dy, axis=axis)
+def _diff(f: np.ndarray, grid: GridSpec, axis: int,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """d f / d(axis) of an (nx, ny) array, into out when given: central
+    differences inside, one-sided ones at the two edges (np.gradient's
+    rule and arithmetic, bit for bit)."""
+    h = grid.dx if axis == 0 else grid.dy
+    if f.shape[axis] < 2:
+        raise ValueError("differences need 2 cells along the axis")
+    if out is None:
+        out = np.empty(f.shape)
+    src, dst = (f, out) if axis == 0 else (f.T, out.T)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    dst[1:-1] /= 2.0 * h
+    np.subtract(src[1], src[0], out=dst[0])
+    dst[0] /= h
+    np.subtract(src[-1], src[-2], out=dst[-1])
+    dst[-1] /= h
+    return out
 
 
-def _jacobian_norm1(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """|d0 u0| + |d1 u0| + |d0 u1| + |d1 u1|, added in that order."""
-    total = np.zeros(u.shape[1:])
-    for comp in u:
-        for axis in (0, 1):
-            total += np.abs(_diff(comp, grid, axis))
+def _jacobian_norm1(u: np.ndarray, grid: GridSpec,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """|d0 u0| + |d1 u0| + |d0 u1| + |d1 u1|, added in that order.
+
+    work, a (2, nx, ny) array, holds the sum (returned) and each term.
+    """
+    total, term = np.empty((2,) + u.shape[1:]) if work is None else work
+    np.abs(_diff(u[0], grid, 0, out=total), out=total)
+    for comp, axis in ((u[0], 1), (u[1], 0), (u[1], 1)):
+        total += np.abs(_diff(comp, grid, axis, out=term), out=term)
     return total
 
 
@@ -305,18 +326,29 @@ def _gradient_norm1(f: np.ndarray, grid: GridSpec) -> np.ndarray:
 # norm helpers feeding BoundInputs
 
 
-def sup_gradient(V: np.ndarray, grid: GridSpec) -> float:
+def sup_gradient(V: np.ndarray, grid: GridSpec,
+                 out: np.ndarray | None = None) -> float:
     """Sup over cells of the entrywise 1-norm of the velocity Jacobian.
 
-    Accepts (2, nx, ny) or (n, 2, nx, ny); central differences.
+    Accepts (2, nx, ny) or (n, 2, nx, ny); central differences.  out, a
+    (2, nx, ny) array, is the scratch of the differences and their sum.
     """
     if V.ndim == 3:
         V = V[None]
-    return max(0.0, *(float(_jacobian_norm1(vi, grid).max()) for vi in V))
+    return max(0.0, *(float(_jacobian_norm1(vi, grid, out).max())
+                      for vi in V))
+
+
+_SCAN_ROWS = 32  # rows per block of the kernel_norms scan
 
 
 def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
-    """Sup norms of eta and its first two derivatives by dense scan."""
+    """Sup norms of eta and its first two derivatives by dense scan.
+
+    The samples x samples products are scanned _SCAN_ROWS rows at a
+    time, so no temporary outgrows one block.  Each maximum is exact,
+    hence the same floats as one dense scan.
+    """
     xs = np.linspace(-spec.half_width_x, spec.half_width_x, samples)
     ys = np.linspace(-spec.half_width_y, spec.half_width_y, samples)
     ax, dax = spec.fx(xs), spec.dfx(xs)
@@ -324,15 +356,28 @@ def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
     ddax = np.gradient(dax, xs)
     ddby = np.gradient(dby, ys)
     eta_sup = float(np.abs(ax).max() * np.abs(by).max())
-    grad = (np.abs(dax)[:, None] * np.abs(by)[None, :]
-            + np.abs(ax)[:, None] * np.abs(dby)[None, :])
-    grad_eta_sup = float(grad.max())
-    hess = (np.abs(ddax)[:, None] * np.abs(by)[None, :]
-            + 2.0 * np.abs(dax)[:, None] * np.abs(dby)[None, :]
-            + np.abs(ax)[:, None] * np.abs(ddby)[None, :])
-    hess_eta_sup = float(hess.max())
-    return dict(eta_sup=eta_sup, grad_eta_sup=grad_eta_sup,
-                hess_eta_sup=hess_eta_sup)
+    # x factors as columns, so that a block of rows broadcasts against y
+    ax, dax, ddax = (np.abs(v)[:, None] for v in (ax, dax, ddax))
+    by, dby, ddby = np.abs(by), np.abs(dby), np.abs(ddby)
+    dax2 = 2.0 * dax  # the mixed Hessian term is (2 |a'|) |b'|
+    acc = np.empty((min(_SCAN_ROWS, samples), samples))
+    term = np.empty_like(acc)
+    grad_max, hess_max = [], []
+    for i0 in range(0, samples, _SCAN_ROWS):
+        rows = slice(i0, i0 + _SCAN_ROWS)
+        m = min(_SCAN_ROWS, samples - i0)
+        a, t = acc[:m], term[:m]
+        # |eta_x| + |eta_y|
+        np.multiply(dax[rows], by, out=a)
+        a += np.multiply(ax[rows], dby, out=t)
+        grad_max.append(a.max())
+        # |eta_xx| + 2 |eta_xy| + |eta_yy|
+        np.multiply(ddax[rows], by, out=a)
+        a += np.multiply(dax2[rows], dby, out=t)
+        a += np.multiply(ax[rows], ddby, out=t)
+        hess_max.append(a.max())
+    return dict(eta_sup=eta_sup, grad_eta_sup=float(np.max(grad_max)),
+                hess_eta_sup=float(np.max(hess_max)))
 
 
 def direction_norms(direction: DirectionField, grid: GridSpec) -> dict:
@@ -410,7 +455,7 @@ def bound_inputs_for(model: ModelSpec,
     Kernel and direction norms come from dense scans / grid differences
     (each distinct kernel is scanned once); the nonlocal Lipschitz
     constants are empirical lower bounds from a small sample family;
-    grad_v_sup starts at 0 and is meant to be updated with the running
+    grad_v_sup starts at 0, and RunningEnvelope keeps it at the running
     maximum of the advection field's gradient.
     """
     rec = norms(datum)
@@ -440,6 +485,42 @@ def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
     return BoundInputs(d=per_pop[0].d, n1=per_pop[0].n1,
                        linf0=max(b.linf0 for b in per_pop),
                        tv0=sum(b.tv0 for b in per_pop), **params)
+
+
+class RunningEnvelope:
+    """The BoundInputs of one configuration, kept current along its runs.
+
+    inputs holds one BoundInputs per population, measured by
+    bound_inputs_for(model, datum).  Their grad_v_sup starts at 0;
+    on_step(report, state, W), a run's on_step callback, raises it to the
+    running sup of sup_gradient(W), so that an envelope evaluated after a
+    step covers every field so far.  One object may follow several runs
+    of the same model (the stability check's pair).
+    """
+
+    def __init__(self, model: ModelSpec, datum: PopulationField):
+        self.grid = model.grid
+        self.inputs = bound_inputs_for(model, datum)
+        # sup_gradient's scratch, made at the first step: made here, before
+        # the run, it moved the heap so that evacuation runs at mesh 0.05
+        # took 4.6x the minor page faults on some output paths
+        self._work: np.ndarray | None = None
+
+    @property
+    def grad_v_sup(self) -> float:
+        return self.inputs[0].grad_v_sup
+
+    def on_step(self, report: StepReport, state: PopulationField,
+                W: np.ndarray) -> None:
+        if self._work is None:
+            self._work = np.empty((2,) + W.shape[-2:])
+        sup = max(self.grad_v_sup, sup_gradient(W, self.grid, self._work))
+        for bi in self.inputs:
+            bi.grad_v_sup = sup
+
+    def aggregate(self) -> BoundInputs:
+        """aggregate_inputs of the current inputs."""
+        return aggregate_inputs(self.inputs)
 
 
 def _exp(x: float) -> float:

@@ -17,9 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis
-from .analysis import (ParameterDeltas, aggregate_inputs, bound_inputs_for,
-                       stability_bound_deviation, sup_gradient,
-                       tv_bound_deviation)
+from .analysis import (ParameterDeltas, RunningEnvelope,
+                       stability_bound_deviation, tv_bound_deviation)
 from .config import RunConfig, parse_config, preset
 from .errors import BoundViolationError, ConfigurationError, NumericError
 from .grid import PopulationField, norms
@@ -213,19 +212,18 @@ def _cmd_run(args, with_bounds: bool) -> int:
     model, datum = cfg.build()
     _check_snapshot_names(model)
     _make_out_dir(cfg.out_dir)
-    inputs = bound_inputs_for(model, datum)
+    envelope = RunningEnvelope(model, datum)
+    inputs = envelope.inputs
 
     diag_path = os.path.join(cfg.out_dir, "diagnostics.csv")
     header = ["t", "dt"] + [f"{name}_{i + 1}" for i in range(model.n)
                             for name in ("mass", "linf", "tv", "tv_bound",
                                          "escaped")]
-    state_tracker = {"grad_v_sup": 0.0}
     diag_rows, bound_rows = [], []
 
     def tv_bounds_at(t: float) -> list[float]:
         vals = []
         for bi in inputs:
-            bi.grad_v_sup = state_tracker["grad_v_sup"]
             if model.family == DEVIATION:
                 vals.append(tv_bound_deviation(t, bi))
             else:
@@ -239,8 +237,7 @@ def _cmd_run(args, with_bounds: bool) -> int:
         diag_rows.append([t, dt, *per_pop.ravel()])
 
     def on_step(report, state, W):
-        state_tracker["grad_v_sup"] = max(
-            state_tracker["grad_v_sup"], sup_gradient(W, model.grid))
+        envelope.on_step(report, state, W)
         if report.step % cfg.diag_every == 0:
             diag_row(report.t, report.dt, state, report.escaped)
 
@@ -326,21 +323,16 @@ def _cmd_stability(args) -> int:
                        + [model.t_max]))
     model = replace(model, snapshot_times=tuple(times))
     states1, states2 = {}, {}
-    grad_v_sup = 0.0  # sup of the velocity gradient over both runs
-
-    def on_step(report, state, W):
-        nonlocal grad_v_sup
-        grad_v_sup = max(grad_v_sup, sup_gradient(W, model.grid))
-
-    run(model, datum1, on_step=on_step,
+    # one envelope follows both runs: its sup of grad V covers both
+    envelope = RunningEnvelope(model, datum1)
+    run(model, datum1, on_step=envelope.on_step,
         on_snapshot=lambda t, s: states1.setdefault(t, s.copy()))
-    run(model, datum2, on_step=on_step,
+    run(model, datum2, on_step=envelope.on_step,
         on_snapshot=lambda t, s: states2.setdefault(t, s.copy()))
 
     # both runs share every model parameter and the envelope reads only
     # parameter norms from the second run's inputs: one aggregate serves both
-    agg = aggregate_inputs(bound_inputs_for(model, datum1))
-    agg.grad_v_sup = grad_v_sup
+    agg = envelope.aggregate()
     drho0 = float(np.abs(datum1.data - datum2.data).sum()) * model.grid.cell_area
     deltas = ParameterDeltas(drho0_l1=drho0)
 

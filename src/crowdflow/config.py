@@ -140,12 +140,12 @@ def preset(name: str) -> RunConfig:
 # [kernel], [output]; a `preset` key in [model] seeds the configuration and
 # every other key overrides it field by field.
 
-_GRID_KEYS = {"bounds", "mesh", "dx", "dy", "room", "exits"}
-_MODEL_KEYS = {"preset", "family", "tmax", "cfl", "strict", "r",
-               "snapshot_times"}
-_POP_KEYS = {"vmax", "gx", "gy", "eps", "datum"}
-_KERNEL_KEYS = {"half_width", "normalize"}
-_OUTPUT_KEYS = {"dir", "diag_every"}
+_GRID_KEYS = frozenset({"bounds", "mesh", "dx", "dy", "room", "exits"})
+_MODEL_KEYS = frozenset({"preset", "family", "tmax", "cfl", "strict", "r",
+                         "snapshot_times"})
+_POP_KEYS = frozenset({"vmax", "gx", "gy", "eps", "datum"})
+_KERNEL_KEYS = frozenset({"half_width", "normalize"})
+_OUTPUT_KEYS = frozenset({"dir", "diag_every"})
 
 
 def parse_config(path: str) -> RunConfig:
@@ -190,7 +190,7 @@ def parse_config(path: str) -> RunConfig:
     return cfg
 
 
-def _check_keys(section: str, got: dict, allowed: set) -> None:
+def _check_keys(section: str, got: dict, allowed: frozenset) -> None:
     for key in got:
         if key not in allowed:
             raise ConfigurationError(

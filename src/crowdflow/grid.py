@@ -195,11 +195,17 @@ def norms(fld: PopulationField) -> NormRecord:
     TV uses forward differences: sum |r[i+1,j]-r[i,j]| dy + |r[i,j+1]-r[i,j]| dx.
     """
     g = fld.grid
-    for i in range(fld.n):
-        if not np.all(np.isfinite(fld.data[i])):
-            raise NumericError(f"non-finite value in population {i}")
-    l1 = np.abs(fld.data).sum(axis=(1, 2)) * g.cell_area
-    linf = np.abs(fld.data).max(axis=(1, 2))
-    dxdiff = np.abs(np.diff(fld.data, axis=1)).sum(axis=(1, 2)) * g.dy
-    dydiff = np.abs(np.diff(fld.data, axis=2)).sum(axis=(1, 2)) * g.dx
+    finite = np.isfinite(fld.data).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(
+            f"non-finite value in population {int(finite.argmin())}")
+    # one stack-sized temporary at a time, each |.| taken in place
+    absolute = np.abs(fld.data)
+    l1 = absolute.sum(axis=(1, 2)) * g.cell_area
+    linf = absolute.max(axis=(1, 2))
+    del absolute
+    d = np.diff(fld.data, axis=1)
+    dxdiff = np.abs(d, out=d).sum(axis=(1, 2)) * g.dy
+    d = np.diff(fld.data, axis=2)
+    dydiff = np.abs(d, out=d).sum(axis=(1, 2)) * g.dx
     return NormRecord(l1=l1, linf=linf, tv=dxdiff + dydiff)

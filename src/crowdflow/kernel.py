@@ -163,16 +163,21 @@ def convolve(field: np.ndarray, k: SampledKernel) -> np.ndarray:
     return _sandwich(k.A, field, k.B, k, np.empty(field.shape))
 
 
-def convolve_gradient(field: np.ndarray, k: SampledKernel) -> np.ndarray:
+def convolve_gradient(field: np.ndarray, k: SampledKernel,
+                      out: np.ndarray | None = None,
+                      left: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the convolved field, shape (2, nx, ny).
 
     Computed as field * grad(eta) with analytically differentiated kernel
-    factors: x component uses (Ax, B), y component uses (A, By).
+    factors: x component uses (Ax, B), y component uses (A, By).  The
+    result goes into out and the left products into left, when given:
+    arrays of shape (2, nx, ny) and (nx, ny).
     """
     _check_shape(field, k)
-    out = np.empty((2,) + field.shape)
-    _sandwich(k.Ax, field, k.B, k, out[0])
-    _sandwich(k.A, field, k.By, k, out[1])
+    if out is None:
+        out = np.empty((2,) + field.shape)
+    _sandwich(k.Ax, field, k.B, k, out[0], left)
+    _sandwich(k.A, field, k.By, k, out[1], left)
     return out
 
 
@@ -194,9 +199,11 @@ def _band_left(M: np.ndarray, X: np.ndarray, b: int,
 
 
 def _sandwich(L: np.ndarray, field: np.ndarray, R: np.ndarray,
-              k: SampledKernel, out: np.ndarray) -> np.ndarray:
-    """out = (L @ field) @ R for x-axis L and y-axis R of the kernel k."""
-    left = _band_left(L, field, k.bandwidth_x)
+              k: SampledKernel, out: np.ndarray,
+              left: np.ndarray | None = None) -> np.ndarray:
+    """out = (L @ field) @ R for x-axis L and y-axis R of the kernel k,
+    with L @ field in left when given."""
+    left = _band_left(L, field, k.bandwidth_x, out=left)
     _band_left(R.T, left.T, k.bandwidth_y, out=out.T)
     return out
 

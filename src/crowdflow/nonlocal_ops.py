@@ -27,10 +27,15 @@ from .velocity import DirectionField, SpeedLaw
 NonlocalOperator = Callable[[PopulationField], np.ndarray]
 
 
-def saturate(u: np.ndarray) -> np.ndarray:
-    """Cellwise u / sqrt(1 + |u|^2); output magnitude strictly below 1."""
-    mag2 = u[0] ** 2 + u[1] ** 2
-    return u / np.sqrt(1.0 + mag2)[None, :, :]
+def saturate(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cellwise u / sqrt(1 + |u|^2); output magnitude strictly below 1.
+
+    out may be u itself.
+    """
+    mag2 = u[0] ** 2
+    mag2 += u[1] ** 2
+    mag2 += 1.0
+    return np.divide(u, np.sqrt(mag2, out=mag2)[None, :, :], out=out)
 
 
 def gradient_avoidance(state: PopulationField, eps: np.ndarray,
@@ -39,18 +44,23 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
 
     Each saturated gradient is computed once, and only for a nonzero
     column of the (n, n) matrix eps; the terms are summed in j order.
-    |I_i| is at most sum_j |eps_ij|.
+    |I_i| is at most sum_j |eps_ij|.  The call reuses one gradient
+    buffer, saturated in place, and one grid-sized scratch for the left
+    products and every eps term.
     """
     n, g = state.n, state.grid
     if eps.shape != (n, n):
         raise ConfigurationError(
             f"avoidance matrix of shape {eps.shape} for {n} populations")
     out = np.zeros((n, 2, g.nx, g.ny))
+    G = np.empty((2, g.nx, g.ny))
+    scratch = np.empty((g.nx, g.ny))
     for j in range(n):
         if eps[:, j].any():
-            G = saturate(convolve_gradient(state.data[j], k))
+            saturate(convolve_gradient(state.data[j], k, G, scratch), out=G)
             for i in range(n):
-                out[i] -= eps[i, j] * G
+                for c in (0, 1):
+                    out[i, c] -= np.multiply(eps[i, j], G[c], out=scratch)
     return out
 
 

@@ -160,7 +160,8 @@ def cfl_dt(state: PopulationField, V: np.ndarray, laws: Sequence[SpeedLaw],
     smax = 0.0
     for i in range(state.n):
         slope = 1.0 if linear_flux else laws[i].dq_sup
-        s = slope * float(np.abs(V[i]).max())
+        # max|V_i| without a |V_i| array; np.maximum keeps a NaN
+        s = slope * float(np.maximum(V[i].max(), -V[i].min()))
         if not np.isfinite(s):
             raise NumericError(f"non-finite wave speed in population {i}")
         smax = max(smax, s)
@@ -177,8 +178,8 @@ def _linear_flux(rho: np.ndarray) -> np.ndarray:
 
 def _sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
            exit_lo: np.ndarray, exit_hi: np.ndarray,
-           wall_faces: np.ndarray,
-           e: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+           wall_faces: np.ndarray, e: np.ndarray | None = None,
+           F: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """One conservative LxF sweep along axis 0 of the flux f = q(rho) a + e.
 
     Interior faces take the LxF flux of their two cells.  An edge face on
@@ -188,50 +189,70 @@ def _sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
     nothing.  Returns the new field and the net outgoing boundary flux
     (per unit time and unit transverse length).  A population whose flux
     vanishes identically is left untouched: LxF diffusion alone would
-    still spread it.
+    still spread it.  F, when given, receives the face fluxes.
     """
     if not a.any() and (e is None or not e.any()):
         return rho, 0.0
     f = qfun(rho) * a
     if e is not None:
         f += e
-    # in rho's own layout, so the y sweep's F-order view is not transposed
-    F = np.empty_like(rho, shape=(rho.shape[0] + 1, rho.shape[1]))
-    F[1:-1] = 0.5 * (f[:-1] + f[1:]) - 0.5 * lam * (rho[1:] - rho[:-1])
+    if F is None:  # in rho's own layout, as _face_buffers gives it
+        F = np.empty_like(rho, shape=(rho.shape[0] + 1, rho.shape[1]))
+    # interior faces: 0.5 (f[:-1] + f[1:]) - 0.5 lam (rho[1:] - rho[:-1])
+    mid = F[1:-1]
+    np.add(f[:-1], f[1:], out=mid)
+    mid *= 0.5
     F[0] = np.where(exit_lo & (a[0] < 0), f[0],
                     0.5 * f[0] - 0.5 * lam * rho[0])
     F[-1] = np.where(exit_hi & (a[-1] > 0), f[-1],
                      0.5 * f[-1] + 0.5 * lam * rho[-1])
+    jump = np.subtract(rho[1:], rho[:-1], out=f[:-1])  # f is read no more
+    jump *= 0.5 * lam
+    mid -= jump
     F[wall_faces] = 0.0
-    new = rho - (1.0 / lam) * (F[1:] - F[:-1])
+    # rho - (1 / lam) (F[1:] - F[:-1]), in f's memory
+    new = np.subtract(F[1:], F[:-1], out=f)
+    new *= 1.0 / lam
+    np.subtract(rho, new, out=new)
     out = float(F[-1].sum() - F[0].sum())
     return new, out
 
 
+def _face_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Face-flux buffers of the x and the y sweep, each in the memory
+    layout of the density it sweeps: the y sweep works on transposes."""
+    return (np.empty((grid.nx + 1, grid.ny)),
+            np.empty((grid.nx, grid.ny + 1)).T)
+
+
 def _sweep_xy(rho: np.ndarray, w: np.ndarray, qfun, grid: GridSpec,
               dt: float, e: np.ndarray | None = None,
+              faces: tuple[np.ndarray, np.ndarray] = (None, None),
               ) -> tuple[np.ndarray, float]:
     """x sweep then y sweep of one population with the frozen field w
-    (and additive flux e), both (2, nx, ny).
+    (and additive flux e), both (2, nx, ny), writing the face fluxes into
+    faces (from _face_buffers) when given.
 
     Returns the new density and the mass that crossed the domain
     boundary during the step.
     """
     x_edges, y_edges = _boundary_layout(grid)
     r, out_x = _sweep(rho, w[0], qfun, grid.dx / dt, *x_edges,
-                      None if e is None else e[0])
+                      None if e is None else e[0], faces[0])
     r, out_y = _sweep(r.T, w[1].T, qfun, grid.dy / dt, *y_edges,
-                      None if e is None else e[1].T)
+                      None if e is None else e[1].T, faces[1])
     return r.T, dt * (grid.dy * out_x + grid.dx * out_y)
 
 
 def split_step(state: PopulationField, model: ModelSpec, dt: float,
                W: np.ndarray | None = None,
+               faces: tuple[np.ndarray, np.ndarray] = (None, None),
                ) -> tuple[PopulationField, np.ndarray]:
     """Advance all populations by dt: x sweep then y sweep, frozen W.
 
     Returns the new state and the per-population mass that crossed the
-    domain boundary during the step (positive means outflow).
+    domain boundary during the step (positive means outflow).  faces
+    are face-flux buffers for the sweeps to reuse, as run passes them.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -243,7 +264,8 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
     outflow = np.zeros(state.n)
     for i in range(state.n):
         qfun = _linear_flux if linear else model.laws[i].q
-        new[i], outflow[i] = _sweep_xy(state.data[i], W[i], qfun, g, dt)
+        new[i], outflow[i] = _sweep_xy(state.data[i], W[i], qfun, g, dt,
+                                       faces=faces)
         if not np.all(np.isfinite(new[i])):
             bad = np.argwhere(~np.isfinite(new[i]))[0]
             raise NumericError(
@@ -284,11 +306,12 @@ def run(model: ModelSpec, datum: PopulationField,
     events = [e for e in events if e > 1e-12]
     step = 0
     linear = _flux_is_linear(model)
+    faces = _face_buffers(model.grid)  # the run's, reused by every sweep
     while t < model.t_max - 1e-12:
         W = advection_field(state, model)
         dt = cfl_dt(state, W, model.laws, model.cfl,
                     dt_cap=events[0] - t, linear_flux=linear)
-        state, outflow = split_step(state, model, dt, W)
+        state, outflow = split_step(state, model, dt, W, faces)
         escaped += outflow
         t += dt
         step += 1
@@ -309,4 +332,5 @@ def run(model: ModelSpec, datum: PopulationField,
             if on_snapshot is not None:
                 on_snapshot(events[0], state)
             events.pop(0)
+        del W  # the next field is computed without this one alive
     return RunResult(state=state, reports=reports, escaped=escaped)

@@ -17,7 +17,7 @@ from crowdflow import (DIFFERENTIABLE, CostSpec, ModelSpec, PopulationField,
                        convolve, cost_and_gradient, gateaux_residual,
                        linear_speed_law, make_grid, norms, preset, run,
                        sample_kernel, split_step, tv_bound_deviation, wd)
-from crowdflow.analysis import aggregate_inputs, bound_inputs_for, sup_gradient
+from crowdflow.analysis import RunningEnvelope
 from crowdflow.cli import main
 from crowdflow.linearized import gateaux_benchmark
 
@@ -103,22 +103,17 @@ def test_04_dimensional_constants():
 def test_05_tv_bound_domination():
     snaps = tuple(np.round(np.arange(0.0, 0.51, 0.1), 3))
     model, datum = crossing_model(0.1, 0.5, snaps)
-    agg = aggregate_inputs(bound_inputs_for(model, datum))
-    tracker = {"grad": 0.0}
+    envelope = RunningEnvelope(model, datum)
     rows = []
 
-    def on_step(report, state, W):
-        tracker["grad"] = max(tracker["grad"], sup_gradient(W, model.grid))
-
     def on_snapshot(t, state):
-        rows.append((t, float(norms(state).tv.sum()), tracker["grad"]))
+        rows.append((t, float(norms(state).tv.sum()),
+                     tv_bound_deviation(t, envelope.aggregate())))
 
-    run(model, datum, on_step=on_step, on_snapshot=on_snapshot)
+    run(model, datum, on_step=envelope.on_step, on_snapshot=on_snapshot)
     ok = True
     min_slack = math.inf
-    for t, tv, grad in rows:
-        agg.grad_v_sup = grad
-        bound = tv_bound_deviation(t, agg)
+    for t, tv, bound in rows:
         ok = ok and tv <= bound * (1 + 1e-12)
         if tv > 0:
             min_slack = min(min_slack, bound / tv)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from crowdflow import (BoundInputs, ConfigurationError, NumericError,
-                       ParameterDeltas, PopulationField, aggregate_inputs,
+from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
+                       NumericError, ParameterDeltas, PopulationField,
+                       RunningEnvelope, advection_field, aggregate_inputs,
                        bound_inputs_for,
                        bounds_differentiable,
                        check_invariance, direction_norms, kappa0,
@@ -15,7 +17,8 @@ from crowdflow import (BoundInputs, ConfigurationError, NumericError,
                        stability_bound_deviation,
                        stability_bound_differentiable, sup_gradient,
                        tv_bound_deviation, wd)
-from crowdflow.analysis import LOG_MAX
+from crowdflow.analysis import LOG_MAX, _diff
+from crowdflow.cli import main
 from crowdflow.solver import DEVIATION, ModelSpec
 from crowdflow.nonlocal_ops import GradientAvoidance
 
@@ -355,6 +358,154 @@ class TestNormHelpers:
         for d in model.dirs:
             assert sup_gradient(d.total, model.grid) \
                 == direction_norms(d, model.grid)["vec_grad_sup"]
+
+
+def dense_kernel_norms(spec, samples=1201):
+    """Oracle for kernel_norms: one dense samples x samples scan."""
+    xs = np.linspace(-spec.half_width_x, spec.half_width_x, samples)
+    ys = np.linspace(-spec.half_width_y, spec.half_width_y, samples)
+    ax, dax = spec.fx(xs), spec.dfx(xs)
+    by, dby = spec.fy(ys), spec.dfy(ys)
+    ddax = np.gradient(dax, xs)
+    ddby = np.gradient(dby, ys)
+    eta_sup = float(np.abs(ax).max() * np.abs(by).max())
+    grad = (np.abs(dax)[:, None] * np.abs(by)[None, :]
+            + np.abs(ax)[:, None] * np.abs(dby)[None, :])
+    hess = (np.abs(ddax)[:, None] * np.abs(by)[None, :]
+            + 2.0 * np.abs(dax)[:, None] * np.abs(dby)[None, :]
+            + np.abs(ax)[:, None] * np.abs(ddby)[None, :])
+    return dict(eta_sup=eta_sup, grad_eta_sup=float(grad.max()),
+                hess_eta_sup=float(hess.max()))
+
+
+def skewed_kernel():
+    """A custom kernel: different x and y half widths, an odd dfx (not
+    the derivative of fx) and profiles that are not bumps."""
+    return KernelSpec(fx=lambda x: np.cos(x) ** 2,
+                      dfx=lambda x: x ** 3 - 1.3 * np.sin(2.0 * x),
+                      fy=lambda y: 1.0 - 0.5 * y * y,
+                      dfy=lambda y: -y + 0.1 * y * y,
+                      half_width_x=0.7, half_width_y=1.3)
+
+
+class TestKernelNormsScan:
+    @pytest.mark.parametrize("spec", [bump_kernel(0.25), bump_kernel(0.5),
+                                      bump_kernel(1.0), skewed_kernel()],
+                             ids=["bump0.25", "bump0.5", "bump1", "skewed"])
+    def test_blocked_scan_matches_dense_scan(self, spec):
+        assert kernel_norms(spec) == dense_kernel_norms(spec)
+
+    @pytest.mark.parametrize("samples", [2, 17, 32, 33, 64])
+    def test_any_sample_count(self, samples):
+        # fewer rows than a block, one block, one more, two blocks
+        spec = skewed_kernel()
+        assert kernel_norms(spec, samples) == dense_kernel_norms(spec, samples)
+
+    def test_bounded_memory(self):
+        # the dense 1201 x 1201 scan peaked at 34.8 MB of temporaries
+        kernel_norms(bump_kernel(0.5))  # warm numpy's lazy imports
+        tracemalloc.start()
+        try:
+            kernel_norms(bump_kernel(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+class TestDifferenceRule:
+    def test_matches_numpy_gradient_bitwise(self, corridor_grid, rng):
+        shape = (corridor_grid.nx, corridor_grid.ny)
+        f = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        for axis, h in ((0, corridor_grid.dx), (1, corridor_grid.dy)):
+            want = np.gradient(f, h, axis=axis)
+            assert np.array_equal(_diff(f, corridor_grid, axis), want)
+            out = np.full(shape, np.nan)
+            assert _diff(f, corridor_grid, axis, out=out) is out
+            assert np.array_equal(out, want)
+
+    def test_two_cells_one_sided(self):
+        g = make_grid((0.0, 0.0, 2.0, 1.0), 1.0, 0.5)
+        f = np.array([[1.0, 2.0], [4.0, 8.0]])
+        assert np.array_equal(_diff(f, g, 0), np.gradient(f, 1.0, axis=0))
+        assert np.array_equal(_diff(f, g, 1), np.gradient(f, 0.5, axis=1))
+
+    def test_sup_gradient_scratch_gives_same_bits(self, rng):
+        model, datum = preset("crossing").with_mesh(0.2).build()
+        W = advection_field(datum, model)
+        W *= rng.random(W.shape)
+        work = np.empty((2,) + W.shape[-2:])
+        assert sup_gradient(W, model.grid, work) \
+            == sup_gradient(W, model.grid) \
+            == oracle_sup_gradient(W, model.grid)
+
+
+def oracle_sup_gradient(W, grid):
+    """sup over populations and cells of |d0 W0| + |d1 W0| + |d0 W1| +
+    |d1 W1|, by np.gradient, of an (n, 2, nx, ny) field."""
+    sups = []
+    for V in W:
+        total = np.zeros(V.shape[1:])
+        for comp in V:
+            for axis, h in ((0, grid.dx), (1, grid.dy)):
+                total += np.abs(np.gradient(comp, h, axis=axis))
+        sups.append(float(total.max()))
+    return max(sups)
+
+
+class TestRunningEnvelope:
+    def test_tracks_running_sup_over_runs(self):
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        model = replace(model, t_max=0.5, snapshot_times=())
+        envelope = RunningEnvelope(model, datum)
+        assert envelope.inputs == bound_inputs_for(model, datum)
+        assert envelope.grad_v_sup == 0.0
+        seen = []
+
+        def on_step(report, state, W):
+            seen.append(oracle_sup_gradient(W, model.grid))
+            envelope.on_step(report, state, W)
+            assert [bi.grad_v_sup for bi in envelope.inputs] \
+                == [max(seen)] * model.n
+
+        run(model, datum, on_step=on_step)
+        first = envelope.grad_v_sup
+        # a second run of a smaller datum keeps the sup over both
+        run(model, PopulationField(model.grid, 0.5 * datum.data),
+            on_step=on_step)
+        assert envelope.grad_v_sup == max(seen) >= first
+        assert envelope.aggregate() == replace(
+            aggregate_inputs(bound_inputs_for(model, datum)),
+            grad_v_sup=max(seen))
+
+    def test_bounds_command_envelopes(self, tmp_path, capsys):
+        # every tv_bound the bounds command writes is tv_bound_deviation of
+        # its population's inputs at the running sup of the steps so far
+        argv = ["bounds", "--preset", "crossing", "--mesh", "0.2",
+                "--tmax", "0.5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        model, datum = preset("crossing").with_mesh(0.2).build()
+        model = replace(model, t_max=0.5, snapshot_times=())
+        inputs = bound_inputs_for(model, datum)
+        running = [(0.0, 0.0)]
+        run(model, datum, on_step=lambda report, state, W: running.append(
+            (report.t, max(running[-1][1],
+                           oracle_sup_gradient(W, model.grid)))))
+
+        def expected(t, i):
+            grad = [g for s, g in running if s <= t][-1]
+            return tv_bound_deviation(t, replace(inputs[i], grad_v_sup=grad))
+
+        def rows(name):
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            return [[float(v) for v in line.split(",")] for line in lines]
+
+        for t, pop, _, tv_bound, *_ in rows("bounds.csv"):
+            assert tv_bound == expected(t, int(pop) - 1)
+        diag = rows("diagnostics.csv")
+        assert len(diag) > 2
+        for row in diag:
+            assert row[5::5] == [expected(row[0], i) for i in range(model.n)]
 
 
 class TestBoundInputAssembly:

@@ -135,6 +135,24 @@ class TestNorms:
         with pytest.raises(NumericError, match="population 1"):
             norms(PopulationField(unit_grid, data))
 
+    def test_first_non_finite_population_named(self, unit_grid):
+        data = np.zeros((3, unit_grid.nx, unit_grid.ny))
+        data[2, 0, 0] = np.nan
+        data[1, 5, 1] = -np.inf
+        with pytest.raises(NumericError, match="population 1$"):
+            norms(PopulationField(unit_grid, data))
+
+    def test_same_bits_as_per_norm_passes(self, unit_grid, rng):
+        data = rng.standard_normal((3, unit_grid.nx, unit_grid.ny))
+        rec = norms(PopulationField(unit_grid, data))
+        assert np.array_equal(
+            rec.l1, np.abs(data).sum(axis=(1, 2)) * unit_grid.cell_area)
+        assert np.array_equal(rec.linf, np.abs(data).max(axis=(1, 2)))
+        assert np.array_equal(
+            rec.tv,
+            np.abs(np.diff(data, axis=1)).sum(axis=(1, 2)) * unit_grid.dy
+            + np.abs(np.diff(data, axis=2)).sum(axis=(1, 2)) * unit_grid.dx)
+
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(0.0, 100.0))
     def test_positive_homogeneity(self, c):

@@ -111,9 +111,9 @@ class TestGradientAvoidance:
         model, datum = cfg.with_mesh(0.2).build()
         calls = []
 
-        def counted(f, k):
+        def counted(f, k, *buffers):
             calls.append(1)
-            return convolve_gradient(f, k)
+            return convolve_gradient(f, k, *buffers)
 
         monkeypatch.setattr(nonlocal_ops, "convolve_gradient", counted)
         advection_field(datum, model)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        indicator_datum, linear_speed_law, make_grid, preset,
                        run, sample_kernel, split_step)
 from crowdflow.solver import (MAX_PRINCIPLE_TOL, _boundary_layout,
-                              _linear_flux, _sweep)
+                              _face_buffers, _linear_flux, _sweep)
 
 
 def no_deviation(grid):
@@ -101,11 +102,22 @@ class TestCflDt:
     def test_non_finite_speed_raises(self, unit_grid):
         state = PopulationField.zeros(unit_grid, 1)
         law = linear_speed_law(4.0, 1.0)
-        for bad in (np.inf, np.nan):
+        for bad in (np.inf, np.nan, -np.inf):
             V = np.zeros((1, 2, unit_grid.nx, unit_grid.ny))
             V[0, 0, 3, 3] = bad
             with pytest.raises(NumericError, match="wave speed"):
                 cfl_dt(state, V, [law], 0.9, dt_cap=0.25)
+
+    def test_speed_is_max_abs_bitwise(self, unit_grid, rng):
+        # the largest |V_i| entry may be negative
+        state = PopulationField.zeros(unit_grid, 2)
+        law = linear_speed_law(4.0, 1.0)
+        V = rng.uniform(-1.0, 1.0, (2, 2, unit_grid.nx, unit_grid.ny))
+        V[0, 1, 5, 7] = -3.0
+        V[1, 0, 2, 2] = 2.5
+        assert cfl_dt(state, V, [law, law], 0.9) == min(
+            0.9 * unit_grid.dx / (law.dq_sup * float(np.abs(V[i]).max()))
+            for i in (0, 1))
 
 
 class TestSplitStep:
@@ -200,6 +212,22 @@ def ghost_cell_sweep(rho, a, qfun, lam, copy_lo, copy_hi, wall_faces,
     F[wall_faces] = 0.0
     new = rho - (1.0 / lam) * (F[1:] - F[:-1])
     return new, float(F[-1].sum() - F[0].sum())
+
+
+class TestFaceBuffers:
+    def test_reused_buffers_give_the_same_bits(self, corridor_grid, rng):
+        # the y sweep runs on transposes, so its buffer is one as well
+        rho = rng.random((corridor_grid.nx, corridor_grid.ny))
+        w = rng.uniform(-1.0, 1.0, (2,) + rho.shape)
+        x_edges, y_edges = _boundary_layout(corridor_grid)
+        fx, fy = _face_buffers(corridor_grid)
+        for sweep_in, a, edges, F in ((rho, w[0], x_edges, fx),
+                                      (rho.T, w[1].T, y_edges, fy)):
+            F.fill(np.nan)  # stale values must not leak in
+            want = _sweep(sweep_in, a, _linear_flux, 10.0, *edges)
+            got = _sweep(sweep_in, a, _linear_flux, 10.0, *edges, F=F)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert F.flags.f_contiguous == sweep_in.flags.f_contiguous
 
 
 class TestApplyBoundary:
@@ -327,6 +355,31 @@ class TestModelSpec:
 
 
 class TestRun:
+    def test_steady_step_allocates_no_scratch(self):
+        # after the first step, a step's traced peak above what the run
+        # held when the last step ended (its state and W) stays below one
+        # W plus one state plus SLACK: the operator's, the wave speed's
+        # and the sweeps' temporaries fit in the room of the released W
+        SLACK = 64 * 1024
+        model, datum = preset("crossing").with_mesh(0.1).build()
+        model = replace(model, t_max=0.06, snapshot_times=())
+        held, excess = [0], []
+
+        def on_step(report, state, W):
+            peak = tracemalloc.get_traced_memory()[1]
+            if report.step > 1:
+                excess.append(peak - held[0] - W.nbytes - state.data.nbytes)
+            tracemalloc.reset_peak()
+            held[0] = tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            run(model, datum, on_step=on_step)
+        finally:
+            tracemalloc.stop()
+        assert len(excess) >= 3
+        assert max(excess) < SLACK
+
     def test_tmax_zero_returns_datum(self, corridor_grid, rng):
         model = local_deviation_model(corridor_grid, t_max=0.0)
         datum = PopulationField(
