@@ -189,6 +189,31 @@ def indicator_datum(grid: GridSpec, value: float, rect: Rect) -> np.ndarray:
     return value * np.outer(ox, oy) / grid.cell_area
 
 
+def live_box(*fields: np.ndarray,
+             pad: tuple[int, int] = (0, 0)) -> tuple[slice, slice]:
+    """Index box (x slice, y slice) of the live cells of float64 fields.
+
+    A cell is live when its bit pattern is nonzero, the test of
+    cli._write_rows: -0.0, NaN and inf are live, only +0.0 is not.  Each
+    field has shape (..., nx, ny), and the box holds the live cells of
+    all of them.  It is widened by pad = (rows, columns) on each side
+    and clipped to the grid.  With no live cell both slices are empty.
+    """
+    nx, ny = fields[0].shape[-2:]
+    rows = np.zeros(nx, dtype=bool)
+    cols = np.zeros(ny, dtype=bool)
+    for f in fields:
+        live = (f.view(np.int64) != 0).reshape(-1, nx, ny)
+        rows |= live.any(axis=(0, 2))
+        cols |= live.any(axis=(0, 1))
+    r, c = np.flatnonzero(rows), np.flatnonzero(cols)
+    if r.size == 0:
+        return slice(0, 0), slice(0, 0)
+    pr, pc = pad
+    return (slice(max(int(r[0]) - pr, 0), min(int(r[-1]) + 1 + pr, nx)),
+            slice(max(int(c[0]) - pc, 0), min(int(c[-1]) + 1 + pc, ny)))
+
+
 def norms(fld: PopulationField) -> NormRecord:
     """Discrete L1, Linf and TV per population, deterministic order.
 

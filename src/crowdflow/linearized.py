@@ -53,12 +53,12 @@ def _linearized_step(sigma: PopulationField, rho: PopulationField,
     """
     arg = clamped_speed_arg(smoothed_total_density(rho, model.kernels))
     sconv = smoothed_total_density(sigma, model.kernels)
-    new = np.empty_like(sigma.data)
+    new = np.zeros_like(sigma.data)
     for i in range(model.n):
         e = ((rho.data[i] * model.laws[i].dv(arg) * sconv)[None, :, :]
              * model.dirs[i].total)
-        new[i], _ = _sweep_xy(sigma.data[i], W[i], _linear_flux, model.grid,
-                              dt, e)
+        _sweep_xy(sigma.data[i], W[i], _linear_flux, model.grid, dt, new[i],
+                  e)
     return PopulationField(model.grid, new)
 
 

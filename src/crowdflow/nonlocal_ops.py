@@ -6,10 +6,13 @@ one 2-vector field per population and cell: a new float array of shape
 built-in one is gradient avoidance, I_i = -sum_j eps_ij N(grad(rho_j
 conv eta)): population i steers away from increasing smoothed density
 of every population j, with the saturation N keeping the Lipschitz
-hypothesis that controls all deviation-model bounds.  Flux push (get
-dragged by another population's smoothed flux) is a single-term leaf
-for custom operators.  The module holds operators only; the sampled
-Lipschitz constant of an operator is analysis.estimate_ci.
+hypothesis that controls all deviation-model bounds.  It saturates
+and sums each term only on rho_j's live box (grid.live_box) widened by
+the kernel's bandwidths, where the smoothed gradient can be nonzero.
+Flux push (get dragged by another population's smoothed flux) is a
+single-term leaf for custom operators.  The module holds operators
+only; the sampled Lipschitz constant of an operator is
+analysis.estimate_ci.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import PopulationField
+from .grid import PopulationField, live_box
 from .kernel import SampledKernel, convolve, convolve_gradient
 from .velocity import DirectionField, SpeedLaw
 
@@ -44,9 +47,13 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
 
     Each saturated gradient is computed once, and only for a nonzero
     column of the (n, n) matrix eps; the terms are summed in j order.
-    |I_i| is at most sum_j |eps_ij|.  The call reuses one gradient
-    buffer, saturated in place, and one grid-sized scratch for the left
-    products and every eps term.
+    |I_i| is at most sum_j |eps_ij|.  The kernel's matrices vanish more
+    than their bandwidth off the diagonal, so the gradient of rho_j is
+    zero outside rho_j's live box widened by the bandwidths: it is
+    saturated and its eps terms are subtracted only there, which leaves
+    every bit of I as the whole grid gives it for finite data and eps.
+    The call reuses one gradient buffer, saturated in place, and one
+    grid-sized scratch for the left products and every eps term.
     """
     n, g = state.n, state.grid
     if eps.shape != (n, n):
@@ -57,10 +64,16 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
     scratch = np.empty((g.nx, g.ny))
     for j in range(n):
         if eps[:, j].any():
-            saturate(convolve_gradient(state.data[j], k, G, scratch), out=G)
+            convolve_gradient(state.data[j], k, G, scratch)
+            rows, cols = live_box(state.data[j],
+                                  pad=(k.bandwidth_x, k.bandwidth_y))
+            Gw = G[:, rows, cols]
+            saturate(Gw, out=Gw)
+            term = scratch[rows, cols]
             for i in range(n):
                 for c in (0, 1):
-                    out[i, c] -= np.multiply(eps[i, j], G[c], out=scratch)
+                    out[i, c, rows, cols] -= np.multiply(eps[i, j], Gw[c],
+                                                         out=term)
     return out
 
 

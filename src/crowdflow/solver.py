@@ -7,7 +7,10 @@ is q(rho) * (dir + I) with the speed law inside the flux; for the
 differentiable family the speed is folded into the advection field and
 the flux is linear in rho.  Walls are closed, the domain edge is empty
 outside and an exit passes flux outward only, so mass only leaves; it is
-accounted per step so that conservation is an exact identity.
+accounted per step so that conservation is an exact identity.  The
+three-cell LxF stencil moves mass by at most one cell per sweep, so a
+step sweeps each population only on the box of its live cells widened
+by one cell, and the result is bit for bit that of the whole grid.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (BoundViolationError, ConfigurationError, NumericError)
-from .grid import GridSpec, PopulationField
+from .grid import GridSpec, PopulationField, live_box
 from .kernel import SampledKernel
 from .nonlocal_ops import NonlocalOperator
 from .velocity import (DirectionField, SpeedLaw, clamped_speed_arg,
@@ -179,20 +182,17 @@ def _linear_flux(rho: np.ndarray) -> np.ndarray:
 def _sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
            exit_lo: np.ndarray, exit_hi: np.ndarray,
            wall_faces: np.ndarray, e: np.ndarray | None = None,
-           F: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+           F: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One conservative LxF sweep along axis 0 of the flux f = q(rho) a + e.
 
     Interior faces take the LxF flux of their two cells.  An edge face on
     an exit where a points out passes the edge cell's own f; any other
     edge face sees an empty outside, f/2 -+ lam rho/2 (low/high edge),
     which under the CFL condition only lets mass out.  Wall faces carry
-    nothing.  Returns the new field and the net outgoing boundary flux
-    (per unit time and unit transverse length).  A population whose flux
-    vanishes identically is left untouched: LxF diffusion alone would
-    still spread it.  F, when given, receives the face fluxes.
+    nothing.  Returns the new field and the face fluxes, written into F
+    when given; _outflow of them is the net outgoing boundary flux (per
+    unit time and unit transverse length).
     """
-    if not a.any() and (e is None or not e.any()):
-        return rho, 0.0
     f = qfun(rho) * a
     if e is not None:
         f += e
@@ -214,8 +214,12 @@ def _sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
     new = np.subtract(F[1:], F[:-1], out=f)
     new *= 1.0 / lam
     np.subtract(rho, new, out=new)
-    out = float(F[-1].sum() - F[0].sum())
-    return new, out
+    return new, F
+
+
+def _outflow(F: np.ndarray) -> float:
+    """Net outgoing flux through the two edge rows of face fluxes F."""
+    return float(F[-1].sum() - F[0].sum())
 
 
 def _face_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -225,23 +229,68 @@ def _face_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
             np.empty((grid.nx, grid.ny + 1)).T)
 
 
-def _sweep_xy(rho: np.ndarray, w: np.ndarray, qfun, grid: GridSpec,
-              dt: float, e: np.ndarray | None = None,
-              faces: tuple[np.ndarray, np.ndarray] = (None, None),
-              ) -> tuple[np.ndarray, float]:
-    """x sweep then y sweep of one population with the frozen field w
-    (and additive flux e), both (2, nx, ny), writing the face fluxes into
-    faces (from _face_buffers) when given.
+def _window_sweep(rho: np.ndarray, a: np.ndarray, qfun, lam: float,
+                  edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  F: np.ndarray | None, along: slice, across: slice,
+                  e: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """_sweep of the window rho = cells [along, across] of a sweep's frame,
+    with the edge masks and face buffer F of the whole grid cut to it
+    (a new F, laid out as the wall mask, when None).
 
-    Returns the new density and the mass that crossed the domain
-    boundary during the step.
+    The outflow sums F's two whole edge rows, zeroed first, so that it
+    adds the same numbers in the same grouping as a whole-grid sweep.
     """
+    exit_lo, exit_hi, walls = edges
+    if F is None:
+        F = np.empty_like(walls, dtype=float)
+    faces = slice(along.start, along.stop + 1)
+    F[0] = 0.0
+    F[-1] = 0.0
+    new, _ = _sweep(rho, a, qfun, lam, exit_lo[across], exit_hi[across],
+                    walls[faces, across], e, F[faces, across])
+    return new, _outflow(F)
+
+
+def _sweep_xy(rho: np.ndarray, w: np.ndarray, qfun, grid: GridSpec,
+              dt: float, out: np.ndarray, e: np.ndarray | None = None,
+              faces: tuple[np.ndarray, np.ndarray] = (None, None),
+              ) -> tuple[float, tuple[slice, slice]]:
+    """x sweep then y sweep of one population with the frozen field w
+    (and additive flux e), both (2, nx, ny), into out, which must hold
+    zeros.
+
+    Both sweeps run on one window: the box of the live cells of rho and
+    e (grid.live_box) widened by one cell on each side.  The LxF stencil
+    spans three cells, so the whole-grid sweeps leave exactly +0.0
+    outside the window; a window edge inside the domain lies between two
+    empty cells, where either rule of _sweep gives a zero face flux.  A
+    sweep whose flux vanishes identically on the whole grid is skipped:
+    LxF diffusion alone would still spread the population.
+
+    faces are the face-flux buffers from _face_buffers; without them
+    each sweep makes its own.  Returns the mass that crossed the domain
+    boundary during the step and the window outside which out is +0.0.
+    """
+    rows, cols = live_box(rho, *(() if e is None else (e,)), pad=(1, 1))
+    if rows.start == rows.stop:  # nothing to move
+        return 0.0, (rows, cols)
     x_edges, y_edges = _boundary_layout(grid)
-    r, out_x = _sweep(rho, w[0], qfun, grid.dx / dt, *x_edges,
-                      None if e is None else e[0], faces[0])
-    r, out_y = _sweep(r.T, w[1].T, qfun, grid.dy / dt, *y_edges,
-                      None if e is None else e[1].T, faces[1])
-    return r.T, dt * (grid.dy * out_x + grid.dx * out_y)
+    ex = ey = None
+    if e is not None:
+        ex, ey = e[0, rows, cols], e[1, rows, cols].T
+    win = out[rows, cols]
+    win[...] = rho[rows, cols]
+    out_x = out_y = 0.0
+    if w[0].any() or (e is not None and e[0].any()):
+        new, out_x = _window_sweep(win, w[0, rows, cols], qfun, grid.dx / dt,
+                                   x_edges, faces[0], rows, cols, ex)
+        win[...] = new
+    if w[1].any() or (e is not None and e[1].any()):
+        new, out_y = _window_sweep(win.T, w[1, rows, cols].T, qfun,
+                                   grid.dy / dt, y_edges, faces[1], cols,
+                                   rows, ey)
+        win[...] = new.T
+    return dt * (grid.dy * out_x + grid.dx * out_y), (rows, cols)
 
 
 def split_step(state: PopulationField, model: ModelSpec, dt: float,
@@ -253,6 +302,9 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
     Returns the new state and the per-population mass that crossed the
     domain boundary during the step (positive means outflow).  faces
     are face-flux buffers for the sweeps to reuse, as run passes them.
+    Each population is swept on its window (_sweep_xy), and only the
+    window is checked for non-finite cells: outside it the new density
+    is +0.0.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -260,17 +312,19 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
         W = advection_field(state, model)
     g = state.grid
     linear = _flux_is_linear(model)
-    new = np.empty_like(state.data)
+    new = np.zeros_like(state.data)
     outflow = np.zeros(state.n)
     for i in range(state.n):
         qfun = _linear_flux if linear else model.laws[i].q
-        new[i], outflow[i] = _sweep_xy(state.data[i], W[i], qfun, g, dt,
-                                       faces=faces)
-        if not np.all(np.isfinite(new[i])):
-            bad = np.argwhere(~np.isfinite(new[i]))[0]
+        outflow[i], (rows, cols) = _sweep_xy(state.data[i], W[i], qfun, g,
+                                             dt, new[i], faces=faces)
+        window = new[i, rows, cols]
+        if not np.all(np.isfinite(window)):
+            bad = np.argwhere(~np.isfinite(window))[0]
             raise NumericError(
                 f"non-finite density in population {i} at cell "
-                f"({g.xc[bad[0]]:.4g}, {g.yc[bad[1]]:.4g})")
+                f"({g.xc[rows.start + bad[0]]:.4g}, "
+                f"{g.yc[cols.start + bad[1]]:.4g})")
     return PopulationField(g, new), outflow
 
 

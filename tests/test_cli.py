@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -541,6 +542,53 @@ class TestMain:
             b1 = (out1 / name).read_bytes()
             b2 = (out2 / name).read_bytes()
             assert b1 == b2, name
+
+
+# SHA-256 of every file the two commands write, as a whole-grid sweep
+# gives them.  Both runs have mass leaving through an exit.  The last bits
+# depend on the BLAS build, as the envelope-input pins of test_analysis.py
+# do.
+PINNED_OUTPUTS = {
+    ("run", "--preset", "crossing", "--mesh", "0.2"): {
+        "diagnostics.csv":
+            "1341ae2efc29568011216b63a02b4a41b64c993c6e0b49e05200698b5b0659ad",
+        "pop1_t0.000.csv":
+            "a6edf4f3d4a4258156c711145de162006e6716db4e2bcba548d4bddf55571e2f",
+        "pop1_t1.000.csv":
+            "a2f8c37487fdb2c4bcd77d7ef21643799254e15a4bd9724f932eec1b788512dc",
+        "pop2_t0.000.csv":
+            "08289275f2eec19df39ba855b88de1695c277eae3f8ac78f7447e2cf1159836c",
+        "pop2_t1.000.csv":
+            "5f9f922c885061a9820267a3f930774a07ad61ee7f5bdbad257a88e3271e853f",
+    },
+    ("bounds", "--preset", "evacuation", "--mesh", "0.2"): {
+        "bounds.csv":
+            "25364e6098d8c4b3702cb0724ac0aee618e51bb83ecfd3be8aaf9bc0b1308c7a",
+        "diagnostics.csv":
+            "b539b6a1ba590a8c402436a8a9f75020b254226919a34d20e6755f20e1103163",
+        "pop1_t0.000.csv":
+            "fbb0070ea35e36abaf2a0a98b45a5ee09d76e65972bdcaf962724a7e5e359684",
+        "pop1_t1.000.csv":
+            "136b05ec71aaec9cd1aa09ef76104074dca6d59d94d37014f865131d8e21aa8d",
+        "pop2_t0.000.csv":
+            "fbb0070ea35e36abaf2a0a98b45a5ee09d76e65972bdcaf962724a7e5e359684",
+        "pop2_t1.000.csv":
+            "48aba44c6d57445c1dc367e72df0fe23cf2c99d4991f83fbd2f168f5f9fa83bd",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=lambda a: a[0])
+def test_outputs_pinned(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # mass has left through an exit, so the pins cover the exit faces
+    header, *_, last = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), map(float, last.split(","))))
+    assert row["escaped_1"] > 0 and row["escaped_2"] > 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in os.listdir(tmp_path)}
+    assert digests == PINNED_OUTPUTS[argv]
 
 
 def test_import_does_not_load_scipy():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from crowdflow import (ConfigurationError, GridSpec, NumericError,
                        PopulationField, indicator_datum, make_grid, norms)
+from crowdflow.grid import live_box
 
 
 class TestMakeGrid:
@@ -182,3 +183,33 @@ class TestPopulationField:
         fld = PopulationField.from_arrays(
             unit_grid, np.full((unit_grid.nx, unit_grid.ny), 2.0))
         assert fld.mass()[0] == pytest.approx(2.0)
+
+
+class TestLiveBox:
+    def test_box_of_live_cells(self):
+        a = np.zeros((6, 5))
+        a[1, 3] = 2.0
+        a[4, 1] = -1.0
+        assert live_box(a) == (slice(1, 5), slice(1, 4))
+
+    @pytest.mark.parametrize("value", [-0.0, np.nan, np.inf, 5e-324])
+    def test_any_nonzero_bit_pattern_is_live(self, value):
+        a = np.zeros((6, 5))
+        a[2, 4] = value
+        assert live_box(a) == (slice(2, 3), slice(4, 5))
+
+    def test_empty(self):
+        assert live_box(np.zeros((6, 5)), pad=(2, 2)) \
+            == (slice(0, 0), slice(0, 0))
+
+    def test_pad_is_clipped_to_the_grid(self):
+        a = np.zeros((6, 5))
+        a[0, 3] = 1.0
+        assert live_box(a, pad=(2, 1)) == (slice(0, 3), slice(2, 5))
+
+    def test_fields_and_leading_axes_are_joined(self):
+        a, e = np.zeros((6, 5)), np.zeros((2, 6, 5))
+        a[1, 1] = 1.0
+        e[1, 4, 3] = 1.0
+        assert live_box(a, e) == (slice(1, 5), slice(1, 4))
+        assert live_box(e[:, ::2]) == (slice(2, 3), slice(3, 4))

@@ -10,7 +10,7 @@ from crowdflow import (ConfigurationError, EstimationError, GradientAvoidance,
                        PopulationField, advection_field, bump_kernel,
                        constant_direction, convolve_gradient, estimate_ci,
                        flux_push, gradient_avoidance, linear_speed_law,
-                       preset, sample_kernel, saturate)
+                       make_grid, preset, sample_kernel, saturate)
 from crowdflow import nonlocal_ops
 
 
@@ -96,6 +96,25 @@ class TestGradientAvoidance:
         eps = [[0.3, 0.7, 0.0], [0.0, 0.0, 0.0], [-0.2, 0.0, 0.5]]
         out = GradientAvoidance(eps, unit_kernel)(state)
         assert np.array_equal(out, avoidance_oracle(state, eps, unit_kernel))
+
+    def test_compact_data_match_the_whole_grid(self, rng):
+        # a ragged grid (no multiple of the 32-row product blocks), a
+        # block at its corner, a zero eps column and an empty population;
+        # the oracle saturates and sums over the whole grid
+        grid = make_grid((0.0, 0.0, 1.3, 0.7), 0.01, 0.01)
+        k = sample_kernel(bump_kernel(0.1), grid)
+        data = np.zeros((3, grid.nx, grid.ny))
+        data[0, -7:, -5:] = rng.uniform(0.1, 1.0, (7, 5))
+        data[1, 40:60, 20:30] = rng.uniform(0.1, 1.0, (20, 10))
+        state = PopulationField(grid, data)
+        eps = np.array([[0.3, 0.0, 0.7], [-0.4, 0.0, 0.2], [0.5, 0.0, 0.0]])
+        out = gradient_avoidance(state, eps, k)
+        want = avoidance_oracle(state, eps, k)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        # only population 0 enters, within its box plus the bandwidths
+        assert out.any()
+        assert not out[:, :, :-7 - k.bandwidth_x].any()
+        assert not out[..., :-5 - k.bandwidth_y].any()
 
     @pytest.mark.parametrize("name,expect", [("crossing", 2),
                                              ("evacuation", 2),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -11,8 +12,11 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, preset,
                        run, sample_kernel, split_step)
+from crowdflow import nonlocal_ops, solver
+from crowdflow.grid import live_box
 from crowdflow.solver import (MAX_PRINCIPLE_TOL, _boundary_layout,
-                              _face_buffers, _linear_flux, _sweep)
+                              _face_buffers, _linear_flux, _outflow,
+                              _sweep, _sweep_xy)
 
 
 def no_deviation(grid):
@@ -194,8 +198,6 @@ def ghost_cell_sweep(rho, a, qfun, lam, copy_lo, copy_hi, wall_faces,
     """Reference for `_sweep`: the LxF sweep over one ghost row at each
     end of axis 0 that copies the edge cell where copy_lo / copy_hi is
     set and is empty elsewhere."""
-    if not a.any() and (e is None or not e.any()):
-        return rho, 0.0
 
     def pad(arr):
         p = np.empty((arr.shape[0] + 2, arr.shape[1]))
@@ -226,7 +228,8 @@ class TestFaceBuffers:
             F.fill(np.nan)  # stale values must not leak in
             want = _sweep(sweep_in, a, _linear_flux, 10.0, *edges)
             got = _sweep(sweep_in, a, _linear_flux, 10.0, *edges, F=F)
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1]) and got[1] is F
             assert F.flags.f_contiguous == sweep_in.flags.f_contiguous
 
 
@@ -310,12 +313,12 @@ class TestApplyBoundary:
             rho = rng.random(shape)
             a = rng.uniform(-1.0, 1.0, shape)
             e = rng.uniform(-0.5, 0.5, shape) if with_e else None
-            new, out = _sweep(rho, a, qfun, 12.5, exit_lo, exit_hi, walls, e)
+            new, F = _sweep(rho, a, qfun, 12.5, exit_lo, exit_hi, walls, e)
             ref, ref_out = ghost_cell_sweep(
                 rho, a, qfun, 12.5, exit_lo & (a[0] < 0),
                 exit_hi & (a[-1] > 0), walls, e)
             assert np.array_equal(new, ref)
-            assert out == ref_out
+            assert _outflow(F) == ref_out
 
     def test_transposed_view_gives_the_same_bits(self, corridor_grid, rng):
         # the y sweep gets F-order views; a C-order copy of the same
@@ -327,15 +330,191 @@ class TestApplyBoundary:
             rho, a, e = (rng.random(shape), rng.uniform(-1.0, 1.0, shape),
                          rng.uniform(-0.5, 0.5, shape))
             e = e.T if with_e else None
-            view, view_out = _sweep(rho.T, a.T, qfun, 12.5, exit_lo,
-                                    exit_hi, walls, e)
-            copy, copy_out = _sweep(
+            view, view_F = _sweep(rho.T, a.T, qfun, 12.5, exit_lo,
+                                  exit_hi, walls, e)
+            copy, copy_F = _sweep(
                 np.ascontiguousarray(rho.T), np.ascontiguousarray(a.T),
                 qfun, 12.5, exit_lo, exit_hi, walls,
                 None if e is None else np.ascontiguousarray(e))
             assert np.array_equal(view, copy)
-            assert view_out == copy_out
+            assert _outflow(view_F) == _outflow(copy_F)
 
+
+def whole_grid_sweep_xy(rho, w, qfun, grid, dt, e=None):
+    """The x then y pass of `_sweep` on the whole arrays: field and mass
+    out through the domain boundary."""
+    x_edges, y_edges = _boundary_layout(grid)
+    r, Fx = _sweep(rho, w[0], qfun, grid.dx / dt, *x_edges,
+                   None if e is None else e[0])
+    r, Fy = _sweep(r.T, w[1].T, qfun, grid.dy / dt, *y_edges,
+                   None if e is None else e[1].T)
+    return r.T, dt * (grid.dy * _outflow(Fx) + grid.dx * _outflow(Fy))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestWindowedSweep:
+    """`_sweep_xy` sweeps only the live box of rho (and e) widened by one
+    cell; its field and outflow equal the whole-grid pass bit for bit."""
+
+    DT = 0.01
+    LAW = linear_speed_law(4.0, 1.0)
+
+    def check(self, grid, rho, w, qfun=None, e=None):
+        qfun = qfun or self.LAW.q
+        new = np.zeros_like(rho)
+        out, (rows, cols) = _sweep_xy(rho, w, qfun, grid, self.DT, new, e)
+        want, want_out = whole_grid_sweep_xy(rho, w, qfun, grid, self.DT, e)
+        assert np.array_equal(bits(new), bits(want))
+        assert bits(out) == bits(want_out)
+        outside = np.ones(rho.shape, dtype=bool)
+        outside[rows, cols] = False
+        assert not bits(new)[outside].any()  # +0.0 outside the window
+        return new, out, (rows, cols)
+
+    def block(self, grid, rng, rect):
+        inside = indicator_datum(grid, 1.0, rect) > 0
+        return np.where(inside, rng.uniform(0.2, 0.9, inside.shape), 0.0)
+
+    def field(self, grid, rng):
+        return rng.uniform(-1.0, 1.0, (2, grid.nx, grid.ny))
+
+    def test_interior_block(self, corridor_grid, rng):
+        rho = self.block(corridor_grid, rng, (-2.0, -1.0, 1.0, 1.5))
+        _, out, (rows, cols) = self.check(corridor_grid, rho,
+                                          self.field(corridor_grid, rng))
+        assert out == 0.0
+        box = live_box(rho)
+        assert (rows.start, rows.stop) == (box[0].start - 1, box[0].stop + 1)
+        assert (cols.start, cols.stop) == (box[1].start - 1, box[1].stop + 1)
+
+    @pytest.mark.parametrize("rect,drive", [
+        ((-8.0, -1.0, -7.0, 1.0), -1.0), ((-8.0, -2.9, -7.0, 2.7), -1.0),
+        ((7.5, -2.3, 8.0, 0.4), 1.0)])
+    def test_block_on_an_exit(self, corridor_grid, rng, rect, drive):
+        # the outflow adds the whole edge rows: summing only the window's
+        # part of them regroups numpy's pairwise sum and moves last bits
+        for _ in range(4):
+            rho = self.block(corridor_grid, rng, rect)
+            w = self.field(corridor_grid, rng)
+            w[0] = drive  # out of the domain through the exit
+            _, out, _ = self.check(corridor_grid, rho, w)
+            assert out > 0.0
+
+    def test_block_across_a_wall(self, corridor_grid, rng):
+        rho = self.block(corridor_grid, rng, (-1.0, 2.5, 1.0, 3.5))
+        w = self.field(corridor_grid, rng)
+        w[1] = 1.0  # towards the wall at y = 3
+        self.check(corridor_grid, rho, w)
+
+    def test_empty_population(self, corridor_grid, rng):
+        rho = np.zeros((corridor_grid.nx, corridor_grid.ny))
+        new, out, _ = self.check(corridor_grid, rho,
+                                 self.field(corridor_grid, rng))
+        assert not bits(new).any() and bits(out) == 0
+
+    def test_field_zero_on_the_box_still_diffuses(self, corridor_grid, rng):
+        # the field vanishes near the block only, so the flux does not
+        # vanish identically and LxF diffusion must still act
+        rho = self.block(corridor_grid, rng, (-2.0, -1.0, 1.0, 1.5))
+        rows, cols = live_box(rho, pad=(3, 3))
+        w = self.field(corridor_grid, rng)
+        w[:, rows, cols] = 0.0
+        new, _, _ = self.check(corridor_grid, rho, w)
+        assert not np.array_equal(new, rho)
+
+    def test_flux_vanishing_on_the_whole_grid_leaves_rho(self,
+                                                        corridor_grid, rng):
+        # LxF diffusion alone would still spread a population at rest
+        rho = self.block(corridor_grid, rng, (-2.0, -1.0, 1.0, 1.5))
+        w = np.zeros((2,) + rho.shape)
+        new = np.zeros_like(rho)
+        out, _ = _sweep_xy(rho, w, self.LAW.q, corridor_grid, self.DT, new)
+        assert np.array_equal(bits(new), bits(rho)) and out == 0.0
+        w[1] = 1.0  # a y drive alone: the x sweep is skipped
+        new = np.zeros_like(rho)
+        _sweep_xy(rho, w, self.LAW.q, corridor_grid, self.DT, new)
+        _, y_edges = _boundary_layout(corridor_grid)
+        want, _ = _sweep(rho.T, w[1].T, self.LAW.q,
+                         corridor_grid.dy / self.DT, *y_edges)
+        assert np.array_equal(bits(new), bits(want.T))
+
+    def test_negative_zero_cells(self, corridor_grid, rng):
+        rho = self.block(corridor_grid, rng, (-2.0, -1.0, 1.0, 1.5))
+        rho[20, 30] = rho[120:123, 60] = -0.0
+        self.check(corridor_grid, rho, self.field(corridor_grid, rng))
+        lone = np.zeros_like(rho)
+        lone[30, 50] = -0.0
+        self.check(corridor_grid, lone, self.field(corridor_grid, rng))
+
+    def test_linearized_with_e(self, corridor_grid, rng):
+        rho = self.block(corridor_grid, rng, (-2.0, -1.0, 1.0, 1.5))
+        e = np.zeros((2,) + rho.shape)
+        inside = self.block(corridor_grid, rng, (3.0, -2.0, 5.0, 0.0)) > 0
+        e[:, inside] = rng.uniform(-0.5, 0.5, (2, int(inside.sum())))
+        w = self.field(corridor_grid, rng)
+        _, _, (rows, cols) = self.check(corridor_grid, rho, w,
+                                        _linear_flux, e)
+        assert (rows, cols) == live_box(rho, e, pad=(1, 1))
+        self.check(corridor_grid, np.zeros_like(rho), w, _linear_flux, e)
+
+    def test_nan_cell_named_as_on_the_whole_grid(self, corridor_grid, rng):
+        grid = corridor_grid
+        model = local_deviation_model(grid, gy=0.5)
+        data = self.block(grid, rng, (-2.0, -1.0, 1.0, 1.5))[None]
+        W = advection_field(PopulationField(grid, data), model)
+        i, j = np.argwhere(data[0])[0]
+        data[0, i, j] = np.nan
+        with np.errstate(invalid="ignore"):
+            want, _ = whole_grid_sweep_xy(data[0], W[0], model.laws[0].q,
+                                          grid, self.DT)
+            bad = np.argwhere(~np.isfinite(want))[0]
+            msg = (f"non-finite density in population 0 at cell "
+                   f"({grid.xc[bad[0]]:.4g}, {grid.yc[bad[1]]:.4g})")
+            with pytest.raises(NumericError, match=re.escape(msg)):
+                split_step(PopulationField(grid, data), model, self.DT, W)
+        assert tuple(bad) == (i - 1, j - 1)  # the window's corner
+
+
+class TestWorkStaysInTheBox:
+    def test_first_crossing_step(self, monkeypatch):
+        # every sweep runs on the population's live box plus one cell,
+        # every saturation on the box plus the kernel bandwidths
+        model, datum = preset("crossing").with_mesh(0.05).build()
+        k = model.deviation.kernel
+        boxes = [live_box(rho) for rho in datum.data]
+        sweeps, saturations = [], []
+        production_saturate = nonlocal_ops.saturate
+
+        def sweep(rho, *args, **kwargs):
+            sweeps.append(rho.shape)
+            return _sweep(rho, *args, **kwargs)
+
+        def saturate(u, out=None):
+            saturations.append(u.shape[1:])
+            return production_saturate(u, out)
+
+        monkeypatch.setattr(solver, "_sweep", sweep)
+        monkeypatch.setattr(nonlocal_ops, "saturate", saturate)
+        W = advection_field(datum, model)
+        split_step(datum, model, cfl_dt(datum, W, model.laws, model.cfl), W)
+
+        def extent(box, pr, pc):
+            return (box[0].stop - box[0].start + 2 * pr,
+                    box[1].stop - box[1].start + 2 * pc)
+
+        assert len(sweeps) == 2 * datum.n
+        for n, shape in enumerate(sweeps):
+            rows, cols = extent(boxes[n // 2], 1, 1)
+            if n % 2:  # the y sweep works on transposes
+                shape = shape[::-1]
+            assert shape[0] <= rows and shape[1] <= cols
+        assert len(saturations) == datum.n
+        for box, shape in zip(boxes, saturations):
+            rows, cols = extent(box, k.bandwidth_x, k.bandwidth_y)
+            assert shape[0] <= rows and shape[1] <= cols
 
 class TestModelSpec:
     @pytest.mark.parametrize("t_max", [np.nan, np.inf])
