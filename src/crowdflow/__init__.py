@@ -8,10 +8,9 @@ and total-variation envelopes).  The `cli` module exposes the
 `crowdflow` command.
 """
 
-from .analysis import (BoundInputs, InvarianceReport, ParameterDeltas,
+from .analysis import (BoundInputs, ParameterDeltas,
                        RunningEnvelope, StabilityBound, aggregate_inputs,
                        bound_inputs_for, bounds_differentiable,
-                       check_invariance,
                        direction_norms, estimate_ci, kappa0, kernel_norms,
                        stability_bound_deviation,
                        stability_bound_differentiable, sup_gradient,
@@ -25,8 +24,7 @@ from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
 from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
                          gateaux_residual, solve_linearized)
-from .nonlocal_ops import (GradientAvoidance, flux_push, gradient_avoidance,
-                           saturate)
+from .nonlocal_ops import GradientAvoidance, gradient_avoidance, saturate
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
                      StepReport, advection_field, cfl_dt, run, split_step)
 from .velocity import (DirectionField, SpeedLaw, constant_direction,

@@ -6,8 +6,9 @@ are normal.  Exponents can exceed float range for rough data; the
 stability evaluator therefore also reports the bound in log space.
 The envelope inputs are measured here too: the sup of grad V, the
 direction-field norms and the sampled C_I (estimate_ci) all differentiate
-on the grid by one central-difference rule, and RunningEnvelope keeps
-the running sup of grad V along a run.
+on the grid by one central-difference rule.  RunningEnvelope keeps the
+running sup of grad V along a run and evaluates from it, by the model's
+family, every envelope the commands write.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import ConfigurationError, EstimationError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import NonlocalOperator
-from .solver import DEVIATION, ModelSpec, RunResult, StepReport
+from .solver import DEVIATION, ModelSpec, StepReport
 from .velocity import DirectionField
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
@@ -251,29 +252,6 @@ def _gronwall(c: float, x: float, base: float) -> tuple[float, float]:
     return math.inf, math.log(c) + x + math.log(base)
 
 
-@dataclass
-class InvarianceReport:
-    times: list[float]
-    mins: list[np.ndarray]
-    maxs: list[np.ndarray]
-    ok: bool
-    tol: float = 1e-6
-
-
-def check_invariance(model: ModelSpec, result: RunResult,
-                     tol: float = 1e-6) -> InvarianceReport:
-    """Min/max per population after every step of a deviation-family run;
-    pass iff within [-tol, R + tol], R = model.R."""
-    if model.family != DEVIATION:
-        raise ConfigurationError("invariance check targets the deviation family")
-    reports = result.reports
-    ok = all(r.min.min() >= -tol and r.max.max() <= model.R + tol
-             for r in reports)
-    return InvarianceReport(times=[r.t for r in reports],
-                            mins=[r.min for r in reports],
-                            maxs=[r.max for r in reports], ok=ok, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # grid differences: every norm below takes its partial derivatives from
 # _diff, second-order central differences (one-sided at the edges)
@@ -488,7 +466,7 @@ def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
 
 
 class RunningEnvelope:
-    """The BoundInputs of one configuration, kept current along its runs.
+    """The envelopes of one configuration and their inputs, kept current.
 
     inputs holds one BoundInputs per population, measured by
     bound_inputs_for(model, datum).  Their grad_v_sup starts at 0;
@@ -499,6 +477,7 @@ class RunningEnvelope:
     """
 
     def __init__(self, model: ModelSpec, datum: PopulationField):
+        self.model = model
         self.grid = model.grid
         self.inputs = bound_inputs_for(model, datum)
         # sup_gradient's scratch, made at the first step: made here, before
@@ -521,6 +500,26 @@ class RunningEnvelope:
     def aggregate(self) -> BoundInputs:
         """aggregate_inputs of the current inputs."""
         return aggregate_inputs(self.inputs)
+
+    def bounds(self, t: float) -> list[tuple[float, float]]:
+        """(TV envelope, L-infinity envelope) of each population at t: the
+        deviation family's TV envelope and R, or the differentiable
+        family's pair."""
+        if self.model.family == DEVIATION:
+            return [(tv_bound_deviation(t, bi), self.model.R)
+                    for bi in self.inputs]
+        return [bounds_differentiable(t, bi)[::-1] for bi in self.inputs]
+
+    def stability(self, t: float, drho0_l1: float) -> StabilityBound:
+        """L1 distance envelope at t of two deviation-family runs of the
+        model whose data differ by drho0_l1 in L1.  The runs share every
+        parameter, and the envelope reads only parameter norms from the
+        second run's inputs, so one aggregate serves both."""
+        if self.model.family != DEVIATION:
+            raise ConfigurationError("deviation-family envelope only")
+        agg = self.aggregate()
+        return stability_bound_deviation(t, agg, agg,
+                                         ParameterDeltas(drho0_l1=drho0_l1))
 
 
 def _exp(x: float) -> float:

@@ -16,9 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import analysis
-from .analysis import (ParameterDeltas, RunningEnvelope,
-                       stability_bound_deviation, tv_bound_deviation)
+from .analysis import RunningEnvelope
 from .config import RunConfig, parse_config, preset
 from .errors import BoundViolationError, ConfigurationError, NumericError
 from .grid import PopulationField, norms
@@ -213,7 +211,6 @@ def _cmd_run(args, with_bounds: bool) -> int:
     _check_snapshot_names(model)
     _make_out_dir(cfg.out_dir)
     envelope = RunningEnvelope(model, datum)
-    inputs = envelope.inputs
 
     diag_path = os.path.join(cfg.out_dir, "diagnostics.csv")
     header = ["t", "dt"] + [f"{name}_{i + 1}" for i in range(model.n)
@@ -221,18 +218,9 @@ def _cmd_run(args, with_bounds: bool) -> int:
                                          "escaped")]
     diag_rows, bound_rows = [], []
 
-    def tv_bounds_at(t: float) -> list[float]:
-        vals = []
-        for bi in inputs:
-            if model.family == DEVIATION:
-                vals.append(tv_bound_deviation(t, bi))
-            else:
-                vals.append(analysis.bounds_differentiable(t, bi)[1])
-        return vals
-
     def diag_row(t, dt, state, escaped):
         rec = norms(state)
-        tvb = tv_bounds_at(t)
+        tvb = [tv for tv, _ in envelope.bounds(t)]
         per_pop = np.column_stack((rec.l1, rec.linf, rec.tv, tvb, escaped))
         diag_rows.append([t, dt, *per_pop.ravel()])
 
@@ -245,15 +233,11 @@ def _cmd_run(args, with_bounds: bool) -> int:
         write_snapshot(state, t, cfg.out_dir)
         if with_bounds:
             rec = norms(state)
-            tvb = tv_bounds_at(t)
-            for i in range(model.n):
+            for i, (tvb, linfb) in enumerate(envelope.bounds(t)):
                 meas = float(rec.tv[i])
-                slack = tvb[i] / meas if meas > 0 else math.inf
-                bound_rows.append((t, i + 1, meas, tvb[i], slack,
-                                   float(rec.linf[i]),
-                                   model.R if model.family == DEVIATION
-                                   else analysis.bounds_differentiable(
-                                       t, inputs[i])[0]))
+                slack = tvb / meas if meas > 0 else math.inf
+                bound_rows.append((t, i + 1, meas, tvb, slack,
+                                   float(rec.linf[i]), linfb))
 
     diag_row(0.0, 0.0, datum, np.zeros(model.n))
     try:
@@ -330,18 +314,14 @@ def _cmd_stability(args) -> int:
     run(model, datum2, on_step=envelope.on_step,
         on_snapshot=lambda t, s: states2.setdefault(t, s.copy()))
 
-    # both runs share every model parameter and the envelope reads only
-    # parameter norms from the second run's inputs: one aggregate serves both
-    agg = envelope.aggregate()
     drho0 = float(np.abs(datum1.data - datum2.data).sum()) * model.grid.cell_area
-    deltas = ParameterDeltas(drho0_l1=drho0)
 
     print(f"{'t':>8} {'measured L1':>14} {'bound':>14} {'log bound':>12}")
     rows = []
     for t in times:
         s1, s2 = states1[t], states2[t]
         dist = float(np.abs(s1.data - s2.data).sum()) * model.grid.cell_area
-        sb = stability_bound_deviation(t, agg, agg, deltas)
+        sb = envelope.stability(t, drho0)
         rows.append((t, dist, sb.value, sb.log_value))
         print(f"{t:8.3f} {dist:14.6e} {sb.value:14.6e} {sb.log_value:12.4f}")
     _write_table(path, "t,measured_l1,bound,log_bound", rows)

@@ -9,9 +9,8 @@ of every population j, with the saturation N keeping the Lipschitz
 hypothesis that controls all deviation-model bounds.  It saturates
 and sums each term only on rho_j's live box (grid.live_box) widened by
 the kernel's bandwidths, where the smoothed gradient can be nonzero.
-Flux push (get dragged by another population's smoothed flux) is a
-single-term leaf for custom operators.  The module holds operators
-only; the sampled Lipschitz constant of an operator is
+Custom operators are any callables of the same signature.  The module
+holds operators only; the sampled Lipschitz constant of an operator is
 analysis.estimate_ci.
 """
 
@@ -24,8 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import PopulationField, live_box
-from .kernel import SampledKernel, convolve, convolve_gradient
-from .velocity import DirectionField, SpeedLaw
+from .kernel import SampledKernel, convolve_gradient
 
 NonlocalOperator = Callable[[PopulationField], np.ndarray]
 
@@ -75,15 +73,6 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
                     out[i, c, rows, cols] -= np.multiply(eps[i, j], Gw[c],
                                                          out=term)
     return out
-
-
-def flux_push(state: PopulationField, j: int, law: SpeedLaw,
-              direction: DirectionField, k: SampledKernel) -> np.ndarray:
-    """N of the componentwise convolution of rho_j v(rho_j) dir_j."""
-    q = law.q(state.data[j])
-    flux = q[None, :, :] * direction.total
-    conv = np.stack([convolve(flux[0], k), convolve(flux[1], k)])
-    return saturate(conv)
 
 
 @dataclass(frozen=True)

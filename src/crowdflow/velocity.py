@@ -193,13 +193,13 @@ def constant_direction(grid: GridSpec, gx: float, gy: float,
     return DirectionField(g=g, delta=d)
 
 
-def clamped_speed_arg(arg: np.ndarray, what: str = "convolved density") -> np.ndarray:
+def clamped_speed_arg(arg: np.ndarray) -> np.ndarray:
     """Clamp scheme undershoots to 0 before feeding the speed law."""
     lo = arg.min()
     if lo < -UNDERSHOOT_TOL:
         # fixed message so the default warning filter reports it once per site
-        warnings.warn(f"negative {what} clamped to 0 (scheme undershoot)",
-                      RuntimeWarning, stacklevel=2)
+        warnings.warn("negative convolved density clamped to 0 "
+                      "(scheme undershoot)", RuntimeWarning, stacklevel=2)
     return np.maximum(arg, 0.0)
 
 

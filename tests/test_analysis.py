@@ -9,8 +9,7 @@ from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
                        NumericError, ParameterDeltas, PopulationField,
                        RunningEnvelope, advection_field, aggregate_inputs,
                        bound_inputs_for,
-                       bounds_differentiable,
-                       check_invariance, direction_norms, kappa0,
+                       bounds_differentiable, direction_norms, kappa0,
                        kernel_norms, bump_kernel, constant_direction,
                        linear_speed_law, make_grid, preset, run,
                        sample_kernel,
@@ -268,6 +267,15 @@ class TestBoundInputsFor:
 
 
 class TestCheckInvariance:
+    """[0, R] holds after every step of a deviation-family run, read from
+    the per-population minima and maxima of RunResult.reports."""
+
+    @staticmethod
+    def in_range(model, result, tol=1e-6):
+        assert result.reports
+        return all(r.min.min() >= -tol and r.max.max() <= model.R + tol
+                   for r in result.reports)
+
     def deviation_model(self, grid, t_max=0.1):
         return ModelSpec(family=DEVIATION, grid=grid,
                          laws=(linear_speed_law(4.0, 1.0),),
@@ -280,9 +288,8 @@ class TestCheckInvariance:
     def test_zero_datum_passes(self, corridor_grid):
         model = self.deviation_model(corridor_grid)
         result = run(model, PopulationField.zeros(corridor_grid, 1))
-        rep = check_invariance(model, result)
-        assert rep.ok
-        assert all(m.max() == 0.0 for m in rep.maxs)
+        assert self.in_range(model, result)
+        assert all(r.max.max() == 0.0 for r in result.reports)
 
     def test_full_density_frozen(self):
         # closed box, room full at the maximal density: v(R) = 0 gives zero
@@ -294,8 +301,7 @@ class TestCheckInvariance:
         datum = PopulationField.from_arrays(
             grid, room_mask(grid).astype(float))
         result = run(model, datum)
-        rep = check_invariance(model, result)
-        assert rep.ok
+        assert self.in_range(model, result)
         # v(R) = 0: nothing moves
         assert np.array_equal(result.state.data, datum.data)
 
@@ -303,18 +309,7 @@ class TestCheckInvariance:
         cfg = preset("crossing").with_mesh(0.1)
         cfg = replace(cfg, t_max=1.0)
         model, datum = cfg.build()
-        assert check_invariance(model, run(model, datum)).ok
-
-    def test_differentiable_family_rejected(self, unit_grid):
-        from crowdflow import DIFFERENTIABLE, sample_kernel
-        kern = sample_kernel(bump_kernel(0.25), unit_grid)
-        model = ModelSpec(family=DIFFERENTIABLE, grid=unit_grid,
-                          laws=(linear_speed_law(1.0, 1.0),),
-                          dirs=(constant_direction(unit_grid, 1.0, 0.0),),
-                          kernels=(kern,), t_max=0.0)
-        result = run(model, PopulationField.zeros(unit_grid, 1))
-        with pytest.raises(ConfigurationError):
-            check_invariance(model, result)
+        assert self.in_range(model, run(model, datum))
 
 
 class TestNormHelpers:
@@ -477,6 +472,58 @@ class TestRunningEnvelope:
         assert envelope.aggregate() == replace(
             aggregate_inputs(bound_inputs_for(model, datum)),
             grad_v_sup=max(seen))
+
+    @pytest.mark.parametrize("family", ["deviation", "differentiable"])
+    def test_bounds_are_the_family_formulas(self, family):
+        # R = 1.25, not the default 1, so that the deviation family's
+        # L-infinity envelope shows that it is the model's R
+        cfg = replace(preset("crossing").with_mesh(0.4), family=family,
+                      R=1.25)
+        model, datum = cfg.build()
+        model = replace(model, t_max=0.2, snapshot_times=())
+        envelope = RunningEnvelope(model, datum)
+        ts = (0.0, 0.05, 0.2)
+
+        def expected(t):
+            inputs = [replace(bi, grad_v_sup=envelope.grad_v_sup)
+                      for bi in bound_inputs_for(model, datum)]
+            if family == "deviation":
+                return [(tv_bound_deviation(t, bi), model.R) for bi in inputs]
+            return [(tv, linf) for linf, tv in
+                    (bounds_differentiable(t, bi) for bi in inputs)]
+
+        assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
+        run(model, datum, on_step=envelope.on_step)
+        assert envelope.grad_v_sup > 0.0
+        assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
+
+    def test_stability_is_the_deviation_formula(self):
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        model = replace(model, t_max=0.2, snapshot_times=())
+        envelope = RunningEnvelope(model, datum)
+
+        def check():
+            agg = replace(aggregate_inputs(bound_inputs_for(model, datum)),
+                          grad_v_sup=envelope.grad_v_sup)
+            for t in (0.0, 0.1, 0.2):
+                for d in (0.1, 2.5):
+                    assert envelope.stability(t, d) == \
+                        stability_bound_deviation(
+                            t, agg, agg, ParameterDeltas(drho0_l1=d))
+                zero = envelope.stability(t, 0.0)
+                assert (zero.value, zero.log_value) == (0.0, -math.inf)
+
+        check()
+        run(model, datum, on_step=envelope.on_step)
+        assert envelope.grad_v_sup > 0.0
+        check()
+
+    def test_stability_rejects_the_differentiable_family(self):
+        cfg = replace(preset("crossing").with_mesh(0.4),
+                      family="differentiable")
+        envelope = RunningEnvelope(*cfg.build())
+        with pytest.raises(ConfigurationError, match="deviation"):
+            envelope.stability(0.1, 0.1)
 
     def test_bounds_command_envelopes(self, tmp_path, capsys):
         # every tv_bound the bounds command writes is tv_bound_deviation of

@@ -18,7 +18,7 @@ import crowdflow
 from crowdflow import (ConfigurationError, PopulationField,
                        advection_field, gateaux_benchmark, parse_config,
                        preset, run)
-from crowdflow import cli
+from crowdflow import analysis, cli
 from crowdflow.analysis import sup_gradient
 from crowdflow.cli import (_write_rows, _write_table, main, read_snapshot,
                            write_snapshot)
@@ -310,7 +310,7 @@ class TestMain:
 
     def test_nan_envelope_is_a_violation(self, tmp_path, capsys,
                                          monkeypatch):
-        monkeypatch.setattr(cli, "tv_bound_deviation",
+        monkeypatch.setattr(analysis, "tv_bound_deviation",
                             lambda t, bi: float("nan"))
         argv = ["bounds", "--preset", "crossing", "--mesh", "0.4",
                 "--tmax", "0.05"]
@@ -394,13 +394,13 @@ class TestMain:
         # kappa0 is a sup over [0, t], so grad_v_sup must cover every step
         # of both runs, not only the two data
         seen = []
-        bound = cli.stability_bound_deviation
+        bound = analysis.stability_bound_deviation
 
         def spy(t, bi1, bi2, deltas):
             seen.append(bi1.grad_v_sup)
             return bound(t, bi1, bi2, deltas)
 
-        monkeypatch.setattr(cli, "stability_bound_deviation", spy)
+        monkeypatch.setattr(analysis, "stability_bound_deviation", spy)
         assert main(["stability", "--preset", name, "--mesh", "0.4",
                      "--tmax", "0.5", "--out", str(tmp_path)]) == 0
 
@@ -589,6 +589,51 @@ def test_outputs_pinned(tmp_path, capsys, argv):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in os.listdir(tmp_path)}
     assert digests == PINNED_OUTPUTS[argv]
+
+
+# SHA-256 of every file of the two envelope paths that the pins above leave
+# out: the stability table, and both envelopes of the differentiable family
+# ("{ini}" stands for an INI file of DIFFERENTIABLE_INI)
+DIFFERENTIABLE_INI = ("[grid]\nmesh = 0.2\n[model]\npreset = crossing\n"
+                      "family = differentiable\ntmax = 0.3\n"
+                      "snapshot_times = 0 0.1 0.3\n")
+PINNED_ENVELOPES = {
+    ("stability", "--preset", "crossing", "--mesh", "0.2"): {
+        "stability.csv":
+            "769fab8cdaa07ba2173585a2759423a0534407bd471ea9e38ab332e36626c2f7",
+    },
+    ("bounds", "--config", "{ini}"): {
+        "bounds.csv":
+            "dfc3d91f799909c7c869e113d06d38652a0c0d02fd5e2e76641c4e53e3c99114",
+        "diagnostics.csv":
+            "b97d7a8b796fefa9c8d9fdadd9259af8e0fd8a85c155b5fd262d7dcb8ca47312",
+        "pop1_t0.000.csv":
+            "a6edf4f3d4a4258156c711145de162006e6716db4e2bcba548d4bddf55571e2f",
+        "pop1_t0.100.csv":
+            "d1e73c4302aed792a6e06e23e1b56fa12e99de5d4ea909055f25615a73e40dce",
+        "pop1_t0.300.csv":
+            "7354d4df0c9261e7f07ebff5c7d535de94f71c453115ffdffee4e411ff52c8ab",
+        "pop2_t0.000.csv":
+            "08289275f2eec19df39ba855b88de1695c277eae3f8ac78f7447e2cf1159836c",
+        "pop2_t0.100.csv":
+            "029451d49d6eb1bedd117016d8f45b9eb0997d328d43be7cccc72db139316833",
+        "pop2_t0.300.csv":
+            "055f72310902097e84da62e15df2a76986b6da787b163a65030882562e6e701b",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_ENVELOPES),
+                         ids=["stability", "bounds-differentiable"])
+def test_envelope_outputs_pinned(tmp_path, capsys, argv):
+    ini = tmp_path / "differentiable.ini"
+    ini.write_text(DIFFERENTIABLE_INI)
+    out = tmp_path / "out"
+    assert main([a.format(ini=ini) for a in argv] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in os.listdir(out)}
+    assert digests == PINNED_ENVELOPES[argv]
 
 
 def test_import_does_not_load_scipy():

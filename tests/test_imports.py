@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and every dotted
+name the README gives resolves.
 
 No linter ships with the test dependencies, so this is a small stdlib
 `ast` check: a name bound by an import must be read somewhere in its
@@ -7,6 +8,8 @@ imports are directives, so both are left out.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,35 @@ def test_checker_finds_unused_and_skips_used():
               "    x: 'Sequence[int]'\n"
               "print(np.pi)\n")
     assert unused_imports(source) == [("field", 4), ("os", 2)]
+
+
+def readme_names(text: str) -> list[str]:
+    """Dotted crowdflow.<module>[.<name>...] references in the text."""
+    return sorted(set(re.findall(r"\bcrowdflow(?:\.\w+)+", text)))
+
+
+def resolve(dotted: str) -> object:
+    """Import crowdflow.<module>, then look up each further name on it."""
+    top, module, *names = dotted.split(".")
+    obj = importlib.import_module(f"{top}.{module}")
+    for name in names:
+        obj = getattr(obj, name)
+    return obj
+
+
+README_NAMES = readme_names((ROOT / "README.md").read_text())
+
+
+@pytest.mark.parametrize("dotted", README_NAMES)
+def test_readme_name_resolves(dotted):
+    resolve(dotted)
+
+
+def test_readme_names_found_and_checked():
+    assert "crowdflow.analysis.RunningEnvelope" in README_NAMES
+    assert readme_names("`crowdflow.grid.norms(x)`, crowdflow.cli.") \
+        == ["crowdflow.cli", "crowdflow.grid.norms"]
+    with pytest.raises(AttributeError):
+        resolve("crowdflow.analysis.no_such_name")
+    with pytest.raises(ModuleNotFoundError):
+        resolve("crowdflow.invariance")

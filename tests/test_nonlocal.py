@@ -8,8 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from crowdflow import (ConfigurationError, EstimationError, GradientAvoidance,
                        PopulationField, advection_field, bump_kernel,
-                       constant_direction, convolve_gradient, estimate_ci,
-                       flux_push, gradient_avoidance, linear_speed_law,
+                       convolve_gradient, estimate_ci, gradient_avoidance,
                        make_grid, preset, sample_kernel, saturate)
 from crowdflow import nonlocal_ops
 
@@ -153,47 +152,6 @@ class TestGradientAvoidance:
             GradientAvoidance([[0.3, 0.7], [bad, 0.3]], unit_kernel)
 
 
-class TestFluxPush:
-    def test_zero_density(self, unit_grid, unit_kernel):
-        law = linear_speed_law(4.0, 1.0)
-        direction = constant_direction(unit_grid, 1.0, 0.0, 0.0,
-                                       restrict_to_room=False)
-        state = PopulationField.zeros(unit_grid, 1)
-        out = flux_push(state, 0, law, direction, unit_kernel)
-        assert np.all(out == 0.0)
-
-    def test_full_density(self, unit_grid, unit_kernel):
-        law = linear_speed_law(4.0, 1.0)
-        direction = constant_direction(unit_grid, 1.0, 0.0, 0.0,
-                                       restrict_to_room=False)
-        state = PopulationField.from_arrays(
-            unit_grid, np.ones((unit_grid.nx, unit_grid.ny)))
-        out = flux_push(state, 0, law, direction, unit_kernel)
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_half_density_interior(self, unit_grid, unit_kernel):
-        law = linear_speed_law(4.0, 1.0)
-        direction = constant_direction(unit_grid, 1.0, 0.0, 0.0,
-                                       restrict_to_room=False)
-        state = PopulationField.from_arrays(
-            unit_grid, np.full((unit_grid.nx, unit_grid.ny), 0.5))
-        out = flux_push(state, 0, law, direction, unit_kernel)
-        b = unit_kernel.bandwidth_x
-        m = unit_kernel.mass  # q(0.5) = 1, so the smoothed flux is (m, 0)
-        assert np.allclose(out[0, b:-b, b:-b], m / np.sqrt(1 + m * m),
-                           atol=1e-10)
-        assert np.allclose(out[1], 0.0, atol=1e-12)
-
-    def test_strictly_below_one(self, unit_grid, unit_kernel, rng):
-        law = linear_speed_law(4.0, 1.0)
-        direction = constant_direction(unit_grid, 1.0, 0.0, 0.0,
-                                       restrict_to_room=False)
-        state = PopulationField(unit_grid,
-                                rng.random((1, unit_grid.nx, unit_grid.ny)))
-        out = flux_push(state, 0, law, direction, unit_kernel)
-        assert np.hypot(out[0], out[1]).max() < 1.0
-
-
 class TestOperatorAlgebra:
     def test_crossing_operator_mirror_symmetry(self, corridor_grid):
         kern = sample_kernel(bump_kernel(0.5), corridor_grid)
@@ -280,12 +238,3 @@ class TestEstimateCI:
         e8 = estimate_ci(op, pool)[0]
         assert e8 >= e4 - 1e-12
         assert abs(e8 - e4) <= 0.1 * max(e4, e8)
-
-    def test_flux_push_estimate_finite(self, unit_grid, unit_kernel):
-        law = linear_speed_law(4.0, 1.0)
-        direction = constant_direction(unit_grid, 1.0, 0.0, 0.0,
-                                       restrict_to_room=False)
-        e = estimate_ci(
-            lambda s: flux_push(s, 0, law, direction, unit_kernel)[None],
-            self.samples(unit_grid))[0]
-        assert np.isfinite(e) and e > 0.0
