@@ -18,8 +18,8 @@ from .analysis import (BoundInputs, ParameterDeltas,
 from .config import PopulationConfig, RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
                      EstimationError, NumericError, UnsupportedModelError)
-from .grid import (GridSpec, NormRecord, PopulationField, indicator_datum,
-                   make_grid, norms)
+from .grid import (GridSpec, NormRecord, PopulationField, boundary,
+                   indicator_datum, make_grid, norms, room_mask)
 from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
 from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
@@ -29,7 +29,7 @@ from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
                      StepReport, advection_field, cfl_dt, run, split_step)
 from .velocity import (DirectionField, SpeedLaw, constant_direction,
                        constant_speed_law, discomfort, linear_speed_law,
-                       room_mask, smoothed_total_density)
+                       smoothed_total_density)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

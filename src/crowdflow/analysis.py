@@ -188,9 +188,7 @@ def stability_bound_differentiable(t: float, inputs1: BoundInputs,
     k2 = k2_constant(inputs1)
     f = _prod(_exp((2 * d + 1) * k1 * t),
               inputs1.tv0 + t * d * wd(d) * k2 * inputs1.linf0)
-    bigk = max(
-        inputs1.v_w1inf * inputs1.vec_w1inf * (inputs1.n1 * inputs1.grad_eta_sup + 1.0),
-        inputs2.v_w1inf * inputs2.vec_w1inf * (inputs2.n1 * inputs2.grad_eta_sup + 1.0))
+    bigk = max(k1, k1_constant(inputs2))
     rmax = max(inputs1.linf0, inputs2.linf0)
     ekt = _exp(bigk * t)
     alpha = (inputs1.ddv_sup * inputs1.eta_sup * inputs1.n1

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,8 @@ class GridSpec:
                 raise ConfigurationError(f"unknown boundary side {side!r}")
             if not hi > lo:
                 raise ConfigurationError("empty exit segment")
+        if not boundary(self).room.any():
+            raise ConfigurationError("room holds no cell center")
 
     @property
     def x1(self) -> float:
@@ -82,6 +86,50 @@ class GridSpec:
     def yc(self) -> np.ndarray:
         """y coordinates of cell centers, shape (ny,)."""
         return self.y0 + (np.arange(self.ny) + 0.5) * self.dy
+
+
+class Boundary(NamedTuple):
+    """The room and its boundary on one grid; every array is read-only."""
+
+    room: np.ndarray    # (nx, ny): cells whose center lies strictly inside
+    xwall: np.ndarray   # (nx + 1, ny): x faces between a room and another cell
+    ywall: np.ndarray   # (nx, ny + 1): y faces between a room and another cell
+    exits: tuple[np.ndarray, ...]  # exit cells of the left, right, bottom, top
+
+    @property
+    def sweeps(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(exit_lo, exit_hi, walls) of the x sweep, then of the transposed y."""
+        return (*self.exits[:2], self.xwall), (*self.exits[2:], self.ywall.T)
+
+
+@lru_cache(maxsize=32)
+def boundary(grid: GridSpec) -> Boundary:
+    """The one boundary rule: room cells, wall faces and exit cells.
+
+    A cell belongs to the room when its center lies strictly inside the
+    room rectangle, so a room edge that falls inside a cell rounds to
+    cell centers.  Walls are the interior faces where the room mask
+    changes.  An exit holds the edge cells of its side whose center
+    lies in its span, widened by 1e-9 of the domain size.
+    """
+    rx0, ry0, rx1, ry1 = grid.room
+    room = np.outer((grid.xc > rx0) & (grid.xc < rx1),
+                    (grid.yc > ry0) & (grid.yc < ry1))
+    xwall = np.pad(np.not_equal(room[1:], room[:-1]), ((1, 1), (0, 0)))
+    ywall = np.pad(np.not_equal(room[:, 1:], room[:, :-1]), ((0, 0), (1, 1)))
+    tol = 1e-9 * max(grid.width, grid.height)
+    along = {s: grid.yc if s in ("left", "right") else grid.xc for s in _SIDES}
+    exits = {s: np.zeros(c.shape, dtype=bool) for s, c in along.items()}
+    for side, lo, hi in grid.exits:
+        exits[side] |= (along[side] > lo - tol) & (along[side] < hi + tol)
+    for a in (room, xwall, ywall, *exits.values()):
+        a.flags.writeable = False
+    return Boundary(room, xwall, ywall, tuple(exits.values()))
+
+
+def room_mask(grid: GridSpec) -> np.ndarray:
+    """Read-only (nx, ny) mask of the room cells (see boundary)."""
+    return boundary(grid).room
 
 
 def make_grid(bounds: Rect, dx: float, dy: float,
@@ -158,14 +206,6 @@ class NormRecord:
     @property
     def l1_total(self) -> float:
         return float(self.l1.sum())
-
-    @property
-    def linf_total(self) -> float:
-        return float(self.linf.max(initial=0.0))
-
-    @property
-    def tv_total(self) -> float:
-        return float(self.tv.sum())
 
 
 def indicator_datum(grid: GridSpec, value: float, rect: Rect) -> np.ndarray:

@@ -5,25 +5,25 @@ state, then performs an x sweep followed by a y sweep of conservative
 Lax-Friedrichs for every population.  For the deviation family the flux
 is q(rho) * (dir + I) with the speed law inside the flux; for the
 differentiable family the speed is folded into the advection field and
-the flux is linear in rho.  Walls are closed, the domain edge is empty
-outside and an exit passes flux outward only, so mass only leaves; it is
-accounted per step so that conservation is an exact identity.  The
-three-cell LxF stencil moves mass by at most one cell per sweep, so a
-step sweeps each population only on the box of its live cells widened
-by one cell, and the result is bit for bit that of the whole grid.
+the flux is linear in rho.  Walls (grid.boundary) are closed, the domain
+edge is empty outside and an exit passes flux outward only, so mass only
+leaves; it is accounted per step so that conservation is an exact
+identity.  The three-cell LxF stencil moves mass by at most one cell per
+sweep, so a step sweeps each population only on the box of its live
+cells widened by one cell, and the result is bit for bit that of the
+whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (BoundViolationError, ConfigurationError, NumericError)
-from .grid import GridSpec, PopulationField, live_box
+from .grid import GridSpec, PopulationField, boundary, live_box
 from .kernel import SampledKernel
 from .nonlocal_ops import NonlocalOperator
 from .velocity import (DirectionField, SpeedLaw, clamped_speed_arg,
@@ -90,35 +90,6 @@ class RunResult:
     state: PopulationField
     reports: list[StepReport]
     escaped: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def _boundary_layout(grid: GridSpec):
-    """(exit_lo, exit_hi, wall_faces) per sweep: x, then y transposed."""
-    tol = 1e-9 * max(grid.width, grid.height)
-    exits = {s: np.zeros(grid.ny if s in ("left", "right") else grid.nx,
-                         dtype=bool) for s in ("left", "right", "bottom", "top")}
-    for side, lo, hi in grid.exits:
-        coords = grid.yc if side in ("left", "right") else grid.xc
-        exits[side] |= (coords > lo - tol) & (coords < hi + tol)
-    # wall faces: room edges strictly inside the domain
-    xwall = np.zeros((grid.nx + 1, grid.ny), dtype=bool)
-    ywall = np.zeros((grid.nx, grid.ny + 1), dtype=bool)
-    rx0, ry0, rx1, ry1 = grid.room
-    inx = (grid.xc > rx0 - tol) & (grid.xc < rx1 + tol)
-    iny = (grid.yc > ry0 - tol) & (grid.yc < ry1 + tol)
-    for xe in (rx0, rx1):
-        if grid.x0 + tol < xe < grid.x1 - tol:
-            i = int(round((xe - grid.x0) / grid.dx))
-            if abs(grid.x0 + i * grid.dx - xe) <= tol:
-                xwall[i, iny] = True
-    for ye in (ry0, ry1):
-        if grid.y0 + tol < ye < grid.y1 - tol:
-            j = int(round((ye - grid.y0) / grid.dy))
-            if abs(grid.y0 + j * grid.dy - ye) <= tol:
-                ywall[inx, j] = True
-    return ((exits["left"], exits["right"], xwall),
-            (exits["bottom"], exits["top"], ywall.T))
 
 
 def advection_field(state: PopulationField, model: ModelSpec) -> np.ndarray:
@@ -274,7 +245,7 @@ def _sweep_xy(rho: np.ndarray, w: np.ndarray, qfun, grid: GridSpec,
     rows, cols = live_box(rho, *(() if e is None else (e,)), pad=(1, 1))
     if rows.start == rows.stop:  # nothing to move
         return 0.0, (rows, cols)
-    x_edges, y_edges = _boundary_layout(grid)
+    x_edges, y_edges = boundary(grid).sweeps
     ex = ey = None
     if e is not None:
         ex, ey = e[0, rows, cols], e[1, rows, cols].T

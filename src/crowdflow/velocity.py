@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, PopulationField
+from .grid import GridSpec, PopulationField, room_mask
 from .kernel import SampledKernel, convolve
 
 UNDERSHOOT_TOL = 1e-10
@@ -109,22 +109,14 @@ def constant_speed_law(c: float, R: float = 1.0) -> SpeedLaw:
         R=R)
 
 
-def room_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean (nx, ny) mask of cells whose center lies in the room."""
-    rx0, ry0, rx1, ry1 = grid.room
-    inx = (grid.xc > rx0) & (grid.xc < rx1)
-    iny = (grid.yc > ry0) & (grid.yc < ry1)
-    return np.outer(inx, iny)
-
-
 def discomfort(grid: GridSpec, delta_max: float, delta_r: float) -> np.ndarray:
     """Wall-repulsion field, shape (2, nx, ny).
 
     Perpendicular to the room walls, pointing inward, magnitude delta_max
     at wall-adjacent cells and delta_max * max(0, 1 - dist/delta_r)
-    further in; zero outside the room.  Walls are the room edges that do
-    not lie on the numerical-domain boundary (domain-boundary edges are
-    governed by the exit list instead).
+    further in (dist from the room edge); zero outside the room.  A side
+    pushes only if it has wall faces (grid.boundary): if its outermost
+    cells hold no room cell.  Elsewhere the exit list governs the edge.
     """
     if not 0 < delta_r < math.inf:
         raise ConfigurationError(
@@ -132,21 +124,19 @@ def discomfort(grid: GridSpec, delta_max: float, delta_r: float) -> np.ndarray:
     out = np.zeros((2, grid.nx, grid.ny))
     mask = room_mask(grid)
     rx0, ry0, rx1, ry1 = grid.room
-    tol = 1e-9 * max(grid.width, grid.height)
-    X = grid.xc[:, None]
-    Y = grid.yc[None, :]
+    X, Y = grid.xc[:, None], grid.yc[None, :]
 
     def profile(dist, step):
         mag = delta_max * np.clip(1.0 - dist / delta_r, 0.0, None)
         return np.where(dist <= step * (1.0 + 1e-9), delta_max, mag)
 
-    if ry0 > grid.y0 + tol:  # bottom wall, pushes up
+    if not mask[:, 0].any():  # bottom wall, pushes up
         out[1] += profile(Y - ry0, grid.dy)
-    if ry1 < grid.y1 - tol:  # top wall, pushes down
+    if not mask[:, -1].any():  # top wall, pushes down
         out[1] -= profile(ry1 - Y, grid.dy)
-    if rx0 > grid.x0 + tol:  # left wall, pushes right
+    if not mask[0].any():  # left wall, pushes right
         out[0] += profile(X - rx0, grid.dx)
-    if rx1 < grid.x1 - tol:  # right wall, pushes left
+    if not mask[-1].any():  # right wall, pushes left
         out[0] -= profile(rx1 - X, grid.dx)
     out *= mask[None, :, :]
     return out

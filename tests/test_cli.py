@@ -488,6 +488,19 @@ class TestMain:
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not out.exists()
 
+    def test_empty_room_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an inverted room holds no cell center: rejected with the grid
+        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\npreset = crossing\n"
+                     "[grid]\nmesh = 0.2\nroom = 3 2 -3 -2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "room holds no cell center" in err
+        assert not out.exists()
+
     def test_diagnostics_every_step_has_no_repeated_row(self, tmp_path,
                                                          capsys):
         p = tmp_path / "c.ini"

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (ConfigurationError, GridSpec, NumericError,
-                       PopulationField, indicator_datum, make_grid, norms)
+                       PopulationField, boundary, discomfort,
+                       indicator_datum, make_grid, norms, room_mask)
 from crowdflow.grid import live_box
 
 
@@ -121,7 +122,7 @@ class TestNorms:
 
     def test_zero_field(self, unit_grid):
         rec = norms(PopulationField.zeros(unit_grid, 2))
-        assert rec.l1_total == 0 and rec.linf_total == 0 and rec.tv_total == 0
+        assert rec.l1_total == 0
 
     def test_constant_field(self, unit_grid):
         fld = PopulationField.from_arrays(
@@ -170,8 +171,6 @@ class TestNorms:
         data = rng.random((3, unit_grid.nx, unit_grid.ny))
         rec = norms(PopulationField(unit_grid, data))
         assert rec.l1_total == pytest.approx(rec.l1.sum())
-        assert rec.tv_total == pytest.approx(rec.tv.sum())
-        assert rec.linf_total == pytest.approx(rec.linf.max())
 
 
 class TestPopulationField:
@@ -183,6 +182,103 @@ class TestPopulationField:
         fld = PopulationField.from_arrays(
             unit_grid, np.full((unit_grid.nx, unit_grid.ny), 2.0))
         assert fld.mass()[0] == pytest.approx(2.0)
+
+
+@st.composite
+def grids_with_rooms(draw):
+    """A grid and a room whose edges lie on faces, on cell centers or
+    anywhere; the room may hold no cell center."""
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    dx, dy = (draw(st.sampled_from([0.1, 0.25, 0.4, 1.0])) for _ in "xy")
+    x0, y0 = (draw(st.sampled_from([-8.0, -0.3, 0.0, 2.5])) for _ in "xy")
+
+    def coordinate(lo, h, n):
+        return draw(st.one_of(
+            st.integers(0, n).map(lambda k: lo + k * h),
+            st.integers(0, n - 1).map(lambda k: lo + (k + 0.5) * h),
+            st.floats(lo, lo + n * h)))
+
+    xs = sorted(coordinate(x0, dx, nx) for _ in "ab")
+    ys = sorted(coordinate(y0, dy, ny) for _ in "ab")
+    return dict(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
+                room=(xs[0], ys[0], xs[1], ys[1]))
+
+
+class TestBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=grids_with_rooms())
+    def test_walls_are_the_faces_where_the_room_changes(self, spec):
+        rx0, ry0, rx1, ry1 = spec["room"]
+        xc = [spec["x0"] + (i + 0.5) * spec["dx"] for i in range(spec["nx"])]
+        yc = [spec["y0"] + (j + 0.5) * spec["dy"] for j in range(spec["ny"])]
+        want = np.array([[rx0 < x < rx1 and ry0 < y < ry1 for y in yc]
+                         for x in xc])
+        if not want.any():
+            with pytest.raises(ConfigurationError, match="no cell center"):
+                GridSpec(**spec)
+            return
+        g = GridSpec(**spec)
+        b = boundary(g)
+        assert np.array_equal(b.room, want)
+        nx, ny = want.shape
+        for i in range(nx + 1):
+            for j in range(ny):
+                assert b.xwall[i, j] == (0 < i < nx
+                                         and want[i - 1, j] != want[i, j])
+        for i in range(nx):
+            for j in range(ny + 1):
+                assert b.ywall[i, j] == (0 < j < ny
+                                         and want[i, j - 1] != want[i, j])
+        assert not (b.xwall[[0, -1]].any() or b.ywall[:, [0, -1]].any())
+
+        # discomfort pushes inward from the sides with wall faces only
+        d = discomfort(g, 0.8, 0.75)
+        assert np.all(d[:, ~want] == 0.0)
+        walls = {"left": b.xwall[:-1] & want, "right": b.xwall[1:] & want,
+                 "bottom": b.ywall[:, :-1] & want, "top": b.ywall[:, 1:] & want}
+        for side, other, axis, sign in (("left", "right", 0, 1.0),
+                                        ("right", "left", 0, -1.0),
+                                        ("bottom", "top", 1, 1.0),
+                                        ("top", "bottom", 1, -1.0)):
+            if not walls[side].any():
+                assert np.all(sign * d[axis] <= 0.0)
+            elif not walls[other].any():
+                assert np.all(sign * d[axis][walls[side]] == 0.8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=grids_with_rooms())
+    def test_cached_arrays_are_read_only(self, spec):
+        try:
+            g = GridSpec(**spec)
+        except ConfigurationError:
+            return
+        b = boundary(g)
+        assert boundary(g) is b and room_mask(g) is b.room
+        for a in (b.room, b.xwall, b.ywall, *b.exits, *b.sweeps[0],
+                  *b.sweeps[1]):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            b.room[0, 0] = False
+
+    def test_aligned_corridor(self, corridor_grid):
+        # room edges y = -3 and 3 on faces 10 and 70; exits for |y| < 3
+        b = boundary(corridor_grid)
+        assert not b.xwall.any()
+        assert np.array_equal(np.flatnonzero(b.ywall.any(axis=0)), [10, 70])
+        assert b.ywall[:, [10, 70]].all()
+        left, right, bottom, top = b.exits
+        assert np.array_equal(left, (corridor_grid.yc > -3)
+                              & (corridor_grid.yc < 3))
+        assert np.array_equal(right, left)
+        assert not (bottom.any() or top.any())
+
+    @pytest.mark.parametrize("room", [
+        (3.0, 2.0, -3.0, -2.0), (0.0, -1.0, 0.0, 1.0),
+        (0.06, -1.0, 0.14, 1.0)],
+        ids=["inverted", "zero-width", "between-centers"])
+    def test_room_without_cell_center_rejected(self, room):
+        with pytest.raises(ConfigurationError, match="no cell center"):
+            make_grid((-8.0, -4.0, 8.0, 4.0), 0.1, 0.1, room=room)
 
 
 class TestLiveBox:

@@ -11,12 +11,11 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        advection_field, bump_kernel, cfl_dt,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, preset,
-                       run, sample_kernel, split_step)
+                       room_mask, run, sample_kernel, split_step)
 from crowdflow import nonlocal_ops, solver
-from crowdflow.grid import live_box
-from crowdflow.solver import (MAX_PRINCIPLE_TOL, _boundary_layout,
-                              _face_buffers, _linear_flux, _outflow,
-                              _sweep, _sweep_xy)
+from crowdflow.grid import boundary, live_box
+from crowdflow.solver import (MAX_PRINCIPLE_TOL, _face_buffers,
+                              _linear_flux, _outflow, _sweep, _sweep_xy)
 
 
 def no_deviation(grid):
@@ -221,7 +220,7 @@ class TestFaceBuffers:
         # the y sweep runs on transposes, so its buffer is one as well
         rho = rng.random((corridor_grid.nx, corridor_grid.ny))
         w = rng.uniform(-1.0, 1.0, (2,) + rho.shape)
-        x_edges, y_edges = _boundary_layout(corridor_grid)
+        x_edges, y_edges = boundary(corridor_grid).sweeps
         fx, fy = _face_buffers(corridor_grid)
         for sweep_in, a, edges, F in ((rho, w[0], x_edges, fx),
                                       (rho.T, w[1].T, y_edges, fy)):
@@ -240,7 +239,7 @@ class TestApplyBoundary:
     LAM = 10.0
 
     def sweep_x(self, rho, a, grid):
-        x_edges, _ = _boundary_layout(grid)
+        x_edges, _ = boundary(grid).sweeps
         new, _ = _sweep(rho, a, _linear_flux, self.LAM, *x_edges)
         return new
 
@@ -283,7 +282,7 @@ class TestApplyBoundary:
             assert np.allclose(hi, np.where(out_hi, f[-1], closed_hi),
                                rtol=1e-12, atol=1e-12)
         # top and bottom are not exits
-        _, (exit_lo, exit_hi, _) = _boundary_layout(corridor_grid)
+        _, (exit_lo, exit_hi, _) = boundary(corridor_grid).sweeps
         assert not exit_lo.any() and not exit_hi.any()
 
     def test_corners_zero(self, corridor_grid, rng):
@@ -296,14 +295,14 @@ class TestApplyBoundary:
         for j in (0, -1):
             assert lo[j] == pytest.approx(-0.5 * (1 + lam) * rho[0, j])
             assert hi[j] == pytest.approx(0.5 * (1 + lam) * rho[-1, j])
-        (exit_lo, exit_hi, _), _ = _boundary_layout(corridor_grid)
+        (exit_lo, exit_hi, _), _ = boundary(corridor_grid).sweeps
         assert not (exit_lo[[0, -1]].any() or exit_hi[[0, -1]].any())
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_matches_ghost_cell_sweep(self, corridor_grid, rng, axis):
         # bitwise against the ghost-cell sweep whose ghosts copy the edge
         # cell exactly on the exit faces where the field points out
-        x_edges, y_edges = _boundary_layout(corridor_grid)
+        x_edges, y_edges = boundary(corridor_grid).sweeps
         exit_lo, exit_hi, walls = x_edges if axis == "x" else y_edges
         shape = (corridor_grid.nx, corridor_grid.ny)
         if axis == "y":
@@ -323,7 +322,7 @@ class TestApplyBoundary:
     def test_transposed_view_gives_the_same_bits(self, corridor_grid, rng):
         # the y sweep gets F-order views; a C-order copy of the same
         # values must give the same field and outflow bit for bit
-        _, (exit_lo, exit_hi, walls) = _boundary_layout(corridor_grid)
+        _, (exit_lo, exit_hi, walls) = boundary(corridor_grid).sweeps
         law = linear_speed_law(4.0, 1.0)
         shape = (corridor_grid.nx, corridor_grid.ny)
         for qfun, with_e in ((law.q, False), (_linear_flux, True)):
@@ -343,7 +342,7 @@ class TestApplyBoundary:
 def whole_grid_sweep_xy(rho, w, qfun, grid, dt, e=None):
     """The x then y pass of `_sweep` on the whole arrays: field and mass
     out through the domain boundary."""
-    x_edges, y_edges = _boundary_layout(grid)
+    x_edges, y_edges = boundary(grid).sweeps
     r, Fx = _sweep(rho, w[0], qfun, grid.dx / dt, *x_edges,
                    None if e is None else e[0])
     r, Fy = _sweep(r.T, w[1].T, qfun, grid.dy / dt, *y_edges,
@@ -436,7 +435,7 @@ class TestWindowedSweep:
         w[1] = 1.0  # a y drive alone: the x sweep is skipped
         new = np.zeros_like(rho)
         _sweep_xy(rho, w, self.LAW.q, corridor_grid, self.DT, new)
-        _, y_edges = _boundary_layout(corridor_grid)
+        _, y_edges = boundary(corridor_grid).sweeps
         want, _ = _sweep(rho.T, w[1].T, self.LAW.q,
                          corridor_grid.dy / self.DT, *y_edges)
         assert np.array_equal(bits(new), bits(want.T))
@@ -594,6 +593,22 @@ class TestRun:
             assert np.array_equal(r.escaped, escaped)
         assert res.escaped.all()  # mass crosses both exits
         assert np.array_equal(res.reports[-1].escaped, res.escaped)
+
+    def test_off_face_room_keeps_its_mass(self):
+        # at mesh 0.4 the room edges y = -3 and 3 fall on cell centers:
+        # the room is the cells whose center lies inside, walled all round
+        cfg = replace(preset("crossing").with_mesh(0.4), t_max=2.0)
+        model, datum = cfg.build()
+        outside = ~room_mask(model.grid)
+        assert outside.any() and not datum.data[:, outside].any()
+        leaked = []
+
+        def on_step(report, state, W):
+            leaked.append(np.abs(state.data[:, outside]).max())
+
+        res = run(model, datum, on_step=on_step)
+        assert len(leaked) > 10 and max(leaked) == 0.0
+        assert res.escaped.max() < 1e-3  # only through the exits
 
     def test_maximum_principle_crossing(self):
         from dataclasses import replace as dc_replace
