@@ -109,8 +109,8 @@ def boundary(grid: GridSpec) -> Boundary:
     A cell belongs to the room when its center lies strictly inside the
     room rectangle, so a room edge that falls inside a cell rounds to
     cell centers.  Walls are the interior faces where the room mask
-    changes.  An exit holds the edge cells of its side whose center
-    lies in its span, widened by 1e-9 of the domain size.
+    changes.  An exit holds the room cells on the edge of its side whose
+    center lies in its span, widened by 1e-9 of the domain size.
     """
     rx0, ry0, rx1, ry1 = grid.room
     room = np.outer((grid.xc > rx0) & (grid.xc < rx1),
@@ -118,10 +118,13 @@ def boundary(grid: GridSpec) -> Boundary:
     xwall = np.pad(np.not_equal(room[1:], room[:-1]), ((1, 1), (0, 0)))
     ywall = np.pad(np.not_equal(room[:, 1:], room[:, :-1]), ((0, 0), (1, 1)))
     tol = 1e-9 * max(grid.width, grid.height)
-    along = {s: grid.yc if s in ("left", "right") else grid.xc for s in _SIDES}
-    exits = {s: np.zeros(c.shape, dtype=bool) for s, c in along.items()}
+    # per side (in _SIDES order): centers along it, its edge room cells
+    edges = {"left": (grid.yc, room[0]), "right": (grid.yc, room[-1]),
+             "bottom": (grid.xc, room[:, 0]), "top": (grid.xc, room[:, -1])}
+    exits = {s: np.zeros(c.shape, dtype=bool) for s, (c, _) in edges.items()}
     for side, lo, hi in grid.exits:
-        exits[side] |= (along[side] > lo - tol) & (along[side] < hi + tol)
+        along, in_room = edges[side]
+        exits[side] |= (along > lo - tol) & (along < hi + tol) & in_room
     for a in (room, xwall, ywall, *exits.values()):
         a.flags.writeable = False
     return Boundary(room, xwall, ywall, tuple(exits.values()))

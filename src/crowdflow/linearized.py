@@ -20,8 +20,9 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedModelError
 from .grid import PopulationField, make_grid
 from .kernel import bump_kernel, sample_kernel
-from .solver import (DIFFERENTIABLE, ModelSpec, RunResult, _linear_flux,
-                     _sweep_xy, run, split_step)
+from .solver import (DIFFERENTIABLE, ModelSpec, RunResult, _face_buffers,
+                     _linear_flux, _sweep_xy, _velocity_field, run,
+                     split_step)
 from .velocity import (clamped_speed_arg, constant_direction,
                        linear_speed_law, smoothed_total_density)
 
@@ -43,22 +44,30 @@ class CostSpec:
 
 def _linearized_step(sigma: PopulationField, rho: PopulationField,
                      W: np.ndarray, model: ModelSpec, dt: float,
+                     arg: np.ndarray,
+                     faces: tuple[np.ndarray, np.ndarray] = (None, None),
                      ) -> PopulationField:
     """One split LxF step of the linearized system with frozen rho.
 
-    W is rho's advection field v_i(arg) dir_i, arg the total smoothed
-    density of rho.  The flux of sigma_i is sigma_i W_i plus the
-    sigma-independent rho_i v_i'(arg) (sigma conv) dir_i: a linear flux
-    with an additive part, through the base step's sweep.
+    arg is the clamped total smoothed density of rho, the speed argument
+    the base step used, and W its field v_i(arg) dir_i.  The flux of
+    sigma_i is sigma_i W_i plus the sigma-independent rho_i v_i'(arg)
+    (sigma conv) dir_i: a linear flux with an additive part, through the
+    base step's sweep.  Only sigma is smoothed; the additive part of
+    each population is built in one (2, nx, ny) buffer, and faces are
+    face-flux buffers for the sweeps (_face_buffers), as in split_step.
     """
-    arg = clamped_speed_arg(smoothed_total_density(rho, model.kernels))
     sconv = smoothed_total_density(sigma, model.kernels)
     new = np.zeros_like(sigma.data)
+    e = np.empty((2, model.grid.nx, model.grid.ny))
     for i in range(model.n):
-        e = ((rho.data[i] * model.laws[i].dv(arg) * sconv)[None, :, :]
-             * model.dirs[i].total)
+        # e_k = ((rho_i v_i'(arg)) sconv) dir_i[k]; this order fixes e's bits
+        s = np.multiply(rho.data[i], model.laws[i].dv(arg), out=e[0])
+        s *= sconv
+        np.multiply(s, model.dirs[i].total[1], out=e[1])
+        s *= model.dirs[i].total[0]
         _sweep_xy(sigma.data[i], W[i], _linear_flux, model.grid, dt, new[i],
-                  e)
+                  e, faces)
     return PopulationField(model.grid, new)
 
 
@@ -69,17 +78,25 @@ def solve_linearized(model: ModelSpec, rho0: PopulationField,
 
     Returns the base run and Sigma_t sigma0.  Each step of the
     linearized system is taken with the base step's dt, frozen at the
-    base state before that step.  A negative t raises ConfigurationError.
+    base state before that step, and reuses the speed argument the base
+    step computed for its field.  A negative t raises ConfigurationError.
     """
     _require_differentiable(model)
-    sigma, before = sigma0.copy(), rho0
+    sigma, before, arg = sigma0.copy(), rho0, None
+    faces = _face_buffers(model.grid)
+
+    def field(state, model):
+        nonlocal arg
+        arg = clamped_speed_arg(smoothed_total_density(state, model.kernels))
+        return _velocity_field(arg, model)
 
     def advance(report, state, W):
         nonlocal sigma, before
-        sigma = _linearized_step(sigma, before, W, model, report.dt)
+        sigma = _linearized_step(sigma, before, W, model, report.dt, arg,
+                                 faces)
         before = state
 
-    result = run(_until(model, t), rho0, on_step=advance)
+    result = run(_until(model, t), rho0, on_step=advance, field=field)
     return result, sigma
 
 
@@ -105,11 +122,12 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     check_steps(hs)
     base, sigma_t = solve_linearized(model, rho0, sigma0, t)
     dts = [r.dt for r in base.reports]
+    faces = _face_buffers(model.grid)  # shared by every replay
     rs = []
     for h in hs:
         state = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
         for dt in dts:
-            state, _ = split_step(state, model, dt)
+            state, _ = split_step(state, model, dt, faces=faces)
         defect = state.data - base.state.data - h * sigma_t.data
         rs.append(float(np.abs(defect).sum()) * rho0.grid.cell_area)
     return rs

@@ -104,11 +104,18 @@ def advection_field(state: PopulationField, model: ModelSpec) -> np.ndarray:
         for i, d in enumerate(model.dirs):
             W[i] += d.total
         return W
-    n, g = model.n, model.grid
-    W = np.empty((n, 2, g.nx, g.ny))
     arg = clamped_speed_arg(smoothed_total_density(state, model.kernels))
-    for i in range(n):
-        W[i] = model.laws[i].v(arg)[None, :, :] * model.dirs[i].total
+    return _velocity_field(arg, model)
+
+
+def _velocity_field(arg: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """The differentiable family's field v_i(arg) dir_i, (n, 2, nx, ny),
+    from the clamped speed argument arg, each product written into W."""
+    g = model.grid
+    W = np.empty((model.n, 2, g.nx, g.ny))
+    for i in range(model.n):
+        np.multiply(model.laws[i].v(arg)[None, :, :], model.dirs[i].total,
+                    out=W[i])
     return W
 
 
@@ -302,6 +309,7 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
 def run(model: ModelSpec, datum: PopulationField,
         on_snapshot: Callable[[float, PopulationField], None] | None = None,
         on_step: Callable[[StepReport, PopulationField, np.ndarray], None] | None = None,
+        *, field: Callable[[PopulationField, ModelSpec], np.ndarray] | None = None,
         ) -> RunResult:
     """Integrate the model from the datum to t_max.
 
@@ -309,8 +317,14 @@ def run(model: ModelSpec, datum: PopulationField,
     receives (report, state, frozen advection field) after every step:
     the post-step state, and the field the step used, computed from the
     pre-step state.  Work that advances beside the run, such as the
-    linearized solve, takes the step's dt from the report.
+    linearized solve, takes the step's dt from the report.  field(state,
+    model) computes each step's frozen field from the pre-step state
+    (advection_field when None, looked up at the call); a hook that
+    returns advection_field's value can keep what it computed on the
+    way, as the linearized solve keeps the speed argument.
     """
+    if field is None:
+        field = advection_field
     if datum.grid is not model.grid and datum.grid != model.grid:
         raise ConfigurationError("datum grid does not match model grid")
     state = datum.copy()
@@ -333,7 +347,7 @@ def run(model: ModelSpec, datum: PopulationField,
     linear = _flux_is_linear(model)
     faces = _face_buffers(model.grid)  # the run's, reused by every sweep
     while t < model.t_max - 1e-12:
-        W = advection_field(state, model)
+        W = field(state, model)
         dt = cfl_dt(state, W, model.laws, model.cfl,
                     dt_cap=events[0] - t, linear_flux=linear)
         state, outflow = split_step(state, model, dt, W, faces)

@@ -649,6 +649,16 @@ def test_envelope_outputs_pinned(tmp_path, capsys, argv):
     assert digests == PINNED_ENVELOPES[argv]
 
 
+def test_gateaux_table_pinned(tmp_path, capsys):
+    # the linearized step and the replays, to the residual table's last bit
+    argv = ["gateaux", "--mesh", "0.0625", "--tmax", "0.1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "gateaux.csv").read_bytes())
+    assert digest.hexdigest() == (
+        "dd34171b6e52605ec1c2eafb42ddb5b212feb3acc5d800285bbc82eb95893b78")
+
+
 def test_import_does_not_load_scipy():
     # the tests import scipy for their oracles, so check in a fresh process
     src = os.path.dirname(os.path.dirname(crowdflow.__file__))

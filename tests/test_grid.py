@@ -187,7 +187,8 @@ class TestPopulationField:
 @st.composite
 def grids_with_rooms(draw):
     """A grid and a room whose edges lie on faces, on cell centers or
-    anywhere; the room may hold no cell center."""
+    anywhere, and up to three exits whose ends lie likewise; the room
+    may hold no cell center."""
     nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     dx, dy = (draw(st.sampled_from([0.1, 0.25, 0.4, 1.0])) for _ in "xy")
     x0, y0 = (draw(st.sampled_from([-8.0, -0.3, 0.0, 2.5])) for _ in "xy")
@@ -200,8 +201,15 @@ def grids_with_rooms(draw):
 
     xs = sorted(coordinate(x0, dx, nx) for _ in "ab")
     ys = sorted(coordinate(y0, dy, ny) for _ in "ab")
+    exits = []
+    for side in draw(st.lists(st.sampled_from(["left", "right", "bottom",
+                                               "top"]), max_size=3)):
+        lo, h, n = (y0, dy, ny) if side in ("left", "right") else (x0, dx, nx)
+        a, b = sorted(coordinate(lo, h, n) for _ in "ab")
+        if b > a:
+            exits.append((side, a, b))
     return dict(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
-                room=(xs[0], ys[0], xs[1], ys[1]))
+                room=(xs[0], ys[0], xs[1], ys[1]), exits=tuple(exits))
 
 
 class TestBoundary:
@@ -230,6 +238,18 @@ class TestBoundary:
                 assert b.ywall[i, j] == (0 < j < ny
                                          and want[i, j - 1] != want[i, j])
         assert not (b.xwall[[0, -1]].any() or b.ywall[:, [0, -1]].any())
+
+        # an exit cell is a room cell on its side's edge whose center lies
+        # in one of that side's spans, widened by 1e-9 of the domain
+        tol = 1e-9 * max(nx * spec["dx"], ny * spec["dy"])
+        sides = {"left": (yc, want[0]), "right": (yc, want[-1]),
+                 "bottom": (xc, want[:, 0]), "top": (xc, want[:, -1])}
+        for got, (side, (centers, edge)) in zip(b.exits, sides.items()):
+            spans = [(lo, hi) for s, lo, hi in spec["exits"] if s == side]
+            assert list(got) == [
+                bool(edge[k]) and any(lo - tol < c < hi + tol
+                                      for lo, hi in spans)
+                for k, c in enumerate(centers)]
 
         # discomfort pushes inward from the sides with wall faces only
         d = discomfort(g, 0.8, 0.75)

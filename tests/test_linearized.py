@@ -15,6 +15,8 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
 from crowdflow import linearized, velocity
 from crowdflow.kernel import convolve
 from crowdflow.linearized import _linearized_step
+from crowdflow.solver import _face_buffers
+from crowdflow.velocity import clamped_speed_arg, smoothed_total_density
 
 
 def closed_model(t_max=0.2, vmax=1.0, constant=False):
@@ -36,6 +38,11 @@ def hump(grid, cx, cy, r, amp):
     return amp * np.where(d2 < 1, np.cos(0.5 * np.pi * np.sqrt(d2)) ** 2, 0.0)
 
 
+def speed_arg(rho, model):
+    """The clamped speed argument of rho, as the base step computes it."""
+    return clamped_speed_arg(smoothed_total_density(rho, model.kernels))
+
+
 class TestLinearizedVelocity:
     """The perturbation flux (rho_i v'(arg) (sigma conv) + sigma_i v(arg))
     dir_i, seen through one step of the linearized scheme."""
@@ -48,7 +55,7 @@ class TestLinearizedVelocity:
             model.grid, hump(model.grid, 0.4, 0.5, 0.2, 0.3))
         sigma = PopulationField.zeros(model.grid, 1)
         out = _linearized_step(sigma, rho, advection_field(rho, model), model,
-                               self.DT)
+                               self.DT, speed_arg(rho, model))
         assert np.all(out.data == 0.0)
 
     def test_constant_speed_pure_advection(self):
@@ -59,7 +66,7 @@ class TestLinearizedVelocity:
         sigma = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.4, 0.25, 0.2))
         out = _linearized_step(sigma, rho, advection_field(rho, model), model,
-                               self.DT)
+                               self.DT, speed_arg(rho, model))
         expect, _ = split_step(sigma, model, self.DT)
         assert np.allclose(out.data, expect.data, atol=1e-14)
 
@@ -70,11 +77,25 @@ class TestLinearizedVelocity:
         sigma = PopulationField.from_arrays(
             model.grid, hump(model.grid, 0.5, 0.4, 0.25, 0.2))
         out = _linearized_step(sigma, rho, advection_field(rho, model), model,
-                               self.DT)
+                               self.DT, speed_arg(rho, model))
         frozen = replace(model, laws=(
             constant_speed_law(float(model.laws[0].v(0.0))),))
         expect, _ = split_step(sigma, frozen, self.DT)
         assert np.allclose(out.data, expect.data, atol=1e-14)
+
+    def test_step_memory_below_eight_grid_arrays(self):
+        # sigma's smoothing, the new field (two grid arrays), the additive
+        # flux (two) and one sweep's window; the face buffers are the caller's
+        model, rho, sigma = gateaux_benchmark(mesh=1.0 / 256.0, t_max=0.2)
+        W, arg = advection_field(rho, model), speed_arg(rho, model)
+        faces = _face_buffers(model.grid)
+        tracemalloc.start()
+        try:
+            _linearized_step(sigma, rho, W, model, 1e-3, arg, faces)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rho.data[0].nbytes
 
     def test_deviation_family_unsupported(self, corridor_grid):
         model = ModelSpec(family=DEVIATION, grid=corridor_grid,
@@ -223,9 +244,10 @@ class TestGateauxResidual:
                                     6.8950934423875e-08], rel=1e-9)
 
     def test_one_convolution_per_shared_kernel_and_pass(self, monkeypatch):
-        # each base step smooths once for its own field and twice in the
-        # linearized step (rho and sigma), and each h's replay once: the
-        # two populations share one kernel, so each pass is one convolution
+        # each base step smooths rho once, for its own field and the
+        # linearized step's speed argument, and sigma once; each h's replay
+        # smooths once: the two populations share one kernel, so each pass
+        # is one convolution
         calls, bases = [], []
 
         def counted(field, k):
@@ -243,7 +265,7 @@ class TestGateauxResidual:
         hs = [0.2, 0.1]
         gateaux_residual(model, rho0, sigma0, 0.2, hs)
         assert model.kernels[0] is model.kernels[1]
-        assert len(calls) == len(bases[0].reports) * (3 + len(hs))
+        assert len(calls) == len(bases[0].reports) * (2 + len(hs))
 
     def test_memory_independent_of_step_count(self):
         # 29 base steps; storing the base run would hold 30 states
@@ -271,7 +293,7 @@ def stored_trajectory_residual(model, rho0, sigma0, hs):
     sigma = sigma0.copy()
     for rho, dt in zip(states, dts):
         sigma = _linearized_step(sigma, rho, advection_field(rho, model),
-                                 model, dt)
+                                 model, dt, speed_arg(rho, model))
     rs = []
     for h in hs:
         state = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
