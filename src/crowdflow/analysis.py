@@ -3,7 +3,8 @@
 All estimates are worst-case envelopes: comparisons assert domination
 only, never tightness, and slack factors of several orders of magnitude
 are normal.  Exponents can exceed float range for rough data; the
-stability evaluator therefore also reports the bound in log space.
+one stability evaluator, of the deviation family, therefore also
+reports the bound in log space.
 The envelope inputs are measured here too: the sup of grad V, the
 direction-field norms and the sampled C_I (estimate_ci) all differentiate
 on the grid by one central-difference rule.  RunningEnvelope keeps the
@@ -59,8 +60,6 @@ class BoundInputs:
     tv0: float = math.nan
     v_sup: float = math.nan
     dv_sup: float = math.nan
-    ddv_sup: float = math.nan
-    dv_l1: float = math.nan       # L1 norm of v' over the density range
     q_sup: float = math.nan
     dq_sup: float = math.nan
     vec_sup: float = math.nan
@@ -70,7 +69,6 @@ class BoundInputs:
     div_sup: float = math.nan
     divvec_l1: float = math.nan
     graddiv_l1: float = math.nan
-    eta_sup: float = math.nan
     grad_eta_sup: float = math.nan
     hess_eta_sup: float = math.nan
     ci: float = math.nan
@@ -130,16 +128,13 @@ def bounds_differentiable(t: float, inputs: BoundInputs) -> tuple[float, float]:
 
 @dataclass
 class ParameterDeltas:
-    """Norms of the differences between two model configurations."""
+    """Norms of the differences between two deviation-family models."""
 
     drho0_l1: float = 0.0
     dq_sup: float = 0.0       # sup |q1 - q2|
     ddq_sup: float = 0.0      # sup |q1' - q2'|
     dvec_sup: float = 0.0     # sup |vec v1 - vec v2|
     ddivvec_l1: float = 0.0   # L1 of div(vec v1 - vec v2)
-    deta_w1inf: float = 0.0   # W1,inf norm of eta1 - eta2
-    dv_w1inf: float = 0.0     # W1,inf norm of v1 - v2
-    dvec_w11: float = 0.0     # W1,1 norm of vec v1 - vec v2
 
 
 @dataclass(frozen=True)
@@ -173,48 +168,6 @@ def stability_bound_deviation(t: float, inputs1: BoundInputs,
     b = _prod(ci, _prod(ek, inputs1.dq_sup, tv_growth) + inputs1.q_sup)
     value, log_value = _gronwall(t, t * b, deltas.drho0_l1 + a)
     return StabilityBound(value=value, log_value=log_value, a=a, b=b)
-
-
-def stability_bound_differentiable(t: float, inputs1: BoundInputs,
-                                   inputs2: BoundInputs,
-                                   deltas: ParameterDeltas) -> StabilityBound:
-    """Companion envelope for the differentiable model.
-
-    Same interface as stability_bound_deviation; realizes the explicit
-    coefficient functions of the datum/parameter stability estimate.
-    """
-    d = inputs1.d
-    k1 = k1_constant(inputs1)
-    k2 = k2_constant(inputs1)
-    f = _prod(_exp((2 * d + 1) * k1 * t),
-              inputs1.tv0 + t * d * wd(d) * k2 * inputs1.linf0)
-    bigk = max(k1, k1_constant(inputs2))
-    rmax = max(inputs1.linf0, inputs2.linf0)
-    ekt = _exp(bigk * t)
-    alpha = (inputs1.ddv_sup * inputs1.eta_sup * inputs1.n1
-             * inputs1.grad_eta_sup * inputs1.vec_l1
-             + inputs2.dv_sup * inputs1.grad_eta_sup * inputs1.vec_l1
-             + inputs1.dv_sup * inputs1.eta_sup * inputs1.divvec_l1)
-    beta = (inputs1.ddv_sup * inputs2.n1 * inputs1.n1
-            * inputs1.grad_eta_sup * inputs1.vec_l1
-            + inputs1.dv_l1 * inputs2.n1 * inputs1.divvec_l1
-            + inputs2.dv_sup * inputs2.n1 * inputs1.vec_l1)
-    gamma = inputs1.divvec_l1 + inputs1.n1 * inputs1.grad_eta_sup * inputs1.vec_l1
-    delta = inputs2.dv_sup * inputs2.n1 * inputs2.grad_eta_sup + inputs2.v_sup
-    alpha_p = inputs1.dv_sup * inputs1.eta_sup
-    beta_p = inputs1.dv_sup * inputs2.n1 * inputs1.vec_sup
-    gamma_p = inputs1.vec_sup
-    delta_p = inputs2.v_sup
-    a_eta = _prod(beta_p, f) + _prod(beta, rmax, ekt)
-    a_v = _prod(gamma_p, f) + _prod(gamma, rmax, ekt)
-    a_vec = _prod(delta_p, f) + _prod(delta, rmax, ekt)
-    base = (deltas.drho0_l1 + _prod(t, a_eta, deltas.deta_w1inf)
-            + _prod(t, a_v, deltas.dv_w1inf)
-            + _prod(t, a_vec, deltas.dvec_sup + deltas.dvec_w11))
-    rate = _prod(f, alpha_p) + _prod(rmax, ekt, alpha)
-    x = t * rate
-    value, log_value = _gronwall(x, x, base)
-    return StabilityBound(value=value, log_value=log_value, a=base, b=rate)
 
 
 def _prod(*factors: float) -> float:
@@ -319,7 +272,7 @@ _SCAN_ROWS = 32  # rows per block of the kernel_norms scan
 
 
 def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
-    """Sup norms of eta and its first two derivatives by dense scan.
+    """Sup norms of the first and second derivatives of eta, by dense scan.
 
     The samples x samples products are scanned _SCAN_ROWS rows at a
     time, so no temporary outgrows one block.  Each maximum is exact,
@@ -331,7 +284,6 @@ def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
     by, dby = spec.fy(ys), spec.dfy(ys)
     ddax = np.gradient(dax, xs)
     ddby = np.gradient(dby, ys)
-    eta_sup = float(np.abs(ax).max() * np.abs(by).max())
     # x factors as columns, so that a block of rows broadcasts against y
     ax, dax, ddax = (np.abs(v)[:, None] for v in (ax, dax, ddax))
     by, dby, ddby = np.abs(by), np.abs(dby), np.abs(ddby)
@@ -352,7 +304,7 @@ def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
         a += np.multiply(dax2[rows], dby, out=t)
         a += np.multiply(ax[rows], ddby, out=t)
         hess_max.append(a.max())
-    return dict(eta_sup=eta_sup, grad_eta_sup=float(np.max(grad_max)),
+    return dict(grad_eta_sup=float(np.max(grad_max)),
                 hess_eta_sup=float(np.max(hess_max)))
 
 
@@ -444,8 +396,8 @@ def bound_inputs_for(model: ModelSpec,
     for i, law in enumerate(model.laws):
         out.append(BoundInputs(
             d=2, n1=rec.l1_total, linf0=float(rec.linf[i]), tv0=float(rec.tv[i]),
-            v_sup=law.v_sup, dv_sup=law.dv_sup, ddv_sup=law.ddv_sup,
-            dv_l1=law.dv_sup * law.R, q_sup=law.q_sup, dq_sup=law.dq_sup,
+            v_sup=law.v_sup, dv_sup=law.dv_sup, q_sup=law.q_sup,
+            dq_sup=law.dq_sup,
             **direction_norms(model.dirs[i], model.grid),
             **(kn[model.kernels[i].spec] if model.kernels else {}),
             ci=float(ci[i]), grad_v_sup=0.0))

@@ -215,12 +215,15 @@ def indicator_datum(grid: GridSpec, value: float, rect: Rect) -> np.ndarray:
     """Cell averages of value * indicator(rect); exact partial-cell overlap.
 
     The returned array integrates to value * area(rect) for any grid
-    alignment of the rectangle.  A non-finite value raises
-    ConfigurationError.
+    alignment of the rectangle.  A non-finite value, or a rectangle that
+    is not finite with x0 < x1 and y0 < y1, raises ConfigurationError.
     """
     if not math.isfinite(value):
         raise ConfigurationError(f"datum value must be finite, got {value}")
     rx0, ry0, rx1, ry1 = rect
+    if not (all(map(math.isfinite, rect)) and rx0 < rx1 and ry0 < ry1):
+        raise ConfigurationError("datum rectangle must be finite with x0 < x1 "
+                                 f"and y0 < y1, got {tuple(rect)}")
     eps = 1e-9 * max(grid.width, grid.height)
     if rx0 < grid.x0 - eps or ry0 < grid.y0 - eps \
             or rx1 > grid.x1 + eps or ry1 > grid.y1 + eps:

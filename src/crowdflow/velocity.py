@@ -28,15 +28,14 @@ UNDERSHOOT_TOL = 1e-10
 class SpeedLaw:
     """Scalar speed law v with derivative, certified on [0, R].
 
-    Sup-norm metadata is computed once by a dense scan of [0, R].  The
-    bound evaluators read it, and `solver.cfl_dt` takes dq_sup, the sup
-    of |q'|, as the wave-speed factor of every step.
+    Sup norms of v, v', q and q' are computed once by a dense scan of
+    [0, R].  The bound evaluators read them, and `solver.cfl_dt` takes
+    dq_sup, the sup of |q'|, as the wave-speed factor of every step.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
     dv: Callable[[np.ndarray], np.ndarray]
     R: float
-    ddv: Callable[[np.ndarray], np.ndarray] | None = None
     _scan: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class SpeedLaw:
                 dv_sup=float(np.abs(self.dv(s)).max()),
                 q_sup=float(np.abs(self.q(s)).max()),
                 dq_sup=float(np.abs(self.dq(s)).max()),
-                ddv_sup=(float(np.abs(self.ddv(s)).max())
-                         if self.ddv is not None else float("nan")),
             )
         return self._scan
 
@@ -79,10 +76,6 @@ class SpeedLaw:
     def dq_sup(self) -> float:
         return self._norms()["dq_sup"]
 
-    @property
-    def ddv_sup(self) -> float:
-        return self._norms()["ddv_sup"]
-
 
 def _check_speed(value: float, what: str) -> None:
     if not 0 <= value < math.inf:
@@ -96,7 +89,6 @@ def linear_speed_law(vmax: float = 4.0, R: float = 1.0) -> SpeedLaw:
     return SpeedLaw(
         v=lambda r: vmax * (1.0 - np.asarray(r, dtype=float) / R),
         dv=lambda r: np.full_like(np.asarray(r, dtype=float), -vmax / R),
-        ddv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         R=R)
 
 
@@ -105,7 +97,6 @@ def constant_speed_law(c: float, R: float = 1.0) -> SpeedLaw:
     return SpeedLaw(
         v=lambda r: np.full_like(np.asarray(r, dtype=float), c),
         dv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        ddv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         R=R)
 
 

@@ -265,3 +265,28 @@ def test_11_determinism(tmp_path):
                      == (outs[1] / name).read_bytes())
     _verdict(11, "bitwise determinism", ok,
              f"{len(names)} files compared")
+
+
+REFINEMENT_FLOOR = 1.8  # fixed from ratios 2.36 and 2.27; not to be tuned
+
+
+def test_12_refinement():
+    # the smooth Gateaux datum to t = 0.2 at meshes 1/32 ... 1/256: each
+    # run's L1 distance to the 2x2 cell means of the next finer run must
+    # fall by at least REFINEMENT_FLOOR a level (first-order LxF on smooth
+    # data halves it)
+    finals = []
+    for mesh in (1 / 32, 1 / 64, 1 / 128, 1 / 256):
+        model, rho0, _ = gateaux_benchmark(mesh, 0.2)
+        finals.append((model.grid.cell_area, run(model, rho0).state.data))
+    dists = []
+    for (area, coarse), (_, fine) in zip(finals, finals[1:]):
+        n, nx, ny = coarse.shape
+        means = fine.reshape(n, nx, 2, ny, 2).mean(axis=(2, 4))
+        dists.append(float(np.abs(coarse - means).sum()) * area)
+    ratios = [a / b for a, b in zip(dists, dists[1:])]
+    ok = (all(a > b for a, b in zip(dists, dists[1:]))
+          and all(r >= REFINEMENT_FLOOR for r in ratios))
+    _verdict(12, "refinement", ok,
+             "L1 distances " + ", ".join(f"{d:.3g}" for d in dists)
+             + "; ratios " + ", ".join(f"{r:.3g}" for r in ratios))

@@ -13,10 +13,9 @@ from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
                        kernel_norms, bump_kernel, constant_direction,
                        linear_speed_law, make_grid, preset, run,
                        sample_kernel,
-                       stability_bound_deviation,
-                       stability_bound_differentiable, sup_gradient,
+                       stability_bound_deviation, sup_gradient,
                        tv_bound_deviation, wd)
-from crowdflow.analysis import LOG_MAX, _diff
+from crowdflow.analysis import LOG_MAX, _diff, _gronwall
 from crowdflow.cli import main
 from crowdflow.solver import DEVIATION, ModelSpec
 from crowdflow.nonlocal_ops import GradientAvoidance
@@ -26,10 +25,10 @@ from crowdflow.nonlocal_ops import GradientAvoidance
 # the parameter norms both populations share, each population's datum
 # norms, and C_I per family (0 outside the deviation family)
 CROSSING_PARAMS = dict(
-    d=2, n1=24.576, v_sup=4.0, dv_sup=4.0, ddv_sup=0.0, dv_l1=4.0,
+    d=2, n1=24.576, v_sup=4.0, dv_sup=4.0,
     q_sup=1.0, dq_sup=4.0, vec_sup=1.8, vec_l1=99.84000000000002,
     vec_grad_sup=2.25, vec_grad_l1=57.60000000000001, div_sup=1.0,
-    divvec_l1=25.600000000000005, graddiv_l1=64.00000000000001, eta_sup=1.0,
+    divvec_l1=25.600000000000005, graddiv_l1=64.00000000000001,
     grad_eta_sup=4.493154440351227, hess_eta_sup=47.9997333337037,
     grad_v_sup=0.0)
 CROSSING_DATA = (dict(linf0=0.9000000000000001, tv0=14.400000000000002),
@@ -40,9 +39,9 @@ CROSSING_CI = {"deviation": (0.634457974612126, 0.7006750996465252),
 
 def sample_inputs(**kw):
     base = dict(d=2, n1=2.0, linf0=0.9, tv0=5.0, v_sup=4.0, dv_sup=4.0,
-                ddv_sup=0.0, dv_l1=4.0, q_sup=1.0, dq_sup=4.0, vec_sup=1.8,
+                q_sup=1.0, dq_sup=4.0, vec_sup=1.8,
                 vec_l1=3.0, vec_grad_sup=2.0, vec_grad_l1=1.0, div_sup=1.5,
-                divvec_l1=0.8, graddiv_l1=0.6, eta_sup=1.0, grad_eta_sup=3.5,
+                divvec_l1=0.8, graddiv_l1=0.6, grad_eta_sup=3.5,
                 hess_eta_sup=24.0, ci=0.5, grad_v_sup=1.0)
     base.update(kw)
     return BoundInputs(**base)
@@ -202,42 +201,54 @@ class TestStabilityBoundDeviation:
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-class TestStabilityBoundDifferentiable:
-    def test_identical_configs(self):
-        bi = sample_inputs()
-        sb = stability_bound_differentiable(0.3, bi, bi, ParameterDeltas())
-        assert sb.value == 0.0
+class TestGronwall:
+    # (c, x, base) -> (value, log value) of (1 + c exp(x)) base: one row
+    # per branch, the log value exact in each
+    @pytest.mark.parametrize("c,x,base,expected", [
+        pytest.param(2.0, 0.0, 0.5, (1.5, math.log(1.5)), id="fits"),
+        pytest.param(1.0, 0.0, 1e308,
+                     (math.inf, math.log(2.0) + math.log(1e308)),
+                     id="value-overflows"),
+        pytest.param(2.0, 800.0, 0.5,
+                     (math.inf, math.log(2.0) + 800.0 + math.log(0.5)),
+                     id="growth-overflows"),
+        pytest.param(1e10, 699.0, 0.5,
+                     (math.inf, math.log(1e10) + 699.0 + math.log(0.5)),
+                     id="growth-overflows-below-log-max"),
+        pytest.param(1.0, 800.0, 0.0, (0.0, -math.inf),
+                     id="zero-base-infinite-growth"),
+        pytest.param(1.0, math.nan, 0.5, (math.nan, math.nan),
+                     id="nan-exponent"),
+        pytest.param(1.0, 0.0, math.nan, (math.nan, math.nan),
+                     id="nan-base")])
+    def test_branches(self, c, x, base, expected):
+        np.testing.assert_array_equal(_gronwall(c, x, base), expected)
 
-    def test_kernel_perturbation_positive(self):
-        bi = sample_inputs(n1=0.5, linf0=0.2, tv0=0.5, v_sup=0.5, dv_sup=0.5,
-                           dv_l1=0.5, vec_sup=0.5, vec_l1=0.5,
-                           vec_grad_sup=0.0, vec_grad_l1=0.0, divvec_l1=0.1,
-                           graddiv_l1=0.1, grad_eta_sup=1.0, hess_eta_sup=2.0)
-        deltas = ParameterDeltas(deta_w1inf=0.1)
-        sb = stability_bound_differentiable(0.3, bi, bi, deltas)
-        assert sb.value > 0.0 and np.isfinite(sb.value)
 
-    def test_overflow_with_zero_deltas_is_not_zero(self):
-        bi = all_ones(grad_v_sup=100.0)
-        sb = stability_bound_differentiable(200.0, bi, bi,
-                                            ParameterDeltas(drho0_l1=0.1))
-        assert sb.a == pytest.approx(0.1)
-        assert_infinite_envelope(sb)
+def recording(cls, log):
+    """Subclass of the dataclass cls that adds each attribute name read
+    from an instance to the set log."""
+    class Recording(cls):
+        def __getattribute__(self, name):
+            log.add(name)
+            return super().__getattribute__(name)
+    return Recording
 
-    def test_overflow_log_finite_when_it_fits(self):
-        bi = all_ones()
-        sb = stability_bound_differentiable(0.2, bi, bi,
-                                            ParameterDeltas(drho0_l1=0.1))
-        x = 0.2 * sb.b
-        assert LOG_MAX <= x < math.inf
-        assert sb.value == math.inf
-        assert sb.log_value == pytest.approx(math.log(x) + x + math.log(0.1))
 
-    def test_datum_difference_passthrough_at_t_zero(self):
-        bi = sample_inputs()
-        deltas = ParameterDeltas(drho0_l1=0.2, dv_w1inf=1.0)
-        sb = stability_bound_differentiable(0.0, bi, bi, deltas)
-        assert sb.value == pytest.approx(0.2)
+class TestEnvelopeInputsAreRead:
+    def test_every_field_feeds_an_envelope(self):
+        # a field that no evaluator reads is an input no envelope needs
+        read_inputs, read_deltas = set(), set()
+        inputs = recording(BoundInputs, read_inputs)(
+            **{f.name: 1.0 for f in fields(BoundInputs)})
+        deltas = recording(ParameterDeltas, read_deltas)(
+            **{f.name: 1.0 for f in fields(ParameterDeltas)})
+        tv_bound_deviation(1.0, inputs)
+        bounds_differentiable(1.0, inputs)
+        stability_bound_deviation(1.0, inputs, inputs, deltas)
+        assert {f.name for f in fields(BoundInputs)} - read_inputs == set()
+        assert {f.name for f in fields(ParameterDeltas)} - read_deltas \
+            == set()
 
 
 class TestBoundInputsFor:
@@ -323,7 +334,6 @@ class TestNormHelpers:
 
     def test_kernel_norms_bump(self):
         kn = kernel_norms(bump_kernel(0.5))
-        assert kn["eta_sup"] == pytest.approx(1.0, abs=1e-9)
         # max |a'| of (1 - 4x^2)^3 is at x = 1/(2 sqrt 5)
         x = 1.0 / (2.0 * math.sqrt(5.0))
         peak = 24.0 * x * (1.0 - 4.0 * x * x) ** 2
@@ -363,13 +373,12 @@ def dense_kernel_norms(spec, samples=1201):
     by, dby = spec.fy(ys), spec.dfy(ys)
     ddax = np.gradient(dax, xs)
     ddby = np.gradient(dby, ys)
-    eta_sup = float(np.abs(ax).max() * np.abs(by).max())
     grad = (np.abs(dax)[:, None] * np.abs(by)[None, :]
             + np.abs(ax)[:, None] * np.abs(dby)[None, :])
     hess = (np.abs(ddax)[:, None] * np.abs(by)[None, :]
             + 2.0 * np.abs(dax)[:, None] * np.abs(dby)[None, :]
             + np.abs(ax)[:, None] * np.abs(ddby)[None, :])
-    return dict(eta_sup=eta_sup, grad_eta_sup=float(grad.max()),
+    return dict(grad_eta_sup=float(grad.max()),
                 hess_eta_sup=float(hess.max()))
 
 

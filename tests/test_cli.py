@@ -424,6 +424,10 @@ class TestMain:
 
     @pytest.mark.parametrize("section,key,value", [
         ("population.1", "eps", "0.3 x"),
+        # a reversed rectangle passes the bounds test but holds no cell,
+        # and a NaN corner passes it too: both fail before the run
+        ("population.1", "datum", "0.9 -3.2 -2.4 -6.4 2.4"),
+        ("population.1", "datum", "0.9 nan -2.4 -3.2 2.4"),
         ("model", "snapshot_times", "0 a"),
         ("grid", "exits", "left:a:3"),
         ("output", "diag_every", "ten"),

@@ -99,6 +99,19 @@ class TestIndicatorDatum:
         with pytest.raises(ConfigurationError):
             indicator_datum(unit_grid, 1.0, (0.5, 0.5, 1.5, 1.0))
 
+    @pytest.mark.parametrize("rect", [
+        (0.75, 0.25, 0.25, 0.75), (0.25, 0.75, 0.75, 0.25),
+        (0.5, 0.25, 0.5, 0.75), (0.25, 0.5, 0.75, 0.5),
+        (np.nan, 0.25, 0.75, 0.75), (0.25, 0.25, 0.75, np.inf),
+        (-np.inf, -np.inf, np.inf, np.inf)],
+        ids=["x-reversed", "y-reversed", "x-empty", "y-empty", "nan-corner",
+             "inf-corner", "all-infinite"])
+    def test_reversed_empty_or_non_finite_rect_rejected(self, unit_grid, rect):
+        # a reversed or empty rectangle passes the bounds test and would
+        # give an all-zero datum; a NaN corner passes it and gives NaN
+        with pytest.raises(ConfigurationError, match="datum rectangle"):
+            indicator_datum(unit_grid, 1.0, rect)
+
     @settings(max_examples=50, deadline=None)
     @given(x0=st.floats(0.01, 0.5), w=st.floats(0.05, 0.45),
            y0=st.floats(0.01, 0.5), h=st.floats(0.05, 0.45),

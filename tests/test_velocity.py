@@ -48,7 +48,6 @@ class TestSpeedLaw:
         # q = 4 rho (1 - rho) peaks at 1; q' = 4(1 - 2 rho) peaks at 4
         assert law.q_sup == pytest.approx(1.0, abs=1e-6)
         assert law.dq_sup == pytest.approx(4.0, abs=1e-9)
-        assert law.ddv_sup == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_law(self):
         law = constant_speed_law(2.0)
