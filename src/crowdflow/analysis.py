@@ -241,14 +241,32 @@ def _jacobian_norm1(u: np.ndarray, grid: GridSpec,
     return total
 
 
-def _divergence(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """d0 u0 + d1 u1 of a (2, nx, ny) field."""
-    return _diff(u[0], grid, 0) + _diff(u[1], grid, 1)
+def _divergence(u: np.ndarray, grid: GridSpec,
+                work: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """d0 u0 + d1 u1 of a (2, nx, ny) field.
+
+    work, two (nx, ny) arrays, holds the sum (returned) and one term.
+    """
+    if work is None:
+        work = np.empty(u.shape[1:]), np.empty(u.shape[1:])
+    total, term = work
+    _diff(u[0], grid, 0, out=total)
+    total += _diff(u[1], grid, 1, out=term)
+    return total
 
 
-def _gradient_norm1(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """|d0 f| + |d1 f| per cell of an (nx, ny) array."""
-    return np.abs(_diff(f, grid, 0)) + np.abs(_diff(f, grid, 1))
+def _gradient_norm1(f: np.ndarray, grid: GridSpec,
+                    work: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """|d0 f| + |d1 f| per cell of an (nx, ny) array.
+
+    work, two (nx, ny) arrays, holds the sum (returned) and one term.
+    """
+    if work is None:
+        work = np.empty(f.shape), np.empty(f.shape)
+    total, term = work
+    np.abs(_diff(f, grid, 0, out=total), out=total)
+    total += np.abs(_diff(f, grid, 1, out=term), out=term)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -333,42 +351,74 @@ def estimate_ci(op: NonlocalOperator,
     population's deviation I_i, shape (n,).
 
     Evaluates the operator once per sample and, for each population,
-    maximizes the four defining ratios over sample pairs (sup and L1-of-
-    divergence Lipschitz quotients) and single samples (sup of gradient
-    and L1 of gradient-of-divergence against the L1 norm of the density).
-    Divergences and gradients use second-order central differences.
+    maximizes the four defining ratios over single samples (sup of
+    gradient and L1 of gradient-of-divergence against the L1 norm of the
+    density), as soon as each operator value exists, and over sample
+    pairs (sup and L1-of-divergence Lipschitz quotients).  Divergences
+    and gradients use second-order central differences, into scratch
+    made for each phase, so none is alive while the operator runs.
     """
     if len(samples) < 2:
         raise EstimationError("need at least two density samples")
     grid = samples[0].grid
     area = grid.cell_area
-    vals = [op(s) for s in samples]
-    l1s = [float(np.abs(s.data).sum()) * area for s in samples]
     pairs = []
-    for (s1, I1), (s2, I2) in combinations(zip(samples, vals), 2):
+    for (a, s1), (b, s2) in combinations(enumerate(samples), 2):
         dl1 = float(np.abs(s1.data - s2.data).sum()) * area
         if dl1 != 0.0:
-            pairs.append((dl1, I1, I2))
+            pairs.append((dl1, a, b))
     if not pairs:
         raise EstimationError("all sample pairs are identical")
     best = np.zeros(samples[0].n)
-    for i in range(len(best)):
-        # single-sample ratios
-        for l1, I in zip(l1s, vals):
-            if l1 == 0.0:
-                continue
-            grad_sup = max(0.0, *(float(_gradient_norm1(c, grid).max())
-                                  for c in I[i]))
-            graddiv = _gradient_norm1(_divergence(I[i], grid), grid)
-            graddiv_l1 = float(graddiv.sum()) * area
-            best[i] = max(best[i], grad_sup / l1, graddiv_l1 / l1)
-        # pair ratios
-        for dl1, I1, I2 in pairs:
-            dI = I1[i] - I2[i]
-            sup = float((np.abs(dI[0]) + np.abs(dI[1])).max())
-            ddiv_l1 = float(np.abs(_divergence(dI, grid)).sum()) * area
-            best[i] = max(best[i], sup / dl1, ddiv_l1 / dl1)
+    vals = []
+    for s in samples:
+        I = op(s)
+        vals.append(I)
+        l1 = float(np.abs(s.data).sum()) * area
+        if l1 != 0.0:
+            for i, ratios in enumerate(_sample_ratios(I, grid)):
+                best[i] = max(best[i], *(r / l1 for r in ratios))
+    for dl1, a, b in pairs:
+        for i, ratios in enumerate(_pair_ratios(vals[a], vals[b], grid)):
+            best[i] = max(best[i], *(r / dl1 for r in ratios))
     return best
+
+
+def _sample_ratios(I: np.ndarray, grid: GridSpec) -> list[tuple[float, float]]:
+    """(sup |J(I_i)|, L1 of |grad div I_i|) of each population of one
+    operator value, by the per-cell arithmetic of _gradient_norm1 and
+    _divergence in three grid-sized scratch arrays."""
+    work = np.empty((3,) + I.shape[-2:])
+    out = []
+    for Ii in I:
+        grad_sup = max(0.0, *(float(_gradient_norm1(c, grid, work[:2]).max())
+                              for c in Ii))
+        div = _divergence(Ii, grid, work[2:0:-1])
+        graddiv_l1 = float(_gradient_norm1(div, grid, work[:2]).sum()) \
+            * grid.cell_area
+        out.append((grad_sup, graddiv_l1))
+    return out
+
+
+def _pair_ratios(I1: np.ndarray, I2: np.ndarray,
+                 grid: GridSpec) -> list[tuple[float, float]]:
+    """(sup |dI_i|_1, L1 of div dI_i) of each population, dI = I1 - I2,
+    with the differences in one reused (2, nx, ny) buffer and one more
+    grid-sized scratch array."""
+    dI = np.empty((2,) + I1.shape[-2:])
+    term = np.empty(I1.shape[-2:])
+    out = []
+    for I1i, I2i in zip(I1, I2):
+        np.subtract(I1i, I2i, out=dI)
+        # the divergence overwrites dI[0], which is taken again after it
+        div = _divergence(dI, grid, (term, dI[0]))
+        ddiv_l1 = float(np.abs(div, out=div).sum()) * grid.cell_area
+        np.subtract(I1i[0], I2i[0], out=dI[0])
+        np.abs(dI, out=dI)
+        dI[0] += dI[1]
+        sup = float(dI[0].max())
+        out.append((sup, ddiv_l1))
+    return out
 
 
 # ---------------------------------------------------------------------------

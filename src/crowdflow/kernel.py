@@ -11,6 +11,10 @@ products are taken in row blocks: rows [i0, i1) of A @ F read only the
 columns [i0 - b, i1 + b) of A and the same rows of F, one dense product
 per block.  The right factor is applied the same way to the transposes,
 F @ B = (B^T F^T)^T.  A grid of at most one block is one dense product.
+Only these blocks are stored, built from the per-axis taps: no (n, n)
+matrix is ever made.  A gradient wanted only on a box of cells skips
+the blocks whose output rows miss the box; every product it keeps has
+the shape and data of the whole-grid one, so the box keeps its bits.
 """
 
 from __future__ import annotations
@@ -81,17 +85,25 @@ def bump_kernel(half_width: float = 0.5, normalize: bool = False) -> KernelSpec:
 
 @dataclass(frozen=True)
 class SampledKernel:
-    """Kernel sampled on a grid: convolution and derivative matrices.
+    """Kernel sampled on a grid, stored as the row blocks of its banded
+    convolution and derivative matrices.
 
     A[i, h] = a(x_i - x_h) dx          (nx, nx)
     B[k, j] = b(y_j - y_k) dy          (ny, ny)
     Ax, By: same with a', b'.
+
+    A_blocks and Ax_blocks hold the row blocks of A and Ax, Bt_blocks
+    and Byt_blocks those of B^T and By^T, the factors of the transposed
+    right product.  Block q of an (n, n) matrix is its rows [i0, i1) =
+    [q _BLOCK, min((q + 1) _BLOCK, n)) and columns [max(0, i0 - band),
+    min(n, i1 + band)), read-only and C-contiguous; full interior blocks
+    of one matrix are one array.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    Ax: np.ndarray
-    By: np.ndarray
+    A_blocks: tuple[np.ndarray, ...]
+    Ax_blocks: tuple[np.ndarray, ...]
+    Bt_blocks: tuple[np.ndarray, ...]
+    Byt_blocks: tuple[np.ndarray, ...]
     mass: float
     bandwidth_x: int
     bandwidth_y: int
@@ -99,21 +111,36 @@ class SampledKernel:
     grid: GridSpec
 
 
-def _toeplitz(taps: np.ndarray, n: int) -> np.ndarray:
-    """(n, n) matrix with M[i, h] = taps[band + i - h] where |i - h| <= band
-    (taps has 2 band + 1 entries, band < n) and 0 elsewhere, written
-    diagonal by diagonal."""
+_BLOCK = 32  # rows per block of a banded product
+
+
+def _block_bounds(n: int, band: int):
+    """(i0, i1, lo, hi) of each row block of a banded (n, n) product."""
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        yield i0, i1, max(0, i0 - band), min(n, i1 + band)
+
+
+def _band_blocks(taps: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Row blocks of the (n, n) matrix M[i, h] = taps[band + i - h] where
+    |i - h| <= band (taps has 2 band + 1 entries) and +0.0 elsewhere."""
     band = (len(taps) - 1) // 2
-    m = np.zeros((n, n))
-    flat = m.reshape(-1)
-    for d in range(-band, band + 1):
-        start = d * n if d >= 0 else -d  # first entry of diagonal i - h = d
-        flat[start::n + 1][:n - abs(d)] = taps[band + d]
-    return m
+    rows = min(_BLOCK, n)
+    # block q is a window of the block whose columns start at i0 - band:
+    # its row r holds the taps backwards from column r
+    full = np.zeros((rows, rows + 2 * band))
+    for r in range(rows):
+        full[r, r:r + 2 * band + 1] = taps[::-1]
+    blocks = tuple(np.ascontiguousarray(full[:i1 - i0, lo - i0 + band:
+                                             hi - i0 + band])
+                   for i0, i1, lo, hi in _block_bounds(n, band))
+    for blk in blocks:
+        blk.flags.writeable = False
+    return blocks
 
 
-def _axis_matrices(profile: Profile, deriv: Profile, n: int, h: float,
-                   half_width: float) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _axis_taps(profile: Profile, deriv: Profile, h: float,
+               half_width: float) -> tuple[np.ndarray, np.ndarray, float, int]:
     # offsets between cell centers are integer multiples of h, so the
     # profile is evaluated once per offset within the band
     band = int(np.ceil(half_width / h))
@@ -121,8 +148,7 @@ def _axis_matrices(profile: Profile, deriv: Profile, n: int, h: float,
     inside = np.abs(ks) <= half_width + 1e-12 * half_width
     vals = np.where(inside, profile(ks), 0.0)
     dvals = np.where(inside, deriv(ks), 0.0)
-    return (_toeplitz(vals * h, n), _toeplitz(dvals * h, n),
-            float(np.sum(vals) * h), band)
+    return vals * h, dvals * h, float(np.sum(vals) * h), band
 
 
 def sample_kernel(spec: KernelSpec, grid: GridSpec) -> SampledKernel:
@@ -130,27 +156,26 @@ def sample_kernel(spec: KernelSpec, grid: GridSpec) -> SampledKernel:
         raise ConfigurationError("kernel support smaller than one cell")
     if 2 * spec.half_width_x > grid.width or 2 * spec.half_width_y > grid.height:
         raise ConfigurationError("kernel support does not fit inside the grid")
-    A, Ax, mx, bx = _axis_matrices(spec.fx, spec.dfx, grid.nx, grid.dx,
+    a, da, mx, band_x = _axis_taps(spec.fx, spec.dfx, grid.dx,
                                    spec.half_width_x)
-    By_base, By, my, by = _axis_matrices(spec.fy, spec.dfy, grid.ny, grid.dy,
-                                         spec.half_width_y)
-    # B acts from the right: B[k, j] = b(y_j - y_k) dy.  The profile b is
-    # sampled on (y_k - y_j), so transpose; for even b this is a no-op but
-    # the derivative matrix changes sign under it.
-    B = By_base.T
-    By = By.T
+    b, db, my, band_y = _axis_taps(spec.fy, spec.dfy, grid.dy,
+                                   spec.half_width_y)
+    # B acts from the right: B[k, j] = b(y_j - y_k) dy, so B^T, the factor
+    # of the transposed product, is sampled on (y_k - y_j) like A
     if spec.normalize:
         if mx <= 0 or my <= 0:
             raise ConfigurationError("cannot normalize a kernel with zero mass")
-        A, Ax = A / mx, Ax / mx
-        B, By = B / my, By / my
+        a, da, b, db = a / mx, da / mx, b / my, db / my
         mass = 1.0
     else:
         mass = mx * my
     if mass <= 0:
         raise ConfigurationError("kernel mass must be positive")
-    return SampledKernel(A=A, B=B, Ax=Ax, By=By, mass=mass,
-                         bandwidth_x=bx, bandwidth_y=by, spec=spec, grid=grid)
+    return SampledKernel(
+        A_blocks=_band_blocks(a, grid.nx), Ax_blocks=_band_blocks(da, grid.nx),
+        Bt_blocks=_band_blocks(b, grid.ny), Byt_blocks=_band_blocks(db, grid.ny),
+        mass=mass, bandwidth_x=band_x, bandwidth_y=band_y, spec=spec,
+        grid=grid)
 
 
 def convolve(field: np.ndarray, k: SampledKernel) -> np.ndarray:
@@ -160,56 +185,67 @@ def convolve(field: np.ndarray, k: SampledKernel) -> np.ndarray:
     field extended by zero outside the domain.
     """
     _check_shape(field, k)
-    return _sandwich(k.A, field, k.B, k, np.empty(field.shape))
+    return _sandwich(k.A_blocks, field, k.Bt_blocks, k, np.empty(field.shape))
 
 
 def convolve_gradient(field: np.ndarray, k: SampledKernel,
                       out: np.ndarray | None = None,
-                      left: np.ndarray | None = None) -> np.ndarray:
+                      left: np.ndarray | None = None,
+                      box: tuple[slice, slice] | None = None) -> np.ndarray:
     """Gradient of the convolved field, shape (2, nx, ny).
 
     Computed as field * grad(eta) with analytically differentiated kernel
     factors: x component uses (Ax, B), y component uses (A, By).  The
     result goes into out and the left products into left, when given:
-    arrays of shape (2, nx, ny) and (nx, ny).
+    arrays of shape (2, nx, ny) and (nx, ny).  With box, an (x slice,
+    y slice) pair, only the row blocks whose outputs meet the box are
+    multiplied: x blocks of the left products, which write +0.0 into the
+    rows they skip, and y blocks of the right ones.  out then holds the
+    whole-grid result, bit for bit, on the box; outside it, out is
+    unspecified.
     """
     _check_shape(field, k)
     if out is None:
         out = np.empty((2,) + field.shape)
-    _sandwich(k.Ax, field, k.B, k, out[0], left)
-    _sandwich(k.A, field, k.By, k, out[1], left)
+    _sandwich(k.Ax_blocks, field, k.Bt_blocks, k, out[0], left, box)
+    _sandwich(k.A_blocks, field, k.Byt_blocks, k, out[1], left, box)
     return out
 
 
-_BLOCK = 32  # rows per block of a banded product
-
-
-def _band_left(M: np.ndarray, X: np.ndarray, b: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """M @ X for a square M whose entries vanish more than b off the
-    diagonal, one dense product per block of _BLOCK rows."""
-    n = M.shape[0]
-    if out is None:
-        out = np.empty((n,) + X.shape[1:])
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        lo, hi = max(0, i0 - b), min(n, i1 + b)
-        np.matmul(M[i0:i1, lo:hi], X[lo:hi], out=out[i0:i1])
+def _band_left(blocks: tuple[np.ndarray, ...], X: np.ndarray, b: int,
+               out: np.ndarray, rows: slice,
+               clear: bool = False) -> np.ndarray:
+    """M @ X for the (n, n) matrix M stored as the row blocks of a band
+    of width b, one dense product per block.  Only the blocks that meet
+    rows are multiplied; with clear, the rows of the others are +0.0,
+    and otherwise they keep what out held."""
+    n = X.shape[0]
+    r0, r1, _ = rows.indices(n)
+    for blk, (i0, i1, lo, hi) in zip(blocks, _block_bounds(n, b)):
+        if i0 < r1 and i1 > r0:
+            np.matmul(blk, X[lo:hi], out=out[i0:i1])
+        elif clear:
+            out[i0:i1] = 0.0
     return out
 
 
-def _sandwich(L: np.ndarray, field: np.ndarray, R: np.ndarray,
-              k: SampledKernel, out: np.ndarray,
-              left: np.ndarray | None = None) -> np.ndarray:
-    """out = (L @ field) @ R for x-axis L and y-axis R of the kernel k,
-    with L @ field in left when given."""
-    left = _band_left(L, field, k.bandwidth_x, out=left)
-    _band_left(R.T, left.T, k.bandwidth_y, out=out.T)
+def _sandwich(L: tuple[np.ndarray, ...], field: np.ndarray,
+              Rt: tuple[np.ndarray, ...], k: SampledKernel, out: np.ndarray,
+              left: np.ndarray | None = None,
+              box: tuple[slice, slice] | None = None) -> np.ndarray:
+    """out = (L @ field) @ R for the blocks L of an x-axis matrix and Rt
+    of a transposed y-axis matrix R of the kernel k, with L @ field in
+    left when given, on box when given (see convolve_gradient)."""
+    rows, cols = box if box is not None else (slice(None), slice(None))
+    if left is None:
+        left = np.empty(field.shape)
+    _band_left(L, field, k.bandwidth_x, left, rows, clear=True)
+    _band_left(Rt, left.T, k.bandwidth_y, out.T, cols)
     return out
 
 
 def _check_shape(field: np.ndarray, k: SampledKernel) -> None:
-    if field.shape != (k.A.shape[0], k.B.shape[0]):
+    if field.shape != (k.grid.nx, k.grid.ny):
         raise ConfigurationError(
             f"field shape {field.shape} does not match kernel grid "
-            f"({k.A.shape[0]}, {k.B.shape[0]})")
+            f"({k.grid.nx}, {k.grid.ny})")

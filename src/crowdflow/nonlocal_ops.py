@@ -6,9 +6,10 @@ one 2-vector field per population and cell: a new float array of shape
 built-in one is gradient avoidance, I_i = -sum_j eps_ij N(grad(rho_j
 conv eta)): population i steers away from increasing smoothed density
 of every population j, with the saturation N keeping the Lipschitz
-hypothesis that controls all deviation-model bounds.  It saturates
-and sums each term only on rho_j's live box (grid.live_box) widened by
-the kernel's bandwidths, where the smoothed gradient can be nonzero.
+hypothesis that controls all deviation-model bounds.  It computes,
+saturates and sums each term only on rho_j's live box (grid.live_box)
+widened by the kernel's bandwidths, where the smoothed gradient can be
+nonzero.
 Custom operators are any callables of the same signature.  The module
 holds operators only; the sampled Lipschitz constant of an operator is
 analysis.estimate_ci.
@@ -48,10 +49,11 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
     |I_i| is at most sum_j |eps_ij|.  The kernel's matrices vanish more
     than their bandwidth off the diagonal, so the gradient of rho_j is
     zero outside rho_j's live box widened by the bandwidths: it is
-    saturated and its eps terms are subtracted only there, which leaves
-    every bit of I as the whole grid gives it for finite data and eps.
-    The call reuses one gradient buffer, saturated in place, and one
-    grid-sized scratch for the left products and every eps term.
+    computed (convolve_gradient's box), saturated and its eps terms are
+    subtracted only there, and not at all for an empty rho_j, which
+    leaves every bit of I as the whole grid gives it for finite data and
+    eps.  The call reuses one gradient buffer, saturated in place, and
+    one grid-sized scratch for the left products and every eps term.
     """
     n, g = state.n, state.grid
     if eps.shape != (n, n):
@@ -61,17 +63,20 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
     G = np.empty((2, g.nx, g.ny))
     scratch = np.empty((g.nx, g.ny))
     for j in range(n):
-        if eps[:, j].any():
-            convolve_gradient(state.data[j], k, G, scratch)
-            rows, cols = live_box(state.data[j],
-                                  pad=(k.bandwidth_x, k.bandwidth_y))
-            Gw = G[:, rows, cols]
-            saturate(Gw, out=Gw)
-            term = scratch[rows, cols]
-            for i in range(n):
-                for c in (0, 1):
-                    out[i, c, rows, cols] -= np.multiply(eps[i, j], Gw[c],
-                                                         out=term)
+        if not eps[:, j].any():
+            continue
+        rows, cols = live_box(state.data[j],
+                              pad=(k.bandwidth_x, k.bandwidth_y))
+        if rows.start == rows.stop:
+            continue
+        convolve_gradient(state.data[j], k, G, scratch, box=(rows, cols))
+        Gw = G[:, rows, cols]
+        saturate(Gw, out=Gw)
+        term = scratch[rows, cols]
+        for i in range(n):
+            for c in (0, 1):
+                out[i, c, rows, cols] -= np.multiply(eps[i, j], Gw[c],
+                                                     out=term)
     return out
 
 

@@ -321,7 +321,10 @@ def run(model: ModelSpec, datum: PopulationField,
     model) computes each step's frozen field from the pre-step state
     (advection_field when None, looked up at the call); a hook that
     returns advection_field's value can keep what it computed on the
-    way, as the linearized solve keeps the speed argument.
+    way, as the linearized solve keeps the speed argument.  A datum
+    that is not finite, that leaves [0, R] in the deviation family, or
+    that holds mass in a cell outside the room (grid.boundary) is a
+    ConfigurationError.
     """
     if field is None:
         field = advection_field
@@ -335,6 +338,13 @@ def run(model: ModelSpec, datum: PopulationField,
         if not (lo >= -MAX_PRINCIPLE_TOL and hi <= model.R + MAX_PRINCIPLE_TOL):
             raise ConfigurationError(
                 f"deviation-family datum must lie in [0, R]; got [{lo}, {hi}]")
+    # -0.0 carries no mass: a negative datum value leaves it in every cell
+    # outside its rectangle
+    held = (state.data[:, ~boundary(model.grid).room] != 0.0).any(axis=1)
+    if held.any():
+        raise ConfigurationError(
+            f"datum puts mass outside the room in population "
+            f"{int(held.argmax())}")
     events = sorted({float(s) for s in model.snapshot_times} | {model.t_max})
     reports: list[StepReport] = []
     escaped = np.zeros(model.n)

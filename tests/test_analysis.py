@@ -266,6 +266,23 @@ class TestBoundInputsFor:
         with pytest.raises(NumericError, match="undefined here"):
             bound_inputs_for(replace(model, deviation=fails_on_half), datum)
 
+    def test_bounded_memory(self):
+        # one deviation value, (n, 2, nx, ny), is W bytes.  The operator
+        # needs 1.75 W of its own while a second sample (0.5 W) and the
+        # first value (W) are held; estimating C_I from values and pair
+        # differences all held at once peaked at 4.25 W
+        model, datum = preset("crossing").with_mesh(0.05).build()
+        W = model.n * 2 * model.grid.nx * model.grid.ny * 8
+        bound_inputs_for(model, datum)  # warm numpy's lazy imports
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bound_inputs_for(model, datum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3.5 * W
+
     def test_zero_datum_has_zero_ci(self):
         model, datum = preset("crossing").with_mesh(0.4).build()
 

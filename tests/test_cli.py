@@ -505,6 +505,21 @@ class TestMain:
         assert "room holds no cell center" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "bounds", "stability"])
+    def test_datum_outside_room_exit_code(self, tmp_path, capsys, command):
+        # y from 3.2 to 3.8 lies above the room's top wall at y = 3: the
+        # whole block would sit in wall cells
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\npreset = crossing\ntmax = 0.05\n"
+                     "[grid]\nmesh = 0.4\n"
+                     "[population.1]\ndatum = 0.9 -6.4 3.2 -3.2 3.8\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "outside the room" in err
+        assert not list(out.glob("pop*_t*.csv"))
+
     def test_diagnostics_every_step_has_no_repeated_row(self, tmp_path,
                                                          capsys):
         p = tmp_path / "c.ini"

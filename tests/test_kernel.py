@@ -4,7 +4,8 @@ from scipy.integrate import quad
 from scipy.signal import convolve2d
 
 from crowdflow import (ConfigurationError, KernelSpec, bump_kernel, convolve,
-                       convolve_gradient, make_grid, sample_kernel)
+                       convolve_gradient, make_grid, preset, sample_kernel)
+from crowdflow.grid import live_box
 
 AXIS_MASS = 16.0 / 35.0  # integral of (1 - (2x)^2)^3 over [-1/2, 1/2]
 
@@ -41,6 +42,23 @@ def dense_sampled(spec, grid):
     if spec.normalize:
         return A / mx, Ax / mx, B / my, By / my, 1.0
     return A, Ax, B, By, mx * my
+
+
+def block_slices(n, band):
+    """(rows, columns) of each stored block of a banded (n, n) matrix:
+    32 rows at a time, and the columns within band of those rows."""
+    return [(slice(i0, min(i0 + 32, n)),
+             slice(max(0, i0 - band), min(n, i0 + 32 + band)))
+            for i0 in range(0, n, 32)]
+
+
+def stored_blocks(k):
+    """(stored blocks, dense reference, bandwidth) of the kernel's four
+    matrices; the y-axis blocks are those of the transposes."""
+    A, Ax, B, By, _ = dense_sampled(k.spec, k.grid)
+    return ((k.A_blocks, A, k.bandwidth_x), (k.Ax_blocks, Ax, k.bandwidth_x),
+            (k.Bt_blocks, B.T, k.bandwidth_y),
+            (k.Byt_blocks, By.T, k.bandwidth_y))
 
 
 # neither even nor zero at the edge of its support, so the orientation of
@@ -114,21 +132,32 @@ class TestSampleKernel:
     def test_bandwidth(self, unit_grid):
         k = sample_kernel(bump_kernel(0.25), unit_grid)
         assert k.bandwidth_x == int(np.ceil(0.25 * 64))
-        # entries beyond the bandwidth are zero (banded matrix)
+        # entries beyond the bandwidth are zero (banded matrix), so the
+        # stored blocks hold every nonzero entry of A
         band = k.bandwidth_x
+        A = dense_sampled(k.spec, unit_grid)[0]
         idx = np.arange(unit_grid.nx)
         far = np.abs(idx[:, None] - idx[None, :]) > band
-        assert np.all(k.A[far] == 0.0)
+        assert np.all(A[far] == 0.0)
+        stored = np.zeros(A.shape, dtype=bool)
+        for rows, cols in block_slices(unit_grid.nx, band):
+            stored[rows, cols] = True
+        assert stored[~far].all()
+        assert len(k.A_blocks) == 2
 
     @pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
     def test_taps_match_dense_construction(self, case):
         bounds, mesh, spec = SAMPLING_CASES[case]
         g = make_grid(bounds, mesh, mesh)
         k = sample_kernel(spec, g)
-        A, Ax, B, By, mass = dense_sampled(spec, g)
-        for got, want in ((k.A, A), (k.Ax, Ax), (k.B, B), (k.By, By)):
-            assert np.array_equal(got, want)
-        assert k.mass == mass
+        for blocks, dense, band in stored_blocks(k):
+            n = dense.shape[0]
+            assert len(blocks) == len(block_slices(n, band))
+            for blk, (rows, cols) in zip(blocks, block_slices(n, band)):
+                assert blk.flags.c_contiguous
+                assert np.array_equal(blk.view(np.int64),
+                                      dense[rows, cols].view(np.int64))
+        assert k.mass == dense_sampled(spec, g)[4]
 
     def test_support_smaller_than_cell_rejected(self):
         g = make_grid((0.0, 0.0, 1.0, 1.0), 0.25, 0.25)
@@ -148,6 +177,17 @@ class TestSampleKernel:
             KernelSpec(fx=_lopsided, dfx=_lopsided_deriv, fy=_lopsided,
                        dfy=_lopsided_deriv, half_width_x=0.5,
                        half_width_y=half_width)
+
+    def test_stores_only_the_band(self):
+        # the dense A, Ax, B and By of the crossing preset's 640x320 grid
+        # took 8.2 MB
+        model, _ = preset("crossing").build()
+        k = model.deviation.kernel
+        assert (k.grid.nx, k.grid.ny) == (640, 320)
+        arrays = [a for f in (k.A_blocks, k.Ax_blocks, k.Bt_blocks,
+                              k.Byt_blocks) for a in f]
+        assert sum(a.nbytes for a in arrays) <= 1.5e6
+        assert all(not a.flags.writeable for a in arrays)
 
 
 class TestConvolve:
@@ -215,11 +255,12 @@ class TestBandedProducts:
         bounds, mesh, spec = BANDED_CASES[case]
         g = make_grid(bounds, mesh, mesh)
         k = sample_kernel(spec, g)
+        A, Ax, B, By, _ = dense_sampled(spec, g)
         field = rng.random((g.nx, g.ny))
         grad = convolve_gradient(field, k)
-        for got, ref in ((convolve(field, k), k.A @ field @ k.B),
-                         (grad[0], k.Ax @ field @ k.B),
-                         (grad[1], k.A @ field @ k.By)):
+        for got, ref in ((convolve(field, k), A @ field @ B),
+                         (grad[0], Ax @ field @ B),
+                         (grad[1], A @ field @ By)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_grids_cover_the_block_cases(self):
@@ -275,3 +316,74 @@ class TestConvolveGradient:
             errs.append(max(np.abs(grad[0] - cd_x)[b:-b, b:-b].max(),
                             np.abs(grad[1] - cd_y)[b:-b, b:-b].max()))
         assert errs[0] / errs[1] >= 3.5
+
+
+# (rows, columns) of the live rectangle, as fractions of nx and ny
+BOX_RECTS = {
+    "x-low-edge": ((0.0, 0.3), (0.3, 0.6)),
+    "x-high-edge": ((0.7, 1.0), (0.2, 0.5)),
+    "y-low-edge": ((0.4, 0.6), (0.0, 0.25)),
+    "y-high-edge": ((0.3, 0.5), (0.8, 1.0)),
+    "all-edges": ((0.0, 1.0), (0.0, 1.0)),
+    "one-cell": ((0.5, 0.5), (0.5, 0.5)),
+}
+
+
+class TestBoxProducts:
+    """convolve_gradient on a box against the whole-grid products."""
+
+    @pytest.mark.parametrize("rect", sorted(BOX_RECTS))
+    @pytest.mark.parametrize("case", sorted(BANDED_CASES))
+    def test_box_matches_whole_grid_bitwise(self, case, rect, rng):
+        bounds, mesh, spec = BANDED_CASES[case]
+        g = make_grid(bounds, mesh, mesh)
+        k = sample_kernel(spec, g)
+        (x0, x1), (y0, y1) = BOX_RECTS[rect]
+        field = np.zeros((g.nx, g.ny))
+        rows = slice(int(x0 * (g.nx - 1)), int(x1 * (g.nx - 1)) + 1)
+        cols = slice(int(y0 * (g.ny - 1)), int(y1 * (g.ny - 1)) + 1)
+        field[rows, cols] = rng.uniform(0.1, 1.0, field[rows, cols].shape)
+        box = live_box(field, pad=(k.bandwidth_x, k.bandwidth_y))
+        assert box != (slice(0, 0), slice(0, 0))
+        # stale buffers: every row a skipped block leaves must be cleared
+        out = np.full((2, g.nx, g.ny), np.nan)
+        left = np.full((g.nx, g.ny), np.nan)
+        got = convolve_gradient(field, k, out, left, box=box)
+        want = convolve_gradient(field, k)
+        assert got is out
+        assert np.array_equal(got[(slice(None),) + box].view(np.int64),
+                              want[(slice(None),) + box].view(np.int64))
+        assert not np.isnan(left).any()
+        # the gradient vanishes off the box
+        off = np.ones((g.nx, g.ny), dtype=bool)
+        off[box] = False
+        assert not want[:, off].any()
+
+    def test_box_inside_one_block(self, rng):
+        # rect-160x80: band 5, so a cell at row 45 and column 45 has its
+        # box in the row block [32, 64) of either axis
+        bounds, mesh, spec = BANDED_CASES["rect-160x80"]
+        g = make_grid(bounds, mesh, mesh)
+        k = sample_kernel(spec, g)
+        field = np.zeros((g.nx, g.ny))
+        field[44:47, 44:47] = rng.uniform(0.1, 1.0, (3, 3))
+        box = live_box(field, pad=(k.bandwidth_x, k.bandwidth_y))
+        assert box == (slice(39, 52), slice(39, 52))
+        got = convolve_gradient(field, k, box=box)
+        want = convolve_gradient(field, k)
+        assert np.array_equal(got[:, 39:52, 39:52].view(np.int64),
+                              want[:, 39:52, 39:52].view(np.int64))
+
+    @pytest.mark.parametrize("case", sorted(BANDED_CASES))
+    def test_all_zero_field(self, case):
+        bounds, mesh, spec = BANDED_CASES[case]
+        g = make_grid(bounds, mesh, mesh)
+        k = sample_kernel(spec, g)
+        field = np.zeros((g.nx, g.ny))
+        box = live_box(field, pad=(k.bandwidth_x, k.bandwidth_y))
+        assert box == (slice(0, 0), slice(0, 0))
+        left = np.full((g.nx, g.ny), np.nan)
+        out = convolve_gradient(field, k, left=left, box=box)
+        assert out.shape == (2, g.nx, g.ny)
+        assert np.array_equal(left.view(np.int64), np.zeros_like(left,
+                                                                  np.int64))

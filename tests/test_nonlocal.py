@@ -10,7 +10,7 @@ from crowdflow import (ConfigurationError, EstimationError, GradientAvoidance,
                        PopulationField, advection_field, bump_kernel,
                        convolve_gradient, estimate_ci, gradient_avoidance,
                        make_grid, preset, sample_kernel, saturate)
-from crowdflow import nonlocal_ops
+from crowdflow import analysis, nonlocal_ops
 
 
 def smooth_sample(grid, cx, cy, amp):
@@ -30,6 +30,23 @@ def avoidance_oracle(state, eps, k):
                 out[i] = out[i] + -eps[i][j] * saturate(
                     convolve_gradient(state.data[j], k))
     return out
+
+
+def direct_ratios(g, u):
+    """Numerators of estimate_ci's ratios for one population's (2, nx, ny)
+    value u, as written with np.gradient's differences: (sup of the
+    gradient, L1 of grad div) of a sample, then (sup, L1 of div) of a
+    pair difference u."""
+    def grad1(f):
+        return (np.abs(np.gradient(f, g.dx, axis=0))
+                + np.abs(np.gradient(f, g.dy, axis=1)))
+
+    div = np.gradient(u[0], g.dx, axis=0) + np.gradient(u[1], g.dy, axis=1)
+    area = g.cell_area
+    return ((max(0.0, *(float(grad1(c).max()) for c in u)),
+             float(grad1(div).sum()) * area),
+            (float((np.abs(u[0]) + np.abs(u[1])).max()),
+             float(np.abs(div).sum()) * area))
 
 
 class TestSaturate:
@@ -129,13 +146,25 @@ class TestGradientAvoidance:
         model, datum = cfg.with_mesh(0.2).build()
         calls = []
 
-        def counted(f, k, *buffers):
+        def counted(f, k, *buffers, **box):
             calls.append(1)
-            return convolve_gradient(f, k, *buffers)
+            return convolve_gradient(f, k, *buffers, **box)
 
         monkeypatch.setattr(nonlocal_ops, "convolve_gradient", counted)
         advection_field(datum, model)
         assert len(calls) == expect
+
+    @pytest.mark.parametrize("name", ["crossing", "evacuation"])
+    def test_box_products_match_whole_grid(self, monkeypatch, name):
+        model, datum = preset(name).with_mesh(0.1).build()
+        got = model.deviation(datum)
+
+        def whole_grid(f, k, *buffers, box=None):
+            return convolve_gradient(f, k, *buffers)
+
+        monkeypatch.setattr(nonlocal_ops, "convolve_gradient", whole_grid)
+        want = model.deviation(datum)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_bad_matrix_shape_rejected(self, unit_grid, unit_kernel):
         with pytest.raises(ConfigurationError, match="square"):
@@ -223,6 +252,44 @@ class TestEstimateCI:
             row[0] = model.deviation.eps[i]
             alone = GradientAvoidance(row, model.deviation.kernel)
             assert estimate_ci(alone, samples)[0] == ci[i]
+
+    def test_ratios_match_direct_evaluation(self, corridor_grid, rng):
+        g = corridor_grid
+        I1, I2 = rng.standard_normal((2, 3, 2, g.nx, g.ny))
+        single = [direct_ratios(g, I)[0] for I in I1]
+        pair = [direct_ratios(g, d)[1] for d in I1 - I2]
+        assert analysis._sample_ratios(I1, g) == single
+        assert analysis._pair_ratios(I1, I2, g) == pair
+
+    def test_matches_direct_evaluation(self):
+        # the sample family holds a zero sample and a repeated one
+        model, datum = preset("crossing").with_mesh(0.1).build()
+        rng = np.random.default_rng(3)
+        samples = [datum, PopulationField(datum.grid, 0.5 * datum.data),
+                   PopulationField(datum.grid, datum.data
+                                   * rng.uniform(0.2, 1.0, datum.data.shape)),
+                   PopulationField.zeros(datum.grid, 2), datum.copy()]
+        area = datum.grid.cell_area
+        vals = [model.deviation(s) for s in samples]
+        want = np.zeros(2)
+        for i in range(2):
+            for s, I in zip(samples, vals):
+                l1 = float(np.abs(s.data).sum()) * area
+                if l1 != 0.0:
+                    want[i] = max(want[i], *(r / l1 for r in
+                                             direct_ratios(datum.grid,
+                                                           I[i])[0]))
+            for a in range(len(samples)):
+                for b in range(a + 1, len(samples)):
+                    dl1 = float(np.abs(samples[a].data - samples[b].data)
+                                .sum()) * area
+                    if dl1 != 0.0:
+                        dI = vals[a][i] - vals[b][i]
+                        want[i] = max(want[i], *(r / dl1 for r in
+                                                 direct_ratios(datum.grid,
+                                                               dI)[1]))
+        got = estimate_ci(model.deviation, samples)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_stable_under_sample_doubling(self, unit_grid, unit_kernel):
         # one common stream: the larger set extends the smaller one, so the

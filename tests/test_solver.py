@@ -562,7 +562,8 @@ class TestRun:
         model = local_deviation_model(corridor_grid, t_max=0.0)
         datum = PopulationField(
             corridor_grid,
-            0.5 * rng.random((1, corridor_grid.nx, corridor_grid.ny)))
+            0.5 * rng.random((1, corridor_grid.nx, corridor_grid.ny))
+            * room_mask(corridor_grid))
         res = run(model, datum)
         assert np.array_equal(res.state.data, datum.data)
         assert res.reports == []
