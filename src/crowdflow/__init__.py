@@ -25,7 +25,8 @@ from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
                          gateaux_residual, solve_linearized)
 from .nonlocal_ops import GradientAvoidance, gradient_avoidance, saturate
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
-                     StepReport, advection_field, cfl_dt, run, split_step)
+                     StepReport, advection_field, cfl_dt, check_datum, run,
+                     split_step)
 from .velocity import (DirectionField, SpeedLaw, constant_direction,
                        constant_speed_law, discomfort, linear_speed_law,
                        smoothed_total_density)

@@ -21,7 +21,7 @@ from .config import RunConfig, parse_config, preset
 from .errors import BoundViolationError, ConfigurationError, NumericError
 from .grid import PopulationField, norms
 from .linearized import check_steps, gateaux_benchmark, gateaux_residual
-from .solver import DEVIATION, ModelSpec, run
+from .solver import DEVIATION, ModelSpec, check_datum, run
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="INI configuration file")
         sp.add_argument("--cfl", type=float, help="override CFL number")
         sp.add_argument("--strict", action="store_true",
-                        help="abort when the maximum principle is violated")
+                        help="abort when the deviation family's maximum "
+                             "principle or, under bounds, an envelope is "
+                             "violated")
         sp.add_argument("--normalize-kernel", action="store_true",
                         help="rescale the kernel to unit mass")
 
@@ -207,7 +209,12 @@ def read_snapshot(path: str) -> tuple[np.ndarray, dict]:
 
 def _cmd_run(args, with_bounds: bool) -> int:
     cfg = load_config(args)
+    if cfg.strict and not with_bounds and cfg.family != DEVIATION:
+        raise ConfigurationError(
+            "strict mode of run checks the deviation family's maximum "
+            "principle; a differentiable run has none to check")
     model, datum = cfg.build()
+    check_datum(model, datum)  # before any output or envelope input
     _check_snapshot_names(model)
     _make_out_dir(cfg.out_dir)
     envelope = RunningEnvelope(model, datum)
@@ -290,6 +297,7 @@ def _cmd_stability(args) -> int:
         raise ConfigurationError(
             "perturbation size must be nonnegative and finite")
     model, datum1 = cfg.build()
+    check_datum(model, datum1)  # datum2 only shrinks population 1
     mass1 = float(np.abs(datum1.data[0]).sum()) * model.grid.cell_area
     if args.perturb > 0 and mass1 <= 0:
         raise ConfigurationError("population 1 datum is empty; nothing to "

@@ -306,6 +306,30 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
     return PopulationField(g, new), outflow
 
 
+def check_datum(model: ModelSpec, datum: PopulationField) -> None:
+    """Raise ConfigurationError unless run can start from datum: it lies
+    on the model's grid, is finite, lies in [0, R] in the deviation
+    family and holds no mass in a cell outside the room (grid.boundary).
+    """
+    if datum.grid is not model.grid and datum.grid != model.grid:
+        raise ConfigurationError("datum grid does not match model grid")
+    data = datum.data
+    if not np.isfinite(data).all():
+        raise ConfigurationError("datum has a non-finite cell")
+    if model.family == DEVIATION:
+        lo, hi = data.min(), data.max()
+        if not (lo >= -MAX_PRINCIPLE_TOL and hi <= model.R + MAX_PRINCIPLE_TOL):
+            raise ConfigurationError(
+                f"deviation-family datum must lie in [0, R]; got [{lo}, {hi}]")
+    # -0.0 carries no mass: a negative datum value leaves it in every cell
+    # outside its rectangle
+    held = (data[:, ~boundary(model.grid).room] != 0.0).any(axis=1)
+    if held.any():
+        raise ConfigurationError(
+            f"datum puts mass outside the room in population "
+            f"{int(held.argmax())}")
+
+
 def run(model: ModelSpec, datum: PopulationField,
         on_snapshot: Callable[[float, PopulationField], None] | None = None,
         on_step: Callable[[StepReport, PopulationField, np.ndarray], None] | None = None,
@@ -321,30 +345,13 @@ def run(model: ModelSpec, datum: PopulationField,
     model) computes each step's frozen field from the pre-step state
     (advection_field when None, looked up at the call); a hook that
     returns advection_field's value can keep what it computed on the
-    way, as the linearized solve keeps the speed argument.  A datum
-    that is not finite, that leaves [0, R] in the deviation family, or
-    that holds mass in a cell outside the room (grid.boundary) is a
-    ConfigurationError.
+    way, as the linearized solve keeps the speed argument.  The datum
+    must pass check_datum.
     """
     if field is None:
         field = advection_field
-    if datum.grid is not model.grid and datum.grid != model.grid:
-        raise ConfigurationError("datum grid does not match model grid")
+    check_datum(model, datum)
     state = datum.copy()
-    if not np.isfinite(state.data).all():
-        raise ConfigurationError("datum has a non-finite cell")
-    if model.family == DEVIATION:
-        lo, hi = state.data.min(), state.data.max()
-        if not (lo >= -MAX_PRINCIPLE_TOL and hi <= model.R + MAX_PRINCIPLE_TOL):
-            raise ConfigurationError(
-                f"deviation-family datum must lie in [0, R]; got [{lo}, {hi}]")
-    # -0.0 carries no mass: a negative datum value leaves it in every cell
-    # outside its rectangle
-    held = (state.data[:, ~boundary(model.grid).room] != 0.0).any(axis=1)
-    if held.any():
-        raise ConfigurationError(
-            f"datum puts mass outside the room in population "
-            f"{int(held.argmax())}")
     events = sorted({float(s) for s in model.snapshot_times} | {model.t_max})
     reports: list[StepReport] = []
     escaped = np.zeros(model.n)

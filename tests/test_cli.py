@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import crowdflow
-from crowdflow import (ConfigurationError, PopulationField,
+from crowdflow import (ConfigurationError, NumericError, PopulationField,
                        advection_field, gateaux_benchmark, parse_config,
                        preset, run)
-from crowdflow import analysis, cli
+from crowdflow import analysis, cli, linearized
 from crowdflow.analysis import sup_gradient
 from crowdflow.cli import (_write_rows, _write_table, main, read_snapshot,
                            write_snapshot)
@@ -343,6 +343,27 @@ class TestMain:
                          "--out", str(tmp_path), "--hs", hs]) == 1
             assert "configuration error:" in capsys.readouterr().err
 
+    def test_gateaux_worker_error_exit_code(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a numeric error in a forked replay exits 2, as in this process
+        if linearized._openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread control: the replays never fork")
+        parent, step = os.getpid(), linearized.split_step
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericError("non-finite value in population 0")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(linearized, "split_step", failing)
+        assert main(["gateaux", "--mesh", "0.125", "--tmax", "0.05",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numeric error: non-finite value in population 0\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("hs", ["inf,0.1", ""], ids=["inf", "empty"])
     def test_gateaux_bad_hs_leaves_no_directory(self, tmp_path, capsys,
                                                 monkeypatch, hs):
@@ -519,6 +540,46 @@ class TestMain:
         assert err.startswith("configuration error:")
         assert "outside the room" in err
         assert not list(out.glob("pop*_t*.csv"))
+
+    @pytest.mark.parametrize("command", ["run", "bounds", "stability"])
+    def test_datum_outside_room_leaves_no_output(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # rejected before the output directory and the envelope inputs
+        monkeypatch.setattr(analysis, "bound_inputs_for",
+                            _solver_must_not_start)
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\npreset = crossing\ntmax = 0.05\n"
+                     "[grid]\nmesh = 0.4\n"
+                     "[population.1]\ndatum = 0.9 -6.4 3.2 -3.2 3.8\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+        assert "outside the room" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "ini"])
+    def test_strict_differentiable_run_exit_code(self, tmp_path, capsys,
+                                                 monkeypatch, how):
+        # run's strict mode checks only the deviation family's maximum
+        # principle: on a differentiable run it would check nothing
+        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        p = tmp_path / "c.ini"
+        p.write_text(DIFFERENTIABLE_INI
+                     + ("strict = true\n" if how == "ini" else ""))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(p), "--out", str(out)]
+        assert main(argv + (["--strict"] if how == "flag" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "strict" in err
+        assert not out.exists()
+
+    def test_strict_differentiable_bounds_still_checks_envelopes(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "bounds_differentiable",
+                            lambda t, bi: (0.0, 0.0))
+        p = tmp_path / "c.ini"
+        p.write_text(DIFFERENTIABLE_INI)
+        assert main(["bounds", "--config", str(p), "--strict",
+                     "--out", str(tmp_path / "out")]) == 3
 
     def test_diagnostics_every_step_has_no_repeated_row(self, tmp_path,
                                                          capsys):

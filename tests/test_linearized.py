@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
-                       CostSpec, ModelSpec, PopulationField,
+                       CostSpec, ModelSpec, NumericError, PopulationField,
                        GradientAvoidance, UnsupportedModelError,
                        advection_field, bump_kernel,
                        constant_direction, constant_speed_law,
@@ -243,11 +245,13 @@ class TestGateauxResidual:
                                     2.75794333544099e-07,
                                     6.8950934423875e-08], rel=1e-9)
 
-    def test_one_convolution_per_shared_kernel_and_pass(self, monkeypatch):
+    def test_one_convolution_per_shared_kernel_and_pass(self, monkeypatch,
+                                                        sequential):
         # each base step smooths rho once, for its own field and the
         # linearized step's speed argument, and sigma once; each h's replay
         # smooths once: the two populations share one kernel, so each pass
-        # is one convolution
+        # is one convolution (counted in this process: a forked replay's
+        # calls would not be)
         calls, bases = [], []
 
         def counted(field, k):
@@ -277,6 +281,141 @@ class TestGateauxResidual:
         finally:
             tracemalloc.stop()
         assert peak < 20 * rho0.data.nbytes
+
+
+@pytest.fixture
+def sequential(monkeypatch):
+    """gateaux_residual's replays one after another in this process."""
+    monkeypatch.setattr(linearized, "_usable_cpus", lambda: 1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers gateaux_residual forks, with its replays
+    split among three processes; skips where the loaded BLAS has no
+    thread control, since the replays then never fork."""
+    if linearized._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread control")
+    monkeypatch.setattr(linearized, "_usable_cpus", lambda: 3)
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+HS = [0.2, 0.1, 0.05, 0.025, 0.0125]
+
+
+class TestForkedReplays:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bitwise_equal_to_sequential(self, monkeypatch, forks, n):
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        forked = gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
+        assert len(forks) == min(n, 3) - 1
+        monkeypatch.setattr(linearized, "_usable_cpus", lambda: 1)
+        assert forked == gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
+        assert len(forks) == min(n, 3) - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("missing", ["fork", "blas"])
+    def test_sequential_without_fork_or_blas_control(self, monkeypatch,
+                                                     forks, missing):
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        forked = gateaux_residual(model, rho0, sigma0, 0.1, HS[:3])
+        forks.clear()
+        if missing == "fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(linearized, "_openblas_threads", lambda: None)
+        assert gateaux_residual(model, rho0, sigma0, 0.1, HS[:3]) == forked
+        assert forks == []
+
+    def test_worker_error_comes_back(self, monkeypatch, forks):
+        parent, step = os.getpid(), linearized.split_step
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericError("non-finite wave speed in population 1")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "split_step", failing)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        with pytest.raises(NumericError) as err:
+            gateaux_residual(model, rho0, sigma0, 0.1, HS[:3])
+        assert type(err.value) is NumericError
+        assert str(err.value) == "non-finite wave speed in population 1"
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_worker_dying_without_result_raises(self, monkeypatch, forks):
+        parent, step = os.getpid(), linearized.split_step
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "split_step", dying)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        with pytest.raises(RuntimeError, match="no result"):
+            gateaux_residual(model, rho0, sigma0, 0.1, HS[:2])
+        assert_no_child_left()
+
+    def test_own_chunk_error_kills_the_workers(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker that would outlast the test
+            raise NumericError("in the first chunk")
+
+        monkeypatch.setattr(linearized, "split_step", failing)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        start = time.monotonic()
+        with pytest.raises(NumericError, match="in the first chunk"):
+            gateaux_residual(model, rho0, sigma0, 0.1, HS[:3])
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("before, cpus, n, during", [
+        (2, 3, 3, 1), (3, 4, 2, 2), (1, 4, 2, 1)],
+        ids=["shared", "split", "never-raised"])
+    def test_blas_threads_set_and_restored(self, monkeypatch, forks, fails,
+                                           before, cpus, n, during):
+        get, put = linearized._openblas_threads()
+        seen, step, original = [], linearized.split_step, get()
+
+        def watched(*args, **kwargs):
+            seen.append(get())
+            if fails:
+                raise NumericError("stop")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(linearized, "split_step", watched)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        put(before)
+        try:
+            gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
+        except NumericError:
+            assert fails
+        finally:
+            after = get()
+            put(original)
+        assert set(seen) == {during}
+        assert after == before
 
 
 def stored_trajectory_residual(model, rho0, sigma0, hs):

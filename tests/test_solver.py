@@ -8,7 +8,7 @@ import pytest
 from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        ConfigurationError, GradientAvoidance, ModelSpec,
                        NumericError, PopulationField,
-                       advection_field, bump_kernel, cfl_dt,
+                       advection_field, bump_kernel, cfl_dt, check_datum,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, preset,
                        room_mask, run, sample_kernel, split_step)
@@ -530,6 +530,39 @@ class TestModelSpec:
     def test_bad_R_rejected(self, corridor_grid, R):
         with pytest.raises(ConfigurationError, match="R must be positive"):
             local_deviation_model(corridor_grid, R=R)
+
+
+class TestCheckDatum:
+    @pytest.mark.parametrize("cell, value, message", [
+        ((0, 20, 10), np.nan, "non-finite"),
+        ((0, 20, 10), 1.5, r"\[0, R\]"),
+        ((1, 20, 0), 0.5, "outside the room in population 1"),
+        ((1, 20, 0), -0.0, None)])
+    def test_rejects_what_run_cannot_start_from(self, cell, value, message):
+        # crossing at mesh 0.4: row 0 of y lies in the wall below the room
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        check_datum(model, datum)
+        datum.data[cell] = value
+        if message is None:
+            check_datum(model, datum)
+        else:
+            with pytest.raises(ConfigurationError, match=message):
+                check_datum(model, datum)
+
+    def test_grid_mismatch_rejected(self):
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        other = preset("crossing").with_mesh(0.2).build()[1]
+        with pytest.raises(ConfigurationError, match="grid"):
+            check_datum(model, other)
+
+    def test_run_checks_through_it(self, monkeypatch):
+        model, datum = replace(preset("crossing").with_mesh(0.4),
+                               t_max=0.05).build()
+        seen = []
+        monkeypatch.setattr(solver, "check_datum",
+                            lambda m, d: seen.append((m, d)))
+        run(model, datum)
+        assert seen == [(model, datum)]
 
 
 class TestRun:
