@@ -7,6 +7,17 @@ pre-step state and its advection field, through the same split
 Lax-Friedrichs sweep and boundary rule, so that exact cancellations
 survive discretization.  Only the current base state is held, never the
 whole run.
+
+gateaux_residual checks that derivative against replays of perturbed
+data on the base run's dt sequence.  Where it can, it forks its replay
+workers before the base run and streams each base dt to them as it is
+taken, so the replays advance beside the base and linearized solve
+rather than after it.  That solve costs about two replays, so of the H
+replays shared among P processes the caller takes the first
+max(0, ceil((H + 2) / P) - 2), after its solve, and P - 1 workers take
+the rest in contiguous chunks.  An end marker closes each stream.  A
+stream that ends without it means the caller is gone: the worker then
+exits at once, without stepping on or writing a result.
 """
 
 from __future__ import annotations
@@ -16,17 +27,20 @@ import functools
 import math
 import os
 import pickle
+import struct
+import sys
+import warnings
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedModelError
 from .grid import PopulationField, make_grid
 from .kernel import bump_kernel, sample_kernel
-from .solver import (DIFFERENTIABLE, ModelSpec, RunResult, _face_buffers,
-                     _linear_flux, _sweep_xy, _velocity_field, run,
-                     split_step)
+from .solver import (DIFFERENTIABLE, ModelSpec, RunResult, StepReport,
+                     _face_buffers, _linear_flux, _sweep_xy, _velocity_field,
+                     run, split_step)
 from .velocity import (clamped_speed_arg, constant_direction,
                        linear_speed_law, smoothed_total_density)
 
@@ -76,14 +90,17 @@ def _linearized_step(sigma: PopulationField, rho: PopulationField,
 
 
 def solve_linearized(model: ModelSpec, rho0: PopulationField,
-                     sigma0: PopulationField,
-                     t: float) -> tuple[RunResult, PopulationField]:
+                     sigma0: PopulationField, t: float, *,
+                     on_step: Callable[[StepReport], None] | None = None,
+                     ) -> tuple[RunResult, PopulationField]:
     """Run the model from rho0 to time t and evolve sigma0 beside it.
 
     Returns the base run and Sigma_t sigma0.  Each step of the
     linearized system is taken with the base step's dt, frozen at the
     base state before that step, and reuses the speed argument the base
-    step computed for its field.  A negative t raises ConfigurationError.
+    step computed for its field.  on_step(report), where given, receives
+    each base step's report as soon as the step is taken, before its
+    linearized step.  A negative t raises ConfigurationError.
     """
     _require_differentiable(model)
     sigma, before, arg = sigma0.copy(), rho0, None
@@ -96,6 +113,8 @@ def solve_linearized(model: ModelSpec, rho0: PopulationField,
 
     def advance(report, state, W):
         nonlocal sigma, before
+        if on_step is not None:
+            on_step(report)
         sigma = _linearized_step(sigma, before, W, model, report.dt, arg,
                                  faces)
         before = state
@@ -112,6 +131,13 @@ def check_steps(hs: Sequence[float]) -> None:
             f"need finite positive perturbation sizes, got {hs}")
 
 
+# The base and linearized solve costs about two replays, and counts as
+# two in the split of the work: 0.37-0.49 against 0.17-0.20 s at 256x256
+# on one BLAS thread (2-vCPU VM, numpy 2.4.6, OpenBLAS).
+_SOLVE_IN_REPLAYS = 2
+_END = struct.pack("d", -1.0)  # closes a dt stream: no dt is negative
+
+
 def gateaux_residual(model: ModelSpec, rho0: PopulationField,
                      sigma0: PopulationField, t: float,
                      hs: Sequence[float]) -> list[float]:
@@ -120,23 +146,114 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     r(h) = || S_t(rho0 + h sigma0) - S_t rho0 - h Sigma_t sigma0 ||_L1.
     The base run and Sigma_t sigma0 do not depend on h and are computed
     once; each perturbed datum is then advanced with the base run's dt
-    sequence.  Those replays go through _map_forked, which runs them in
-    forked processes where it can; the result is the same, bit for bit.
+    sequence.  Where os.fork, OpenBLAS thread control and a second
+    usable CPU exist, P = min(len(hs) + 1, CPUs) processes share the
+    work, each running BLAS on CPUs // P threads (never more than
+    before).  P - 1 workers, forked before the solve, take all but the
+    first max(0, ceil((len(hs) + 2) / P) - 2) replays in contiguous
+    chunks: each advances its chunk side by side, one split_step per
+    base dt written to its pipe, and after the end marker receives the
+    base run's final state and Sigma_t sigma0 and sends back only its
+    floats.  The caller replays the first ones after its solve.  The
+    result is that of the one-h-at-a-time loop, bit for bit; so are the
+    warnings, which each worker records and the caller re-issues through
+    its own filters and registries.  A worker's error is raised here
+    with its type and message, at the caller's next write to it or when
+    its result is read.  An error here kills and reaps every worker, and
+    a worker whose caller is gone exits at once, so none outlives the
+    call.
     """
     _require_differentiable(model)
     check_steps(hs)
-    base, sigma_t = solve_linearized(model, rho0, sigma0, t)
-    dts = [r.dt for r in base.reports]
-    faces = _face_buffers(model.grid)  # shared by every replay
+    hs = list(hs)
 
-    def replay(h):
-        state = PopulationField(rho0.grid, rho0.data + h * sigma0.data)
+    def replay(chunk: list[float], dts, faces) -> list[PopulationField]:
+        """rho0 + h sigma0 for each h in chunk, advanced side by side by
+        one split_step per dt in dts, all sweeping with faces."""
+        states = [PopulationField(rho0.grid, rho0.data + h * sigma0.data)
+                  for h in chunk]
         for dt in dts:
-            state, _ = split_step(state, model, dt, faces=faces)
-        defect = state.data - base.state.data - h * sigma_t.data
+            states = [split_step(s, model, dt, faces=faces)[0]
+                      for s in states]
+        return states
+
+    def residual(h, state, rho_t, sigma_t) -> float:
+        defect = state.data - rho_t - h * sigma_t
         return float(np.abs(defect).sum()) * rho0.grid.cell_area
 
-    return _map_forked(replay, list(hs))
+    def one_at_a_time(chunk, base, sigma_t) -> list[float]:
+        dts = [r.dt for r in base.reports]
+        faces = _face_buffers(model.grid)  # shared by every replay
+        return [residual(h, replay([h], dts, faces)[0], base.state.data,
+                         sigma_t.data) for h in chunk]
+
+    def work(chunk: list[float], stream: BinaryIO) -> list[float]:
+        """A worker's job: its chunk in lockstep with the stream."""
+        states = replay(chunk, _dts(stream), _face_buffers(model.grid))
+        rho_t = _read_array(stream, rho0.data.shape)
+        sigma_t = _read_array(stream, rho0.data.shape)
+        return [residual(h, s, rho_t, sigma_t) for h, s in zip(chunk, states)]
+
+    cpus = _usable_cpus()
+    procs = min(len(hs) + 1, cpus)
+    blas = _openblas_threads()
+    if procs < 2 or blas is None or not hasattr(os, "fork"):
+        return one_at_a_time(hs, *solve_linearized(model, rho0, sigma0, t))
+    own = max(0, math.ceil((len(hs) + _SOLVE_IN_REPLAYS) / procs)
+              - _SOLVE_IN_REPLAYS)
+    cuts = [own + i * (len(hs) - own) // (procs - 1) for i in range(procs)]
+    get, put = blas
+    threads = get()
+    workers: list[_Worker] = []
+    put(min(threads, cpus // procs))
+    try:
+        for a, b in zip(cuts, cuts[1:]):
+            workers.append(_Worker(functools.partial(work, hs[a:b]),
+                                   workers))
+
+        def stream(report):
+            word = struct.pack("d", report.dt)
+            for w in workers:
+                w.send(word)
+
+        base, sigma_t = solve_linearized(model, rho0, sigma0, t,
+                                         on_step=stream)
+        for w in workers:
+            w.send(_END)
+        out = one_at_a_time(hs[:own], base, sigma_t)
+        for w in workers:
+            w.send(np.ascontiguousarray(base.state.data))
+            w.send(np.ascontiguousarray(sigma_t.data))
+        for w in workers:
+            out.extend(w.finish())
+        return out
+    finally:
+        for w in workers:
+            w.kill()
+        put(threads)
+
+
+def _dts(stream: BinaryIO) -> Iterator[float]:
+    """The dts written to stream, up to the end marker."""
+    while (word := _read(stream, len(_END))) != _END:
+        yield struct.unpack("d", word)[0]
+
+
+def _read_array(stream: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
+    return np.frombuffer(_read(stream, 8 * math.prod(shape))).reshape(shape)
+
+
+def _read(stream: BinaryIO, n: int) -> bytes:
+    data = stream.read(n)
+    if len(data) < n:
+        raise _CallerGone
+    return data
+
+
+class _CallerGone(BaseException):
+    """A worker's stream ended before the end marker or the arrays after
+    it: the caller is gone.  A BaseException, so that no handler of the
+    job's errors sends it back."""
 
 
 def _usable_cpus() -> int:
@@ -167,81 +284,121 @@ def _openblas_threads():
     return None
 
 
-def _map_forked(fn: Callable[[float], float],
-                items: list[float]) -> list[float]:
-    """[fn(x) for x in items], with the items split among processes.
+class _Worker:
+    """A forked process that runs job(stream) on what the caller writes
+    to it with send() and sends back the floats job returns.
 
-    items is cut into min(len(items), usable CPUs) contiguous chunks:
-    this process maps the first, and a forked worker maps each other
-    one and sends back only its floats, or the exception it stopped at,
-    which is raised here.  For the length of the map every process runs
-    OpenBLAS with cpus // processes threads, never more than before:
-    two BLAS threads in each of two processes ran several times slower
-    than one chunk after the other.  No worker outlives the call: an
-    error here kills and reaps them.  The plain loop runs where there is
-    one chunk, or no os.fork or OpenBLAS thread control.
+    The worker records its warnings.  finish() re-issues them here and
+    returns its floats, or raises the exception it stopped at, or
+    RuntimeError if it ended without a result; send() does the same
+    once the worker has closed its end.  The worker closes every pipe
+    end it inherited from earlier workers, so each stream ends with the
+    caller, and leaves through os._exit: with status 1 and nothing
+    written if sending its reply fails or its stream ends early.
     """
-    cpus = _usable_cpus()
-    procs = min(len(items), cpus)
-    blas = _openblas_threads()
-    if procs < 2 or blas is None or not hasattr(os, "fork"):
-        return [fn(x) for x in items]
-    import signal  # here: at import time it cost 1.2 ms of set-up
-    cuts = [i * len(items) // procs for i in range(procs + 1)]
-    chunks = [items[a:b] for a, b in zip(cuts, cuts[1:])]
-    get, put = blas
-    threads = get()
-    workers = []  # (pid, read end of its pipe), not yet reaped
-    put(min(threads, cpus // procs))
-    try:
-        for chunk in chunks[1:]:
-            workers.append(_fork_worker(fn, chunk))
-        out = [fn(x) for x in chunks[0]]
-        while workers:
-            pid, pipe = workers[0]
-            reply = pipe.read()
-            pipe.close()
-            workers.pop(0)
-            _, status = os.waitpid(pid, 0)
-            if not reply:
-                raise RuntimeError(f"replay worker ended with wait status "
-                                   f"{status} and no result")
-            ok, value = pickle.loads(reply)
-            if not ok:
-                raise value
-            out.extend(value)
-        return out
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        put(threads)
 
-
-def _fork_worker(fn: Callable[[float], float],
-                 chunk: list[float]) -> tuple[int, BinaryIO]:
-    """Fork a process that maps fn over chunk, writes the pickled
-    (True, floats) or (False, exception) to a pipe and leaves through
-    os._exit, with status 1 and nothing written if that fails; returns
-    its pid and the pipe's read end."""
-    fd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+    def __init__(self, job: Callable[[BinaryIO], list[float]],
+                 earlier: list[_Worker]):
+        rfd, self._fd = os.pipe()          # caller -> worker
+        self._reply, wfd = os.pipe()       # worker -> caller
+        inherited = [self._fd, self._reply,
+                     *(fd for w in earlier for fd in (w._fd, w._reply))]
         try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (rfd, self._fd, self._reply, wfd):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve(job, rfd, wfd, inherited)
+        os.close(rfd)
+        os.close(wfd)
+
+    def send(self, data) -> None:
+        """Write bytes, or a C-contiguous array's bytes, to the stream."""
+        view = memoryview(data).cast("B")
+        try:
+            while view:
+                view = view[os.write(self._fd, view):]
+        except BrokenPipeError:
+            self.finish()  # raises what stopped the worker
+            raise
+
+    def finish(self) -> list[float]:
+        """Wait for the worker and reap it: its floats, or its error."""
+        os.close(self._fd)
+        self._fd = None
+        with open(self._reply, "rb") as fh:
+            self._reply = None
+            reply = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        if not reply:
+            raise RuntimeError(f"replay worker ended with wait status "
+                               f"{status} and no result")
+        ok, value, warned = pickle.loads(reply)
+        _reissue(warned)
+        if not ok:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        """Close what finish() has not, and kill and reap the worker
+        unless finish() has reaped it."""
+        for fd in (self._fd, self._reply):
+            if fd is not None:
+                os.close(fd)
+        if self.pid:
+            import signal  # here: at import time it cost 1.2 ms of set-up
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _serve(job: Callable[[BinaryIO], list[float]], rfd: int, wfd: int,
+           inherited: list[int]) -> NoReturn:
+    """A worker's whole life: run job on the stream read from rfd, then
+    write the pickled (True, floats, warnings) or (False, exception,
+    warnings) to wfd.  The stream is closed first, so a caller still
+    writing to it stops at once."""
+    code = 1
+    try:
+        for fd in inherited:
             os.close(fd)
-            try:
-                reply = (True, [fn(x) for x in chunk])
-            except Exception as exc:
-                reply = (False, exc)
-            with os.fdopen(wfd, "wb") as fh:
-                fh.write(pickle.dumps(reply))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return pid, os.fdopen(fd, "rb")
+        with warnings.catch_warnings(record=True) as caught:
+            with open(rfd, "rb") as stream:
+                try:
+                    reply = (True, job(stream))
+                except Exception as exc:
+                    reply = (False, exc)
+        warned = [(w.message, w.category, w.filename, w.lineno)
+                  for w in caught]
+        with open(wfd, "wb") as fh:
+            fh.write(pickle.dumps(reply + (warned,)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reissue(warned: list[tuple]) -> None:
+    """Issue warnings a worker recorded as if they arose here, so that
+    this process's filters and once-per-site registries decide which
+    show: a warning the caller or an earlier worker already showed at
+    the same site stays silent, as in the one-h-at-a-time loop."""
+    if not warned:
+        return
+    files = {getattr(m, "__file__", None): m
+             for m in list(sys.modules.values())}
+    for message, category, filename, lineno in warned:
+        module = files.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+            continue
+        globs = vars(module)
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=module.__name__,
+            registry=globs.setdefault("__warningregistry__", {}),
+            module_globals=globs)
+
 
 
 def _until(model: ModelSpec, t: float) -> ModelSpec:

@@ -739,6 +739,34 @@ def test_gateaux_table_pinned(tmp_path, capsys):
         "dd34171b6e52605ec1c2eafb42ddb5b212feb3acc5d800285bbc82eb95893b78")
 
 
+def test_gateaux_clamp_warning_as_in_sequence(tmp_path):
+    # h = 8 takes the replays below 0, so they meet the speed-argument
+    # clamp in the caller and in its workers; in fresh processes, with
+    # the default warning filters, its warning shows once, as in sequence
+    if linearized._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread control: the replays never fork")
+    src = os.path.dirname(os.path.dirname(crowdflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def gateaux(cpus):
+        code = ("import sys; from crowdflow import cli, linearized; "
+                f"linearized._usable_cpus = lambda: {cpus}; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        cwd = tmp_path / str(cpus)
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "gateaux", "--mesh", "0.0625",
+             "--hs", "8,4,2,1", "--out", "out"],
+            cwd=cwd, env=env, capture_output=True, text=True, check=True)
+        table = (cwd / "out" / "gateaux.csv").read_bytes()
+        return proc.stdout, proc.stderr, table
+
+    sequential = gateaux(1)
+    assert sequential[1].count("negative convolved density clamped") == 1
+    assert gateaux(2) == sequential
+    assert gateaux(3) == sequential
+
+
 def test_import_does_not_load_scipy():
     # the tests import scipy for their oracles, so check in a fresh process
     src = os.path.dirname(os.path.dirname(crowdflow.__file__))

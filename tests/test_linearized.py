@@ -1,4 +1,7 @@
 import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +17,7 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
                        cost_and_gradient, gateaux_benchmark, gateaux_residual,
                        linear_speed_law, make_grid, run, sample_kernel,
                        solve_linearized, split_step)
-from crowdflow import linearized, velocity
+from crowdflow import linearized, solver, velocity
 from crowdflow.kernel import convolve
 from crowdflow.linearized import _linearized_step
 from crowdflow.solver import _face_buffers
@@ -291,9 +294,9 @@ def sequential(monkeypatch):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the workers gateaux_residual forks, with its replays
-    split among three processes; skips where the loaded BLAS has no
-    thread control, since the replays then never fork."""
+    """The pids of the workers gateaux_residual forks, with its work
+    split among up to three processes; skips where the loaded BLAS has
+    no thread control, since the replays then never fork."""
     if linearized._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread control")
     monkeypatch.setattr(linearized, "_usable_cpus", lambda: 3)
@@ -313,18 +316,84 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def running(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 HS = [0.2, 0.1, 0.05, 0.025, 0.0125]
+
+# Runs gateaux_residual with one forked worker, prints the worker's pid,
+# and stalls in its linearized solve once the first dt has been streamed.
+KILLED_CALLER = """
+import os, time
+from crowdflow import linearized
+fork, step = os.fork, linearized._linearized_step
+
+def announced():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def stalled(*args, **kwargs):
+    print("stalled", flush=True)
+    time.sleep(60)
+    return step(*args, **kwargs)
+
+linearized._usable_cpus = lambda: 2
+os.fork, linearized._linearized_step = announced, stalled
+model, rho0, sigma0 = linearized.gateaux_benchmark(mesh=1 / 32, t_max=0.1)
+linearized.gateaux_residual(model, rho0, sigma0, 0.1, [0.2, 0.1])
+"""
 
 
 class TestForkedReplays:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bitwise_equal_to_sequential(self, monkeypatch, forks, n):
+        # P = min(n + 1, cpus) processes; at n = 1 the caller replays
+        # nothing and its one worker replays in lockstep with the solve
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
-        forked = gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
-        assert len(forks) == min(n, 3) - 1
         monkeypatch.setattr(linearized, "_usable_cpus", lambda: 1)
-        assert forked == gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
-        assert len(forks) == min(n, 3) - 1
+        sequential = gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
+        assert forks == []
+        for cpus in (2, 3):
+            monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+            assert gateaux_residual(model, rho0, sigma0, 0.1,
+                                    HS[:n]) == sequential
+            assert len(forks) == min(n + 1, cpus) - 1
+            forks.clear()
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("n, cpus, mine", [
+        (1, 2, 0), (2, 2, 0), (3, 2, 1), (4, 2, 1), (5, 2, 2), (6, 2, 2),
+        (2, 3, 0), (4, 3, 0), (5, 3, 1), (8, 3, 2), (3, 8, 0)])
+    def test_caller_takes_its_share_after_the_solve(self, monkeypatch,
+                                                    forks, n, cpus, mine):
+        # the solve counts as two replays: the caller takes
+        # max(0, ceil((n + 2) / P) - 2) of them, the first ones
+        parent, step, seen = os.getpid(), linearized.split_step, []
+
+        def watched(state, model, dt, **kwargs):
+            if os.getpid() == parent:
+                seen.append(float(state.data.sum()))
+            return step(state, model, dt, **kwargs)
+
+        monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(linearized, "split_step", watched)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.05)
+        hs = [2.0 ** -k for k in range(n)]
+        base, _ = solve_linearized(model, rho0, sigma0, 0.05)
+        gateaux_residual(model, rho0, sigma0, 0.05, hs)
+        steps = len(base.reports)
+        assert len(forks) == min(n + 1, cpus) - 1
+        assert len(seen) == mine * steps
+        firsts = [float((rho0.data + h * sigma0.data).sum()) for h in hs]
+        assert seen[::steps] == firsts[:mine]
         assert_no_child_left()
 
     @pytest.mark.parametrize("missing", ["fork", "blas"])
@@ -357,6 +426,32 @@ class TestForkedReplays:
         assert len(forks) == 2
         assert_no_child_left()
 
+    def test_worker_error_stops_the_stream(self, monkeypatch, forks):
+        # the worker fails on its first dt and closes its stream: the
+        # caller's next write raises the worker's error, mid-solve
+        parent, step = os.getpid(), linearized.split_step
+        lin_step, solved = linearized._linearized_step, []
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericError("in the worker")
+            return step(*args, **kwargs)
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)  # time for the worker to fail and close
+            solved.append(1)
+            return lin_step(*args, **kwargs)
+
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.2)
+        steps = len(solve_linearized(model, rho0, sigma0, 0.2)[0].reports)
+        monkeypatch.setattr(linearized, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(linearized, "split_step", failing)
+        monkeypatch.setattr(linearized, "_linearized_step", slow)
+        with pytest.raises(NumericError, match="in the worker"):
+            gateaux_residual(model, rho0, sigma0, 0.2, HS[:1])
+        assert 0 < len(solved) < steps
+        assert_no_child_left()
+
     def test_worker_dying_without_result_raises(self, monkeypatch, forks):
         parent, step = os.getpid(), linearized.split_step
 
@@ -372,30 +467,66 @@ class TestForkedReplays:
         assert_no_child_left()
 
     def test_own_chunk_error_kills_the_workers(self, monkeypatch, forks):
-        parent = os.getpid()
+        # the caller's base run fails at its second step, while both
+        # workers are busy with the first dt it streamed
+        parent, replay_step = os.getpid(), linearized.split_step
+        base_step, calls = solver.split_step, []
 
-        def failing(*args, **kwargs):
+        def sleeping(*args, **kwargs):
             if os.getpid() != parent:
                 time.sleep(60)  # a worker that would outlast the test
-            raise NumericError("in the first chunk")
+            return replay_step(*args, **kwargs)
 
-        monkeypatch.setattr(linearized, "split_step", failing)
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("in the base run")
+            return base_step(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "split_step", sleeping)
+        monkeypatch.setattr(solver, "split_step", failing)
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
         start = time.monotonic()
-        with pytest.raises(NumericError, match="in the first chunk"):
+        with pytest.raises(NumericError, match="in the base run"):
             gateaux_residual(model, rho0, sigma0, 0.1, HS[:3])
         assert time.monotonic() - start < 30
         assert len(forks) == 2
         assert_no_child_left()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads process states from /proc")
+    def test_worker_exits_when_its_caller_is_killed(self):
+        if linearized._openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread control: the replays never fork")
+        src = os.path.dirname(os.path.dirname(linearized.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen([sys.executable, "-c", KILLED_CALLER], env=env,
+                              stdout=subprocess.PIPE, text=True) as caller:
+            try:
+                worker = int(caller.stdout.readline())
+                assert caller.stdout.readline() == "stalled\n"
+            finally:
+                caller.kill()
+                caller.wait()
+        deadline = time.monotonic() + 10
+        try:
+            while running(worker):
+                assert time.monotonic() < deadline, "worker outlived its caller"
+                time.sleep(0.05)
+        finally:
+            if running(worker):
+                os.kill(worker, signal.SIGKILL)
+
     @pytest.mark.parametrize("fails", [False, True])
     @pytest.mark.parametrize("before, cpus, n, during", [
-        (2, 3, 3, 1), (3, 4, 2, 2), (1, 4, 2, 1)],
+        (2, 3, 3, 1), (3, 4, 1, 2), (1, 4, 1, 1)],
         ids=["shared", "split", "never-raised"])
     def test_blas_threads_set_and_restored(self, monkeypatch, forks, fails,
                                            before, cpus, n, during):
+        # watched in the caller's linearized solve, which now runs beside
+        # the workers; a failure there is an error in the caller
         get, put = linearized._openblas_threads()
-        seen, step, original = [], linearized.split_step, get()
+        seen, step, original = [], linearized._linearized_step, get()
 
         def watched(*args, **kwargs):
             seen.append(get())
@@ -404,7 +535,7 @@ class TestForkedReplays:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(linearized, "split_step", watched)
+        monkeypatch.setattr(linearized, "_linearized_step", watched)
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
         put(before)
         try:
@@ -416,6 +547,34 @@ class TestForkedReplays:
             put(original)
         assert set(seen) == {during}
         assert after == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("before, cpus, n, during", [
+        (2, 3, 3, 1), (3, 4, 1, 2), (1, 4, 1, 1)],
+        ids=["shared", "split", "never-raised"])
+    def test_worker_blas_threads(self, monkeypatch, forks, before, cpus, n,
+                                 during):
+        # a worker reports its thread count through the error it raises
+        get, put = linearized._openblas_threads()
+        parent, original = os.getpid(), get()
+
+        def reporting(*args, **kwargs):
+            assert os.getpid() != parent
+            raise NumericError(f"{get()} threads")
+
+        monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(linearized, "split_step", reporting)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        put(before)
+        try:
+            with pytest.raises(NumericError) as err:
+                gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
+        finally:
+            after = get()
+            put(original)
+        assert str(err.value) == f"{during} threads"
+        assert after == before
+        assert_no_child_left()
 
 
 def stored_trajectory_residual(model, rho0, sigma0, hs):
