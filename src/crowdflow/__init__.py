@@ -10,10 +10,9 @@ and total-variation envelopes).  The `cli` module exposes the
 
 from .analysis import (BoundInputs, ParameterDeltas,
                        RunningEnvelope, StabilityBound, aggregate_inputs,
-                       bound_inputs_for, bounds_differentiable,
-                       direction_norms, estimate_ci, kappa0, kernel_norms,
-                       stability_bound_deviation, sup_gradient,
-                       tv_bound_deviation, wd)
+                       bound_inputs_for, direction_norms, estimate_ci,
+                       kappa0, kernel_norms, stability_bound_deviation,
+                       sup_gradient, tv_bound_deviation, wd)
 from .config import PopulationConfig, RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
                      EstimationError, NumericError, UnsupportedModelError)

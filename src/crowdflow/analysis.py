@@ -1,15 +1,17 @@
-"""A-priori bound evaluators and measured-vs-bound comparisons.
+"""A-priori bound evaluators of the deviation family.
 
 All estimates are worst-case envelopes: comparisons assert domination
 only, never tightness, and slack factors of several orders of magnitude
 are normal.  Exponents can exceed float range for rough data; the
-one stability evaluator, of the deviation family, therefore also
-reports the bound in log space.
+stability evaluator therefore also reports the bound in log space.
+The differentiable family's L-infinity, TV and stability estimates are
+the paper's and are not evaluated: their factor exp(k1 t) overflows
+before the first output time.
 The envelope inputs are measured here too: the sup of grad V, the
 direction-field norms and the sampled C_I (estimate_ci) all differentiate
 on the grid by one central-difference rule.  RunningEnvelope keeps the
-running sup of grad V along a run and evaluates from it, by the model's
-family, every envelope the commands write.
+running sup of grad V along a run and evaluates from it every envelope
+the commands write.
 """
 
 from __future__ import annotations
@@ -45,50 +47,27 @@ def wd(d: int) -> float:
 
 @dataclass
 class BoundInputs:
-    """Norms feeding the bound evaluators; unused entries may stay NaN.
+    """Norms feeding the deviation family's envelopes; every field is read
+    by tv_bound_deviation or stability_bound_deviation, so one left NaN
+    gives a NaN envelope, which counts as violated.
 
-    Data norms are of the initial datum; speed-law norms are over the
-    certified density range; direction and kernel norms are continuum
-    sup/L1 norms (computed analytically or by dense scan, see the
-    *_norms helpers).  grad_v_sup is the measured running sup of the
-    gradient of the assembled advection field.
+    tv0 is the total variation of the initial datum; speed-law norms are
+    over the certified density range; direction norms are discrete sup/L1
+    norms (direction_norms); ci is the sampled Lipschitz constant of the
+    deviation (estimate_ci).  grad_v_sup is the measured running sup of
+    the gradient of the assembled advection field.
     """
 
     d: int = 2
-    n1: float = math.nan          # L1 norm of the datum (all populations)
-    linf0: float = math.nan
     tv0: float = math.nan
-    v_sup: float = math.nan
-    dv_sup: float = math.nan
     q_sup: float = math.nan
     dq_sup: float = math.nan
     vec_sup: float = math.nan
-    vec_l1: float = math.nan
-    vec_grad_sup: float = math.nan
-    vec_grad_l1: float = math.nan
     div_sup: float = math.nan
     divvec_l1: float = math.nan
     graddiv_l1: float = math.nan
-    grad_eta_sup: float = math.nan
-    hess_eta_sup: float = math.nan
     ci: float = math.nan
     grad_v_sup: float = math.nan
-
-    @property
-    def v_w1inf(self) -> float:
-        return self.v_sup + self.dv_sup
-
-    @property
-    def vec_w1inf(self) -> float:
-        return self.vec_sup + self.vec_grad_sup
-
-    @property
-    def vec_w11(self) -> float:
-        return self.vec_l1 + self.vec_grad_l1
-
-    @property
-    def grad_eta_w1inf(self) -> float:
-        return self.grad_eta_sup + self.hess_eta_sup
 
 
 def kappa0(inputs: BoundInputs) -> float:
@@ -103,27 +82,6 @@ def tv_bound_deviation(t: float, inputs: BoundInputs) -> float:
     growth = _exp(k0 * t)
     return (_prod(inputs.tv0, growth)
             + _prod(cd, growth, inputs.q_sup, inputs.ci + inputs.div_sup, t))
-
-
-def k1_constant(inputs: BoundInputs) -> float:
-    return inputs.v_w1inf * inputs.vec_w1inf * (inputs.n1 * inputs.grad_eta_sup + 1.0)
-
-
-def k2_constant(inputs: BoundInputs) -> float:
-    return (inputs.v_w1inf * inputs.vec_w11
-            * (inputs.n1 ** 2 * inputs.grad_eta_sup ** 2
-               + 2.0 * inputs.n1 * inputs.grad_eta_w1inf + 1.0))
-
-
-def bounds_differentiable(t: float, inputs: BoundInputs) -> tuple[float, float]:
-    """(L-infinity bound, TV bound) for the differentiable model at time t."""
-    k1 = k1_constant(inputs)
-    k2 = k2_constant(inputs)
-    d = inputs.d
-    linf_bound = _prod(inputs.linf0, _exp(k1 * t))
-    tv_bound = (_prod(inputs.tv0, _exp((2 * d + 1) * k1 * t))
-                + _prod(t, _exp(k1 * t), d, wd(d), k2, inputs.linf0))
-    return linf_bound, tv_bound
 
 
 @dataclass
@@ -292,6 +250,7 @@ _SCAN_ROWS = 32  # rows per block of the kernel_norms scan
 def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
     """Sup norms of the first and second derivatives of eta, by dense scan.
 
+    No envelope reads them.
     The samples x samples products are scanned _SCAN_ROWS rows at a
     time, so no temporary outgrows one block.  Each maximum is exact,
     hence the same floats as one dense scan.
@@ -327,18 +286,16 @@ def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
 
 
 def direction_norms(direction: DirectionField, grid: GridSpec) -> dict:
-    """Discrete sup/L1 norms of a sampled direction field (central diffs)."""
+    """The discrete norms of a sampled direction field that the deviation
+    envelopes read: sup of |v|_1, sup and L1 of div v and L1 of
+    |grad div v|_1 (central differences)."""
     v = direction.total
     area = grid.cell_area
     absv = np.abs(v[0]) + np.abs(v[1])
-    gradsum = _jacobian_norm1(v, grid)
     div = _divergence(v, grid)
     graddiv = _gradient_norm1(div, grid)
     return dict(
         vec_sup=float(absv.max()),
-        vec_l1=float(absv.sum()) * area,
-        vec_grad_sup=float(gradsum.max()),
-        vec_grad_l1=float(gradsum.sum()) * area,
         div_sup=float(np.abs(div).max()),
         divvec_l1=float(np.abs(div).sum()) * area,
         graddiv_l1=float(graddiv.sum()) * area,
@@ -428,45 +385,45 @@ def _pair_ratios(I1: np.ndarray, I2: np.ndarray,
 
 def bound_inputs_for(model: ModelSpec,
                      datum: PopulationField) -> list[BoundInputs]:
-    """Per-population BoundInputs measured from the configuration.
+    """Per-population BoundInputs of a deviation-family configuration.
 
-    Kernel and direction norms come from dense scans / grid differences
-    (each distinct kernel is scanned once); the nonlocal Lipschitz
+    Direction norms come from grid differences; the nonlocal Lipschitz
     constants are empirical lower bounds from a small sample family;
     grad_v_sup starts at 0, and RunningEnvelope keeps it at the running
-    maximum of the advection field's gradient.
+    maximum of the advection field's gradient.  A differentiable model
+    has no envelope to feed and raises ConfigurationError.
     """
+    if model.family != DEVIATION:
+        raise ConfigurationError(
+            "envelopes are evaluated for the deviation family only")
     rec = norms(datum)
-    kn = {spec: kernel_norms(spec) for spec in {k.spec for k in model.kernels}}
+    # no input reads these; the benchmark's traced deviation commands
+    # must call the analysis.kernel_norms span
+    for spec in {k.spec for k in model.kernels}:
+        kernel_norms(spec)
     ci = np.zeros(model.n)
-    if model.family == DEVIATION and float(np.abs(datum.data).sum()) != 0.0:
+    if float(np.abs(datum.data).sum()) != 0.0:
         ci = estimate_ci(model.deviation,
                          [datum, PopulationField(datum.grid, 0.5 * datum.data)])
-    out = []
-    for i, law in enumerate(model.laws):
-        out.append(BoundInputs(
-            d=2, n1=rec.l1_total, linf0=float(rec.linf[i]), tv0=float(rec.tv[i]),
-            v_sup=law.v_sup, dv_sup=law.dv_sup, q_sup=law.q_sup,
-            dq_sup=law.dq_sup,
-            **direction_norms(model.dirs[i], model.grid),
-            **(kn[model.kernels[i].spec] if model.kernels else {}),
-            ci=float(ci[i]), grad_v_sup=0.0))
-    return out
+    return [BoundInputs(d=2, tv0=float(rec.tv[i]), q_sup=law.q_sup,
+                        dq_sup=law.dq_sup,
+                        **direction_norms(model.dirs[i], model.grid),
+                        ci=float(ci[i]), grad_v_sup=0.0)
+            for i, law in enumerate(model.laws)]
 
 
 def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
-    """Worst-case merge over populations (sums for data norms, maxima
-    for parameter norms), matching the summed-TV convention."""
+    """Worst-case merge over populations (the sum for the datum's TV,
+    maxima for parameter norms), matching the summed-TV convention."""
     params = {f.name: max(getattr(b, f.name) for b in per_pop)
-              for f in fields(BoundInputs)
-              if f.name not in ("d", "n1", "linf0", "tv0")}
-    return BoundInputs(d=per_pop[0].d, n1=per_pop[0].n1,
-                       linf0=max(b.linf0 for b in per_pop),
-                       tv0=sum(b.tv0 for b in per_pop), **params)
+              for f in fields(BoundInputs) if f.name not in ("d", "tv0")}
+    return BoundInputs(d=per_pop[0].d, tv0=sum(b.tv0 for b in per_pop),
+                       **params)
 
 
 class RunningEnvelope:
-    """The envelopes of one configuration and their inputs, kept current.
+    """The envelopes of one deviation-family configuration and their
+    inputs, kept current.
 
     inputs holds one BoundInputs per population, measured by
     bound_inputs_for(model, datum).  Their grad_v_sup starts at 0;
@@ -503,20 +460,15 @@ class RunningEnvelope:
 
     def bounds(self, t: float) -> list[tuple[float, float]]:
         """(TV envelope, L-infinity envelope) of each population at t: the
-        deviation family's TV envelope and R, or the differentiable
-        family's pair."""
-        if self.model.family == DEVIATION:
-            return [(tv_bound_deviation(t, bi), self.model.R)
-                    for bi in self.inputs]
-        return [bounds_differentiable(t, bi)[::-1] for bi in self.inputs]
+        TV envelope and the maximum principle's R."""
+        return [(tv_bound_deviation(t, bi), self.model.R)
+                for bi in self.inputs]
 
     def stability(self, t: float, drho0_l1: float) -> StabilityBound:
-        """L1 distance envelope at t of two deviation-family runs of the
-        model whose data differ by drho0_l1 in L1.  The runs share every
-        parameter, and the envelope reads only parameter norms from the
-        second run's inputs, so one aggregate serves both."""
-        if self.model.family != DEVIATION:
-            raise ConfigurationError("deviation-family envelope only")
+        """L1 distance envelope at t of two runs of the model whose data
+        differ by drho0_l1 in L1.  The runs share every parameter, and
+        the envelope reads only parameter norms from the second run's
+        inputs, so one aggregate serves both."""
         agg = self.aggregate()
         return stability_bound_deviation(t, agg, agg,
                                          ParameterDeltas(drho0_l1=drho0_l1))

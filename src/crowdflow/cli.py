@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rescale the kernel to unit mass")
 
     common(sub.add_parser("run", help="simulate and write snapshots"))
-    common(sub.add_parser("bounds", help="simulate and verify a-priori bounds"))
+    common(sub.add_parser("bounds", help="simulate and verify the deviation "
+                                         "family's a-priori bounds"))
     g = sub.add_parser("gateaux",
                        help="directional-derivative residual sweep on a "
                             "built-in smooth benchmark")
@@ -209,7 +210,12 @@ def read_snapshot(path: str) -> tuple[np.ndarray, dict]:
 
 def _cmd_run(args, with_bounds: bool) -> int:
     cfg = load_config(args)
-    if cfg.strict and not with_bounds and cfg.family != DEVIATION:
+    deviation = cfg.family == DEVIATION
+    if with_bounds and not deviation:
+        raise ConfigurationError(
+            "bounds checks the deviation family's envelopes; the "
+            "differentiable family's estimates are not evaluated")
+    if cfg.strict and not deviation:
         raise ConfigurationError(
             "strict mode of run checks the deviation family's maximum "
             "principle; a differentiable run has none to check")
@@ -217,22 +223,27 @@ def _cmd_run(args, with_bounds: bool) -> int:
     check_datum(model, datum)  # before any output or envelope input
     _check_snapshot_names(model)
     _make_out_dir(cfg.out_dir)
-    envelope = RunningEnvelope(model, datum)
+    # a differentiable run has no envelope, so no tv_bound column
+    envelope = RunningEnvelope(model, datum) if deviation else None
 
     diag_path = os.path.join(cfg.out_dir, "diagnostics.csv")
+    names = ("mass", "linf", "tv", "tv_bound", "escaped") if deviation \
+        else ("mass", "linf", "tv", "escaped")
     header = ["t", "dt"] + [f"{name}_{i + 1}" for i in range(model.n)
-                            for name in ("mass", "linf", "tv", "tv_bound",
-                                         "escaped")]
+                            for name in names]
     diag_rows, bound_rows = [], []
 
     def diag_row(t, dt, state, escaped):
         rec = norms(state)
-        tvb = [tv for tv, _ in envelope.bounds(t)]
-        per_pop = np.column_stack((rec.l1, rec.linf, rec.tv, tvb, escaped))
+        cols = [rec.l1, rec.linf, rec.tv]
+        if envelope is not None:
+            cols.append([tv for tv, _ in envelope.bounds(t)])
+        per_pop = np.column_stack((*cols, escaped))
         diag_rows.append([t, dt, *per_pop.ravel()])
 
     def on_step(report, state, W):
-        envelope.on_step(report, state, W)
+        if envelope is not None:
+            envelope.on_step(report, state, W)
         if report.step % cfg.diag_every == 0:
             diag_row(report.t, report.dt, state, report.escaped)
 

@@ -260,6 +260,11 @@ def live_box(*fields: np.ndarray,
             slice(max(int(c[0]) - pc, 0), min(int(c[-1]) + 1 + pc, ny)))
 
 
+def has_live_cell(f: np.ndarray) -> bool:
+    """Whether the float64 field f has a live cell, by live_box's rule."""
+    return bool(f.view(np.int64).any())
+
+
 def norms(fld: PopulationField) -> NormRecord:
     """Discrete L1, Linf and TV per population, deterministic order.
 

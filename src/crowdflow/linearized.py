@@ -36,7 +36,7 @@ from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedModelError
-from .grid import PopulationField, make_grid
+from .grid import PopulationField, has_live_cell, make_grid
 from .kernel import bump_kernel, sample_kernel
 from .solver import (DIFFERENTIABLE, ModelSpec, RunResult, StepReport,
                      _face_buffers, _linear_flux, _sweep_xy, _velocity_field,
@@ -100,9 +100,11 @@ def solve_linearized(model: ModelSpec, rho0: PopulationField,
     base state before that step, and reuses the speed argument the base
     step computed for its field.  on_step(report), where given, receives
     each base step's report as soon as the step is taken, before its
-    linearized step.  A negative t raises ConfigurationError.
+    linearized step.  A negative t raises ConfigurationError, and a
+    population that sigma0 moves but rho0 leaves empty raises
+    UnsupportedModelError: the base run's dt does not cover it.
     """
-    _require_differentiable(model)
+    _require_linearizable(model, rho0, sigma0)
     sigma, before, arg = sigma0.copy(), rho0, None
     faces = _face_buffers(model.grid)
 
@@ -163,7 +165,7 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     a worker whose caller is gone exits at once, so none outlives the
     call.
     """
-    _require_differentiable(model)
+    _require_linearizable(model, rho0, sigma0)
     check_steps(hs)
     hs = list(hs)
 
@@ -462,7 +464,19 @@ def gateaux_benchmark(mesh: float = 1.0 / 64.0, t_max: float = 0.2,
     return model, rho0, sigma0
 
 
-def _require_differentiable(model: ModelSpec) -> None:
+def _require_linearizable(model: ModelSpec, rho0: PopulationField,
+                          sigma0: PopulationField) -> None:
+    """Raise UnsupportedModelError unless the model is differentiable and
+    every population that sigma0 moves has a live cell in rho0.
+
+    The base run's dt covers only the populations it sweeps (cfl_dt), and
+    an empty population stays empty; sigma_i's sweep, and the replays of
+    rho0 + h sigma0, move population i at its own speed."""
     if model.family != DIFFERENTIABLE:
         raise UnsupportedModelError(
             "linearization is only available for the differentiable family")
+    for i in range(model.n):
+        if has_live_cell(sigma0.data[i]) and not has_live_cell(rho0.data[i]):
+            raise UnsupportedModelError(
+                f"population {i} is empty in rho0 but not in sigma0: the "
+                f"base run's time step does not cover its sweep")

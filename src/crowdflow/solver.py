@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (BoundViolationError, ConfigurationError, NumericError)
-from .grid import GridSpec, PopulationField, boundary, live_box
+from .grid import GridSpec, PopulationField, boundary, has_live_cell, live_box
 from .kernel import SampledKernel
 from .nonlocal_ops import NonlocalOperator
 from .velocity import (DirectionField, SpeedLaw, clamped_speed_arg,
@@ -78,7 +78,6 @@ class StepReport:
     step: int               # steps taken, counted from 1
     t: float
     dt: float
-    mass: np.ndarray
     min: np.ndarray
     max: np.ndarray
     outflow: np.ndarray     # mass out across the boundary in this step, >= 0
@@ -132,14 +131,18 @@ def cfl_dt(state: PopulationField, V: np.ndarray, laws: Sequence[SpeedLaw],
     speed is S_i max|V_i|, with S_i the law's sup of |q_i'| over [0, R]
     (1 when the flux is linear), not |q_i'| at the cell values: every
     sweep is then monotone for any state in [0, R], and the deviation
-    family keeps its maximum principle.  dt = cfl * min(dx, dy) /
-    max_i speed, capped at dt_cap (which is returned when no wave
-    moves).  A non-finite speed has no stable step and raises
-    NumericError.
+    family keeps its maximum principle.  A population with no live cell
+    (grid.live_box's bit-pattern rule) is skipped, as _sweep_xy skips
+    it: its sweep moves nothing, so its field does not limit dt.
+    dt = cfl * min(dx, dy) / max_i speed, capped at dt_cap (which is
+    returned when no wave moves).  A non-finite speed has no stable step
+    and raises NumericError.
     """
     g = state.grid
     smax = 0.0
     for i in range(state.n):
+        if not has_live_cell(state.data[i]):
+            continue
         slope = 1.0 if linear_flux else laws[i].dq_sup
         # max|V_i| without a |V_i| array; np.maximum keeps a NaN
         s = slope * float(np.maximum(V[i].max(), -V[i].min()))
@@ -372,9 +375,8 @@ def run(model: ModelSpec, datum: PopulationField,
         t += dt
         step += 1
         report = StepReport(
-            step=step, t=t, dt=dt, mass=state.mass(),
-            min=state.data.min(axis=(1, 2)), max=state.data.max(axis=(1, 2)),
-            outflow=outflow, escaped=escaped.copy())
+            step=step, t=t, dt=dt, min=state.data.min(axis=(1, 2)),
+            max=state.data.max(axis=(1, 2)), outflow=outflow, escaped=escaped.copy())
         reports.append(report)
         if model.strict and model.family == DEVIATION:
             if (report.min.min() < -MAX_PRINCIPLE_TOL

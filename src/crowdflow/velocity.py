@@ -28,9 +28,10 @@ UNDERSHOOT_TOL = 1e-10
 class SpeedLaw:
     """Scalar speed law v with derivative, certified on [0, R].
 
-    Sup norms of v, v', q and q' are computed once by a dense scan of
-    [0, R].  The bound evaluators read them, and `solver.cfl_dt` takes
-    dq_sup, the sup of |q'|, as the wave-speed factor of every step.
+    The sup norms of q and q' are computed once by a dense scan of
+    [0, R].  The deviation family's envelopes read both, and
+    `solver.cfl_dt` takes dq_sup, the sup of |q'|, as the wave-speed
+    factor of every step.  dv is the linearized step's.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
@@ -53,20 +54,10 @@ class SpeedLaw:
         if not self._scan:
             s = np.linspace(0.0, self.R, 10001)
             self._scan.update(
-                v_sup=float(np.abs(self.v(s)).max()),
-                dv_sup=float(np.abs(self.dv(s)).max()),
                 q_sup=float(np.abs(self.q(s)).max()),
                 dq_sup=float(np.abs(self.dq(s)).max()),
             )
         return self._scan
-
-    @property
-    def v_sup(self) -> float:
-        return self._norms()["v_sup"]
-
-    @property
-    def dv_sup(self) -> float:
-        return self._norms()["dv_sup"]
 
     @property
     def q_sup(self) -> float:

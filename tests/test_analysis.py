@@ -8,8 +8,7 @@ import pytest
 from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
                        NumericError, ParameterDeltas, PopulationField,
                        RunningEnvelope, advection_field, aggregate_inputs,
-                       bound_inputs_for,
-                       bounds_differentiable, direction_norms, kappa0,
+                       bound_inputs_for, direction_norms, kappa0,
                        kernel_norms, bump_kernel, constant_direction,
                        linear_speed_law, make_grid, preset, run,
                        sample_kernel,
@@ -22,27 +21,20 @@ from crowdflow.nonlocal_ops import GradientAvoidance
 
 
 # Envelope inputs of preset("crossing") at mesh 0.4, pinned bit for bit:
-# the parameter norms both populations share, each population's datum
-# norms, and C_I per family (0 outside the deviation family)
+# the parameter norms both populations share, each population's datum TV
+# and C_I
 CROSSING_PARAMS = dict(
-    d=2, n1=24.576, v_sup=4.0, dv_sup=4.0,
-    q_sup=1.0, dq_sup=4.0, vec_sup=1.8, vec_l1=99.84000000000002,
-    vec_grad_sup=2.25, vec_grad_l1=57.60000000000001, div_sup=1.0,
+    d=2, q_sup=1.0, dq_sup=4.0, vec_sup=1.8, div_sup=1.0,
     divvec_l1=25.600000000000005, graddiv_l1=64.00000000000001,
-    grad_eta_sup=4.493154440351227, hess_eta_sup=47.9997333337037,
     grad_v_sup=0.0)
-CROSSING_DATA = (dict(linf0=0.9000000000000001, tv0=14.400000000000002),
-                 dict(linf0=0.7, tv0=11.2))
-CROSSING_CI = {"deviation": (0.634457974612126, 0.7006750996465252),
-               "differentiable": (0.0, 0.0)}
+CROSSING_TV0 = (14.400000000000002, 11.2)
+CROSSING_CI = (0.634457974612126, 0.7006750996465252)
 
 
 def sample_inputs(**kw):
-    base = dict(d=2, n1=2.0, linf0=0.9, tv0=5.0, v_sup=4.0, dv_sup=4.0,
-                q_sup=1.0, dq_sup=4.0, vec_sup=1.8,
-                vec_l1=3.0, vec_grad_sup=2.0, vec_grad_l1=1.0, div_sup=1.5,
-                divvec_l1=0.8, graddiv_l1=0.6, grad_eta_sup=3.5,
-                hess_eta_sup=24.0, ci=0.5, grad_v_sup=1.0)
+    base = dict(d=2, tv0=5.0, q_sup=1.0, dq_sup=4.0, vec_sup=1.8,
+                div_sup=1.5, divvec_l1=0.8, graddiv_l1=0.6, ci=0.5,
+                grad_v_sup=1.0)
     base.update(kw)
     return BoundInputs(**base)
 
@@ -124,30 +116,6 @@ class TestTvBoundDeviation:
         assert tv_bound_deviation(16.0, bi) == math.inf
         unforced = replace(bi, ci=0.0, div_sup=0.0)
         assert tv_bound_deviation(16.0, unforced) == 0.0
-
-
-class TestBoundsDifferentiable:
-    def test_t_zero(self):
-        bi = sample_inputs()
-        linf, tv = bounds_differentiable(0.0, bi)
-        assert linf == pytest.approx(bi.linf0)
-        assert tv == pytest.approx(bi.tv0)
-
-    def test_zero_datum_stays_zero(self):
-        bi = sample_inputs(n1=0.0, linf0=0.0, tv0=0.0)
-        linf, tv = bounds_differentiable(1.0, bi)
-        assert linf == 0.0 and tv == 0.0
-
-    def test_zero_datum_past_overflow_stays_zero(self):
-        bi = sample_inputs(n1=0.0, linf0=0.0, tv0=0.0, vec_grad_sup=1e6)
-        linf, tv = bounds_differentiable(1.0, bi)
-        assert linf == 0.0 and tv == 0.0
-
-    def test_monotone_in_time(self):
-        bi = sample_inputs()
-        ts = np.linspace(0.0, 0.5, 6)
-        for seq in zip(*(bounds_differentiable(t, bi) for t in ts)):
-            assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
 
 
 class TestStabilityBoundDeviation:
@@ -244,7 +212,6 @@ class TestEnvelopeInputsAreRead:
         deltas = recording(ParameterDeltas, read_deltas)(
             **{f.name: 1.0 for f in fields(ParameterDeltas)})
         tv_bound_deviation(1.0, inputs)
-        bounds_differentiable(1.0, inputs)
         stability_bound_deviation(1.0, inputs, inputs, deltas)
         assert {f.name for f in fields(BoundInputs)} - read_inputs == set()
         assert {f.name for f in fields(ParameterDeltas)} - read_deltas \
@@ -363,23 +330,15 @@ class TestNormHelpers:
                                restrict_to_room=False)
         dn = direction_norms(d, unit_grid)
         assert dn["vec_sup"] == pytest.approx(1.0)
-        assert dn["vec_l1"] == pytest.approx(1.0)  # unit area
-        assert dn["vec_grad_sup"] == pytest.approx(0.0, abs=1e-12)
+        assert dn["div_sup"] == pytest.approx(0.0, abs=1e-12)
         assert dn["divvec_l1"] == pytest.approx(0.0, abs=1e-12)
 
     def test_direction_norms_with_walls(self, corridor_grid):
         d = constant_direction(corridor_grid, 1.0, 0.0, 0.8, 0.75)
         dn = direction_norms(d, corridor_grid)
         assert dn["vec_sup"] == pytest.approx(1.8, abs=1e-12)
-        assert dn["vec_grad_sup"] > 0.0
+        assert dn["div_sup"] > 0.0
         assert dn["graddiv_l1"] > 0.0
-
-    def test_sup_gradient_matches_direction_grad_sup(self):
-        # one difference rule: the same field gives the same bits
-        model, _ = preset("crossing").with_mesh(0.1).build()
-        for d in model.dirs:
-            assert sup_gradient(d.total, model.grid) \
-                == direction_norms(d, model.grid)["vec_grad_sup"]
 
 
 def dense_kernel_norms(spec, samples=1201):
@@ -499,10 +458,11 @@ class TestRunningEnvelope:
             aggregate_inputs(bound_inputs_for(model, datum)),
             grad_v_sup=max(seen))
 
-    @pytest.mark.parametrize("family", ["deviation", "differentiable"])
+    # the families that have envelopes
+    @pytest.mark.parametrize("family", ["deviation"])
     def test_bounds_are_the_family_formulas(self, family):
-        # R = 1.25, not the default 1, so that the deviation family's
-        # L-infinity envelope shows that it is the model's R
+        # R = 1.25, not the default 1, so that the L-infinity envelope
+        # shows that it is the model's R
         cfg = replace(preset("crossing").with_mesh(0.4), family=family,
                       R=1.25)
         model, datum = cfg.build()
@@ -513,10 +473,7 @@ class TestRunningEnvelope:
         def expected(t):
             inputs = [replace(bi, grad_v_sup=envelope.grad_v_sup)
                       for bi in bound_inputs_for(model, datum)]
-            if family == "deviation":
-                return [(tv_bound_deviation(t, bi), model.R) for bi in inputs]
-            return [(tv, linf) for linf, tv in
-                    (bounds_differentiable(t, bi) for bi in inputs)]
+            return [(tv_bound_deviation(t, bi), model.R) for bi in inputs]
 
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
         run(model, datum, on_step=envelope.on_step)
@@ -545,11 +502,14 @@ class TestRunningEnvelope:
         check()
 
     def test_stability_rejects_the_differentiable_family(self):
+        # the differentiable family has no envelope at all, so neither
+        # the envelope nor its inputs can be made for it
         cfg = replace(preset("crossing").with_mesh(0.4),
                       family="differentiable")
-        envelope = RunningEnvelope(*cfg.build())
-        with pytest.raises(ConfigurationError, match="deviation"):
-            envelope.stability(0.1, 0.1)
+        model, datum = cfg.build()
+        for make in (RunningEnvelope, bound_inputs_for):
+            with pytest.raises(ConfigurationError, match="deviation"):
+                make(model, datum)
 
     def test_bounds_command_envelopes(self, tmp_path, capsys):
         # every tv_bound the bounds command writes is tv_bound_deviation of
@@ -582,24 +542,24 @@ class TestRunningEnvelope:
 
 
 class TestBoundInputAssembly:
-    @pytest.mark.parametrize("family", ["deviation", "differentiable"])
+    # the families that have envelopes
+    @pytest.mark.parametrize("family", ["deviation"])
     def test_crossing_inputs_pinned(self, family):
         cfg = replace(preset("crossing").with_mesh(0.4), family=family)
         model, datum = cfg.build()
-        want = [BoundInputs(**CROSSING_PARAMS, **data, ci=ci)
-                for data, ci in zip(CROSSING_DATA, CROSSING_CI[family])]
+        want = [BoundInputs(**CROSSING_PARAMS, tv0=tv0, ci=ci)
+                for tv0, ci in zip(CROSSING_TV0, CROSSING_CI)]
         assert bound_inputs_for(model, datum) == want
 
     def test_crossing_aggregate_pinned(self):
         model, datum = preset("crossing").with_mesh(0.4).build()
         assert aggregate_inputs(bound_inputs_for(model, datum)) \
-            == BoundInputs(**CROSSING_PARAMS, linf0=0.9000000000000001,
-                           tv0=25.6, ci=0.7006750996465252)
+            == BoundInputs(**CROSSING_PARAMS, tv0=25.6, ci=0.7006750996465252)
 
     def test_aggregate_merges_every_parameter_field(self):
         # a parameter field left out of the merge would stay NaN
         params = [f.name for f in fields(BoundInputs)
-                  if f.name not in ("d", "n1", "linf0", "tv0")]
+                  if f.name not in ("d", "tv0")]
         lo = BoundInputs(**{name: 1.0 for name in params})
         hi = BoundInputs(**{name: 2.0 for name in params})
         agg = aggregate_inputs([lo, hi])

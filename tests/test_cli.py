@@ -1,8 +1,11 @@
+import contextlib
+import functools
 import hashlib
 import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -572,14 +575,21 @@ class TestMain:
         assert err.startswith("configuration error:") and "strict" in err
         assert not out.exists()
 
-    def test_strict_differentiable_bounds_still_checks_envelopes(
-            self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(analysis, "bounds_differentiable",
-                            lambda t, bi: (0.0, 0.0))
+    @pytest.mark.parametrize("strict", [[], ["--strict"]],
+                             ids=["plain", "strict"])
+    def test_bounds_differentiable_exit_code(self, tmp_path, capsys,
+                                             monkeypatch, strict):
+        # the differentiable family's L-infinity and TV estimates overflow
+        # before the first output time: bounds would check nothing
+        monkeypatch.setattr(cli, "run", _solver_must_not_start)
         p = tmp_path / "c.ini"
         p.write_text(DIFFERENTIABLE_INI)
-        assert main(["bounds", "--config", str(p), "--strict",
-                     "--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(p), "--out", str(out),
+                     *strict]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "deviation" in err
+        assert not out.exists()
 
     def test_diagnostics_every_step_has_no_repeated_row(self, tmp_path,
                                                          capsys):
@@ -684,9 +694,9 @@ def test_outputs_pinned(tmp_path, capsys, argv):
     assert digests == PINNED_OUTPUTS[argv]
 
 
-# SHA-256 of every file of the two envelope paths that the pins above leave
-# out: the stability table, and both envelopes of the differentiable family
-# ("{ini}" stands for an INI file of DIFFERENTIABLE_INI)
+# SHA-256 of every file of two paths that the pins above leave out: the
+# stability table, and a differentiable run, whose diagnostics.csv has no
+# tv_bound columns ("{ini}" stands for an INI file of DIFFERENTIABLE_INI)
 DIFFERENTIABLE_INI = ("[grid]\nmesh = 0.2\n[model]\npreset = crossing\n"
                       "family = differentiable\ntmax = 0.3\n"
                       "snapshot_times = 0 0.1 0.3\n")
@@ -695,11 +705,9 @@ PINNED_ENVELOPES = {
         "stability.csv":
             "769fab8cdaa07ba2173585a2759423a0534407bd471ea9e38ab332e36626c2f7",
     },
-    ("bounds", "--config", "{ini}"): {
-        "bounds.csv":
-            "dfc3d91f799909c7c869e113d06d38652a0c0d02fd5e2e76641c4e53e3c99114",
+    ("run", "--config", "{ini}"): {
         "diagnostics.csv":
-            "b97d7a8b796fefa9c8d9fdadd9259af8e0fd8a85c155b5fd262d7dcb8ca47312",
+            "26a94bb9267ddebcf7d6dbd4bb184f8cb1d84318b5a845e4dda96f2b8af2a225",
         "pop1_t0.000.csv":
             "a6edf4f3d4a4258156c711145de162006e6716db4e2bcba548d4bddf55571e2f",
         "pop1_t0.100.csv":
@@ -717,7 +725,7 @@ PINNED_ENVELOPES = {
 
 
 @pytest.mark.parametrize("argv", list(PINNED_ENVELOPES),
-                         ids=["stability", "bounds-differentiable"])
+                         ids=["stability", "run-differentiable"])
 def test_envelope_outputs_pinned(tmp_path, capsys, argv):
     ini = tmp_path / "differentiable.ini"
     ini.write_text(DIFFERENTIABLE_INI)
@@ -727,6 +735,49 @@ def test_envelope_outputs_pinned(tmp_path, capsys, argv):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in os.listdir(out)}
     assert digests == PINNED_ENVELOPES[argv]
+
+
+CROSSING_COARSE_INI = ("[grid]\nmesh = 0.2\n[model]\npreset = crossing\n"
+                       "tmax = 0.3\n")
+
+
+@functools.lru_cache(maxsize=None)
+def run_outputs(ini: str) -> tuple[str, dict[str, bytes]]:
+    """stdout of `crowdflow run` on the INI text, and the bytes of each
+    snapshot it writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "c.ini"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            fh.write(ini)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["run", "--config", path, "--out", out]) == 0
+        return stdout.getvalue(), {
+            name: Path(out, name).read_bytes()
+            for name in os.listdir(out) if name.startswith("pop")}
+
+
+_coefficient = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=6, deadline=None)
+@given(vmax=st.floats(0.0, 10.0), gx=st.floats(-2.0, 2.0),
+       gy=st.floats(-2.0, 2.0), row=st.tuples(*[_coefficient] * 3))
+@example(vmax=8.0, gx=0.0, gy=1.0, row=(0.0, 0.0, 0.0))
+def test_empty_population_changes_no_other_output(vmax, gx, gy, row):
+    # a population with no mass moves nothing, whatever its speed,
+    # direction and avoidance row: the others' snapshots, the step count
+    # and the mass line stay byte-identical
+    three = (CROSSING_COARSE_INI
+             + "[population.1]\neps = 0.3 0.7 0\n"
+             + "[population.2]\neps = 0.7 0.3 0\n"
+             + f"[population.3]\nvmax = {vmax!r}\ngx = {gx!r}\n"
+             + f"gy = {gy!r}\neps = {' '.join(map(repr, row))}\n")
+    stdout, snaps = run_outputs(CROSSING_COARSE_INI)
+    stdout3, snaps3 = run_outputs(three)
+    assert stdout3 == stdout
+    assert {name: snaps3[name] for name in snaps} == snaps
+    assert len(snaps3) == 3 * len(snaps) // 2
 
 
 def test_gateaux_table_pinned(tmp_path, capsys):

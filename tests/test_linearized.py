@@ -113,6 +113,22 @@ class TestLinearizedVelocity:
         with pytest.raises(UnsupportedModelError):
             solve_linearized(model, f, f, 0.0)
 
+    def test_empty_base_population_unsupported(self):
+        # cfl_dt skips population 2, empty in rho0, so the base run's dt
+        # would not cover sigma's sweep of it: at mesh 1/32, vmax 4
+        # against 1, that sweep took |sigma_2| to ~14, against < 0.01
+        # with population 2 in the step rule
+        model, rho0, sigma0 = gateaux_benchmark(1.0 / 16.0, 0.2)
+        model = replace(model, laws=(model.laws[0], linear_speed_law(4.0)))
+        rho0.data[1] = 0.0
+        with pytest.raises(UnsupportedModelError, match="population 1"):
+            solve_linearized(model, rho0, sigma0, 0.2)
+        with pytest.raises(UnsupportedModelError, match="population 1"):
+            gateaux_residual(model, rho0, sigma0, 0.2, [0.1])
+        sigma0.data[1] = 0.0  # nothing moves population 2: supported
+        _, sigma = solve_linearized(model, rho0, sigma0, 0.2)
+        assert np.all(sigma.data[1] == 0.0)
+
 
 class TestSolveLinearized:
     def test_zero_initial_perturbation(self):

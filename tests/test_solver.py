@@ -51,6 +51,14 @@ def symmetric_crossing(mesh=0.1, t_max=1.0):
     return model, datum
 
 
+def one_live_cell(grid, n=1):
+    """A state of n populations, each with the single live cell (0, 0): a
+    population with no live cell does not limit dt."""
+    data = np.zeros((n, grid.nx, grid.ny))
+    data[:, 0, 0] = 0.5
+    return PopulationField(grid, data)
+
+
 class TestCflDt:
     def test_zero_velocity_returns_cap(self, unit_grid):
         state = PopulationField.zeros(unit_grid, 1)
@@ -85,7 +93,7 @@ class TestCflDt:
 
     def test_tiny_step_is_not_floored(self, unit_grid):
         # a huge speed gives a tiny step; it must still satisfy the CFL bound
-        state = PopulationField.zeros(unit_grid, 1)
+        state = one_live_cell(unit_grid)
         V = np.full((1, 2, unit_grid.nx, unit_grid.ny), 1e20)
         dt = cfl_dt(state, V, [linear_speed_law(4.0, 1.0)], 0.9)
         assert 0.0 < dt * 4.0 * 1e20 <= 0.9 * unit_grid.dx * (1 + 1e-15)
@@ -103,7 +111,7 @@ class TestCflDt:
         assert dt == 0.9 * unit_grid.dx / (law.dq_sup * 3.0)
 
     def test_non_finite_speed_raises(self, unit_grid):
-        state = PopulationField.zeros(unit_grid, 1)
+        state = one_live_cell(unit_grid)
         law = linear_speed_law(4.0, 1.0)
         for bad in (np.inf, np.nan, -np.inf):
             V = np.zeros((1, 2, unit_grid.nx, unit_grid.ny))
@@ -111,9 +119,25 @@ class TestCflDt:
             with pytest.raises(NumericError, match="wave speed"):
                 cfl_dt(state, V, [law], 0.9, dt_cap=0.25)
 
+    def test_empty_population_is_skipped(self, unit_grid):
+        # _sweep_xy moves nothing where a population has no live cell, so
+        # its field limits no step and is not read; -0.0 is live, by
+        # grid.live_box's bit-pattern rule
+        law = linear_speed_law(4.0, 1.0)
+        V = np.ones((2, 2, unit_grid.nx, unit_grid.ny))
+        alone = cfl_dt(one_live_cell(unit_grid), V[:1], [law], 0.9)
+        state = one_live_cell(unit_grid, 2)
+        state.data[1] = 0.0
+        V[1] = 50.0
+        V[1, 0, 4, 4] = np.nan
+        assert cfl_dt(state, V, [law, law], 0.9) == alone
+        state.data[1, 3, 3] = -0.0
+        with pytest.raises(NumericError, match="population 1"):
+            cfl_dt(state, V, [law, law], 0.9)
+
     def test_speed_is_max_abs_bitwise(self, unit_grid, rng):
         # the largest |V_i| entry may be negative
-        state = PopulationField.zeros(unit_grid, 2)
+        state = one_live_cell(unit_grid, 2)
         law = linear_speed_law(4.0, 1.0)
         V = rng.uniform(-1.0, 1.0, (2, 2, unit_grid.nx, unit_grid.ny))
         V[0, 1, 5, 7] = -3.0

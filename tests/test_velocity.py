@@ -43,16 +43,15 @@ class TestSpeedLaw:
 
     def test_norm_metadata(self):
         law = linear_speed_law(4.0, 1.0)
-        assert law.v_sup == pytest.approx(4.0, abs=1e-9)
-        assert law.dv_sup == pytest.approx(4.0, abs=1e-9)
         # q = 4 rho (1 - rho) peaks at 1; q' = 4(1 - 2 rho) peaks at 4
         assert law.q_sup == pytest.approx(1.0, abs=1e-6)
         assert law.dq_sup == pytest.approx(4.0, abs=1e-9)
 
     def test_constant_law(self):
+        # q = 2 rho on [0, 1]: both sups are 2
         law = constant_speed_law(2.0)
-        assert law.dv_sup == 0.0
-        assert law.v_sup == pytest.approx(2.0)
+        assert law.q_sup == pytest.approx(2.0)
+        assert law.dq_sup == 2.0
 
     @pytest.mark.parametrize("make", [
         lambda: linear_speed_law(np.nan, 1.0),
