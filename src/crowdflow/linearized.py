@@ -10,9 +10,10 @@ whole run.
 
 gateaux_residual checks that derivative against replays of perturbed
 data on the base run's dt sequence.  Where it can, it forks its replay
-workers before the base run and streams each base dt to them as it is
-taken, so the replays advance beside the base and linearized solve
-rather than after it.  That solve costs about two replays, so of the H
+workers (forked._Worker, the plumbing the snapshot writer of `run` and
+`bounds` shares) before the base run and streams each base dt to them
+as it is taken, so the replays advance beside the base and linearized
+solve rather than after it.  That solve costs about two replays, so of the H
 replays shared among P processes the caller takes the first
 max(0, ceil((H + 2) / P) - 2), after its solve, and P - 1 workers take
 the rest in contiguous chunks.  An end marker closes each stream.  A
@@ -22,19 +23,15 @@ exits at once, without stepping on or writing a result.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-import os
-import pickle
 import struct
-import sys
-import warnings
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
+from . import forked
 from .errors import ConfigurationError, UnsupportedModelError
 from .grid import PopulationField, has_live_cell, make_grid
 from .kernel import bump_kernel, sample_kernel
@@ -137,7 +134,6 @@ def check_steps(hs: Sequence[float]) -> None:
 # two in the split of the work: 0.37-0.49 against 0.17-0.20 s at 256x256
 # on one BLAS thread (2-vCPU VM, numpy 2.4.6, OpenBLAS).
 _SOLVE_IN_REPLAYS = 2
-_END = struct.pack("d", -1.0)  # closes a dt stream: no dt is negative
 
 
 def gateaux_residual(model: ModelSpec, rho0: PopulationField,
@@ -191,27 +187,28 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
 
     def work(chunk: list[float], stream: BinaryIO) -> list[float]:
         """A worker's job: its chunk in lockstep with the stream."""
-        states = replay(chunk, _dts(stream), _face_buffers(model.grid))
-        rho_t = _read_array(stream, rho0.data.shape)
-        sigma_t = _read_array(stream, rho0.data.shape)
+        states = replay(chunk, forked._dts(stream),
+                        _face_buffers(model.grid))
+        rho_t = forked._read_array(stream, rho0.data.shape)
+        sigma_t = forked._read_array(stream, rho0.data.shape)
         return [residual(h, s, rho_t, sigma_t) for h, s in zip(chunk, states)]
 
-    cpus = _usable_cpus()
+    cpus = forked._usable_cpus()
     procs = min(len(hs) + 1, cpus)
-    blas = _openblas_threads()
-    if procs < 2 or blas is None or not hasattr(os, "fork"):
+    blas = forked._forking_blas(procs)
+    if blas is None:
         return one_at_a_time(hs, *solve_linearized(model, rho0, sigma0, t))
     own = max(0, math.ceil((len(hs) + _SOLVE_IN_REPLAYS) / procs)
               - _SOLVE_IN_REPLAYS)
     cuts = [own + i * (len(hs) - own) // (procs - 1) for i in range(procs)]
     get, put = blas
     threads = get()
-    workers: list[_Worker] = []
+    workers: list[forked._Worker] = []
     put(min(threads, cpus // procs))
     try:
         for a, b in zip(cuts, cuts[1:]):
-            workers.append(_Worker(functools.partial(work, hs[a:b]),
-                                   workers))
+            workers.append(forked._Worker(functools.partial(work, hs[a:b]),
+                                          workers))
 
         def stream(report):
             word = struct.pack("d", report.dt)
@@ -221,7 +218,7 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         base, sigma_t = solve_linearized(model, rho0, sigma0, t,
                                          on_step=stream)
         for w in workers:
-            w.send(_END)
+            w.send(forked._END)
         out = one_at_a_time(hs[:own], base, sigma_t)
         for w in workers:
             w.send(np.ascontiguousarray(base.state.data))
@@ -233,174 +230,6 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         for w in workers:
             w.kill()
         put(threads)
-
-
-def _dts(stream: BinaryIO) -> Iterator[float]:
-    """The dts written to stream, up to the end marker."""
-    while (word := _read(stream, len(_END))) != _END:
-        yield struct.unpack("d", word)[0]
-
-
-def _read_array(stream: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(_read(stream, 8 * math.prod(shape))).reshape(shape)
-
-
-def _read(stream: BinaryIO, n: int) -> bytes:
-    data = stream.read(n)
-    if len(data) < n:
-        raise _CallerGone
-    return data
-
-
-class _CallerGone(BaseException):
-    """A worker's stream ended before the end marker or the arrays after
-    it: the caller is gone.  A BaseException, so that no handler of the
-    job's errors sends it back."""
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or
-    None where no such library (or no /proc/self/maps) is found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh
-                           if "openblas" in line and ".so" in line})
-    except OSError:
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
-                               ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, put.argtypes = ctypes.c_int, (ctypes.c_int,)
-                return get, put
-    return None
-
-
-class _Worker:
-    """A forked process that runs job(stream) on what the caller writes
-    to it with send() and sends back the floats job returns.
-
-    The worker records its warnings.  finish() re-issues them here and
-    returns its floats, or raises the exception it stopped at, or
-    RuntimeError if it ended without a result; send() does the same
-    once the worker has closed its end.  The worker closes every pipe
-    end it inherited from earlier workers, so each stream ends with the
-    caller, and leaves through os._exit: with status 1 and nothing
-    written if sending its reply fails or its stream ends early.
-    """
-
-    def __init__(self, job: Callable[[BinaryIO], list[float]],
-                 earlier: list[_Worker]):
-        rfd, self._fd = os.pipe()          # caller -> worker
-        self._reply, wfd = os.pipe()       # worker -> caller
-        inherited = [self._fd, self._reply,
-                     *(fd for w in earlier for fd in (w._fd, w._reply))]
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            for fd in (rfd, self._fd, self._reply, wfd):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            _serve(job, rfd, wfd, inherited)
-        os.close(rfd)
-        os.close(wfd)
-
-    def send(self, data) -> None:
-        """Write bytes, or a C-contiguous array's bytes, to the stream."""
-        view = memoryview(data).cast("B")
-        try:
-            while view:
-                view = view[os.write(self._fd, view):]
-        except BrokenPipeError:
-            self.finish()  # raises what stopped the worker
-            raise
-
-    def finish(self) -> list[float]:
-        """Wait for the worker and reap it: its floats, or its error."""
-        os.close(self._fd)
-        self._fd = None
-        with open(self._reply, "rb") as fh:
-            self._reply = None
-            reply = fh.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        if not reply:
-            raise RuntimeError(f"replay worker ended with wait status "
-                               f"{status} and no result")
-        ok, value, warned = pickle.loads(reply)
-        _reissue(warned)
-        if not ok:
-            raise value
-        return value
-
-    def kill(self) -> None:
-        """Close what finish() has not, and kill and reap the worker
-        unless finish() has reaped it."""
-        for fd in (self._fd, self._reply):
-            if fd is not None:
-                os.close(fd)
-        if self.pid:
-            import signal  # here: at import time it cost 1.2 ms of set-up
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-
-
-def _serve(job: Callable[[BinaryIO], list[float]], rfd: int, wfd: int,
-           inherited: list[int]) -> NoReturn:
-    """A worker's whole life: run job on the stream read from rfd, then
-    write the pickled (True, floats, warnings) or (False, exception,
-    warnings) to wfd.  The stream is closed first, so a caller still
-    writing to it stops at once."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        with warnings.catch_warnings(record=True) as caught:
-            with open(rfd, "rb") as stream:
-                try:
-                    reply = (True, job(stream))
-                except Exception as exc:
-                    reply = (False, exc)
-        warned = [(w.message, w.category, w.filename, w.lineno)
-                  for w in caught]
-        with open(wfd, "wb") as fh:
-            fh.write(pickle.dumps(reply + (warned,)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reissue(warned: list[tuple]) -> None:
-    """Issue warnings a worker recorded as if they arose here, so that
-    this process's filters and once-per-site registries decide which
-    show: a warning the caller or an earlier worker already showed at
-    the same site stays silent, as in the one-h-at-a-time loop."""
-    if not warned:
-        return
-    files = {getattr(m, "__file__", None): m
-             for m in list(sys.modules.values())}
-    for message, category, filename, lineno in warned:
-        module = files.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-            continue
-        globs = vars(module)
-        warnings.warn_explicit(
-            message, category, filename, lineno, module=module.__name__,
-            registry=globs.setdefault("__warningregistry__", {}),
-            module_globals=globs)
-
 
 
 def _until(model: ModelSpec, t: float) -> ModelSpec:

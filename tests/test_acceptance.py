@@ -6,6 +6,7 @@ criteria complete.
 
 import math
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from crowdflow import (DIFFERENTIABLE, CostSpec, ModelSpec, PopulationField,
                        linear_speed_law, make_grid, norms, preset, run,
                        sample_kernel, split_step, tv_bound_deviation, wd)
 from crowdflow.analysis import RunningEnvelope
-from crowdflow.cli import main
+from crowdflow.cli import main, read_snapshot
 from crowdflow.linearized import gateaux_benchmark
 
 from test_solver import symmetric_crossing
@@ -290,3 +291,59 @@ def test_12_refinement():
     _verdict(12, "refinement", ok,
              "L1 distances " + ", ".join(f"{d:.3g}" for d in dists)
              + "; ratios " + ", ".join(f"{r:.3g}" for r in ratios))
+
+
+# Three populations in the corridor, each with its own drive, coupled by
+# an asymmetric avoidance matrix; one kernel group
+SEVERAL_INI = """[grid]
+mesh = 0.2
+[model]
+tmax = 1
+snapshot_times = 0 0.25 0.5 0.75 1
+[population.1]
+gx = 1
+eps = 0.3 0.7 0.2
+datum = 0.9 -6.4 -2.4 -3.2 2.4
+[population.2]
+gx = -1
+eps = 0.5 0.3 0.4
+datum = 0.7 3.2 -2.4 6.4 2.4
+[population.3]
+gy = 1
+eps = 0.1 0.6 0.3
+datum = 0.6 -1.6 -2.8 1.6 -0.8
+"""
+
+
+def test_13_several_populations(tmp_path, capsys):
+    # `bounds` twice on n = 3: the mass identity, the maximum principle,
+    # TV domination and bitwise determinism (where the snapshot writer
+    # forks, it writes populations 1-2 of the last snapshot, the command 3)
+    ini = tmp_path / "three.ini"
+    ini.write_text(SEVERAL_INI)
+    outs = (tmp_path / "a", tmp_path / "b")
+    codes, logs = [], []
+    for out in outs:
+        codes.append(main(["bounds", "--config", str(ini), "--out", str(out)]))
+        logs.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    mass = re.search(r"^mass: initial (\S+), final\+escaped (\S+)$", logs[0],
+                     re.M)
+    m0, m1 = float(mass.group(1)), float(mass.group(2))
+    lo, hi = math.inf, -math.inf
+    snaps = sorted(outs[0].glob("pop*_t*.csv"))
+    for path in snaps:
+        data, _ = read_snapshot(str(path))
+        lo, hi = min(lo, float(data.min())), max(hi, float(data.max()))
+    rows = (outs[0] / "bounds.csv").read_text().splitlines()[1:]
+    dominated = all(tv <= bound * (1 + 1e-12) for tv, bound in (
+        map(float, row.split(",")[2:4]) for row in rows))
+    names = sorted(os.listdir(outs[0]))
+    same = names == sorted(os.listdir(outs[1])) and logs[0] == logs[1] \
+        and all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+                for name in names)
+    ok = (codes == [0, 0] and abs(m1 - m0) <= 1e-10 * m0
+          and lo >= -1e-6 and hi <= 1.0 + 1e-6 and len(snaps) == 15
+          and len(rows) == 15 and dominated and same)
+    _verdict(13, "several populations", ok,
+             f"mass {m0:.12g} -> {m1:.12g}, range [{lo:.2e}, {hi:.10f}], "
+             f"{len(rows)} TV rows, {len(names)} files compared")

@@ -21,7 +21,7 @@ import crowdflow
 from crowdflow import (ConfigurationError, NumericError, PopulationField,
                        advection_field, gateaux_benchmark, parse_config,
                        preset, run)
-from crowdflow import analysis, cli, linearized
+from crowdflow import analysis, cli, forked, linearized
 from crowdflow.analysis import sup_gradient
 from crowdflow.cli import (_write_rows, _write_table, main, read_snapshot,
                            write_snapshot)
@@ -349,7 +349,7 @@ class TestMain:
     def test_gateaux_worker_error_exit_code(self, tmp_path, capsys,
                                             monkeypatch):
         # a numeric error in a forked replay exits 2, as in this process
-        if linearized._openblas_threads() is None:
+        if forked._openblas_threads() is None:
             pytest.skip("no OpenBLAS thread control: the replays never fork")
         parent, step = os.getpid(), linearized.split_step
 
@@ -358,7 +358,7 @@ class TestMain:
                 raise NumericError("non-finite value in population 0")
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(linearized, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(linearized, "split_step", failing)
         assert main(["gateaux", "--mesh", "0.125", "--tmax", "0.05",
                      "--out", str(tmp_path)]) == 2
@@ -794,14 +794,14 @@ def test_gateaux_clamp_warning_as_in_sequence(tmp_path):
     # h = 8 takes the replays below 0, so they meet the speed-argument
     # clamp in the caller and in its workers; in fresh processes, with
     # the default warning filters, its warning shows once, as in sequence
-    if linearized._openblas_threads() is None:
+    if forked._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread control: the replays never fork")
     src = os.path.dirname(os.path.dirname(crowdflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
 
     def gateaux(cpus):
-        code = ("import sys; from crowdflow import cli, linearized; "
-                f"linearized._usable_cpus = lambda: {cpus}; "
+        code = ("import sys; from crowdflow import cli, forked; "
+                f"forked._usable_cpus = lambda: {cpus}; "
                 "sys.exit(cli.main(sys.argv[1:]))")
         cwd = tmp_path / str(cpus)
         cwd.mkdir()

@@ -17,7 +17,7 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
                        cost_and_gradient, gateaux_benchmark, gateaux_residual,
                        linear_speed_law, make_grid, run, sample_kernel,
                        solve_linearized, split_step)
-from crowdflow import linearized, solver, velocity
+from crowdflow import forked, linearized, solver, velocity
 from crowdflow.kernel import convolve
 from crowdflow.linearized import _linearized_step
 from crowdflow.solver import _face_buffers
@@ -305,7 +305,7 @@ class TestGateauxResidual:
 @pytest.fixture
 def sequential(monkeypatch):
     """gateaux_residual's replays one after another in this process."""
-    monkeypatch.setattr(linearized, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture
@@ -313,9 +313,9 @@ def forks(monkeypatch):
     """The pids of the workers gateaux_residual forks, with its work
     split among up to three processes; skips where the loaded BLAS has
     no thread control, since the replays then never fork."""
-    if linearized._openblas_threads() is None:
+    if forked._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread control")
-    monkeypatch.setattr(linearized, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 3)
     pids, fork = [], os.fork
 
     def counted():
@@ -347,7 +347,7 @@ HS = [0.2, 0.1, 0.05, 0.025, 0.0125]
 # and stalls in its linearized solve once the first dt has been streamed.
 KILLED_CALLER = """
 import os, time
-from crowdflow import linearized
+from crowdflow import forked, linearized
 fork, step = os.fork, linearized._linearized_step
 
 def announced():
@@ -361,7 +361,7 @@ def stalled(*args, **kwargs):
     time.sleep(60)
     return step(*args, **kwargs)
 
-linearized._usable_cpus = lambda: 2
+forked._usable_cpus = lambda: 2
 os.fork, linearized._linearized_step = announced, stalled
 model, rho0, sigma0 = linearized.gateaux_benchmark(mesh=1 / 32, t_max=0.1)
 linearized.gateaux_residual(model, rho0, sigma0, 0.1, [0.2, 0.1])
@@ -374,11 +374,11 @@ class TestForkedReplays:
         # P = min(n + 1, cpus) processes; at n = 1 the caller replays
         # nothing and its one worker replays in lockstep with the solve
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
-        monkeypatch.setattr(linearized, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: 1)
         sequential = gateaux_residual(model, rho0, sigma0, 0.1, HS[:n])
         assert forks == []
         for cpus in (2, 3):
-            monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
             assert gateaux_residual(model, rho0, sigma0, 0.1,
                                     HS[:n]) == sequential
             assert len(forks) == min(n + 1, cpus) - 1
@@ -399,7 +399,7 @@ class TestForkedReplays:
                 seen.append(float(state.data.sum()))
             return step(state, model, dt, **kwargs)
 
-        monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(linearized, "split_step", watched)
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.05)
         hs = [2.0 ** -k for k in range(n)]
@@ -416,13 +416,13 @@ class TestForkedReplays:
     def test_sequential_without_fork_or_blas_control(self, monkeypatch,
                                                      forks, missing):
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
-        forked = gateaux_residual(model, rho0, sigma0, 0.1, HS[:3])
+        parallel = gateaux_residual(model, rho0, sigma0, 0.1, HS[:3])
         forks.clear()
         if missing == "fork":
             monkeypatch.delattr(os, "fork")
         else:
-            monkeypatch.setattr(linearized, "_openblas_threads", lambda: None)
-        assert gateaux_residual(model, rho0, sigma0, 0.1, HS[:3]) == forked
+            monkeypatch.setattr(forked, "_openblas_threads", lambda: None)
+        assert gateaux_residual(model, rho0, sigma0, 0.1, HS[:3]) == parallel
         assert forks == []
 
     def test_worker_error_comes_back(self, monkeypatch, forks):
@@ -460,7 +460,7 @@ class TestForkedReplays:
 
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.2)
         steps = len(solve_linearized(model, rho0, sigma0, 0.2)[0].reports)
-        monkeypatch.setattr(linearized, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(linearized, "split_step", failing)
         monkeypatch.setattr(linearized, "_linearized_step", slow)
         with pytest.raises(NumericError, match="in the worker"):
@@ -512,7 +512,7 @@ class TestForkedReplays:
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
                         reason="reads process states from /proc")
     def test_worker_exits_when_its_caller_is_killed(self):
-        if linearized._openblas_threads() is None:
+        if forked._openblas_threads() is None:
             pytest.skip("no OpenBLAS thread control: the replays never fork")
         src = os.path.dirname(os.path.dirname(linearized.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -541,7 +541,7 @@ class TestForkedReplays:
                                            before, cpus, n, during):
         # watched in the caller's linearized solve, which now runs beside
         # the workers; a failure there is an error in the caller
-        get, put = linearized._openblas_threads()
+        get, put = forked._openblas_threads()
         seen, step, original = [], linearized._linearized_step, get()
 
         def watched(*args, **kwargs):
@@ -550,7 +550,7 @@ class TestForkedReplays:
                 raise NumericError("stop")
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(linearized, "_linearized_step", watched)
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
         put(before)
@@ -571,14 +571,14 @@ class TestForkedReplays:
     def test_worker_blas_threads(self, monkeypatch, forks, before, cpus, n,
                                  during):
         # a worker reports its thread count through the error it raises
-        get, put = linearized._openblas_threads()
+        get, put = forked._openblas_threads()
         parent, original = os.getpid(), get()
 
         def reporting(*args, **kwargs):
             assert os.getpid() != parent
             raise NumericError(f"{get()} threads")
 
-        monkeypatch.setattr(linearized, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(linearized, "split_step", reporting)
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
         put(before)
