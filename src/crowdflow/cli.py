@@ -1,9 +1,10 @@
 """Command-line front end: run, bounds, gateaux, stability.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric error, 3 bound
-or invariant violation in strict mode.  All CSV output is written with
-17 significant digits and fixed row order so identical configurations
-produce byte-identical files.
+Exit codes: 0 success, 1 configuration error (or any other package
+error, such as a forked worker that ended without a reply), 2 numeric
+error, 3 bound or invariant violation in strict mode.  All CSV output
+is written with 17 significant digits and fixed row order so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from . import forked
 from .analysis import RunningEnvelope
 from .config import RunConfig, parse_config, preset
-from .errors import BoundViolationError, ConfigurationError, NumericError
+from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
+                     NumericError)
 from .grid import PopulationField, norms
 from .linearized import check_steps, gateaux_benchmark, gateaux_residual
 from .solver import DEVIATION, ModelSpec, check_datum, run
@@ -176,12 +178,12 @@ def _check_snapshot_names(model: ModelSpec) -> None:
 
 
 def write_snapshot(state: PopulationField, t: float, out_dir: str,
-                   writer: forked._Worker | None = None,
+                   writer: forked.Worker | None = None,
                    last: bool = False) -> list[str]:
     """One CSV per population: header names, header values, then ny rows
     of nx densities (row j = y index ascending).  Deterministic bytes.
 
-    With a writer (a forked._Worker running _write_snapshots), the values
+    With a writer (a forked.Worker running _write_snapshots), the values
     line and the densities are sent down its pipe as raw float64 bytes,
     and the writer formats them while this process steps on.  At the
     last output time (last) it takes populations 1..ceil(n/2) only, and
@@ -209,11 +211,11 @@ def _write_snapshots(out_dir: str, stream: BinaryIO) -> list[float]:
     stream, each written as write_snapshot writes it, up to the end
     marker.  Each snapshot is its values line and the population count
     k, eight float64 words, then k (nx, ny) density blocks."""
-    while (word := forked._read(stream, 8)) != forked._END:
-        head = np.frombuffer(word + forked._read(stream, 56))
+    while (word := forked.read(stream, 8)) != forked.END:
+        head = np.frombuffer(word + forked.read(stream, 56))
         nx, ny, t, k = int(head[0]), int(head[1]), float(head[6]), \
             int(head[7])
-        data = forked._read_array(stream, (k, nx, ny))
+        data = forked.read_array(stream, (k, nx, ny))
         for i in range(k):
             _write_table(os.path.join(out_dir, _snapshot_name(i + 1, t)),
                          _SNAPSHOT_HEADER, head[None, :7], data[i].T)
@@ -258,41 +260,29 @@ def _cmd_run(args, with_bounds: bool) -> int:
             "strict mode of run checks the deviation family's maximum "
             "principle; a differentiable run has none to check")
     # Where a second process can run, one writer, forked before the build
-    # so that it shares few pages, formats the snapshots, and this process
-    # runs BLAS on the other half of the CPUs until the command ends.  It
-    # is forked only when an output time lies strictly between 0 and
-    # t_max: with the first and last alone it overlaps too little to pay
-    # for the halved BLAS (crossing-fine, 640x320, was slower in 9 of 10
-    # pairs of runs on 2 vCPUs).
-    cpus = forked._usable_cpus()
-    blas = forked._forking_blas(cpus) if any(
-        0 < t < cfg.t_max for t in cfg.snapshot_times) else None
-    if blas is None:
-        return _run_model(cfg, with_bounds, None)
-    get, put = blas
-    threads = get()
-    put(min(threads, cpus // 2))
-    writer = None
-    try:
-        writer = forked._Worker(
-            functools.partial(_write_snapshots, cfg.out_dir), [])
-        return _run_model(cfg, with_bounds, writer)
-    except BaseException:
-        if writer is not None and writer.pid:
-            # told to finish, not killed, so that every snapshot sent is
-            # written; the error raised here is this process's
-            with contextlib.suppress(Exception):
-                writer.send(forked._END)
-                writer.finish()
-        raise
-    finally:
-        if writer is not None:
-            writer.kill()  # nothing left to do once finish() has reaped it
-        put(threads)
+    # so that it shares few pages, formats the snapshots.  It is wanted
+    # only when an output time lies strictly between 0 and t_max: with
+    # the first and last alone it overlaps too little to pay for the
+    # halved BLAS (crossing-fine, 640x320, was slower in 9 of 10 pairs of
+    # runs on 2 vCPUs).
+    inner = any(0 < t < cfg.t_max for t in cfg.snapshot_times)
+    with forked.sharing(2 if inner else 1) as (procs, start):
+        writer = (start(functools.partial(_write_snapshots, cfg.out_dir))
+                  if procs > 1 else None)
+        try:
+            return _run_model(cfg, with_bounds, writer)
+        except BaseException:
+            if writer is not None and writer.pid:
+                # told to finish, not killed, so that every snapshot sent
+                # is written; the error raised here is this process's
+                with contextlib.suppress(Exception):
+                    writer.send(forked.END)
+                    writer.finish()
+            raise
 
 
 def _run_model(cfg: RunConfig, with_bounds: bool,
-               writer: forked._Worker | None) -> int:
+               writer: forked.Worker | None) -> int:
     """The body of run and bounds, once _cmd_run has checked the family,
     with snapshots written through writer (see write_snapshot)."""
     deviation = cfg.family == DEVIATION
@@ -338,7 +328,7 @@ def _run_model(cfg: RunConfig, with_bounds: bool,
     try:
         result = run(model, datum, on_snapshot=on_snapshot, on_step=on_step)
         if writer is not None:  # the last snapshot was sent: wait for it
-            writer.send(forked._END)
+            writer.send(forked.END)
             writer.finish()
         # the final state, unless the last step already wrote its row
         if len(result.reports) % cfg.diag_every:
@@ -402,9 +392,8 @@ def _cmd_stability(args) -> int:
     datum2 = PopulationField(model.grid, data2)
     path = os.path.join(_make_out_dir(cfg.out_dir), "stability.csv")
 
-    times = sorted(set([0.0] + [float(t) for t in model.snapshot_times]
-                       + [model.t_max]))
-    model = replace(model, snapshot_times=tuple(times))
+    # rows at the times run reports, t = 0 and t_max among them
+    model = replace(model, snapshot_times=(0.0, *model.snapshot_times))
     states1, states2 = {}, {}
     # one envelope follows both runs: its sup of grad V covers both
     envelope = RunningEnvelope(model, datum1)
@@ -417,8 +406,8 @@ def _cmd_stability(args) -> int:
 
     print(f"{'t':>8} {'measured L1':>14} {'bound':>14} {'log bound':>12}")
     rows = []
-    for t in times:
-        s1, s2 = states1[t], states2[t]
+    for t, s1 in states1.items():
+        s2 = states2[t]
         dist = float(np.abs(s1.data - s2.data).sum()) * model.grid.cell_area
         sb = envelope.stability(t, drho0)
         rows.append((t, dist, sb.value, sb.log_value))
@@ -448,6 +437,9 @@ def main(argv=None) -> int:
         return 2
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except CrowdflowError as exc:  # e.g. a worker that ended without a reply
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

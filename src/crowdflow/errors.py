@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: ConfigurationError -> 1,
-NumericError -> 2, BoundViolationError -> 3.
+NumericError -> 2, BoundViolationError -> 3, and any other
+CrowdflowError (a forked worker that ended without a reply, an
+EstimationError) -> 1, reported as one `error: ...` line.
 """
 
 

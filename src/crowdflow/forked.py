@@ -1,23 +1,27 @@
-"""Forked workers: the process plumbing the Gateaux replays and the
-snapshot writer share.
+"""Forked workers: the one place where the package forks, and the
+process plumbing the Gateaux replays and the snapshot writer share.
 
-A _Worker is a process forked to run one job on a stream of bytes the
-caller writes to its pipe: float64 words and raw array bytes, never
-pickles.  It sends back one pickled reply, its floats or the exception
-it stopped at, with the warnings it recorded, which the caller
-re-issues through its own filters.  An end marker closes each stream.
-A stream that ends without it means the caller is gone: the worker then
-exits at its next read, without a reply, so none outlives its caller.
+sharing(wanted) is the scope forked work runs in.  It decides how many
+processes P share the CPUs: min(wanted, usable CPUs) where os.fork and
+the thread control of the OpenBLAS that numpy loaded exist, and 1
+otherwise, where the caller does all of the work itself.  While P >= 2,
+the caller runs BLAS on min(threads, CPUs // P) threads, never more than
+before.  When the scope ends, by return or error, the count is restored
+and every worker that finish() has not reaped is killed and reaped.
 
-Work is forked only where os.fork, the thread control of the OpenBLAS
-that numpy loaded and a second usable CPU all exist (_forking_blas);
-each user does the work in its own process otherwise.  While P
-processes share the CPUs, the caller runs BLAS on CPUs // P threads,
-never more than before, and restores the count when it is done.
+A Worker, forked by the start() the scope yields, runs one job on a
+stream of bytes the caller writes to its pipe: float64 words and raw
+array bytes, never pickles, read with dts, read and read_array.  It
+sends back one pickled reply, its floats or the exception it stopped
+at, with the warnings it recorded, which the caller re-issues through
+its own filters.  END closes each stream.  A stream that ends without
+it means the caller is gone: the worker then exits at its next read,
+without a reply, so none outlives its caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -30,31 +34,58 @@ from typing import BinaryIO, Callable, Iterator, NoReturn
 
 import numpy as np
 
+from .errors import CrowdflowError
+
 # closes a stream: no dt, and no snapshot's leading grid size, is negative
-_END = struct.pack("d", -1.0)
+END = struct.pack("d", -1.0)
+
+Job = Callable[[BinaryIO], list[float]]
 
 
-def _forking_blas(procs: int):
-    """The (get, set) of _openblas_threads() where procs processes can
-    share work: procs >= 2, os.fork exists and the thread control is
-    found.  None otherwise."""
-    blas = _openblas_threads()
-    if procs < 2 or blas is None or not hasattr(os, "fork"):
-        return None
-    return blas
+@contextlib.contextmanager
+def sharing(wanted: int) -> Iterator[tuple[int, Callable[[Job], Worker]]]:
+    """(P, start) for work that wanted processes could share: P of them
+    do (see the module docstring), and start(job) forks a Worker running
+    job.  The caller runs on the CPUs of one share until the scope ends,
+    which kills and reaps every worker finish() has not reaped."""
+    cpus = _usable_cpus()
+    procs = min(wanted, cpus)
+    blas = _openblas_threads() if procs > 1 and hasattr(os, "fork") else None
+    if blas is None:
+        procs = 1
+    workers: list[Worker] = []
+
+    def start(job: Job) -> Worker:
+        workers.append(Worker(job, workers))
+        return workers[-1]
+
+    if procs > 1:
+        get, put = blas
+        threads = get()
+        put(min(threads, cpus // procs))
+    try:
+        yield procs, start
+    finally:
+        for w in workers:
+            w.kill()
+        if procs > 1:
+            put(threads)
 
 
-def _dts(stream: BinaryIO) -> Iterator[float]:
-    """The dts written to stream, up to the end marker."""
-    while (word := _read(stream, len(_END))) != _END:
+def dts(stream: BinaryIO) -> Iterator[float]:
+    """The dts written to stream, up to END."""
+    while (word := read(stream, len(END))) != END:
         yield struct.unpack("d", word)[0]
 
 
-def _read_array(stream: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(_read(stream, 8 * math.prod(shape))).reshape(shape)
+def read_array(stream: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
+    """The next float64 array of the given shape on stream."""
+    return np.frombuffer(read(stream, 8 * math.prod(shape))).reshape(shape)
 
 
-def _read(stream: BinaryIO, n: int) -> bytes:
+def read(stream: BinaryIO, n: int) -> bytes:
+    """The next n bytes of stream; a worker whose stream ends before
+    them exits (its caller is gone)."""
     data = stream.read(n)
     if len(data) < n:
         raise _CallerGone
@@ -95,21 +126,21 @@ def _openblas_threads():
     return None
 
 
-class _Worker:
+class Worker:
     """A forked process that runs job(stream) on what the caller writes
     to it with send() and sends back the floats job returns.
 
     The worker records its warnings.  finish() re-issues them here and
     returns its floats, or raises the exception it stopped at, or
-    RuntimeError if it ended without a result; send() does the same
+    CrowdflowError if it ended without a result; send() does the same
     once the worker has closed its end.  The worker closes every pipe
-    end it inherited from earlier workers, so each stream ends with the
-    caller, and leaves through os._exit: with status 1 and nothing
-    written if sending its reply fails or its stream ends early.
+    end it inherited from the earlier workers of its scope, so each
+    stream ends with the caller, and leaves through os._exit: with
+    status 1 and nothing written if sending its reply fails or its
+    stream ends early.
     """
 
-    def __init__(self, job: Callable[[BinaryIO], list[float]],
-                 earlier: list[_Worker]):
+    def __init__(self, job: Job, earlier: list[Worker]):
         rfd, self._fd = os.pipe()          # caller -> worker
         self._reply, wfd = os.pipe()       # worker -> caller
         inherited = [self._fd, self._reply,
@@ -145,8 +176,8 @@ class _Worker:
         _, status = os.waitpid(self.pid, 0)
         self.pid = 0
         if not reply:
-            raise RuntimeError(f"forked worker ended with wait status "
-                               f"{status} and no result")
+            raise CrowdflowError(f"forked worker ended with wait status "
+                                 f"{status} and no result")
         ok, value, warned = pickle.loads(reply)
         _reissue(warned)
         if not ok:
@@ -165,8 +196,7 @@ class _Worker:
             os.waitpid(self.pid, 0)
 
 
-def _serve(job: Callable[[BinaryIO], list[float]], rfd: int, wfd: int,
-           inherited: list[int]) -> NoReturn:
+def _serve(job: Job, rfd: int, wfd: int, inherited: list[int]) -> NoReturn:
     """A worker's whole life: run job on the stream read from rfd, then
     write the pickled (True, floats, warnings) or (False, exception,
     warnings) to wfd.  The stream is closed first, so a caller still

@@ -9,16 +9,8 @@ survive discretization.  Only the current base state is held, never the
 whole run.
 
 gateaux_residual checks that derivative against replays of perturbed
-data on the base run's dt sequence.  Where it can, it forks its replay
-workers (forked._Worker, the plumbing the snapshot writer of `run` and
-`bounds` shares) before the base run and streams each base dt to them
-as it is taken, so the replays advance beside the base and linearized
-solve rather than after it.  That solve costs about two replays, so of the H
-replays shared among P processes the caller takes the first
-max(0, ceil((H + 2) / P) - 2), after its solve, and P - 1 workers take
-the rest in contiguous chunks.  An end marker closes each stream.  A
-stream that ends without it means the caller is gone: the worker then
-exits at once, without stepping on or writing a result.
+data on the base run's dt sequence, shared among the processes of a
+forked.sharing scope.
 """
 
 from __future__ import annotations
@@ -144,22 +136,19 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     r(h) = || S_t(rho0 + h sigma0) - S_t rho0 - h Sigma_t sigma0 ||_L1.
     The base run and Sigma_t sigma0 do not depend on h and are computed
     once; each perturbed datum is then advanced with the base run's dt
-    sequence.  Where os.fork, OpenBLAS thread control and a second
-    usable CPU exist, P = min(len(hs) + 1, CPUs) processes share the
-    work, each running BLAS on CPUs // P threads (never more than
-    before).  P - 1 workers, forked before the solve, take all but the
-    first max(0, ceil((len(hs) + 2) / P) - 2) replays in contiguous
-    chunks: each advances its chunk side by side, one split_step per
-    base dt written to its pipe, and after the end marker receives the
-    base run's final state and Sigma_t sigma0 and sends back only its
-    floats.  The caller replays the first ones after its solve.  The
-    result is that of the one-h-at-a-time loop, bit for bit; so are the
-    warnings, which each worker records and the caller re-issues through
-    its own filters and registries.  A worker's error is raised here
-    with its type and message, at the caller's next write to it or when
-    its result is read.  An error here kills and reaps every worker, and
-    a worker whose caller is gone exits at once, so none outlives the
-    call.
+    sequence.  P processes of a forked.sharing(len(hs) + 1) scope share
+    the replays: the caller takes the first
+    max(0, ceil((len(hs) + 2) / P) - 2), after its solve, and P - 1
+    workers, forked before the solve, the rest in contiguous chunks.
+    Each worker advances its chunk side by side, one split_step per base
+    dt written to its pipe, and after the end marker receives the base
+    run's final state and Sigma_t sigma0 and sends back only its floats.
+    With P = 1 the caller replays every h.  The result is that of the
+    one-h-at-a-time loop, bit for bit, for every P; so are the warnings,
+    which each worker records and the caller re-issues through its own
+    filters and registries.  A worker's error is raised here with its
+    type and message, at the caller's next write to it or when its
+    result is read.
     """
     _require_linearizable(model, rho0, sigma0)
     check_steps(hs)
@@ -179,36 +168,20 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         defect = state.data - rho_t - h * sigma_t
         return float(np.abs(defect).sum()) * rho0.grid.cell_area
 
-    def one_at_a_time(chunk, base, sigma_t) -> list[float]:
-        dts = [r.dt for r in base.reports]
-        faces = _face_buffers(model.grid)  # shared by every replay
-        return [residual(h, replay([h], dts, faces)[0], base.state.data,
-                         sigma_t.data) for h in chunk]
-
     def work(chunk: list[float], stream: BinaryIO) -> list[float]:
         """A worker's job: its chunk in lockstep with the stream."""
-        states = replay(chunk, forked._dts(stream),
-                        _face_buffers(model.grid))
-        rho_t = forked._read_array(stream, rho0.data.shape)
-        sigma_t = forked._read_array(stream, rho0.data.shape)
+        states = replay(chunk, forked.dts(stream), _face_buffers(model.grid))
+        rho_t = forked.read_array(stream, rho0.data.shape)
+        sigma_t = forked.read_array(stream, rho0.data.shape)
         return [residual(h, s, rho_t, sigma_t) for h, s in zip(chunk, states)]
 
-    cpus = forked._usable_cpus()
-    procs = min(len(hs) + 1, cpus)
-    blas = forked._forking_blas(procs)
-    if blas is None:
-        return one_at_a_time(hs, *solve_linearized(model, rho0, sigma0, t))
-    own = max(0, math.ceil((len(hs) + _SOLVE_IN_REPLAYS) / procs)
-              - _SOLVE_IN_REPLAYS)
-    cuts = [own + i * (len(hs) - own) // (procs - 1) for i in range(procs)]
-    get, put = blas
-    threads = get()
-    workers: list[forked._Worker] = []
-    put(min(threads, cpus // procs))
-    try:
-        for a, b in zip(cuts, cuts[1:]):
-            workers.append(forked._Worker(functools.partial(work, hs[a:b]),
-                                          workers))
+    with forked.sharing(len(hs) + 1) as (procs, start):
+        own = max(0, math.ceil((len(hs) + _SOLVE_IN_REPLAYS) / procs)
+                  - _SOLVE_IN_REPLAYS)
+        cuts = [own + i * (len(hs) - own) // max(1, procs - 1)
+                for i in range(procs)]
+        workers = [start(functools.partial(work, hs[a:b]))
+                   for a, b in zip(cuts, cuts[1:])]
 
         def stream(report):
             word = struct.pack("d", report.dt)
@@ -218,18 +191,17 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         base, sigma_t = solve_linearized(model, rho0, sigma0, t,
                                          on_step=stream)
         for w in workers:
-            w.send(forked._END)
-        out = one_at_a_time(hs[:own], base, sigma_t)
+            w.send(forked.END)
+        dts = [r.dt for r in base.reports]
+        faces = _face_buffers(model.grid)  # shared by the caller's replays
+        out = [residual(h, replay([h], dts, faces)[0], base.state.data,
+                        sigma_t.data) for h in hs[:own]]
         for w in workers:
             w.send(np.ascontiguousarray(base.state.data))
             w.send(np.ascontiguousarray(sigma_t.data))
         for w in workers:
             out.extend(w.finish())
         return out
-    finally:
-        for w in workers:
-            w.kill()
-        put(threads)
 
 
 def _until(model: ModelSpec, t: float) -> ModelSpec:

@@ -275,6 +275,26 @@ class TestWriteTable:
         assert peak < datum.data[0].nbytes / 2
 
 
+# Runs the command in sys.argv with two usable CPUs, where every forked
+# worker exits with status 3 at its first replay step or snapshot file.
+DYING_WORKER = """
+import os, sys
+from crowdflow import cli, forked, linearized
+parent, step, write = os.getpid(), linearized.split_step, cli._write_table
+
+def dying(f):
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return f(*args, **kwargs)
+    return call
+
+forked._usable_cpus = lambda: 2
+linearized.split_step, cli._write_table = dying(step), dying(write)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestMain:
     def test_run_crossing(self, tmp_path, capsys):
         code = main(["run", "--preset", "crossing", "--mesh", "0.2",
@@ -367,6 +387,27 @@ class TestMain:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("argv", [
+        ["gateaux", "--mesh", "0.125", "--tmax", "0.05"],
+        ["bounds", "--config", "{ini}"]], ids=["replay", "writer"])
+    def test_worker_dying_without_reply_exit_code(self, tmp_path, argv):
+        # a replay worker or the snapshot writer that ends without a
+        # reply: one error line and exit 1, no traceback
+        if forked._openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread control: nothing is forked")
+        ini = tmp_path / "c.ini"
+        ini.write_text("[grid]\nmesh = 0.4\n[model]\npreset = crossing\n"
+                       "tmax = 0.2\nsnapshot_times = 0 0.1 0.2\n")
+        src = os.path.dirname(os.path.dirname(crowdflow.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", DYING_WORKER,
+             *[a.format(ini=ini) for a in argv], "--out", "out"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: forked worker ended with wait status "
+                               "768 and no result\n")
+
     @pytest.mark.parametrize("hs", ["inf,0.1", ""], ids=["inf", "empty"])
     def test_gateaux_bad_hs_leaves_no_directory(self, tmp_path, capsys,
                                                 monkeypatch, hs):
@@ -399,6 +440,21 @@ class TestMain:
             _, dist, bound, _ = row.split(",")
             assert float(dist) == 0.0
             assert float(bound) == 0.0
+
+    def test_stability_time_within_1e_12_of_zero(self, tmp_path, capsys):
+        # run reports such a time as its t = 0 call: the rows are those of
+        # the same config without it
+        results = []
+        for i, times in enumerate(("0 1e-13 0.01", "0 0.01")):
+            ini, out = tmp_path / f"{i}.ini", tmp_path / str(i)
+            ini.write_text("[grid]\nmesh = 0.4\n[model]\npreset = crossing\n"
+                           f"tmax = 0.01\nsnapshot_times = {times}\n")
+            assert main(["stability", "--config", str(ini),
+                         "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            results.append((stdout, (out / "stability.csv").read_bytes()))
+        assert results[0] == results[1]
+        assert len(results[0][1].splitlines()) == 3
 
     @pytest.mark.parametrize("perturb", ["nan", "inf", "-0.1"])
     def test_stability_bad_perturb_exit_code(self, tmp_path, capsys,

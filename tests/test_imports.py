@@ -1,10 +1,12 @@
-"""Every import in the package and its tests is used, and every dotted
-name the README gives resolves.
+"""Every import in the package and its tests is used, only forked.py
+forks, and every dotted name the README gives resolves.
 
-No linter ships with the test dependencies, so this is a small stdlib
-`ast` check: a name bound by an import must be read somewhere in its
-module.  `__init__.py` re-exports by importing, and `from __future__`
-imports are directives, so both are left out.
+No linter ships with the test dependencies, so these are small stdlib
+`ast` checks.  A name bound by an import must be read somewhere in its
+module; `__init__.py` re-exports by importing, and `from __future__`
+imports are directives, so both are left out.  No package module but
+forked.py may call os.fork, reach the OpenBLAS thread control or read a
+private name of forked: the policy of who forks lives in one place.
 """
 
 import ast
@@ -75,6 +77,56 @@ def test_checker_finds_unused_and_skips_used():
               "    x: 'Sequence[int]'\n"
               "print(np.pi)\n")
     assert unused_imports(source) == [("field", 4), ("os", 2)]
+
+
+# os.fork, a private name of forked, or an OpenBLAS thread-control name
+FORKING = re.compile(r"(^|\.)os\.fork$|(^|\.)forked\._|openblas|num_threads",
+                     re.I)
+
+
+def _dotted(node: ast.AST) -> str:
+    """a.b.c for a chain of attributes on a name; "" for anything else."""
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def forking_names(source: str) -> list[tuple[str, int]]:
+    """Names read or imported in source that only forked.py may use."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Attribute, ast.Name)):
+            names = [_dotted(node)]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names
+                  if FORKING.search(name)]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [
+    p for p in SOURCES if p.parent.name == "crowdflow"
+    and p.name != "forked.py"], ids=lambda p: p.name)
+def test_only_forked_forks(path):
+    assert forking_names(path.read_text()) == []
+
+
+def test_forking_checker_finds_each_kind():
+    source = ("import os\n"
+              "from . import forked\n"
+              "from crowdflow.forked import _usable_cpus, sharing\n"
+              "from os import fork\n"
+              "pid = os.fork()\n"
+              "get, put = forked._openblas_threads()\n"
+              "lib.openblas_set_num_threads(1)\n"
+              "with forked.sharing(2) as (procs, start):\n"
+              "    start(job).send(forked.END)\n")
+    assert forking_names(source) == [
+        ("crowdflow.forked._usable_cpus", 3),
+        ("forked._openblas_threads", 6),
+        ("lib.openblas_set_num_threads", 7), ("os.fork", 4), ("os.fork", 5)]
 
 
 def readme_names(text: str) -> list[str]:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
-                       CostSpec, ModelSpec, NumericError, PopulationField,
-                       GradientAvoidance, UnsupportedModelError,
+                       CostSpec, CrowdflowError, ModelSpec, NumericError,
+                       PopulationField, GradientAvoidance,
+                       UnsupportedModelError,
                        advection_field, bump_kernel,
                        constant_direction, constant_speed_law,
                        cost_and_gradient, gateaux_benchmark, gateaux_residual,
@@ -277,8 +278,8 @@ class TestGateauxResidual:
             calls.append(1)
             return convolve(field, k)
 
-        def keep_base(*args):
-            result = solve_linearized(*args)
+        def keep_base(*args, **kwargs):
+            result = solve_linearized(*args, **kwargs)
             bases.append(result[0])
             return result
 
@@ -387,11 +388,13 @@ class TestForkedReplays:
 
     @pytest.mark.parametrize("n, cpus, mine", [
         (1, 2, 0), (2, 2, 0), (3, 2, 1), (4, 2, 1), (5, 2, 2), (6, 2, 2),
-        (2, 3, 0), (4, 3, 0), (5, 3, 1), (8, 3, 2), (3, 8, 0)])
+        (2, 3, 0), (4, 3, 0), (5, 3, 1), (8, 3, 2), (3, 8, 0),
+        (1, 1, 1), (3, 1, 3)])
     def test_caller_takes_its_share_after_the_solve(self, monkeypatch,
                                                     forks, n, cpus, mine):
         # the solve counts as two replays: the caller takes
-        # max(0, ceil((n + 2) / P) - 2) of them, the first ones
+        # max(0, ceil((n + 2) / P) - 2) of them, the first ones; on one
+        # CPU, P = 1: nothing is forked and the caller replays every h
         parent, step, seen = os.getpid(), linearized.split_step, []
 
         def watched(state, model, dt, **kwargs):
@@ -478,7 +481,7 @@ class TestForkedReplays:
 
         monkeypatch.setattr(linearized, "split_step", dying)
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
-        with pytest.raises(RuntimeError, match="no result"):
+        with pytest.raises(CrowdflowError, match="no result"):
             gateaux_residual(model, rho0, sigma0, 0.1, HS[:2])
         assert_no_child_left()
 
