@@ -12,7 +12,7 @@ from .analysis import (BoundInputs, ParameterDeltas,
                        RunningEnvelope, StabilityBound, aggregate_inputs,
                        bound_inputs_for, direction_norms, estimate_ci,
                        kappa0, kernel_norms, stability_bound_deviation,
-                       sup_gradient, tv_bound_deviation, wd)
+                       stability_table, sup_gradient, tv_bound_deviation, wd)
 from .config import PopulationConfig, RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
                      EstimationError, NumericError, UnsupportedModelError)

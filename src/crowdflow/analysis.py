@@ -17,7 +17,7 @@ the commands write.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -27,7 +27,7 @@ from .errors import ConfigurationError, EstimationError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import NonlocalOperator
-from .solver import DEVIATION, ModelSpec, StepReport
+from .solver import DEVIATION, ModelSpec, StepReport, run
 from .velocity import DirectionField
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
@@ -430,7 +430,7 @@ class RunningEnvelope:
     on_step(report, state, W), a run's on_step callback, raises it to the
     running sup of sup_gradient(W), so that an envelope evaluated after a
     step covers every field so far.  One object may follow several runs
-    of the same model (the stability check's pair).
+    of the same model (stability_table's pair).
     """
 
     def __init__(self, model: ModelSpec, datum: PopulationField):
@@ -464,14 +464,28 @@ class RunningEnvelope:
         return [(tv_bound_deviation(t, bi), self.model.R)
                 for bi in self.inputs]
 
-    def stability(self, t: float, drho0_l1: float) -> StabilityBound:
-        """L1 distance envelope at t of two runs of the model whose data
-        differ by drho0_l1 in L1.  The runs share every parameter, and
-        the envelope reads only parameter norms from the second run's
-        inputs, so one aggregate serves both."""
-        agg = self.aggregate()
-        return stability_bound_deviation(t, agg, agg,
-                                         ParameterDeltas(drho0_l1=drho0_l1))
+
+def stability_table(model: ModelSpec, datum1: PopulationField,
+                    datum2: PopulationField
+                    ) -> list[tuple[float, float, StabilityBound]]:
+    """(t, L1 distance, its envelope) of the runs of the model from datum1
+    and datum2 at t = 0 and each output time run reports.  A state of the
+    first run is kept only until the second reaches its time.  The rows
+    come after both runs from one RunningEnvelope's aggregate, which
+    serves as both runs' inputs: they share every parameter."""
+    model = replace(model, snapshot_times=(0.0, *model.snapshot_times))
+    envelope, area = RunningEnvelope(model, datum1), model.grid.cell_area
+    states, dists = {}, []
+    run(model, datum1, on_step=envelope.on_step,
+        on_snapshot=lambda t, s: states.setdefault(t, s.copy()))
+    run(model, datum2, on_step=envelope.on_step,
+        on_snapshot=lambda t, s: dists.append(
+            (t, float(np.abs(states.pop(t).data - s.data).sum()) * area)))
+    agg = envelope.aggregate()
+    deltas = ParameterDeltas(
+        drho0_l1=float(np.abs(datum1.data - datum2.data).sum()) * area)
+    return [(t, d, stability_bound_deviation(t, agg, agg, deltas))
+            for t, d in dists]
 
 
 def _exp(x: float) -> float:

@@ -21,13 +21,13 @@ from typing import BinaryIO
 import numpy as np
 
 from . import forked
-from .analysis import RunningEnvelope
+from .analysis import RunningEnvelope, stability_table
 from .config import RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
                      NumericError)
 from .grid import PopulationField, norms
 from .linearized import check_steps, gateaux_benchmark, gateaux_residual
-from .solver import DEVIATION, ModelSpec, check_datum, run
+from .solver import DEVIATION, ModelSpec, check_datum, output_times, run
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
@@ -168,7 +168,7 @@ def _snapshot_name(pop: int, t: float) -> str:
 def _check_snapshot_names(model: ModelSpec) -> None:
     """Reject distinct output times that would write the same file."""
     seen = {}
-    for t in sorted({float(s) for s in model.snapshot_times} | {model.t_max}):
+    for t in output_times(model.snapshot_times, model.t_max):
         name = _snapshot_name(1, t)
         if name in seen:
             raise ConfigurationError(
@@ -178,31 +178,27 @@ def _check_snapshot_names(model: ModelSpec) -> None:
 
 
 def write_snapshot(state: PopulationField, t: float, out_dir: str,
-                   writer: forked.Worker | None = None,
-                   last: bool = False) -> list[str]:
+                   writer: forked.Worker | None = None) -> list[str]:
     """One CSV per population: header names, header values, then ny rows
     of nx densities (row j = y index ascending).  Deterministic bytes.
 
     With a writer (a forked.Worker running _write_snapshots), the values
     line and the densities are sent down its pipe as raw float64 bytes,
-    and the writer formats them while this process steps on.  At the
-    last output time (last) it takes populations 1..ceil(n/2) only, and
-    this process writes the others meanwhile.  The writer's failure to
-    write a file is raised here at a later send, or by its finish().
-    Returns every population's path either way.
+    and the writer formats them while this process steps on.  The
+    writer's failure to write a file is raised here at a later send, or
+    by its finish().  Returns every population's path either way.
     """
     g = state.grid
     _make_out_dir(out_dir)
     meta = [[g.nx, g.ny, g.x0, g.y0, g.dx, g.dy, t]]
     paths = [os.path.join(out_dir, _snapshot_name(i + 1, t))
              for i in range(state.n)]
-    sent = 0
     if writer is not None:
-        sent = (state.n + 1) // 2 if last else state.n
-        writer.send(np.array([*meta[0], sent], dtype=np.float64))
-        writer.send(np.ascontiguousarray(state.data[:sent]))
-    for i in range(sent, state.n):
-        _write_table(paths[i], _SNAPSHOT_HEADER, meta, state.data[i].T)
+        writer.send(np.array([*meta[0], state.n], dtype=np.float64))
+        writer.send(np.ascontiguousarray(state.data))
+        return paths
+    for path, data in zip(paths, state.data):
+        _write_table(path, _SNAPSHOT_HEADER, meta, data.T)
     return paths
 
 
@@ -260,12 +256,12 @@ def _cmd_run(args, with_bounds: bool) -> int:
             "strict mode of run checks the deviation family's maximum "
             "principle; a differentiable run has none to check")
     # Where a second process can run, one writer, forked before the build
-    # so that it shares few pages, formats the snapshots.  It is wanted
-    # only when an output time lies strictly between 0 and t_max: with
-    # the first and last alone it overlaps too little to pay for the
-    # halved BLAS (crossing-fine, 640x320, was slower in 9 of 10 pairs of
-    # runs on 2 vCPUs).
-    inner = any(0 < t < cfg.t_max for t in cfg.snapshot_times)
+    # so that it shares few pages, formats the snapshots, if run reports
+    # an output time strictly between 0 and t_max: with the first and
+    # last alone it overlaps too little to pay for the halved BLAS
+    # (crossing-fine, 640x320, slower in 9 of 10 run pairs on 2 vCPUs).
+    inner = any(0 < t < cfg.t_max
+                for t in output_times(cfg.snapshot_times, cfg.t_max))
     with forked.sharing(2 if inner else 1) as (procs, start):
         writer = (start(functools.partial(_write_snapshots, cfg.out_dir))
                   if procs > 1 else None)
@@ -315,7 +311,7 @@ def _run_model(cfg: RunConfig, with_bounds: bool,
             diag_row(report.t, report.dt, state, report.escaped)
 
     def on_snapshot(t, state):
-        write_snapshot(state, t, cfg.out_dir, writer, last=t == model.t_max)
+        write_snapshot(state, t, cfg.out_dir, writer)
         if with_bounds:
             rec = norms(state)
             for i, (tvb, linfb) in enumerate(envelope.bounds(t)):
@@ -389,30 +385,13 @@ def _cmd_stability(args) -> int:
         raise ConfigurationError("perturbation larger than the datum mass")
     data2 = datum1.data.copy()
     data2[0] *= (1.0 - shrink)
-    datum2 = PopulationField(model.grid, data2)
     path = os.path.join(_make_out_dir(cfg.out_dir), "stability.csv")
-
-    # rows at the times run reports, t = 0 and t_max among them
-    model = replace(model, snapshot_times=(0.0, *model.snapshot_times))
-    states1, states2 = {}, {}
-    # one envelope follows both runs: its sup of grad V covers both
-    envelope = RunningEnvelope(model, datum1)
-    run(model, datum1, on_step=envelope.on_step,
-        on_snapshot=lambda t, s: states1.setdefault(t, s.copy()))
-    run(model, datum2, on_step=envelope.on_step,
-        on_snapshot=lambda t, s: states2.setdefault(t, s.copy()))
-
-    drho0 = float(np.abs(datum1.data - datum2.data).sum()) * model.grid.cell_area
-
+    table = stability_table(model, datum1, PopulationField(model.grid, data2))
     print(f"{'t':>8} {'measured L1':>14} {'bound':>14} {'log bound':>12}")
-    rows = []
-    for t, s1 in states1.items():
-        s2 = states2[t]
-        dist = float(np.abs(s1.data - s2.data).sum()) * model.grid.cell_area
-        sb = envelope.stability(t, drho0)
-        rows.append((t, dist, sb.value, sb.log_value))
+    for t, dist, sb in table:
         print(f"{t:8.3f} {dist:14.6e} {sb.value:14.6e} {sb.log_value:12.4f}")
-    _write_table(path, "t,measured_l1,bound,log_bound", rows)
+    _write_table(path, "t,measured_l1,bound,log_bound",
+                 [(t, dist, sb.value, sb.log_value) for t, dist, sb in table])
     print(f"stability table: {path}")
     return 0
 

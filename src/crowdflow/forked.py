@@ -173,11 +173,12 @@ class Worker:
         with open(self._reply, "rb") as fh:
             self._reply = None
             reply = fh.read()
-        _, status = os.waitpid(self.pid, 0)
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = 0
         if not reply:
-            raise CrowdflowError(f"forked worker ended with wait status "
-                                 f"{status} and no result")
+            end = f"exit code {code}" if code >= 0 else f"signal {-code}"
+            raise CrowdflowError(f"forked worker ended with {end} and no "
+                                 "result")
         ok, value, warned = pickle.loads(reply)
         _reissue(warned)
         if not ok:

@@ -267,8 +267,9 @@ def gateaux_benchmark(mesh: float = 1.0 / 64.0, t_max: float = 0.2,
 
 def _require_linearizable(model: ModelSpec, rho0: PopulationField,
                           sigma0: PopulationField) -> None:
-    """Raise UnsupportedModelError unless the model is differentiable and
-    every population that sigma0 moves has a live cell in rho0.
+    """Raise UnsupportedModelError unless the model is differentiable,
+    ConfigurationError unless sigma0 is finite, and UnsupportedModelError
+    unless every population that sigma0 moves has a live cell in rho0.
 
     The base run's dt covers only the populations it sweeps (cfl_dt), and
     an empty population stays empty; sigma_i's sweep, and the replays of
@@ -276,6 +277,8 @@ def _require_linearizable(model: ModelSpec, rho0: PopulationField,
     if model.family != DIFFERENTIABLE:
         raise UnsupportedModelError(
             "linearization is only available for the differentiable family")
+    if not np.isfinite(sigma0.data).all():
+        raise ConfigurationError("sigma0 has a non-finite cell")
     for i in range(model.n):
         if has_live_cell(sigma0.data[i]) and not has_live_cell(rho0.data[i]):
             raise UnsupportedModelError(

@@ -33,6 +33,7 @@ DIFFERENTIABLE = "differentiable"
 DEVIATION = "deviation"
 
 MAX_PRINCIPLE_TOL = 1e-6
+TIME_TOL = 1e-12  # times closer than this are one time
 
 
 @dataclass
@@ -65,7 +66,7 @@ class ModelSpec:
         if self.family == DEVIATION and self.deviation is None:
             raise ConfigurationError("deviation family needs a nonlocal "
                                      "deviation operator")
-        if not all(0 <= t <= self.t_max + 1e-12 for t in self.snapshot_times):
+        if not all(0 <= t <= self.t_max + TIME_TOL for t in self.snapshot_times):
             raise ConfigurationError("snapshot times must lie in [0, t_max]")
 
     @property
@@ -333,6 +334,12 @@ def check_datum(model: ModelSpec, datum: PopulationField) -> None:
             f"{int(held.argmax())}")
 
 
+def output_times(snapshot_times: Sequence[float], t_max: float) -> list[float]:
+    """run's output times in order; one within TIME_TOL of 0 is 0."""
+    return sorted({0.0 if abs(t) <= TIME_TOL else float(t)
+                   for t in (*snapshot_times, t_max)})
+
+
 def run(model: ModelSpec, datum: PopulationField,
         on_snapshot: Callable[[float, PopulationField], None] | None = None,
         on_step: Callable[[StepReport, PopulationField, np.ndarray], None] | None = None,
@@ -355,18 +362,18 @@ def run(model: ModelSpec, datum: PopulationField,
         field = advection_field
     check_datum(model, datum)
     state = datum.copy()
-    events = sorted({float(s) for s in model.snapshot_times} | {model.t_max})
+    events = output_times(model.snapshot_times, model.t_max)
     reports: list[StepReport] = []
     escaped = np.zeros(model.n)
 
     t = 0.0
-    if on_snapshot is not None and any(abs(e) <= 1e-12 for e in events):
+    if on_snapshot is not None and events[0] == 0.0:
         on_snapshot(0.0, state)
-    events = [e for e in events if e > 1e-12]
+    events = [e for e in events if e > 0.0]
     step = 0
     linear = _flux_is_linear(model)
     faces = _face_buffers(model.grid)  # the run's, reused by every sweep
-    while t < model.t_max - 1e-12:
+    while t < model.t_max - TIME_TOL:
         W = field(state, model)
         dt = cfl_dt(state, W, model.laws, model.cfl,
                     dt_cap=events[0] - t, linear_flux=linear)
@@ -386,7 +393,7 @@ def run(model: ModelSpec, datum: PopulationField,
                     f"range [{report.min.min():.3e}, {report.max.max():.6f}]")
         if on_step is not None:
             on_step(report, state, W)
-        while events and t >= events[0] - 1e-12:
+        while events and t >= events[0] - TIME_TOL:
             if on_snapshot is not None:
                 on_snapshot(events[0], state)
             events.pop(0)

@@ -10,10 +10,9 @@ from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
                        RunningEnvelope, advection_field, aggregate_inputs,
                        bound_inputs_for, direction_norms, kappa0,
                        kernel_norms, bump_kernel, constant_direction,
-                       linear_speed_law, make_grid, preset, run,
-                       sample_kernel,
-                       stability_bound_deviation, sup_gradient,
-                       tv_bound_deviation, wd)
+                       linear_speed_law, make_grid, parse_config, preset,
+                       run, sample_kernel, stability_bound_deviation,
+                       stability_table, sup_gradient, tv_bound_deviation, wd)
 from crowdflow.analysis import LOG_MAX, _diff, _gronwall
 from crowdflow.cli import main
 from crowdflow.solver import DEVIATION, ModelSpec
@@ -481,25 +480,23 @@ class TestRunningEnvelope:
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
 
     def test_stability_is_the_deviation_formula(self):
+        # each row's envelope is the deviation formula on the aggregate
+        # after both runs: grad_v_sup is the sup over every step of both
         model, datum = preset("crossing").with_mesh(0.4).build()
-        model = replace(model, t_max=0.2, snapshot_times=())
-        envelope = RunningEnvelope(model, datum)
-
-        def check():
-            agg = replace(aggregate_inputs(bound_inputs_for(model, datum)),
-                          grad_v_sup=envelope.grad_v_sup)
-            for t in (0.0, 0.1, 0.2):
-                for d in (0.1, 2.5):
-                    assert envelope.stability(t, d) == \
-                        stability_bound_deviation(
-                            t, agg, agg, ParameterDeltas(drho0_l1=d))
-                zero = envelope.stability(t, 0.0)
-                assert (zero.value, zero.log_value) == (0.0, -math.inf)
-
-        check()
-        run(model, datum, on_step=envelope.on_step)
-        assert envelope.grad_v_sup > 0.0
-        check()
+        model = replace(model, t_max=0.2, snapshot_times=(0.1,))
+        datum2 = PopulationField(model.grid, 0.5 * datum.data)
+        sups = []
+        for d in (datum, datum2):
+            run(model, d, on_step=lambda report, state, W: sups.append(
+                oracle_sup_gradient(W, model.grid)))
+        agg = replace(aggregate_inputs(bound_inputs_for(model, datum)),
+                      grad_v_sup=max(sups))
+        deltas = ParameterDeltas(drho0_l1=float(
+            np.abs(datum.data - datum2.data).sum()) * model.grid.cell_area)
+        table = stability_table(model, datum, datum2)
+        assert [t for t, _, _ in table] == [0.0, 0.1, 0.2]
+        for t, _, bound in table:
+            assert bound == stability_bound_deviation(t, agg, agg, deltas)
 
     def test_stability_rejects_the_differentiable_family(self):
         # the differentiable family has no envelope at all, so neither
@@ -539,6 +536,54 @@ class TestRunningEnvelope:
         assert len(diag) > 2
         for row in diag:
             assert row[5::5] == [expected(row[0], i) for i in range(model.n)]
+
+
+class TestStabilityTable:
+    def test_rows_are_the_command_rows(self, tmp_path, capsys):
+        # the pinned stability case: the command writes the table's rows
+        assert main(["stability", "--preset", "crossing", "--mesh", "0.2",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "stability.csv").read_text().splitlines()[1:]
+        model, datum1 = preset("crossing").with_mesh(0.2).build()
+        # the command's datum2 for the default --perturb 0.1
+        mass1 = float(np.abs(datum1.data[0]).sum()) * model.grid.cell_area
+        data2 = datum1.data.copy()
+        data2[0] *= 1.0 - 0.1 / mass1
+        table = stability_table(model, datum1,
+                                PopulationField(model.grid, data2))
+        assert [(t, d, b.value, b.log_value) for t, d, b in table] \
+            == [tuple(map(float, line.split(","))) for line in lines]
+
+    def test_identical_data(self):
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        model = replace(model, t_max=0.1, snapshot_times=(0.05,))
+        table = stability_table(model, datum, datum.copy())
+        assert [(t, d, b.value, b.log_value) for t, d, b in table] == [
+            (t, 0.0, 0.0, -math.inf) for t in (0.0, 0.05, 0.1)]
+
+    def test_three_populations(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[grid]\nmesh = 0.4\n[model]\ntmax = 0.1\n"
+                       "snapshot_times = 0 0.05\n" + "".join(
+                           f"[population.{i}]\nvmax = 4\ngx = {gx}\n"
+                           f"eps = 0.3 0.2 0.1\ndatum = {datum}\n"
+                           for i, gx, datum in (
+                               (1, 1, "0.9 -6.4 -2.4 -3.2 2.4"),
+                               (2, -1, "0.7 3.2 -2.4 6.4 2.4"),
+                               (3, 1, "0.6 -1.6 -2.8 1.6 -0.8"))))
+        model, datum1 = parse_config(str(ini)).build()
+        assert model.n == 3
+        data2 = datum1.data.copy()
+        data2[2] *= 0.5
+        table = stability_table(model, datum1,
+                                PopulationField(model.grid, data2))
+        assert [t for t, _, _ in table] == [0.0, 0.05, 0.1]
+        drho0 = float(np.abs(datum1.data - data2).sum()) \
+            * model.grid.cell_area
+        assert table[0][1] == drho0 > 0.0
+        # the envelope dominates the measured distance
+        assert all(0.0 < d <= b.value for _, d, b in table)
 
 
 class TestBoundInputAssembly:

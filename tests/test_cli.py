@@ -405,8 +405,8 @@ class TestMain:
             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True)
         assert proc.returncode == 1
-        assert proc.stderr == ("error: forked worker ended with wait status "
-                               "768 and no result\n")
+        assert proc.stderr == ("error: forked worker ended with exit code 3 "
+                               "and no result\n")
 
     @pytest.mark.parametrize("hs", ["inf,0.1", ""], ids=["inf", "empty"])
     def test_gateaux_bad_hs_leaves_no_directory(self, tmp_path, capsys,
@@ -679,6 +679,26 @@ class TestMain:
         assert main([command, "--config", str(p), "--out", str(out)]) == 1
         assert "t0.001" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    def test_snapshot_time_within_1e_12_of_zero(self, tmp_path, capsys,
+                                                command):
+        # run reports such a time as its t = 0 call: the files are those
+        # of the same config without it
+        results = []
+        for i, times in enumerate(("0 1e-13 0.01", "0 0.01")):
+            ini, out = tmp_path / f"{i}.ini", tmp_path / str(i)
+            ini.write_text("[grid]\nmesh = 0.4\n[model]\npreset = crossing\n"
+                           f"tmax = 0.01\nsnapshot_times = {times}\n")
+            assert main([command, "--config", str(ini),
+                         "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            results.append((stdout, {path.name: path.read_bytes()
+                                     for path in sorted(out.iterdir())}))
+        assert results[0] == results[1]
+        assert [name for name in results[0][1] if name.startswith("pop")] \
+            == ["pop1_t0.000.csv", "pop1_t0.010.csv", "pop2_t0.000.csv",
+                "pop2_t0.010.csv"]
 
     @pytest.mark.parametrize("argv", [
         ["run", "--preset", "crossing", "--mesh", "0.4", "--tmax", "0.01"],

@@ -7,6 +7,8 @@ module; `__init__.py` re-exports by importing, and `from __future__`
 imports are directives, so both are left out.  No package module but
 forked.py may call os.fork, reach the OpenBLAS thread control or read a
 private name of forked: the policy of who forks lives in one place.
+cli.py calls solver.run from _run_model only: every other run, such as
+the stability pair, is library logic.
 """
 
 import ast
@@ -127,6 +129,33 @@ def test_forking_checker_finds_each_kind():
         ("crowdflow.forked._usable_cpus", 3),
         ("forked._openblas_threads", 6),
         ("lib.openblas_set_num_threads", 7), ("os.fork", 4), ("os.fork", 5)]
+
+
+def run_callers(source: str) -> list[str]:
+    """The top-level definition ("<module>" outside any) around each call
+    of run, or of an attribute named run, in source."""
+    found = []
+    for stmt in ast.parse(source).body:
+        name = getattr(stmt, "name", "<module>")
+        found += [name for node in ast.walk(stmt)
+                  if isinstance(node, ast.Call)
+                  and _dotted(node.func).split(".")[-1] == "run"]
+    return found
+
+
+def test_cli_runs_the_model_in_one_place():
+    source = (ROOT / "src" / "crowdflow" / "cli.py").read_text()
+    assert run_callers(source) == ["_run_model"]
+
+
+def test_run_caller_checker_finds_each_kind():
+    source = ("from .solver import run\n"
+              "def a(m, d):\n    return run(m, d)\n"
+              "def b(m, d):\n    return solver.run(m, d)\n"
+              "class C:\n    def c(self):\n        f = lambda: run(1, 2)\n"
+              "def d(m):\n    return runner(m), m.run\n"
+              "run(m, d)\n")
+    assert run_callers(source) == ["a", "b", "C", "<module>"]
 
 
 def readme_names(text: str) -> list[str]:

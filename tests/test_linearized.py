@@ -130,6 +130,27 @@ class TestLinearizedVelocity:
         _, sigma = solve_linearized(model, rho0, sigma0, 0.2)
         assert np.all(sigma.data[1] == 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sigma0_rejected(self, monkeypatch, value):
+        # before any step: one such cell gave a non-finite Sigma_t sigma0
+        # and a NaN derivative from cost_and_gradient, without an error
+        for module in (solver, linearized):
+            monkeypatch.setattr(module, "split_step", _must_not_step)
+        model, rho0, sigma0 = gateaux_benchmark(1.0 / 32.0, 0.05)
+        sigma0.data[0, 10, 12] = value
+        cost = CostSpec(f=lambda r: r.sum(axis=0), fprime=np.ones_like,
+                        psi=1.0, t=0.05)
+        for call in (lambda: solve_linearized(model, rho0, sigma0, 0.05),
+                     lambda: gateaux_residual(model, rho0, sigma0, 0.05,
+                                              [0.1, 0.05]),
+                     lambda: cost_and_gradient(model, rho0, cost, sigma0)):
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                call()
+
+
+def _must_not_step(*args, **kwargs):
+    raise AssertionError("a step was taken")
+
 
 class TestSolveLinearized:
     def test_zero_initial_perturbation(self):
@@ -482,6 +503,21 @@ class TestForkedReplays:
         monkeypatch.setattr(linearized, "split_step", dying)
         model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
         with pytest.raises(CrowdflowError, match="no result"):
+            gateaux_residual(model, rho0, sigma0, 0.1, HS[:2])
+        assert_no_child_left()
+
+    def test_worker_killed_by_a_signal_says_so(self, monkeypatch, forks):
+        parent, step = os.getpid(), linearized.split_step
+
+        def killed(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "split_step", killed)
+        model, rho0, sigma0 = gateaux_benchmark(mesh=1.0 / 32.0, t_max=0.1)
+        with pytest.raises(CrowdflowError, match="with signal "
+                           f"{int(signal.SIGKILL)} and no result"):
             gateaux_residual(model, rho0, sigma0, 0.1, HS[:2])
         assert_no_child_left()
 

@@ -3,9 +3,9 @@ depend on whether it runs, and it never outlives or loses its caller's
 snapshots.
 
 Where it can fork, the command sends each snapshot's densities down a
-pipe to one writer process, which formats them; at the last output time
-the writer takes populations 1..ceil(n/2) and the command the rest.
-Every test compares with the in-process path, taken with one usable CPU.
+pipe to one writer process, which formats every population of every
+snapshot.  Every test compares with the in-process path, taken with one
+usable CPU.
 """
 
 import os
@@ -120,10 +120,23 @@ def test_no_writer_without_an_inner_output_time(tmp_path, monkeypatch,
     assert forks == []
 
 
+def test_no_writer_for_a_time_run_reports_as_zero(tmp_path, monkeypatch,
+                                                   capsys, forks):
+    # run reports 1e-13 as its t = 0 call, so only 0 and t_max are output
+    ini = tmp_path / "c.ini"
+    ini.write_text("[grid]\nmesh = 0.4\n[model]\npreset = crossing\n"
+                   "tmax = 0.1\nsnapshot_times = 1e-13 0.1\n")
+    code, _, _ = command(monkeypatch, capsys, 2, [
+        "run", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert forks == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_last_snapshot_is_split(tmp_path, monkeypatch, capsys, forks, n):
-    # the writer takes populations 1..ceil(n/2) of the last snapshot and
-    # every population of the others; this process writes the rest
+def test_writer_takes_whole_snapshots(tmp_path, monkeypatch, capsys, forks,
+                                      n):
+    # the writer writes every population of every snapshot, the last one
+    # too; this process writes diagnostics.csv only
     parent, written, write = os.getpid(), [], cli._write_table
 
     def recorded(path, *args):
@@ -137,9 +150,7 @@ def test_last_snapshot_is_split(tmp_path, monkeypatch, capsys, forks, n):
     code, _, _ = command(monkeypatch, capsys, 2, [
         "run", "--config", str(ini), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert written == [f"pop{i}_t0.300.csv"
-                       for i in range((n + 1) // 2 + 1, n + 1)] \
-        + ["diagnostics.csv"]
+    assert written == ["diagnostics.csv"]
     assert len(os.listdir(tmp_path / "out")) == 4 * n + 1
     assert len(forks) == 1
     assert_no_child_left()
