@@ -10,9 +10,10 @@ and total-variation envelopes).  The `cli` module exposes the
 
 from .analysis import (BoundInputs, ParameterDeltas,
                        RunningEnvelope, StabilityBound, aggregate_inputs,
-                       bound_inputs_for, direction_norms, estimate_ci,
-                       kappa0, kernel_norms, stability_bound_deviation,
-                       stability_table, sup_gradient, tv_bound_deviation, wd)
+                       bound_inputs_for, diagnostics_header, direction_norms,
+                       estimate_ci, kappa0, kernel_norms, run_tables,
+                       stability_bound_deviation, stability_table,
+                       sup_gradient, tv_bound_deviation, wd)
 from .config import PopulationConfig, RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
                      EstimationError, NumericError, UnsupportedModelError)

@@ -10,8 +10,8 @@ before the first output time.
 The envelope inputs are measured here too: the sup of grad V, the
 direction-field norms and the sampled C_I (estimate_ci) all differentiate
 on the grid by one central-difference rule.  RunningEnvelope keeps the
-running sup of grad V along a run and evaluates from it every envelope
-the commands write.
+running sup of grad V along a run and evaluates the envelopes from it;
+run_tables and stability_table are the runs of the commands.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import ConfigurationError, EstimationError
 from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import NonlocalOperator
-from .solver import DEVIATION, ModelSpec, StepReport, run
+from .solver import DEVIATION, ModelSpec, RunResult, StepReport, run
 from .velocity import DirectionField
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
@@ -486,6 +486,61 @@ def stability_table(model: ModelSpec, datum1: PopulationField,
         drho0_l1=float(np.abs(datum1.data - datum2.data).sum()) * area)
     return [(t, d, stability_bound_deviation(t, agg, agg, deltas))
             for t, d in dists]
+
+
+def diagnostics_header(model: ModelSpec) -> str:
+    """The header of diagnostics.csv: t, dt, then each population's mass,
+    linf, tv, TV envelope (deviation family only) and escaped mass."""
+    names = ("mass", "linf", "tv", "tv_bound", "escaped") \
+        if model.family == DEVIATION else ("mass", "linf", "tv", "escaped")
+    return ",".join(["t", "dt"] + [f"{name}_{i + 1}" for i in range(model.n)
+                                   for name in names])
+
+
+def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
+               with_bounds: bool,
+               on_snapshot: Callable[[float, PopulationField], None],
+               diag_rows: list) -> tuple[RunResult, list[tuple]]:
+    """Run the model from the datum: its RunResult and the bounds.csv rows
+    (t, population, tv, tv_bound, slack, linf, linf_bound), taken under
+    with_bounds after on_snapshot(t, state) at each output time.  The
+    rows of diagnostics_header(model) go to diag_rows as the run reaches
+    them, so a failed run leaves them: t = 0, every diag_every-th step
+    and the final state unless the last step gave it.  Under with_bounds,
+    a differentiable model is a ConfigurationError."""
+    envelope = RunningEnvelope(model, datum) \
+        if with_bounds or model.family == DEVIATION else None
+    bound_rows = []
+
+    def diag_row(t, dt, state, escaped):
+        rec = norms(state)
+        cols = [rec.l1, rec.linf, rec.tv]
+        if envelope is not None:
+            cols.append([tv for tv, _ in envelope.bounds(t)])
+        diag_rows.append([t, dt, *np.column_stack((*cols, escaped)).ravel()])
+
+    def on_step(report, state, W):
+        if envelope is not None:
+            envelope.on_step(report, state, W)
+        if report.step % diag_every == 0:
+            diag_row(report.t, report.dt, state, report.escaped)
+
+    def snapshot(t, state):
+        on_snapshot(t, state)
+        if with_bounds:
+            rec = norms(state)
+            for i, (tvb, linfb) in enumerate(envelope.bounds(t)):
+                meas = float(rec.tv[i])
+                slack = tvb / meas if meas > 0 else math.inf
+                bound_rows.append((t, i + 1, meas, tvb, slack,
+                                   float(rec.linf[i]), linfb))
+
+    diag_row(0.0, 0.0, datum, np.zeros(model.n))
+    result = run(model, datum, on_snapshot=snapshot, on_step=on_step)
+    if len(result.reports) % diag_every:
+        diag_row(model.t_max, result.reports[-1].dt, result.state,
+                 result.escaped)
+    return result, bound_rows
 
 
 def _exp(x: float) -> float:

@@ -21,13 +21,13 @@ from typing import BinaryIO
 import numpy as np
 
 from . import forked
-from .analysis import RunningEnvelope, stability_table
+from .analysis import diagnostics_header, run_tables, stability_table
 from .config import RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
                      NumericError)
-from .grid import PopulationField, norms
+from .grid import PopulationField
 from .linearized import check_steps, gateaux_benchmark, gateaux_residual
-from .solver import DEVIATION, ModelSpec, check_datum, output_times, run
+from .solver import DEVIATION, ModelSpec, check_datum, output_times
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
@@ -266,7 +266,22 @@ def _cmd_run(args, with_bounds: bool) -> int:
         writer = (start(functools.partial(_write_snapshots, cfg.out_dir))
                   if procs > 1 else None)
         try:
-            return _run_model(cfg, with_bounds, writer)
+            model, datum = cfg.build()
+            check_datum(model, datum)  # before any output or envelope input
+            _check_snapshot_names(model)
+            _make_out_dir(cfg.out_dir)
+            diag_rows = []
+            try:
+                result, bound_rows = run_tables(
+                    model, datum, cfg.diag_every, with_bounds,
+                    lambda t, s: write_snapshot(s, t, cfg.out_dir, writer),
+                    diag_rows)
+                if writer is not None:  # wait for the last snapshot sent
+                    writer.send(forked.END)
+                    writer.finish()
+            finally:  # a failed run still leaves the rows it reached
+                _write_table(os.path.join(cfg.out_dir, "diagnostics.csv"),
+                             diagnostics_header(model), diag_rows)
         except BaseException:
             if writer is not None and writer.pid:
                 # told to finish, not killed, so that every snapshot sent
@@ -275,63 +290,6 @@ def _cmd_run(args, with_bounds: bool) -> int:
                     writer.send(forked.END)
                     writer.finish()
             raise
-
-
-def _run_model(cfg: RunConfig, with_bounds: bool,
-               writer: forked.Worker | None) -> int:
-    """The body of run and bounds, once _cmd_run has checked the family,
-    with snapshots written through writer (see write_snapshot)."""
-    deviation = cfg.family == DEVIATION
-    model, datum = cfg.build()
-    check_datum(model, datum)  # before any output or envelope input
-    _check_snapshot_names(model)
-    _make_out_dir(cfg.out_dir)
-    # a differentiable run has no envelope, so no tv_bound column
-    envelope = RunningEnvelope(model, datum) if deviation else None
-
-    diag_path = os.path.join(cfg.out_dir, "diagnostics.csv")
-    names = ("mass", "linf", "tv", "tv_bound", "escaped") if deviation \
-        else ("mass", "linf", "tv", "escaped")
-    header = ["t", "dt"] + [f"{name}_{i + 1}" for i in range(model.n)
-                            for name in names]
-    diag_rows, bound_rows = [], []
-
-    def diag_row(t, dt, state, escaped):
-        rec = norms(state)
-        cols = [rec.l1, rec.linf, rec.tv]
-        if envelope is not None:
-            cols.append([tv for tv, _ in envelope.bounds(t)])
-        per_pop = np.column_stack((*cols, escaped))
-        diag_rows.append([t, dt, *per_pop.ravel()])
-
-    def on_step(report, state, W):
-        if envelope is not None:
-            envelope.on_step(report, state, W)
-        if report.step % cfg.diag_every == 0:
-            diag_row(report.t, report.dt, state, report.escaped)
-
-    def on_snapshot(t, state):
-        write_snapshot(state, t, cfg.out_dir, writer)
-        if with_bounds:
-            rec = norms(state)
-            for i, (tvb, linfb) in enumerate(envelope.bounds(t)):
-                meas = float(rec.tv[i])
-                slack = tvb / meas if meas > 0 else math.inf
-                bound_rows.append((t, i + 1, meas, tvb, slack,
-                                   float(rec.linf[i]), linfb))
-
-    diag_row(0.0, 0.0, datum, np.zeros(model.n))
-    try:
-        result = run(model, datum, on_snapshot=on_snapshot, on_step=on_step)
-        if writer is not None:  # the last snapshot was sent: wait for it
-            writer.send(forked.END)
-            writer.finish()
-        # the final state, unless the last step already wrote its row
-        if len(result.reports) % cfg.diag_every:
-            diag_row(model.t_max, result.reports[-1].dt, result.state,
-                     result.escaped)
-    finally:  # a failed run still leaves the rows it reached
-        _write_table(diag_path, ",".join(header), diag_rows)
 
     total0 = float(datum.mass().sum())
     total1 = float(result.state.mass().sum() + result.escaped.sum())

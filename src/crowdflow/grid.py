@@ -206,10 +206,6 @@ class NormRecord:
     linf: np.ndarray
     tv: np.ndarray
 
-    @property
-    def l1_total(self) -> float:
-        return float(self.l1.sum())
-
 
 def indicator_datum(grid: GridSpec, value: float, rect: Rect) -> np.ndarray:
     """Cell averages of value * indicator(rect); exact partial-cell overlap.

@@ -8,15 +8,19 @@ import pytest
 from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
                        NumericError, ParameterDeltas, PopulationField,
                        RunningEnvelope, advection_field, aggregate_inputs,
-                       bound_inputs_for, direction_norms, kappa0,
-                       kernel_norms, bump_kernel, constant_direction,
+                       bound_inputs_for, diagnostics_header, direction_norms,
+                       kappa0, kernel_norms, bump_kernel, constant_direction,
                        linear_speed_law, make_grid, parse_config, preset,
-                       run, sample_kernel, stability_bound_deviation,
-                       stability_table, sup_gradient, tv_bound_deviation, wd)
+                       run, run_tables, sample_kernel,
+                       stability_bound_deviation, stability_table,
+                       sup_gradient, tv_bound_deviation, wd)
+from crowdflow import analysis, solver
 from crowdflow.analysis import LOG_MAX, _diff, _gronwall
-from crowdflow.cli import main
+from crowdflow.cli import _write_table, main
 from crowdflow.solver import DEVIATION, ModelSpec
 from crowdflow.nonlocal_ops import GradientAvoidance
+
+from test_cli import _solver_must_not_start
 
 
 # Envelope inputs of preset("crossing") at mesh 0.4, pinned bit for bit:
@@ -584,6 +588,78 @@ class TestStabilityTable:
         assert table[0][1] == drho0 > 0.0
         # the envelope dominates the measured distance
         assert all(0.0 < d <= b.value for _, d, b in table)
+
+
+class TestRunTables:
+    def test_rows_are_the_command_files(self, tmp_path, capsys):
+        # crossing at mesh 0.4 takes 12 steps: diagnostics at t = 0, step
+        # 10 and the final state; bound rows at t = 0 and 1
+        out = tmp_path / "cli"
+        assert main(["bounds", "--preset", "crossing", "--mesh", "0.4",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        cfg = preset("crossing").with_mesh(0.4)
+        model, datum = cfg.build()
+        seen, diag_rows = [], []
+        result, bound_rows = run_tables(
+            model, datum, cfg.diag_every, True,
+            lambda t, s: seen.append((t, s.copy())), diag_rows)
+        assert [t for t, _ in seen] == [0.0, 1.0]
+        assert np.array_equal(seen[-1][1].data, result.state.data)
+        assert [r[:2] for r in bound_rows] == [
+            (t, i) for t, _ in seen for i in (1, 2)]
+        _write_table(str(tmp_path / "diagnostics.csv"),
+                     diagnostics_header(model), diag_rows)
+        _write_table(str(tmp_path / "bounds.csv"),
+                     "t,population,tv,tv_bound,slack,linf,linf_bound",
+                     bound_rows)
+        for name in ("diagnostics.csv", "bounds.csv"):
+            assert (tmp_path / name).read_bytes() \
+                == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_failed_run_leaves_its_rows(self, monkeypatch, k):
+        # a NumericError in step k: rows at t = 0 and steps 1 ... k - 1
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        times = [r.t for r in run(model, datum).reports]
+        step, calls = solver.split_step, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == k:
+                raise NumericError("injected")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "split_step", failing)
+        diag_rows = []
+        with pytest.raises(NumericError, match="injected"):
+            run_tables(model, datum, 1, True, lambda t, s: None, diag_rows)
+        assert [row[0] for row in diag_rows] == [0.0, *times[:k - 1]]
+
+    def test_differentiable_has_no_envelope(self, monkeypatch):
+        monkeypatch.setattr(analysis, "bound_inputs_for",
+                            _solver_must_not_start)
+        cfg = replace(preset("crossing").with_mesh(0.4),
+                      family="differentiable", t_max=0.1)
+        model, datum = cfg.build()
+        header = diagnostics_header(model).split(",")
+        assert header == ["t", "dt"] + [f"{name}_{i}" for i in (1, 2)
+                                        for name in ("mass", "linf", "tv",
+                                                     "escaped")]
+        diag_rows = []
+        _, bound_rows = run_tables(model, datum, 1, False,
+                                   lambda t, s: None, diag_rows)
+        assert bound_rows == [] and len(diag_rows) > 2
+        assert {len(row) for row in diag_rows} == {len(header)}
+
+    def test_differentiable_bounds_is_a_configuration_error(self):
+        cfg = replace(preset("crossing").with_mesh(0.4),
+                      family="differentiable")
+        model, datum = cfg.build()
+        diag_rows = []
+        with pytest.raises(ConfigurationError, match="deviation family"):
+            run_tables(model, datum, 1, True, lambda t, s: None, diag_rows)
+        assert diag_rows == []
 
 
 class TestBoundInputAssembly:

@@ -21,7 +21,7 @@ import crowdflow
 from crowdflow import (ConfigurationError, NumericError, PopulationField,
                        advection_field, gateaux_benchmark, parse_config,
                        preset, run)
-from crowdflow import analysis, cli, forked, linearized
+from crowdflow import analysis, cli, forked, linearized, solver
 from crowdflow.analysis import sup_gradient
 from crowdflow.cli import (_write_rows, _write_table, main, read_snapshot,
                            write_snapshot)
@@ -459,7 +459,7 @@ class TestMain:
     @pytest.mark.parametrize("perturb", ["nan", "inf", "-0.1"])
     def test_stability_bad_perturb_exit_code(self, tmp_path, capsys,
                                              monkeypatch, perturb):
-        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        monkeypatch.setattr(solver, "split_step", _solver_must_not_start)
         out = tmp_path / "out"
         assert main(["stability", "--preset", "crossing", "--mesh", "0.4",
                      "--tmax", "0.1", "--perturb", perturb,
@@ -536,7 +536,7 @@ class TestMain:
     def test_non_finite_flag_exit_code(self, tmp_path, capsys, monkeypatch,
                                        args):
         # rejected when the model is built: the solver never starts
-        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        monkeypatch.setattr(solver, "split_step", _solver_must_not_start)
         out = tmp_path / "out"
         assert main(["run", "--preset", "crossing", *args,
                      "--out", str(out)]) == 1
@@ -559,7 +559,7 @@ class TestMain:
     def test_non_finite_config_value_exit_code(self, tmp_path, capsys,
                                                monkeypatch, section, key,
                                                value):
-        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        monkeypatch.setattr(solver, "split_step", _solver_must_not_start)
         sections = {"model": {"preset": "crossing", "tmax": "0.05"},
                     "grid": {"mesh": "0.4"}}
         sections.setdefault(section, {})[key] = value
@@ -574,7 +574,7 @@ class TestMain:
 
     def test_empty_room_exit_code(self, tmp_path, capsys, monkeypatch):
         # an inverted room holds no cell center: rejected with the grid
-        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        monkeypatch.setattr(solver, "split_step", _solver_must_not_start)
         p = tmp_path / "c.ini"
         p.write_text("[model]\npreset = crossing\n"
                      "[grid]\nmesh = 0.2\nroom = 3 2 -3 -2\n")
@@ -620,7 +620,7 @@ class TestMain:
                                                  monkeypatch, how):
         # run's strict mode checks only the deviation family's maximum
         # principle: on a differentiable run it would check nothing
-        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        monkeypatch.setattr(solver, "split_step", _solver_must_not_start)
         p = tmp_path / "c.ini"
         p.write_text(DIFFERENTIABLE_INI
                      + ("strict = true\n" if how == "ini" else ""))
@@ -637,7 +637,7 @@ class TestMain:
                                              monkeypatch, strict):
         # the differentiable family's L-infinity and TV estimates overflow
         # before the first output time: bounds would check nothing
-        monkeypatch.setattr(cli, "run", _solver_must_not_start)
+        monkeypatch.setattr(solver, "split_step", _solver_must_not_start)
         p = tmp_path / "c.ini"
         p.write_text(DIFFERENTIABLE_INI)
         out = tmp_path / "out"

@@ -7,8 +7,8 @@ module; `__init__.py` re-exports by importing, and `from __future__`
 imports are directives, so both are left out.  No package module but
 forked.py may call os.fork, reach the OpenBLAS thread control or read a
 private name of forked: the policy of who forks lives in one place.
-cli.py calls solver.run from _run_model only: every other run, such as
-the stability pair, is library logic.
+cli.py calls no run: every run, as run_tables for run and bounds and
+stability_table for the stability pair, is library logic.
 """
 
 import ast
@@ -143,9 +143,9 @@ def run_callers(source: str) -> list[str]:
     return found
 
 
-def test_cli_runs_the_model_in_one_place():
+def test_cli_calls_no_run():
     source = (ROOT / "src" / "crowdflow" / "cli.py").read_text()
-    assert run_callers(source) == ["_run_model"]
+    assert run_callers(source) == []
 
 
 def test_run_caller_checker_finds_each_kind():

@@ -157,12 +157,13 @@ def test_writer_takes_whole_snapshots(tmp_path, monkeypatch, capsys, forks,
 
 
 @pytest.mark.parametrize("blocked", [
-    "pop1_t0.100.csv", "pop1_t0.300.csv", "pop2_t0.300.csv"],
-    ids=["mid-run", "writer-share", "caller-share"])
+    "pop1_t0.100.csv", "pop1_t0.300.csv", "diagnostics.csv"],
+    ids=["mid-run", "writer-share", "caller-diagnostics"])
 def test_write_error_in_the_writer(tmp_path, monkeypatch, capsys, forks,
                                    blocked):
-    # a directory where a snapshot goes: exit 1 with the in-process
-    # message, before the run's report, and no child left
+    # a directory where a snapshot, or the caller's diagnostics.csv,
+    # goes: exit 1 with the in-process message, before the run's report,
+    # and no child left
     ini = tmp_path / "c.ini"
     ini.write_text(CROSSING)
     results = []
@@ -180,6 +181,8 @@ def test_write_error_in_the_writer(tmp_path, monkeypatch, capsys, forks,
     assert err2 == err
     # what the in-process path wrote before it stopped, the writer wrote
     assert {k: snaps2.get(k) for k in snaps} == snaps
+    if blocked == "diagnostics.csv":  # written after every snapshot
+        assert len(snaps2) == len(snaps) == 8
     assert len(forks) == 1
 
 
