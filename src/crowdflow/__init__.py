@@ -18,7 +18,7 @@ from .config import PopulationConfig, RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
                      EstimationError, NumericError, UnsupportedModelError)
 from .grid import (GridSpec, NormRecord, PopulationField, boundary,
-                   indicator_datum, make_grid, norms, room_mask)
+                   indicator_datum, make_grid, norms)
 from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
 from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
@@ -27,9 +27,8 @@ from .nonlocal_ops import GradientAvoidance, gradient_avoidance, saturate
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
                      StepReport, advection_field, cfl_dt, check_datum, run,
                      split_step)
-from .velocity import (DirectionField, SpeedLaw, constant_direction,
-                       constant_speed_law, discomfort, linear_speed_law,
-                       smoothed_total_density)
+from .velocity import (SpeedLaw, constant_direction, constant_speed_law,
+                       discomfort, linear_speed_law, smoothed_total_density)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

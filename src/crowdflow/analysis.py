@@ -28,9 +28,9 @@ from .grid import GridSpec, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import NonlocalOperator
 from .solver import DEVIATION, ModelSpec, RunResult, StepReport, run
-from .velocity import DirectionField
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
+D = 2  # space dimension of every grid
 
 
 def wd(d: int) -> float:
@@ -58,7 +58,6 @@ class BoundInputs:
     the gradient of the assembled advection field.
     """
 
-    d: int = 2
     tv0: float = math.nan
     q_sup: float = math.nan
     dq_sup: float = math.nan
@@ -71,14 +70,14 @@ class BoundInputs:
 
 
 def kappa0(inputs: BoundInputs) -> float:
-    """(2d + 1) sup|q'| sup|grad V|."""
-    return (2 * inputs.d + 1) * inputs.dq_sup * inputs.grad_v_sup
+    """(2D + 1) sup|q'| sup|grad V|."""
+    return (2 * D + 1) * inputs.dq_sup * inputs.grad_v_sup
 
 
 def tv_bound_deviation(t: float, inputs: BoundInputs) -> float:
     """TV envelope of the deviation model at time t."""
     k0 = kappa0(inputs)
-    cd = inputs.d * wd(inputs.d)
+    cd = D * wd(D)
     growth = _exp(k0 * t)
     return (_prod(inputs.tv0, growth)
             + _prod(cd, growth, inputs.q_sup, inputs.ci + inputs.div_sup, t))
@@ -115,7 +114,7 @@ def stability_bound_deviation(t: float, inputs1: BoundInputs,
     """
     ci = inputs1.ci
     k0 = kappa0(inputs1)
-    cd = inputs1.d * wd(inputs1.d)
+    cd = D * wd(D)
     tv_growth = (inputs1.tv0
                  + t * cd * inputs1.q_sup * (ci + inputs1.graddiv_l1))
     ek = _exp(k0 * t)
@@ -285,11 +284,10 @@ def kernel_norms(spec: KernelSpec, samples: int = 1201) -> dict:
                 hess_eta_sup=float(np.max(hess_max)))
 
 
-def direction_norms(direction: DirectionField, grid: GridSpec) -> dict:
-    """The discrete norms of a sampled direction field that the deviation
-    envelopes read: sup of |v|_1, sup and L1 of div v and L1 of
-    |grad div v|_1 (central differences)."""
-    v = direction.total
+def direction_norms(v: np.ndarray, grid: GridSpec) -> dict:
+    """The discrete norms of a sampled (2, nx, ny) direction field v that
+    the deviation envelopes read: sup of |v|_1, sup and L1 of div v and
+    L1 of |grad div v|_1 (central differences)."""
     area = grid.cell_area
     absv = np.abs(v[0]) + np.abs(v[1])
     div = _divergence(v, grid)
@@ -405,7 +403,7 @@ def bound_inputs_for(model: ModelSpec,
     if float(np.abs(datum.data).sum()) != 0.0:
         ci = estimate_ci(model.deviation,
                          [datum, PopulationField(datum.grid, 0.5 * datum.data)])
-    return [BoundInputs(d=2, tv0=float(rec.tv[i]), q_sup=law.q_sup,
+    return [BoundInputs(tv0=float(rec.tv[i]), q_sup=law.q_sup,
                         dq_sup=law.dq_sup,
                         **direction_norms(model.dirs[i], model.grid),
                         ci=float(ci[i]), grad_v_sup=0.0)
@@ -416,9 +414,8 @@ def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
     """Worst-case merge over populations (the sum for the datum's TV,
     maxima for parameter norms), matching the summed-TV convention."""
     params = {f.name: max(getattr(b, f.name) for b in per_pop)
-              for f in fields(BoundInputs) if f.name not in ("d", "tv0")}
-    return BoundInputs(d=per_pop[0].d, tv0=sum(b.tv0 for b in per_pop),
-                       **params)
+              for f in fields(BoundInputs) if f.name != "tv0"}
+    return BoundInputs(tv0=sum(b.tv0 for b in per_pop), **params)
 
 
 class RunningEnvelope:
@@ -434,7 +431,6 @@ class RunningEnvelope:
     """
 
     def __init__(self, model: ModelSpec, datum: PopulationField):
-        self.model = model
         self.grid = model.grid
         self.inputs = bound_inputs_for(model, datum)
         # sup_gradient's scratch, made at the first step: made here, before
@@ -442,27 +438,18 @@ class RunningEnvelope:
         # took 4.6x the minor page faults on some output paths
         self._work: np.ndarray | None = None
 
-    @property
-    def grad_v_sup(self) -> float:
-        return self.inputs[0].grad_v_sup
-
     def on_step(self, report: StepReport, state: PopulationField,
                 W: np.ndarray) -> None:
         if self._work is None:
             self._work = np.empty((2,) + W.shape[-2:])
-        sup = max(self.grad_v_sup, sup_gradient(W, self.grid, self._work))
+        sup = sup_gradient(W, self.grid, self._work)
         for bi in self.inputs:
-            bi.grad_v_sup = sup
+            bi.grad_v_sup = max(bi.grad_v_sup, sup)
 
-    def aggregate(self) -> BoundInputs:
-        """aggregate_inputs of the current inputs."""
-        return aggregate_inputs(self.inputs)
-
-    def bounds(self, t: float) -> list[tuple[float, float]]:
-        """(TV envelope, L-infinity envelope) of each population at t: the
-        TV envelope and the maximum principle's R."""
-        return [(tv_bound_deviation(t, bi), self.model.R)
-                for bi in self.inputs]
+    def bounds(self, t: float) -> list[float]:
+        """The TV envelope of each population at t.  The L-infinity
+        envelope is the maximum principle's model.R."""
+        return [tv_bound_deviation(t, bi) for bi in self.inputs]
 
 
 def stability_table(model: ModelSpec, datum1: PopulationField,
@@ -471,8 +458,8 @@ def stability_table(model: ModelSpec, datum1: PopulationField,
     """(t, L1 distance, its envelope) of the runs of the model from datum1
     and datum2 at t = 0 and each output time run reports.  A state of the
     first run is kept only until the second reaches its time.  The rows
-    come after both runs from one RunningEnvelope's aggregate, which
-    serves as both runs' inputs: they share every parameter."""
+    come after both runs from one RunningEnvelope's aggregate_inputs,
+    which serves as both runs' inputs: they share every parameter."""
     model = replace(model, snapshot_times=(0.0, *model.snapshot_times))
     envelope, area = RunningEnvelope(model, datum1), model.grid.cell_area
     states, dists = {}, []
@@ -481,7 +468,7 @@ def stability_table(model: ModelSpec, datum1: PopulationField,
     run(model, datum2, on_step=envelope.on_step,
         on_snapshot=lambda t, s: dists.append(
             (t, float(np.abs(states.pop(t).data - s.data).sum()) * area)))
-    agg = envelope.aggregate()
+    agg = aggregate_inputs(envelope.inputs)
     deltas = ParameterDeltas(
         drho0_l1=float(np.abs(datum1.data - datum2.data).sum()) * area)
     return [(t, d, stability_bound_deviation(t, agg, agg, deltas))
@@ -516,7 +503,7 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
         rec = norms(state)
         cols = [rec.l1, rec.linf, rec.tv]
         if envelope is not None:
-            cols.append([tv for tv, _ in envelope.bounds(t)])
+            cols.append(envelope.bounds(t))
         diag_rows.append([t, dt, *np.column_stack((*cols, escaped)).ravel()])
 
     def on_step(report, state, W):
@@ -529,11 +516,11 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
         on_snapshot(t, state)
         if with_bounds:
             rec = norms(state)
-            for i, (tvb, linfb) in enumerate(envelope.bounds(t)):
+            for i, tvb in enumerate(envelope.bounds(t)):
                 meas = float(rec.tv[i])
                 slack = tvb / meas if meas > 0 else math.inf
                 bound_rows.append((t, i + 1, meas, tvb, slack,
-                                   float(rec.linf[i]), linfb))
+                                   float(rec.linf[i]), model.R))
 
     diag_row(0.0, 0.0, datum, np.zeros(model.n))
     result = run(model, datum, on_snapshot=snapshot, on_step=on_step)

@@ -212,9 +212,13 @@ def _write_snapshots(out_dir: str, stream: BinaryIO) -> list[float]:
         nx, ny, t, k = int(head[0]), int(head[1]), float(head[6]), \
             int(head[7])
         data = forked.read_array(stream, (k, nx, ny))
-        for i in range(k):
-            _write_table(os.path.join(out_dir, _snapshot_name(i + 1, t)),
-                         _SNAPSHOT_HEADER, head[None, :7], data[i].T)
+        try:
+            for i in range(k):
+                _write_table(os.path.join(out_dir, _snapshot_name(i + 1, t)),
+                             _SNAPSHOT_HEADER, head[None, :7], data[i].T)
+        except ConfigurationError as exc:  # tells _cmd_run which snapshot
+            exc.snapshot_t = t
+            raise
     return []
 
 
@@ -270,15 +274,23 @@ def _cmd_run(args, with_bounds: bool) -> int:
             check_datum(model, datum)  # before any output or envelope input
             _check_snapshot_names(model)
             _make_out_dir(cfg.out_dir)
-            diag_rows = []
+            diag_rows, marks = [], {}
+
+            def snapshot(t, s):  # marks the rows reached at each output time
+                marks[t] = len(diag_rows)
+                write_snapshot(s, t, cfg.out_dir, writer)
+
             try:
                 result, bound_rows = run_tables(
-                    model, datum, cfg.diag_every, with_bounds,
-                    lambda t, s: write_snapshot(s, t, cfg.out_dir, writer),
+                    model, datum, cfg.diag_every, with_bounds, snapshot,
                     diag_rows)
                 if writer is not None:  # wait for the last snapshot sent
                     writer.send(forked.END)
                     writer.finish()
+            except ConfigurationError as exc:
+                if hasattr(exc, "snapshot_t"):  # the writer's, seen late:
+                    del diag_rows[marks[exc.snapshot_t]:]  # as in-process
+                raise
             finally:  # a failed run still leaves the rows it reached
                 _write_table(os.path.join(cfg.out_dir, "diagnostics.csv"),
                              diagnostics_header(model), diag_rows)

@@ -45,7 +45,7 @@ class GridSpec:
         if not all(map(math.isfinite, (self.x0, self.y0, *self.room))):
             raise ConfigurationError("grid origin and room must be finite")
         rx0, ry0, rx1, ry1 = self.room
-        eps = 1e-9 * max(self.width, self.height)
+        eps = self._tol()
         if rx0 < self.x0 - eps or ry0 < self.y0 - eps \
                 or rx1 > self.x1 + eps or ry1 > self.y1 + eps:
             raise ConfigurationError("room must lie inside the numerical domain")
@@ -72,6 +72,10 @@ class GridSpec:
     @property
     def height(self) -> float:
         return self.ny * self.dy
+
+    def _tol(self) -> float:
+        """1e-9 of the domain size, the slack of every domain comparison."""
+        return 1e-9 * max(self.width, self.height)
 
     @property
     def cell_area(self) -> float:
@@ -117,7 +121,7 @@ def boundary(grid: GridSpec) -> Boundary:
                     (grid.yc > ry0) & (grid.yc < ry1))
     xwall = np.pad(np.not_equal(room[1:], room[:-1]), ((1, 1), (0, 0)))
     ywall = np.pad(np.not_equal(room[:, 1:], room[:, :-1]), ((0, 0), (1, 1)))
-    tol = 1e-9 * max(grid.width, grid.height)
+    tol = grid._tol()
     # per side (in _SIDES order): centers along it, its edge room cells
     edges = {"left": (grid.yc, room[0]), "right": (grid.yc, room[-1]),
              "bottom": (grid.xc, room[:, 0]), "top": (grid.xc, room[:, -1])}
@@ -128,11 +132,6 @@ def boundary(grid: GridSpec) -> Boundary:
     for a in (room, xwall, ywall, *exits.values()):
         a.flags.writeable = False
     return Boundary(room, xwall, ywall, tuple(exits.values()))
-
-
-def room_mask(grid: GridSpec) -> np.ndarray:
-    """Read-only (nx, ny) mask of the room cells (see boundary)."""
-    return boundary(grid).room
 
 
 def make_grid(bounds: Rect, dx: float, dy: float,
@@ -220,7 +219,7 @@ def indicator_datum(grid: GridSpec, value: float, rect: Rect) -> np.ndarray:
     if not (all(map(math.isfinite, rect)) and rx0 < rx1 and ry0 < ry1):
         raise ConfigurationError("datum rectangle must be finite with x0 < x1 "
                                  f"and y0 < y1, got {tuple(rect)}")
-    eps = 1e-9 * max(grid.width, grid.height)
+    eps = grid._tol()
     if rx0 < grid.x0 - eps or ry0 < grid.y0 - eps \
             or rx1 > grid.x1 + eps or ry1 > grid.y1 + eps:
         raise ConfigurationError("indicator rectangle lies outside the grid bounds")

@@ -59,9 +59,6 @@ class KernelSpec:
                 raise ConfigurationError(
                     f"kernel half width must be positive and finite, got {hw}")
 
-    def __call__(self, x, y):
-        return self.fx(np.asarray(x, dtype=float)) * self.fy(np.asarray(y, dtype=float))
-
 
 def bump_kernel(half_width: float = 0.5, normalize: bool = False) -> KernelSpec:
     """Polynomial bump [1-(2x/w)^2]_+^3 per axis, support [-w/2, w/2]^2.

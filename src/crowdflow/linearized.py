@@ -27,9 +27,9 @@ from . import forked
 from .errors import ConfigurationError, UnsupportedModelError
 from .grid import PopulationField, has_live_cell, make_grid
 from .kernel import bump_kernel, sample_kernel
-from .solver import (DIFFERENTIABLE, ModelSpec, RunResult, StepReport,
-                     _face_buffers, _linear_flux, _sweep_xy, _velocity_field,
-                     run, split_step)
+from .solver import (DIFFERENTIABLE, TIME_TOL, ModelSpec, RunResult,
+                     StepReport, _face_buffers, _linear_flux, _sweep_xy,
+                     _velocity_field, run, split_step)
 from .velocity import (clamped_speed_arg, constant_direction,
                        linear_speed_law, smoothed_total_density)
 
@@ -71,8 +71,8 @@ def _linearized_step(sigma: PopulationField, rho: PopulationField,
         # e_k = ((rho_i v_i'(arg)) sconv) dir_i[k]; this order fixes e's bits
         s = np.multiply(rho.data[i], model.laws[i].dv(arg), out=e[0])
         s *= sconv
-        np.multiply(s, model.dirs[i].total[1], out=e[1])
-        s *= model.dirs[i].total[0]
+        np.multiply(s, model.dirs[i][1], out=e[1])
+        s *= model.dirs[i][0]
         _sweep_xy(sigma.data[i], W[i], _linear_flux, model.grid, dt, new[i],
                   e, faces)
     return PopulationField(model.grid, new)
@@ -205,7 +205,7 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
 
 
 def _until(model: ModelSpec, t: float) -> ModelSpec:
-    if abs(t - model.t_max) <= 1e-12:
+    if abs(t - model.t_max) <= TIME_TOL:
         return model
     return replace(model, t_max=t, snapshot_times=())
 

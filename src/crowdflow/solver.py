@@ -26,8 +26,7 @@ from .errors import (BoundViolationError, ConfigurationError, NumericError)
 from .grid import GridSpec, PopulationField, boundary, has_live_cell, live_box
 from .kernel import SampledKernel
 from .nonlocal_ops import NonlocalOperator
-from .velocity import (DirectionField, SpeedLaw, clamped_speed_arg,
-                       smoothed_total_density)
+from .velocity import SpeedLaw, clamped_speed_arg, smoothed_total_density
 
 DIFFERENTIABLE = "differentiable"
 DEVIATION = "deviation"
@@ -41,7 +40,7 @@ class ModelSpec:
     family: str
     grid: GridSpec
     laws: tuple[SpeedLaw, ...]
-    dirs: tuple[DirectionField, ...]
+    dirs: tuple[np.ndarray, ...]  # preferred directions, (2, nx, ny) each
     kernels: tuple[SampledKernel, ...] = ()
     deviation: NonlocalOperator | None = None
     R: float = 1.0
@@ -102,7 +101,7 @@ def advection_field(state: PopulationField, model: ModelSpec) -> np.ndarray:
     if model.family == DEVIATION:
         W = model.deviation(state)  # a new array, completed in place
         for i, d in enumerate(model.dirs):
-            W[i] += d.total
+            W[i] += d
         return W
     arg = clamped_speed_arg(smoothed_total_density(state, model.kernels))
     return _velocity_field(arg, model)
@@ -114,13 +113,9 @@ def _velocity_field(arg: np.ndarray, model: ModelSpec) -> np.ndarray:
     g = model.grid
     W = np.empty((model.n, 2, g.nx, g.ny))
     for i in range(model.n):
-        np.multiply(model.laws[i].v(arg)[None, :, :], model.dirs[i].total,
+        np.multiply(model.laws[i].v(arg)[None, :, :], model.dirs[i],
                     out=W[i])
     return W
-
-
-def _flux_is_linear(model: ModelSpec) -> bool:
-    return model.family == DIFFERENTIABLE
 
 
 def cfl_dt(state: PopulationField, V: np.ndarray, laws: Sequence[SpeedLaw],
@@ -293,7 +288,7 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
     if W is None:
         W = advection_field(state, model)
     g = state.grid
-    linear = _flux_is_linear(model)
+    linear = model.family == DIFFERENTIABLE
     new = np.zeros_like(state.data)
     outflow = np.zeros(state.n)
     for i in range(state.n):
@@ -371,7 +366,7 @@ def run(model: ModelSpec, datum: PopulationField,
         on_snapshot(0.0, state)
     events = [e for e in events if e > 0.0]
     step = 0
-    linear = _flux_is_linear(model)
+    linear = model.family == DIFFERENTIABLE
     faces = _face_buffers(model.grid)  # the run's, reused by every sweep
     while t < model.t_max - TIME_TOL:
         W = field(state, model)

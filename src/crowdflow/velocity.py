@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, PopulationField, room_mask
+from .grid import GridSpec, PopulationField, boundary
 from .kernel import SampledKernel, convolve
 
 UNDERSHOOT_TOL = 1e-10
@@ -28,44 +28,31 @@ UNDERSHOOT_TOL = 1e-10
 class SpeedLaw:
     """Scalar speed law v with derivative, certified on [0, R].
 
-    The sup norms of q and q' are computed once by a dense scan of
-    [0, R].  The deviation family's envelopes read both, and
-    `solver.cfl_dt` takes dq_sup, the sup of |q'|, as the wave-speed
-    factor of every step.  dv is the linearized step's.
+    q_sup and dq_sup, the sup norms of q and q', are set at construction
+    by a dense scan of [0, R].  The deviation family's envelopes read
+    both, and `solver.cfl_dt` takes dq_sup, the sup of |q'|, as the
+    wave-speed factor of every step.  dv is the linearized step's.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
     dv: Callable[[np.ndarray], np.ndarray]
     R: float
-    _scan: dict = field(default_factory=dict, compare=False, repr=False)
+    q_sup: float = field(init=False, compare=False)
+    dq_sup: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.R < math.inf:
             raise ConfigurationError(
                 f"maximal density R must be positive and finite, got {self.R}")
+        s = np.linspace(0.0, self.R, 10001)
+        object.__setattr__(self, "q_sup", float(np.abs(self.q(s)).max()))
+        object.__setattr__(self, "dq_sup", float(np.abs(self.dq(s)).max()))
 
     def q(self, rho):
         return rho * self.v(rho)
 
     def dq(self, rho):
         return self.v(rho) + rho * self.dv(rho)
-
-    def _norms(self) -> dict:
-        if not self._scan:
-            s = np.linspace(0.0, self.R, 10001)
-            self._scan.update(
-                q_sup=float(np.abs(self.q(s)).max()),
-                dq_sup=float(np.abs(self.dq(s)).max()),
-            )
-        return self._scan
-
-    @property
-    def q_sup(self) -> float:
-        return self._norms()["q_sup"]
-
-    @property
-    def dq_sup(self) -> float:
-        return self._norms()["dq_sup"]
 
 
 def _check_speed(value: float, what: str) -> None:
@@ -104,7 +91,7 @@ def discomfort(grid: GridSpec, delta_max: float, delta_r: float) -> np.ndarray:
         raise ConfigurationError(
             f"delta_r must be positive and finite, got {delta_r}")
     out = np.zeros((2, grid.nx, grid.ny))
-    mask = room_mask(grid)
+    mask = boundary(grid).room
     rx0, ry0, rx1, ry1 = grid.room
     X, Y = grid.xc[:, None], grid.yc[None, :]
 
@@ -124,25 +111,11 @@ def discomfort(grid: GridSpec, delta_max: float, delta_r: float) -> np.ndarray:
     return out
 
 
-@dataclass
-class DirectionField:
-    """Preferred direction of one population: the sum g + delta of a
-    geodesic field and a wall discomfort, (2, nx, ny) each.  Only the
-    sum, `total`, is kept."""
-
-    g: InitVar[np.ndarray]
-    delta: InitVar[np.ndarray]
-    total: np.ndarray = field(init=False)
-
-    def __post_init__(self, g: np.ndarray, delta: np.ndarray):
-        self.total = g + delta
-
-
 def constant_direction(grid: GridSpec, gx: float, gy: float,
                        delta_max: float = 0.0, delta_r: float = 0.75,
-                       restrict_to_room: bool = True) -> DirectionField:
-    """Constant geodesic field (gx, gy) inside the room plus discomfort.
-
+                       restrict_to_room: bool = True) -> np.ndarray:
+    """The constant geodesic field (gx, gy), inside the room under
+    restrict_to_room, plus discomfort: g + delta, shape (2, nx, ny).
     gx and gy must be finite, delta_max nonnegative and finite and
     delta_r positive and finite, or ConfigurationError is raised.
     """
@@ -155,14 +128,13 @@ def constant_direction(grid: GridSpec, gx: float, gy: float,
     if not 0 < delta_r < math.inf:
         raise ConfigurationError(
             f"delta_r must be positive and finite, got {delta_r}")
-    g = np.zeros((2, grid.nx, grid.ny))
-    g[0] = gx
-    g[1] = gy
+    g = np.empty((2, grid.nx, grid.ny))
+    g[0], g[1] = gx, gy
     if restrict_to_room:
-        g *= room_mask(grid)[None, :, :]
+        g *= boundary(grid).room[None, :, :]
     d = (discomfort(grid, delta_max, delta_r) if delta_max > 0
          else np.zeros_like(g))
-    return DirectionField(g=g, delta=d)
+    return g + d
 
 
 def clamped_speed_arg(arg: np.ndarray) -> np.ndarray:

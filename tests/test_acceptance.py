@@ -18,7 +18,7 @@ from crowdflow import (DIFFERENTIABLE, CostSpec, ModelSpec, PopulationField,
                        convolve, cost_and_gradient, gateaux_residual,
                        linear_speed_law, make_grid, norms, preset, run,
                        sample_kernel, split_step, tv_bound_deviation, wd)
-from crowdflow.analysis import RunningEnvelope
+from crowdflow.analysis import RunningEnvelope, aggregate_inputs
 from crowdflow.cli import main, read_snapshot
 from crowdflow.linearized import gateaux_benchmark
 
@@ -108,8 +108,9 @@ def test_05_tv_bound_domination():
     rows = []
 
     def on_snapshot(t, state):
+        agg = aggregate_inputs(envelope.inputs)
         rows.append((t, float(norms(state).tv.sum()),
-                     tv_bound_deviation(t, envelope.aggregate())))
+                     tv_bound_deviation(t, agg)))
 
     run(model, datum, on_step=envelope.on_step, on_snapshot=on_snapshot)
     ok = True

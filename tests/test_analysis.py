@@ -27,7 +27,7 @@ from test_cli import _solver_must_not_start
 # the parameter norms both populations share, each population's datum TV
 # and C_I
 CROSSING_PARAMS = dict(
-    d=2, q_sup=1.0, dq_sup=4.0, vec_sup=1.8, div_sup=1.0,
+    q_sup=1.0, dq_sup=4.0, vec_sup=1.8, div_sup=1.0,
     divvec_l1=25.600000000000005, graddiv_l1=64.00000000000001,
     grad_v_sup=0.0)
 CROSSING_TV0 = (14.400000000000002, 11.2)
@@ -35,7 +35,7 @@ CROSSING_CI = (0.634457974612126, 0.7006750996465252)
 
 
 def sample_inputs(**kw):
-    base = dict(d=2, tv0=5.0, q_sup=1.0, dq_sup=4.0, vec_sup=1.8,
+    base = dict(tv0=5.0, q_sup=1.0, dq_sup=4.0, vec_sup=1.8,
                 div_sup=1.5, divvec_l1=0.8, graddiv_l1=0.6, ci=0.5,
                 grad_v_sup=1.0)
     base.update(kw)
@@ -44,7 +44,7 @@ def sample_inputs(**kw):
 
 def all_ones(**kw):
     """BoundInputs with every norm 1.0, overridden by kw."""
-    base = {f.name: 1.0 for f in fields(BoundInputs) if f.name != "d"}
+    base = {f.name: 1.0 for f in fields(BoundInputs)}
     base.update(kw)
     return BoundInputs(**base)
 
@@ -86,7 +86,7 @@ class TestKappa0:
         assert kappa0(sample_inputs(grad_v_sup=0.0)) == 0.0
 
     def test_reference_value(self):
-        k = kappa0(sample_inputs(d=2, dq_sup=4.0, grad_v_sup=1.0))
+        k = kappa0(sample_inputs(dq_sup=4.0, grad_v_sup=1.0))
         assert k == pytest.approx(20.0)
 
     def test_linear_in_flux_derivative(self):
@@ -295,9 +295,9 @@ class TestCheckInvariance:
         grid = make_grid((0.0, 0.0, 1.0, 1.0), 0.05, 0.05,
                          room=(0.1, 0.1, 0.9, 0.9))
         model = self.deviation_model(grid)
-        from crowdflow import room_mask
+        from crowdflow import boundary
         datum = PopulationField.from_arrays(
-            grid, room_mask(grid).astype(float))
+            grid, boundary(grid).room.astype(float))
         result = run(model, datum)
         assert self.in_range(model, result)
         # v(R) = 0: nothing moves
@@ -442,7 +442,7 @@ class TestRunningEnvelope:
         model = replace(model, t_max=0.5, snapshot_times=())
         envelope = RunningEnvelope(model, datum)
         assert envelope.inputs == bound_inputs_for(model, datum)
-        assert envelope.grad_v_sup == 0.0
+        assert envelope.inputs[0].grad_v_sup == 0.0
         seen = []
 
         def on_step(report, state, W):
@@ -452,35 +452,32 @@ class TestRunningEnvelope:
                 == [max(seen)] * model.n
 
         run(model, datum, on_step=on_step)
-        first = envelope.grad_v_sup
+        first = envelope.inputs[0].grad_v_sup
         # a second run of a smaller datum keeps the sup over both
         run(model, PopulationField(model.grid, 0.5 * datum.data),
             on_step=on_step)
-        assert envelope.grad_v_sup == max(seen) >= first
-        assert envelope.aggregate() == replace(
+        assert envelope.inputs[0].grad_v_sup == max(seen) >= first
+        assert aggregate_inputs(envelope.inputs) == replace(
             aggregate_inputs(bound_inputs_for(model, datum)),
             grad_v_sup=max(seen))
 
     # the families that have envelopes
     @pytest.mark.parametrize("family", ["deviation"])
     def test_bounds_are_the_family_formulas(self, family):
-        # R = 1.25, not the default 1, so that the L-infinity envelope
-        # shows that it is the model's R
-        cfg = replace(preset("crossing").with_mesh(0.4), family=family,
-                      R=1.25)
+        cfg = replace(preset("crossing").with_mesh(0.4), family=family)
         model, datum = cfg.build()
         model = replace(model, t_max=0.2, snapshot_times=())
         envelope = RunningEnvelope(model, datum)
         ts = (0.0, 0.05, 0.2)
 
         def expected(t):
-            inputs = [replace(bi, grad_v_sup=envelope.grad_v_sup)
+            inputs = [replace(bi, grad_v_sup=envelope.inputs[0].grad_v_sup)
                       for bi in bound_inputs_for(model, datum)]
-            return [(tv_bound_deviation(t, bi), model.R) for bi in inputs]
+            return [tv_bound_deviation(t, bi) for bi in inputs]
 
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
         run(model, datum, on_step=envelope.on_step)
-        assert envelope.grad_v_sup > 0.0
+        assert envelope.inputs[0].grad_v_sup > 0.0
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
 
     def test_stability_is_the_deviation_formula(self):
@@ -617,6 +614,16 @@ class TestRunTables:
             assert (tmp_path / name).read_bytes() \
                 == (out / name).read_bytes()
 
+    def test_linf_bound_is_the_model_r(self):
+        # R = 1.25, not the default 1, so that the L-infinity envelope
+        # shows that it is the model's R
+        cfg = replace(preset("crossing").with_mesh(0.4), R=1.25)
+        model, datum = cfg.build()
+        _, bound_rows = run_tables(model, datum, cfg.diag_every, True,
+                                   lambda t, s: None, [])
+        assert len(bound_rows) == 4
+        assert {r[6] for r in bound_rows} == {model.R} == {1.25}
+
     @pytest.mark.parametrize("k", [1, 4])
     def test_failed_run_leaves_its_rows(self, monkeypatch, k):
         # a NumericError in step k: rows at t = 0 and steps 1 ... k - 1
@@ -680,7 +687,7 @@ class TestBoundInputAssembly:
     def test_aggregate_merges_every_parameter_field(self):
         # a parameter field left out of the merge would stay NaN
         params = [f.name for f in fields(BoundInputs)
-                  if f.name not in ("d", "tv0")]
+                  if f.name != "tv0"]
         lo = BoundInputs(**{name: 1.0 for name in params})
         hi = BoundInputs(**{name: 2.0 for name in params})
         agg = aggregate_inputs([lo, hi])

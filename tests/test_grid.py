@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from crowdflow import (ConfigurationError, GridSpec, NumericError,
                        PopulationField, boundary, discomfort,
-                       indicator_datum, make_grid, norms, room_mask)
+                       indicator_datum, make_grid, norms)
 from crowdflow.grid import live_box
 
 
@@ -282,7 +282,7 @@ class TestBoundary:
         except ConfigurationError:
             return
         b = boundary(g)
-        assert boundary(g) is b and room_mask(g) is b.room
+        assert boundary(g) is b
         for a in (b.room, b.xwall, b.ywall, *b.exits, *b.sweeps[0],
                   *b.sweeps[1]):
             assert not a.flags.writeable

@@ -1,5 +1,6 @@
 """Every import in the package and its tests is used, only forked.py
-forks, and every dotted name the README gives resolves.
+forks, and every dotted name and backticked CamelCase name the README
+gives resolves.
 
 No linter ships with the test dependencies, so these are small stdlib
 `ast` checks.  A name bound by an import must be read somewhere in its
@@ -172,12 +173,26 @@ def resolve(dotted: str) -> object:
     return obj
 
 
-README_NAMES = readme_names((ROOT / "README.md").read_text())
+def readme_classes(text: str) -> list[str]:
+    """Backticked CamelCase names in the text, such as `ModelSpec` or
+    `GradientAvoidance(eps)`: each names crowdflow.<Name>."""
+    return sorted(set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)\b",
+                                 text)))
+
+
+README_TEXT = (ROOT / "README.md").read_text()
+README_NAMES = readme_names(README_TEXT)
+README_CLASSES = readme_classes(README_TEXT)
 
 
 @pytest.mark.parametrize("dotted", README_NAMES)
 def test_readme_name_resolves(dotted):
     resolve(dotted)
+
+
+@pytest.mark.parametrize("name", README_CLASSES)
+def test_readme_class_resolves(name):
+    getattr(importlib.import_module("crowdflow"), name)
 
 
 def test_readme_names_found_and_checked():
@@ -188,3 +203,14 @@ def test_readme_names_found_and_checked():
         resolve("crowdflow.analysis.no_such_name")
     with pytest.raises(ModuleNotFoundError):
         resolve("crowdflow.invariance")
+
+
+def test_readme_classes_found_and_checked():
+    assert {"ModelSpec", "GradientAvoidance", "RunResult"} \
+        <= set(README_CLASSES)
+    assert readme_classes("`ModelSpec`, `GradientAvoidance(eps, k)`, "
+                          "`ModelSpec.dirs`, `V_i`, `OMP_NUM_THREADS`, "
+                          "`P = 1`, `Sigma_t sigma0`, ModelSpec2") \
+        == ["GradientAvoidance", "ModelSpec"]
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module("crowdflow"), "DirectionField")

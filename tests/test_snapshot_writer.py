@@ -163,7 +163,7 @@ def test_write_error_in_the_writer(tmp_path, monkeypatch, capsys, forks,
                                    blocked):
     # a directory where a snapshot, or the caller's diagnostics.csv,
     # goes: exit 1 with the in-process message, before the run's report,
-    # and no child left
+    # no child left, and the in-process diagnostics rows
     ini = tmp_path / "c.ini"
     ini.write_text(CROSSING)
     results = []
@@ -174,15 +174,19 @@ def test_write_error_in_the_writer(tmp_path, monkeypatch, capsys, forks,
             "run", "--config", str(ini), "--out", str(out)])
         assert (code, stdout) == (1, "")
         assert_no_child_left()
-        snaps = {k: v for k, v in files(out).items() if k.startswith("pop")}
-        results.append((err.replace(str(out), "OUT"), snaps))
-    (err, snaps), (err2, snaps2) = results
+        written = files(out)
+        snaps = {k: v for k, v in written.items() if k.startswith("pop")}
+        results.append((err.replace(str(out), "OUT"), snaps,
+                        written.get("diagnostics.csv")))
+    (err, snaps, diag), (err2, snaps2, diag2) = results
     assert err.startswith(f"configuration error: cannot write OUT/{blocked}")
     assert err2 == err
     # what the in-process path wrote before it stopped, the writer wrote
     assert {k: snaps2.get(k) for k in snaps} == snaps
     if blocked == "diagnostics.csv":  # written after every snapshot
         assert len(snaps2) == len(snaps) == 8
+    else:
+        assert diag is not None and diag2 == diag
     assert len(forks) == 1
 
 

@@ -11,7 +11,7 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, BoundViolationError,
                        advection_field, bump_kernel, cfl_dt, check_datum,
                        constant_direction, constant_speed_law,
                        indicator_datum, linear_speed_law, make_grid, preset,
-                       room_mask, run, sample_kernel, split_step)
+                       run, sample_kernel, split_step)
 from crowdflow import nonlocal_ops, solver
 from crowdflow.grid import boundary, live_box
 from crowdflow.solver import (MAX_PRINCIPLE_TOL, _face_buffers,
@@ -620,7 +620,7 @@ class TestRun:
         datum = PopulationField(
             corridor_grid,
             0.5 * rng.random((1, corridor_grid.nx, corridor_grid.ny))
-            * room_mask(corridor_grid))
+            * boundary(corridor_grid).room)
         res = run(model, datum)
         assert np.array_equal(res.state.data, datum.data)
         assert res.reports == []
@@ -657,7 +657,7 @@ class TestRun:
         # the room is the cells whose center lies inside, walled all round
         cfg = replace(preset("crossing").with_mesh(0.4), t_max=2.0)
         model, datum = cfg.build()
-        outside = ~room_mask(model.grid)
+        outside = ~boundary(model.grid).room
         assert outside.any() and not datum.data[:, outside].any()
         leaked = []
 
@@ -757,13 +757,11 @@ class TestRun:
         # q(R) = cR != 0: density piles above R under ordinary CFL steps
         grid = corridor_grid
         X = grid.xc[:, None]
-        from crowdflow import DirectionField
         g = np.zeros((2, grid.nx, grid.ny))
         g[0] = np.where(X < 0, 1.0, -1.0)  # compressive
-        direction = DirectionField(g=g, delta=np.zeros_like(g))
         model = ModelSpec(family=DEVIATION, grid=grid,
                           laws=(constant_speed_law(4.0, 1.0),),
-                          dirs=(direction,), deviation=no_deviation(grid),
+                          dirs=(g,), deviation=no_deviation(grid),
                           t_max=1.0, strict=True)
         datum = PopulationField.from_arrays(
             grid, indicator_datum(grid, 0.95, (-3.0, -2.0, 3.0, 2.0)))

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
                        GradientAvoidance, ModelSpec, PopulationField,
-                       advection_field, bump_kernel, constant_direction,
-                       constant_speed_law, convolve, discomfort,
-                       linear_speed_law, make_grid, room_mask, sample_kernel,
-                       smoothed_total_density)
+                       SpeedLaw, advection_field, boundary, bump_kernel,
+                       constant_direction, constant_speed_law, convolve,
+                       discomfort, linear_speed_law, make_grid,
+                       sample_kernel, smoothed_total_density)
 from crowdflow import velocity
 
 
@@ -46,6 +48,26 @@ class TestSpeedLaw:
         # q = 4 rho (1 - rho) peaks at 1; q' = 4(1 - 2 rho) peaks at 4
         assert law.q_sup == pytest.approx(1.0, abs=1e-6)
         assert law.dq_sup == pytest.approx(4.0, abs=1e-9)
+
+    def test_replaced_range_is_scanned_again(self):
+        # the sups are fields set at construction: a law with a new R
+        # carries the dense scan of the new [0, R], not the old one's.
+        # A constant law's v does not depend on R; linear_speed_law's v
+        # fixes its R, so replacing that R gives a different speed law
+        law = constant_speed_law(2.0, 1.0)
+        wide = replace(law, R=2.0)
+        s = np.linspace(0.0, 2.0, 10001)
+        assert wide.q_sup == float(np.abs(law.q(s)).max()) > law.q_sup
+        assert wide.dq_sup == float(np.abs(law.dq(s)).max())
+        assert (wide.v, wide.dv) == (law.v, law.dv)
+
+    def test_equality_is_v_dv_and_r(self):
+        law = linear_speed_law(4.0, 1.0)
+        same = SpeedLaw(v=law.v, dv=law.dv, R=1.0)
+        assert same == law and hash(same) == hash(law)
+        assert replace(law, R=2.0) != law
+        assert replace(law, R=2.0) == SpeedLaw(v=law.v, dv=law.dv, R=2.0)
+        assert SpeedLaw(v=law.v, dv=law.v, R=1.0) != law
 
     def test_constant_law(self):
         # q = 2 rho on [0, 1]: both sups are 2
@@ -113,7 +135,7 @@ class TestDiscomfort:
 
     def test_zero_outside_room(self, corridor_grid):
         d = discomfort(corridor_grid, 0.8, 0.75)
-        outside = ~room_mask(corridor_grid)
+        outside = ~boundary(corridor_grid).room
         assert np.all(d[:, outside] == 0.0)
 
     def test_magnitude_bounded(self, corridor_grid):
@@ -128,7 +150,7 @@ class TestAssembleDifferentiable:
         kern = sample_kernel(bump_kernel(0.5), corridor_grid)
         state = PopulationField.zeros(corridor_grid, 1)
         V = differentiable_field(state, [law], [direction], [kern])
-        assert np.allclose(V[0], 4.0 * direction.total, atol=1e-14)
+        assert np.allclose(V[0], 4.0 * direction, atol=1e-14)
 
     def test_constant_density_interior(self, unit_grid):
         law = linear_speed_law(4.0, 1.0)
@@ -200,7 +222,7 @@ class TestAssembleDeviation:
         r = rng.random((corridor_grid.nx, corridor_grid.ny)) * 0.9
         state = PopulationField.from_arrays(corridor_grid, r)
         V = deviation_velocity(state, [law], [direction], [[0.0]])
-        expect = law.v(r)[None] * direction.total
+        expect = law.v(r)[None] * direction
         assert np.allclose(V[0], expect, atol=1e-14)
 
     def test_full_density_stops(self, corridor_grid):
