@@ -23,12 +23,14 @@ from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
 from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
                          gateaux_residual, solve_linearized)
-from .nonlocal_ops import GradientAvoidance, gradient_avoidance, saturate
+from .nonlocal_ops import (GradientAvoidance, SharedAvoidance,
+                           gradient_avoidance, saturate)
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
                      StepReport, advection_field, cfl_dt, check_datum, run,
                      split_step)
-from .velocity import (SpeedLaw, constant_direction, constant_speed_law,
-                       discomfort, linear_speed_law, smoothed_total_density)
+from .velocity import (LinearSpeedLaw, SpeedLaw, constant_direction,
+                       constant_speed_law, discomfort, linear_speed_law,
+                       smoothed_total_density)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,6 +16,8 @@ run_tables and stability_table are the runs of the commands.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
@@ -23,11 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import forked
 from .errors import ConfigurationError, EstimationError
-from .grid import GridSpec, PopulationField, norms
+from .grid import GridSpec, NormRecord, PopulationField, norms
 from .kernel import KernelSpec
-from .nonlocal_ops import NonlocalOperator
-from .solver import DEVIATION, ModelSpec, RunResult, StepReport, run
+from .nonlocal_ops import GradientAvoidance, NonlocalOperator, SharedAvoidance
+from .solver import (DEVIATION, ModelSpec, RunResult, StepReport, check_range,
+                     run)
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
 D = 2  # space dimension of every grid
@@ -440,9 +444,17 @@ class RunningEnvelope:
 
     def on_step(self, report: StepReport, state: PopulationField,
                 W: np.ndarray) -> None:
+        self.include(self.measure(W))
+
+    def measure(self, W: np.ndarray) -> float:
+        """sup_gradient(W), of one field or a stack, in this object's
+        scratch."""
         if self._work is None:
             self._work = np.empty((2,) + W.shape[-2:])
-        sup = sup_gradient(W, self.grid, self._work)
+        return sup_gradient(W, self.grid, self._work)
+
+    def include(self, sup: float) -> None:
+        """Raise every population's grad_v_sup to at least sup."""
         for bi in self.inputs:
             bi.grad_v_sup = max(bi.grad_v_sup, sup)
 
@@ -494,40 +506,156 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
     rows of diagnostics_header(model) go to diag_rows as the run reaches
     them, so a failed run leaves them: t = 0, every diag_every-th step
     and the final state unless the last step gave it.  Under with_bounds,
-    a differentiable model is a ConfigurationError."""
+    a differentiable model is a ConfigurationError.
+
+    A deviation model of n >= 2 populations with a GradientAvoidance
+    operator is stepped by the P processes of a forked.sharing(n) scope
+    where P >= 2 (_split_run).  Each then calls on_snapshot with its own
+    populations (state.first is the first one's index), in its own
+    process, so what the callback keeps in memory stays there.  Every
+    table, state and error is the one-process run's.
+    """
     envelope = RunningEnvelope(model, datum) \
         if with_bounds or model.family == DEVIATION else None
     bound_rows = []
 
-    def diag_row(t, dt, state, escaped):
-        rec = norms(state)
+    def diag_row(t, dt, rec, escaped):
         cols = [rec.l1, rec.linf, rec.tv]
         if envelope is not None:
             cols.append(envelope.bounds(t))
         diag_rows.append([t, dt, *np.column_stack((*cols, escaped)).ravel()])
 
+    def bounds_at(t, tv, linf):
+        for i, tvb in enumerate(envelope.bounds(t)):
+            meas = float(tv[i])
+            slack = tvb / meas if meas > 0 else math.inf
+            bound_rows.append((t, i + 1, meas, tvb, slack, float(linf[i]),
+                               model.R))
+
     def on_step(report, state, W):
         if envelope is not None:
             envelope.on_step(report, state, W)
         if report.step % diag_every == 0:
-            diag_row(report.t, report.dt, state, report.escaped)
+            diag_row(report.t, report.dt, norms(state), report.escaped)
 
     def snapshot(t, state):
         on_snapshot(t, state)
         if with_bounds:
             rec = norms(state)
-            for i, tvb in enumerate(envelope.bounds(t)):
-                meas = float(rec.tv[i])
-                slack = tvb / meas if meas > 0 else math.inf
-                bound_rows.append((t, i + 1, meas, tvb, slack,
-                                   float(rec.linf[i]), model.R))
+            bounds_at(t, rec.tv, rec.linf)
 
-    diag_row(0.0, 0.0, datum, np.zeros(model.n))
-    result = run(model, datum, on_snapshot=snapshot, on_step=on_step)
+    diag_row(0.0, 0.0, norms(datum), np.zeros(model.n))
+    split = model.family == DEVIATION and model.n >= 2 \
+        and isinstance(model.deviation, GradientAvoidance)
+    with forked.sharing(model.n if split else 1) as (procs, start):
+        if procs == 1:
+            result = run(model, datum, on_snapshot=snapshot, on_step=on_step)
+        else:
+            result = _split_run(model, datum, procs, start, diag_every,
+                                with_bounds, on_snapshot, envelope,
+                                diag_row, bounds_at)
     if len(result.reports) % diag_every:
-        diag_row(model.t_max, result.reports[-1].dt, result.state,
+        diag_row(model.t_max, result.reports[-1].dt, norms(result.state),
                  result.escaped)
     return result, bound_rows
+
+
+def _split_run(model: ModelSpec, datum: PopulationField, procs: int,
+               start: Callable, diag_every: int, with_bounds: bool,
+               on_snapshot: Callable[[float, PopulationField], None],
+               envelope: RunningEnvelope, diag_row: Callable,
+               bounds_at: Callable) -> RunResult:
+    """run_tables' run in the procs processes of its sharing scope: the
+    caller and procs - 1 workers from start, each owning a contiguous
+    chunk of the populations, the caller the first and smallest.
+
+    Each process runs its chunk as a model of its own, whose operator is
+    the chunk's SharedAvoidance; the processes share, in lockstep, the
+    boxes of the saturated gradients, each chunk's cfl_dt (whose least
+    is the whole model's), and after each step each population's
+    outflow, escaped mass, min, max, sup_gradient of its field and, at
+    diagnostics steps, norms.  From these the caller builds the
+    StepReports, checks the maximum principle, raises the running sup of
+    the envelope and adds the table rows, as run_tables' one-process
+    hooks do.  A process writes its snapshots once the caller has taken
+    the step's checks.  The workers post their final states.  When the
+    run fails, every snapshot a process had begun is complete on disk:
+    at the time that failed, that can be more files than the one-process
+    run leaves.
+    """
+    n, g = model.n, model.grid
+    cuts = [p * n // procs for p in range(procs + 1)]
+    G = forked.shared_array((n, 2, g.nx, g.ny))
+    reports = []
+
+    def took_step(report, rows):  # the caller's: every population's rows
+        outflow, escaped, lo, hi, sup = rows[:, :5].T
+        full = StepReport(step=report.step, t=report.t, dt=report.dt,
+                          min=lo, max=hi, outflow=outflow, escaped=escaped)
+        reports.append(full)
+        check_range(model, full)
+        envelope.include(float(sup.max()))
+        if report.step % diag_every == 0:
+            diag_row(report.t, report.dt, NormRecord(*rows[:, 5:].T),
+                     escaped)
+
+    def own_run(a, b, lockstep) -> RunResult:
+        part = replace(model, laws=model.laws[a:b], dirs=model.dirs[a:b],
+                       kernels=model.kernels[a:b], strict=False,
+                       deviation=SharedAvoidance(model.deviation, G,
+                                                 lockstep.share))
+
+        def agree(dt):
+            return float(lockstep.share(np.array([dt])).min())
+
+        def on_step(report, state, W):
+            cols = [report.outflow, report.escaped, report.min, report.max,
+                    [envelope.measure(Wi) for Wi in W]]
+            if report.step % diag_every == 0:
+                rec = norms(state)
+                cols += [rec.l1, rec.linf, rec.tv]
+            rows = lockstep.share(np.column_stack(cols), back=False)
+            if lockstep.caller:
+                took_step(report, rows.reshape(n, -1))
+
+        def snapshot(t, state):
+            lockstep.share(np.empty(0))  # the caller has taken the step
+            on_snapshot(t, state)
+            if with_bounds:
+                rec = norms(state)
+                rows = lockstep.share(np.column_stack((rec.tv, rec.linf)),
+                                      back=False)
+                if lockstep.caller:
+                    bounds_at(t, *rows.reshape(n, 2).T)
+
+        return run(part, PopulationField(g, datum.data[a:b], a),
+                   on_snapshot=snapshot, on_step=on_step, agree=agree)
+
+    def work(a, b, channel) -> list[float]:
+        result = own_run(a, b, forked.Lockstep(channel=channel))
+        channel.post(result.state.data)
+        return []
+
+    workers = []
+    try:
+        workers += [start(functools.partial(work, a, b))
+                    for a, b in zip(cuts[1:], cuts[2:])]
+        own = own_run(0, cuts[1], forked.Lockstep(workers))
+        states = [own.state.data, *(w.receive().reshape(-1, g.nx, g.ny)
+                                    for w in workers)]
+        for w in workers:
+            w.finish()
+    except BaseException:
+        # told to finish, not killed, so that no snapshot file is left
+        # half-written: a worker ends at its next exchange
+        for w in workers:
+            if w.pid:
+                with contextlib.suppress(Exception):
+                    w.finish()
+        raise
+    escaped = reports[-1].escaped.copy() if reports else np.zeros(n)
+    return RunResult(PopulationField(g, np.concatenate(states)), reports,
+                     escaped)
 
 
 def _exp(x: float) -> float:

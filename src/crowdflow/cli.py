@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import BinaryIO
 
 import numpy as np
 
@@ -181,6 +180,7 @@ def write_snapshot(state: PopulationField, t: float, out_dir: str,
                    writer: forked.Worker | None = None) -> list[str]:
     """One CSV per population: header names, header values, then ny rows
     of nx densities (row j = y index ascending).  Deterministic bytes.
+    Population i of state is written as population state.first + i.
 
     With a writer (a forked.Worker running _write_snapshots), the values
     line and the densities are sent down its pipe as raw float64 bytes,
@@ -191,10 +191,11 @@ def write_snapshot(state: PopulationField, t: float, out_dir: str,
     g = state.grid
     _make_out_dir(out_dir)
     meta = [[g.nx, g.ny, g.x0, g.y0, g.dx, g.dy, t]]
-    paths = [os.path.join(out_dir, _snapshot_name(i + 1, t))
+    paths = [os.path.join(out_dir, _snapshot_name(state.first + i + 1, t))
              for i in range(state.n)]
     if writer is not None:
-        writer.send(np.array([*meta[0], state.n], dtype=np.float64))
+        writer.send(np.array([*meta[0], state.n, state.first],
+                             dtype=np.float64))
         writer.send(np.ascontiguousarray(state.data))
         return paths
     for path, data in zip(paths, state.data):
@@ -202,19 +203,21 @@ def write_snapshot(state: PopulationField, t: float, out_dir: str,
     return paths
 
 
-def _write_snapshots(out_dir: str, stream: BinaryIO) -> list[float]:
+def _write_snapshots(out_dir: str, stream: forked.Channel) -> list[float]:
     """A snapshot writer's job: the populations write_snapshot sends to
     stream, each written as write_snapshot writes it, up to the end
-    marker.  Each snapshot is its values line and the population count
-    k, eight float64 words, then k (nx, ny) density blocks."""
+    marker.  Each snapshot is its values line, the population count k
+    and the first population's index, nine float64 words, then k
+    (nx, ny) density blocks."""
     while (word := forked.read(stream, 8)) != forked.END:
-        head = np.frombuffer(word + forked.read(stream, 56))
-        nx, ny, t, k = int(head[0]), int(head[1]), float(head[6]), \
-            int(head[7])
+        head = np.frombuffer(word + forked.read(stream, 64))
+        nx, ny, t, k, first = int(head[0]), int(head[1]), float(head[6]), \
+            int(head[7]), int(head[8])
         data = forked.read_array(stream, (k, nx, ny))
         try:
             for i in range(k):
-                _write_table(os.path.join(out_dir, _snapshot_name(i + 1, t)),
+                _write_table(os.path.join(out_dir,
+                                          _snapshot_name(first + i + 1, t)),
                              _SNAPSHOT_HEADER, head[None, :7], data[i].T)
         except ConfigurationError as exc:  # tells _cmd_run which snapshot
             exc.snapshot_t = t
@@ -264,9 +267,12 @@ def _cmd_run(args, with_bounds: bool) -> int:
     # an output time strictly between 0 and t_max: with the first and
     # last alone it overlaps too little to pay for the halved BLAS
     # (crossing-fine, 640x320, slower in 9 of 10 run pairs on 2 vCPUs).
+    # run_tables steps a deviation model of two or more populations in
+    # as many processes, each writing its own snapshots: no writer then.
     inner = any(0 < t < cfg.t_max
                 for t in output_times(cfg.snapshot_times, cfg.t_max))
-    with forked.sharing(2 if inner else 1) as (procs, start):
+    split = deviation and cfg.n >= 2
+    with forked.sharing(2 if inner and not split else 1) as (procs, start):
         writer = (start(functools.partial(_write_snapshots, cfg.out_dir))
                   if procs > 1 else None)
         try:

@@ -1,5 +1,6 @@
 """Forked workers: the one place where the package forks, and the
-process plumbing the Gateaux replays and the snapshot writer share.
+process plumbing the Gateaux replays, the snapshot writer and the
+population steps of analysis.run_tables share.
 
 sharing(wanted) is the scope forked work runs in.  It decides how many
 processes P share the CPUs: min(wanted, usable CPUs) where os.fork and
@@ -10,13 +11,18 @@ before.  When the scope ends, by return or error, the count is restored
 and every worker that finish() has not reaped is killed and reaped.
 
 A Worker, forked by the start() the scope yields, runs one job on a
-stream of bytes the caller writes to its pipe: float64 words and raw
-array bytes, never pickles, read with dts, read and read_array.  It
-sends back one pickled reply, its floats or the exception it stopped
+Channel: a stream of bytes the caller writes to its pipe, float64 words
+and raw array bytes, never pickles, read with dts, read and read_array.
+It sends back one pickled reply, its floats or the exception it stopped
 at, with the warnings it recorded, which the caller re-issues through
 its own filters.  END closes each stream.  A stream that ends without
 it means the caller is gone: the worker then exits at its next read,
-without a reply, so none outlives its caller.
+without a reply, so none outlives its caller.  While it runs, a job can
+also post float64 arrays to the caller down a second pipe, and receive
+the arrays the caller posts to it; Lockstep exchanges rows of floats
+between the caller and its workers that way.  Large arrays that every
+process reads are shared_array()s: shared memory, written before or
+between the exchanges that order its readers and writers.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
 import pickle
 import struct
 import sys
 import warnings
-from typing import BinaryIO, Callable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from .errors import CrowdflowError
 # closes a stream: no dt, and no snapshot's leading grid size, is negative
 END = struct.pack("d", -1.0)
 
-Job = Callable[[BinaryIO], list[float]]
+Job = Callable[["Channel"], list[float]]
 
 
 @contextlib.contextmanager
@@ -72,18 +79,26 @@ def sharing(wanted: int) -> Iterator[tuple[int, Callable[[Job], Worker]]]:
             put(threads)
 
 
-def dts(stream: BinaryIO) -> Iterator[float]:
+def shared_array(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of zeros in anonymous shared memory: the workers
+    forked after it is made write to, and read, the caller's pages."""
+    nbytes = 8 * math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), count=nbytes // 8
+                         ).reshape(shape)
+
+
+def dts(stream: Channel) -> Iterator[float]:
     """The dts written to stream, up to END."""
     while (word := read(stream, len(END))) != END:
         yield struct.unpack("d", word)[0]
 
 
-def read_array(stream: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
+def read_array(stream: Channel, shape: tuple[int, ...]) -> np.ndarray:
     """The next float64 array of the given shape on stream."""
     return np.frombuffer(read(stream, 8 * math.prod(shape))).reshape(shape)
 
 
-def read(stream: BinaryIO, n: int) -> bytes:
+def read(stream: Channel, n: int) -> bytes:
     """The next n bytes of stream; a worker whose stream ends before
     them exits (its caller is gone)."""
     data = stream.read(n)
@@ -127,49 +142,67 @@ def _openblas_threads():
 
 
 class Worker:
-    """A forked process that runs job(stream) on what the caller writes
+    """A forked process that runs job(channel) on what the caller writes
     to it with send() and sends back the floats job returns.
 
     The worker records its warnings.  finish() re-issues them here and
     returns its floats, or raises the exception it stopped at, or
-    CrowdflowError if it ended without a result; send() does the same
-    once the worker has closed its end.  The worker closes every pipe
-    end it inherited from the earlier workers of its scope, so each
-    stream ends with the caller, and leaves through os._exit: with
-    status 1 and nothing written if sending its reply fails or its
-    stream ends early.
+    CrowdflowError if it ended without a result; send(), post() and
+    receive() do the same once the worker has closed its end.  The
+    worker closes every pipe end it inherited from the earlier workers
+    of its scope, so each stream ends with the caller, and leaves
+    through os._exit: with status 1 and nothing written if sending its
+    reply fails or its stream ends early.
     """
 
     def __init__(self, job: Job, earlier: list[Worker]):
         rfd, self._fd = os.pipe()          # caller -> worker
-        self._reply, wfd = os.pipe()       # worker -> caller
-        inherited = [self._fd, self._reply,
-                     *(fd for w in earlier for fd in (w._fd, w._reply))]
+        self._reply, wfd = os.pipe()       # worker -> caller: the reply
+        self._posts, pfd = os.pipe()       # worker -> caller: posts
+        inherited = [fd for w in (self, *earlier)
+                     for fd in (w._fd, w._reply, w._posts) if fd is not None]
         try:
             self.pid = os.fork()
         except BaseException:
-            for fd in (rfd, self._fd, self._reply, wfd):
+            for fd in (rfd, wfd, pfd, self._fd, self._reply, self._posts):
                 os.close(fd)
             raise
         if self.pid == 0:
-            _serve(job, rfd, wfd, inherited)
-        os.close(rfd)
-        os.close(wfd)
+            _serve(job, rfd, wfd, pfd, inherited)
+        for fd in (rfd, wfd, pfd):
+            os.close(fd)
 
     def send(self, data) -> None:
         """Write bytes, or a C-contiguous array's bytes, to the stream."""
-        view = memoryview(data).cast("B")
         try:
-            while view:
-                view = view[os.write(self._fd, view):]
+            _write(self._fd, data)
         except BrokenPipeError:
             self.finish()  # raises what stopped the worker
             raise
 
+    def post(self, array: np.ndarray) -> None:
+        """Send a float64 array, which the job's Channel.receive() reads
+        as a flat array."""
+        for data in _frame(array):
+            self.send(data)
+
+    def receive(self) -> np.ndarray:
+        """The next array the job posted, flat.  A worker that posts no
+        more, because its job ended or it was killed, is finished."""
+        head = _read_fd(self._posts, 8)
+        if len(head) == 8:
+            n = 8 * struct.unpack("q", head)[0]
+            data = _read_fd(self._posts, n)
+            if len(data) == n:
+                return np.frombuffer(data)
+        self.finish()  # raises what stopped the worker, if anything did
+        raise CrowdflowError("forked worker ended without posting")
+
     def finish(self) -> list[float]:
         """Wait for the worker and reap it: its floats, or its error."""
         os.close(self._fd)
-        self._fd = None
+        os.close(self._posts)
+        self._fd = self._posts = None
         with open(self._reply, "rb") as fh:
             self._reply = None
             reply = fh.read()
@@ -188,7 +221,7 @@ class Worker:
     def kill(self) -> None:
         """Close what finish() has not, and kill and reap the worker
         unless finish() has reaped it."""
-        for fd in (self._fd, self._reply):
+        for fd in (self._fd, self._reply, self._posts):
             if fd is not None:
                 os.close(fd)
         if self.pid:
@@ -197,11 +230,90 @@ class Worker:
             os.waitpid(self.pid, 0)
 
 
-def _serve(job: Job, rfd: int, wfd: int, inherited: list[int]) -> NoReturn:
-    """A worker's whole life: run job on the stream read from rfd, then
-    write the pickled (True, floats, warnings) or (False, exception,
-    warnings) to wfd.  The stream is closed first, so a caller still
-    writing to it stops at once."""
+class Channel:
+    """A worker's ends of its pipes: read(n) reads the caller's stream,
+    and post() and receive() exchange float64 arrays with the caller."""
+
+    def __init__(self, stream: BinaryIO, posts: int):
+        self._stream, self._posts = stream, posts
+
+    def read(self, n: int) -> bytes:
+        return self._stream.read(n)
+
+    def post(self, array: np.ndarray) -> None:
+        """Send a float64 array, which the caller's Worker.receive() reads
+        as a flat array."""
+        for data in _frame(array):
+            _write(self._posts, data)
+
+    def receive(self) -> np.ndarray:
+        """The next array the caller posted, flat."""
+        n = struct.unpack("q", read(self, 8))[0]
+        return read_array(self, (n,))
+
+
+class Lockstep:
+    """One process's end of the exchanges between a caller and its
+    workers: share(rows) gives every process's rows, stacked in process
+    order, the caller's first, once each process has given its own.
+
+    The caller's Lockstep holds its workers, in the order of their rows;
+    a worker's holds its Channel.  The caller takes the workers' rows in
+    that order, so the first of them to have stopped is the one whose
+    error it raises.
+    """
+
+    def __init__(self, workers: Sequence[Worker] = (),
+                 channel: Channel | None = None):
+        self.workers, self.channel = workers, channel
+
+    @property
+    def caller(self) -> bool:
+        return self.channel is None
+
+    def share(self, rows: np.ndarray, back: bool = True) -> np.ndarray | None:
+        """The stacked rows, flat.  With back False only the caller gets
+        them, and a worker goes on without waiting (it gets None)."""
+        if not self.caller:
+            self.channel.post(rows)
+            return self.channel.receive() if back else None
+        stacked = np.concatenate([np.ravel(rows),
+                                  *(w.receive() for w in self.workers)])
+        if back:
+            for w in self.workers:
+                w.post(stacked)
+        return stacked
+
+
+def _frame(array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A posted array as written: its size, then its float64 bytes."""
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    return struct.pack("q", array.size), array
+
+
+def _write(fd: int, data) -> None:
+    """Write bytes, or a C-contiguous array's bytes, to the pipe fd."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_fd(fd: int, n: int) -> bytes:
+    """n bytes from the pipe fd, or fewer where it ends first."""
+    chunks = []
+    while n > 0 and (chunk := os.read(fd, n)):
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _serve(job: Job, rfd: int, wfd: int, pfd: int,
+           inherited: list[int]) -> NoReturn:
+    """A worker's whole life: run job on the stream read from rfd and the
+    posts written to pfd, then write the pickled (True, floats,
+    warnings) or (False, exception, warnings) to wfd.  The stream and
+    the posts are closed first, so a caller still writing to the one, or
+    waiting on the other, stops at once."""
     code = 1
     try:
         for fd in inherited:
@@ -209,9 +321,10 @@ def _serve(job: Job, rfd: int, wfd: int, inherited: list[int]) -> NoReturn:
         with warnings.catch_warnings(record=True) as caught:
             with open(rfd, "rb") as stream:
                 try:
-                    reply = (True, job(stream))
+                    reply = (True, job(Channel(stream, pfd)))
                 except Exception as exc:
                     reply = (False, exc)
+                os.close(pfd)
         warned = [(w.message, w.category, w.filename, w.lineno)
                   for w in caught]
         with open(wfd, "wb") as fh:

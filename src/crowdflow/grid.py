@@ -167,10 +167,17 @@ def _divide_extent(length: float, h: float, axis: str) -> int:
 
 @dataclass
 class PopulationField:
-    """Densities of n populations on one grid; data shape (n, nx, ny)."""
+    """Densities of n populations on one grid; data shape (n, nx, ny).
+
+    A field can hold populations first, ..., first + n - 1 of a larger
+    one, as each process that steps a part of a model's populations
+    holds its own (analysis.run_tables): first numbers its populations
+    in error messages and snapshot names.
+    """
 
     grid: GridSpec
     data: np.ndarray
+    first: int = 0
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -184,7 +191,7 @@ class PopulationField:
         return self.data.shape[0]
 
     def copy(self) -> "PopulationField":
-        return PopulationField(self.grid, self.data.copy())
+        return PopulationField(self.grid, self.data.copy(), self.first)
 
     @classmethod
     def zeros(cls, grid: GridSpec, n: int) -> "PopulationField":
@@ -268,8 +275,8 @@ def norms(fld: PopulationField) -> NormRecord:
     g = fld.grid
     finite = np.isfinite(fld.data).all(axis=(1, 2))
     if not finite.all():
-        raise NumericError(
-            f"non-finite value in population {int(finite.argmin())}")
+        raise NumericError(f"non-finite value in population "
+                           f"{fld.first + int(finite.argmin())}")
     # one stack-sized temporary at a time, each |.| taken in place
     absolute = np.abs(fld.data)
     l1 = absolute.sum(axis=(1, 2)) * g.cell_area

@@ -19,7 +19,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         defect = state.data - rho_t - h * sigma_t
         return float(np.abs(defect).sum()) * rho0.grid.cell_area
 
-    def work(chunk: list[float], stream: BinaryIO) -> list[float]:
+    def work(chunk: list[float], stream: forked.Channel) -> list[float]:
         """A worker's job: its chunk in lockstep with the stream."""
         states = replay(chunk, forked.dts(stream), _face_buffers(model.grid))
         rho_t = forked.read_array(stream, rho0.data.shape)

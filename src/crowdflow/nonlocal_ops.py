@@ -10,6 +10,9 @@ hypothesis that controls all deviation-model bounds.  It computes,
 saturates and sums each term only on rho_j's live box (grid.live_box)
 widened by the kernel's bandwidths, where the smoothed gradient can be
 nonzero.
+SharedAvoidance gives the rows of some populations of that operator to
+the processes that step a field's populations in parallel
+(analysis.run_tables).
 Custom operators are any callables of the same signature.  The module
 holds operators only; the sampled Lipschitz constant of an operator is
 analysis.estimate_ci.
@@ -56,28 +59,48 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
     one grid-sized scratch for the left products and every eps term.
     """
     n, g = state.n, state.grid
-    if eps.shape != (n, n):
-        raise ConfigurationError(
-            f"avoidance matrix of shape {eps.shape} for {n} populations")
+    _check_eps(eps, n)
     out = np.zeros((n, 2, g.nx, g.ny))
     G = np.empty((2, g.nx, g.ny))
     scratch = np.empty((g.nx, g.ny))
     for j in range(n):
         if not eps[:, j].any():
             continue
-        rows, cols = live_box(state.data[j],
-                              pad=(k.bandwidth_x, k.bandwidth_y))
-        if rows.start == rows.stop:
+        box = _saturated_gradient(state.data[j], k, G, scratch)
+        if box[0].start == box[0].stop:
             continue
-        convolve_gradient(state.data[j], k, G, scratch, box=(rows, cols))
+        for i in range(n):
+            _subtract_term(out[i], eps[i, j], G, box, scratch)
+    return out
+
+
+def _check_eps(eps: np.ndarray, n: int) -> None:
+    if eps.shape != (n, n):
+        raise ConfigurationError(
+            f"avoidance matrix of shape {eps.shape} for {n} populations")
+
+
+def _saturated_gradient(rho: np.ndarray, k: SampledKernel, G: np.ndarray,
+                        scratch: np.ndarray) -> tuple[slice, slice]:
+    """N(grad(rho conv eta)) into G, (2, nx, ny), on rho's live box
+    widened by the kernel's bandwidths, which it returns (empty, and G
+    untouched, for an empty rho); scratch takes the left products."""
+    rows, cols = live_box(rho, pad=(k.bandwidth_x, k.bandwidth_y))
+    if rows.start < rows.stop:
+        convolve_gradient(rho, k, G, scratch, box=(rows, cols))
         Gw = G[:, rows, cols]
         saturate(Gw, out=Gw)
-        term = scratch[rows, cols]
-        for i in range(n):
-            for c in (0, 1):
-                out[i, c, rows, cols] -= np.multiply(eps[i, j], Gw[c],
-                                                     out=term)
-    return out
+    return rows, cols
+
+
+def _subtract_term(out: np.ndarray, e: float, G: np.ndarray,
+                   box: tuple[slice, slice], scratch: np.ndarray) -> None:
+    """out -= e G on box, for (2, nx, ny) out and G, with each product
+    in scratch."""
+    rows, cols = box
+    term = scratch[rows, cols]
+    for c in (0, 1):
+        out[c, rows, cols] -= np.multiply(e, G[c, rows, cols], out=term)
 
 
 @dataclass(frozen=True)
@@ -100,3 +123,45 @@ class GradientAvoidance:
 
     def __call__(self, state: PopulationField) -> np.ndarray:
         return gradient_avoidance(state, self.eps, self.kernel)
+
+
+@dataclass(frozen=True)
+class SharedAvoidance:
+    """The rows of a GradientAvoidance operator for the populations that
+    one of the processes stepping a field holds, called on those
+    populations (a PopulationField with its own first).
+
+    Each process saturates the gradients of its own populations j into
+    G[j] of one (n, 2, nx, ny) array in memory the processes share, and
+    share(boxes), a forked.Lockstep's, exchanges the box each wrote (all
+    four bounds 0 where gradient_avoidance skips j).  Then each builds
+    its own I_i from every G_j on its box, in j order, as
+    gradient_avoidance does: the rows are that call's, bit for bit.
+    The caller of the operator shares a value, such as its time step,
+    before any process computes the next gradients, so that no process
+    overwrites a G_j that another still reads.
+    """
+
+    op: GradientAvoidance
+    G: np.ndarray
+    share: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, state: PopulationField) -> np.ndarray:
+        eps, k, g = self.op.eps, self.op.kernel, state.grid
+        _check_eps(eps, len(self.G))
+        own = range(state.first, state.first + state.n)
+        scratch = np.empty((g.nx, g.ny))
+        boxes = np.zeros((state.n, 4))
+        for j, rho in zip(own, state.data):
+            if eps[:, j].any():
+                rows, cols = _saturated_gradient(rho, k, self.G[j], scratch)
+                boxes[j - state.first] = (rows.start, rows.stop, cols.start,
+                                          cols.stop)
+        boxes = self.share(boxes).reshape(-1, 4).astype(int)
+        out = np.zeros((state.n, 2, g.nx, g.ny))
+        for out_i, i in zip(out, own):
+            for j, (r0, r1, c0, c1) in enumerate(boxes):
+                if r0 < r1:
+                    _subtract_term(out_i, eps[i, j], self.G[j],
+                                   (slice(r0, r1), slice(c0, c1)), scratch)
+        return out

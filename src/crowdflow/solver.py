@@ -143,7 +143,8 @@ def cfl_dt(state: PopulationField, V: np.ndarray, laws: Sequence[SpeedLaw],
         # max|V_i| without a |V_i| array; np.maximum keeps a NaN
         s = slope * float(np.maximum(V[i].max(), -V[i].min()))
         if not np.isfinite(s):
-            raise NumericError(f"non-finite wave speed in population {i}")
+            raise NumericError(
+                f"non-finite wave speed in population {state.first + i}")
         smax = max(smax, s)
     if smax <= 0.0:
         if not np.isfinite(dt_cap):
@@ -299,10 +300,10 @@ def split_step(state: PopulationField, model: ModelSpec, dt: float,
         if not np.all(np.isfinite(window)):
             bad = np.argwhere(~np.isfinite(window))[0]
             raise NumericError(
-                f"non-finite density in population {i} at cell "
+                f"non-finite density in population {state.first + i} at cell "
                 f"({g.xc[rows.start + bad[0]]:.4g}, "
                 f"{g.yc[cols.start + bad[1]]:.4g})")
-    return PopulationField(g, new), outflow
+    return PopulationField(g, new, state.first), outflow
 
 
 def check_datum(model: ModelSpec, datum: PopulationField) -> None:
@@ -326,7 +327,18 @@ def check_datum(model: ModelSpec, datum: PopulationField) -> None:
     if held.any():
         raise ConfigurationError(
             f"datum puts mass outside the room in population "
-            f"{int(held.argmax())}")
+            f"{datum.first + int(held.argmax())}")
+
+
+def check_range(model: ModelSpec, report: StepReport) -> None:
+    """Under model.strict, raise BoundViolationError where a deviation-
+    family step left [0, R] by more than MAX_PRINCIPLE_TOL."""
+    if model.strict and model.family == DEVIATION:
+        if (report.min.min() < -MAX_PRINCIPLE_TOL
+                or report.max.max() > model.R + MAX_PRINCIPLE_TOL):
+            raise BoundViolationError(
+                f"maximum principle violated at t={report.t:.6g}: "
+                f"range [{report.min.min():.3e}, {report.max.max():.6f}]")
 
 
 def output_times(snapshot_times: Sequence[float], t_max: float) -> list[float]:
@@ -339,7 +351,7 @@ def run(model: ModelSpec, datum: PopulationField,
         on_snapshot: Callable[[float, PopulationField], None] | None = None,
         on_step: Callable[[StepReport, PopulationField, np.ndarray], None] | None = None,
         *, field: Callable[[PopulationField, ModelSpec], np.ndarray] | None = None,
-        ) -> RunResult:
+        agree: Callable[[float], float] | None = None) -> RunResult:
     """Integrate the model from the datum to t_max.
 
     Snapshot times are hit exactly (dt truncated at them).  on_step
@@ -350,8 +362,10 @@ def run(model: ModelSpec, datum: PopulationField,
     model) computes each step's frozen field from the pre-step state
     (advection_field when None, looked up at the call); a hook that
     returns advection_field's value can keep what it computed on the
-    way, as the linearized solve keeps the speed argument.  The datum
-    must pass check_datum.
+    way, as the linearized solve keeps the speed argument.  agree(dt)
+    gives the dt each step takes from cfl_dt's: the least one of the
+    runs that step the parts of one model's populations side by side
+    (analysis.run_tables).  The datum must pass check_datum.
     """
     if field is None:
         field = advection_field
@@ -372,6 +386,8 @@ def run(model: ModelSpec, datum: PopulationField,
         W = field(state, model)
         dt = cfl_dt(state, W, model.laws, model.cfl,
                     dt_cap=events[0] - t, linear_flux=linear)
+        if agree is not None:
+            dt = agree(dt)
         state, outflow = split_step(state, model, dt, W, faces)
         escaped += outflow
         t += dt
@@ -380,12 +396,7 @@ def run(model: ModelSpec, datum: PopulationField,
             step=step, t=t, dt=dt, min=state.data.min(axis=(1, 2)),
             max=state.data.max(axis=(1, 2)), outflow=outflow, escaped=escaped.copy())
         reports.append(report)
-        if model.strict and model.family == DEVIATION:
-            if (report.min.min() < -MAX_PRINCIPLE_TOL
-                    or report.max.max() > model.R + MAX_PRINCIPLE_TOL):
-                raise BoundViolationError(
-                    f"maximum principle violated at t={t:.6g}: "
-                    f"range [{report.min.min():.3e}, {report.max.max():.6f}]")
+        check_range(model, report)
         if on_step is not None:
             on_step(report, state, W)
         while events and t >= events[0] - TIME_TOL:

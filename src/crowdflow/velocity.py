@@ -61,13 +61,35 @@ def _check_speed(value: float, what: str) -> None:
             f"{what} must be nonnegative and finite, got {value}")
 
 
+@dataclass(frozen=True)
+class LinearSpeedLaw(SpeedLaw):
+    """v(rho) = vmax (1 - rho / R); vanishes at the maximal density R.
+
+    v and dv are built from the law's own vmax and R, so a law with a
+    replaced vmax or R (dataclasses.replace) is the law built from the
+    new data, and two laws are equal when their vmax and R are.
+    """
+
+    v: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
+                                                  compare=False)
+    dv: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
+                                                   compare=False)
+    R: float = 1.0
+    vmax: float = 4.0
+
+    def __post_init__(self):
+        _check_speed(self.vmax, "vmax")
+        vmax, R = self.vmax, self.R
+        object.__setattr__(self, "v", lambda r: vmax * (
+            1.0 - np.asarray(r, dtype=float) / R))
+        object.__setattr__(self, "dv", lambda r: np.full_like(
+            np.asarray(r, dtype=float), -vmax / R))
+        super().__post_init__()
+
+
 def linear_speed_law(vmax: float = 4.0, R: float = 1.0) -> SpeedLaw:
     """v(rho) = vmax (1 - rho / R); vanishes at the maximal density R."""
-    _check_speed(vmax, "vmax")
-    return SpeedLaw(
-        v=lambda r: vmax * (1.0 - np.asarray(r, dtype=float) / R),
-        dv=lambda r: np.full_like(np.asarray(r, dtype=float), -vmax / R),
-        R=R)
+    return LinearSpeedLaw(R=R, vmax=vmax)
 
 
 def constant_speed_law(c: float, R: float = 1.0) -> SpeedLaw:

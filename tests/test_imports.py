@@ -82,9 +82,10 @@ def test_checker_finds_unused_and_skips_used():
     assert unused_imports(source) == [("field", 4), ("os", 2)]
 
 
-# os.fork, a private name of forked, or an OpenBLAS thread-control name
-FORKING = re.compile(r"(^|\.)os\.fork$|(^|\.)forked\._|openblas|num_threads",
-                     re.I)
+# os.fork, a private name of forked, an OpenBLAS thread-control name, or
+# the mmap module (shared memory)
+FORKING = re.compile(r"(^|\.)os\.fork$|(^|\.)forked\._|openblas|num_threads"
+                     r"|(^|\.)mmap(\.|$)", re.I)
 
 
 def _dotted(node: ast.AST) -> str:
@@ -102,6 +103,8 @@ def forking_names(source: str) -> list[tuple[str, int]]:
             names = [_dotted(node)]
         elif isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
         else:
             continue
         found += [(name, node.lineno) for name in names
@@ -125,11 +128,17 @@ def test_forking_checker_finds_each_kind():
               "get, put = forked._openblas_threads()\n"
               "lib.openblas_set_num_threads(1)\n"
               "with forked.sharing(2) as (procs, start):\n"
-              "    start(job).send(forked.END)\n")
+              "    start(job).send(forked.END)\n"
+              "import mmap\n"
+              "buf = mmap.mmap(-1, 8)\n"
+              "from mmap import mmap as shared\n"
+              "G = forked.shared_array((2, 3))\n"
+              "summary = mmapped + immap\n")
     assert forking_names(source) == [
         ("crowdflow.forked._usable_cpus", 3),
         ("forked._openblas_threads", 6),
-        ("lib.openblas_set_num_threads", 7), ("os.fork", 4), ("os.fork", 5)]
+        ("lib.openblas_set_num_threads", 7), ("mmap", 10), ("mmap", 11),
+        ("mmap.mmap", 11), ("mmap.mmap", 12), ("os.fork", 4), ("os.fork", 5)]
 
 
 def run_callers(source: str) -> list[str]:

@@ -2,10 +2,13 @@
 depend on whether it runs, and it never outlives or loses its caller's
 snapshots.
 
-Where it can fork, the command sends each snapshot's densities down a
-pipe to one writer process, which formats every population of every
-snapshot.  Every test compares with the in-process path, taken with one
-usable CPU.
+Where it can fork, and the run is stepped in one process, the command
+sends each snapshot's densities down a pipe to one writer process, which
+formats every population of every snapshot.  A deviation run of two or
+more populations is stepped in several processes instead
+(tests/test_split_steps.py), each writing its own snapshots, and forks
+no writer; so the writer's tests run one population.  Every test
+compares with the in-process path, taken with one usable CPU.
 """
 
 import os
@@ -46,6 +49,27 @@ def populations_ini(n: int) -> str:
 CONFIGS = {"crossing": (CROSSING, 2),
            "evacuation": (CROSSING.replace("crossing", "evacuation"), 2),
            "one": (populations_ini(1), 1), "three": (populations_ini(3), 3)}
+ONE = populations_ini(1)  # stepped in one process: the writer's case
+
+
+def forked_count(n: int, cpus: int) -> int:
+    """The processes a run of n populations forks with cpus usable CPUs
+    and inner output times: a writer for one population, else a worker
+    for each chunk of populations but the caller's."""
+    return int(cpus > 1) if n == 1 else min(n, cpus) - 1
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """The name of the job of each worker the command starts."""
+    started, init = [], forked.Worker.__init__
+
+    def recorded(self, job, earlier):
+        started.append(getattr(job, "func", job).__name__)
+        init(self, job, earlier)
+
+    monkeypatch.setattr(forked.Worker, "__init__", recorded)
+    return started
 
 
 @pytest.fixture
@@ -92,7 +116,7 @@ def test_outputs_do_not_depend_on_the_writer(tmp_path, monkeypatch, capsys,
                                     [verb, "--config", str(ini),
                                      "--out", str(out)])
         results.append((code, stdout, err, files(out)))
-        assert len(forks) == (cpus > 1)
+        assert len(forks) == forked_count(n, cpus)
         forks.clear()
         assert_no_child_left()
         for path in out.iterdir():
@@ -107,9 +131,9 @@ def test_outputs_do_not_depend_on_the_writer(tmp_path, monkeypatch, capsys,
     ["--preset", "crossing", "--tmax", "0.3"],
     ["--config", "{ini}"]], ids=["preset", "ini"])
 def test_no_writer_without_an_inner_output_time(tmp_path, monkeypatch,
-                                                capsys, forks, argv):
-    # with output times 0 and t_max alone, the command writes every
-    # snapshot itself
+                                                capsys, forks, jobs, argv):
+    # with output times 0 and t_max alone, the command's stepping
+    # processes write every snapshot themselves
     ini = tmp_path / "c.ini"
     ini.write_text(CROSSING.replace(SNAPSHOT_TIMES,
                                     "snapshot_times = 0 0.3\n"))
@@ -117,15 +141,15 @@ def test_no_writer_without_an_inner_output_time(tmp_path, monkeypatch,
         "bounds", *[a.format(ini=ini) for a in argv], "--mesh", "0.4",
         "--out", str(tmp_path / "out")])
     assert code == 0
-    assert forks == []
+    assert len(forks) == 1 and "_write_snapshots" not in jobs
 
 
 def test_no_writer_for_a_time_run_reports_as_zero(tmp_path, monkeypatch,
                                                    capsys, forks):
     # run reports 1e-13 as its t = 0 call, so only 0 and t_max are output
     ini = tmp_path / "c.ini"
-    ini.write_text("[grid]\nmesh = 0.4\n[model]\npreset = crossing\n"
-                   "tmax = 0.1\nsnapshot_times = 1e-13 0.1\n")
+    ini.write_text(ONE.replace(SNAPSHOT_TIMES, "snapshot_times = 1e-13 0.1\n")
+                   .replace("tmax = 0.3", "tmax = 0.1"))
     code, _, _ = command(monkeypatch, capsys, 2, [
         "run", "--config", str(ini), "--out", str(tmp_path / "out")])
     assert code == 0
@@ -136,7 +160,9 @@ def test_no_writer_for_a_time_run_reports_as_zero(tmp_path, monkeypatch,
 def test_writer_takes_whole_snapshots(tmp_path, monkeypatch, capsys, forks,
                                       n):
     # the writer writes every population of every snapshot, the last one
-    # too; this process writes diagnostics.csv only
+    # too; this process writes diagnostics.csv only.  With two or more
+    # populations there is no writer: this process steps population 1
+    # and writes its snapshots, and its worker writes the others'
     parent, written, write = os.getpid(), [], cli._write_table
 
     def recorded(path, *args):
@@ -150,7 +176,9 @@ def test_writer_takes_whole_snapshots(tmp_path, monkeypatch, capsys, forks,
     code, _, _ = command(monkeypatch, capsys, 2, [
         "run", "--config", str(ini), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert written == ["diagnostics.csv"]
+    own = [] if n == 1 else [f"pop1_t{t}.csv" for t in
+                             ("0.000", "0.100", "0.200", "0.300")]
+    assert written == own + ["diagnostics.csv"]
     assert len(os.listdir(tmp_path / "out")) == 4 * n + 1
     assert len(forks) == 1
     assert_no_child_left()
@@ -165,7 +193,7 @@ def test_write_error_in_the_writer(tmp_path, monkeypatch, capsys, forks,
     # goes: exit 1 with the in-process message, before the run's report,
     # no child left, and the in-process diagnostics rows
     ini = tmp_path / "c.ini"
-    ini.write_text(CROSSING)
+    ini.write_text(ONE)
     results = []
     for cpus in (1, 2):
         out = tmp_path / str(cpus)
@@ -184,7 +212,7 @@ def test_write_error_in_the_writer(tmp_path, monkeypatch, capsys, forks,
     # what the in-process path wrote before it stopped, the writer wrote
     assert {k: snaps2.get(k) for k in snaps} == snaps
     if blocked == "diagnostics.csv":  # written after every snapshot
-        assert len(snaps2) == len(snaps) == 8
+        assert len(snaps2) == len(snaps) == 4
     else:
         assert diag is not None and diag2 == diag
     assert len(forks) == 1
@@ -195,7 +223,7 @@ def test_caller_error_lets_the_writer_finish(tmp_path, monkeypatch, capsys,
     # a slow writer and a numeric error at the step after t = 0.2: told
     # to finish, not killed, the writer writes every snapshot it was sent
     ini = tmp_path / "c.ini"
-    ini.write_text(CROSSING)
+    ini.write_text(ONE)
     model, datum = parse_config(str(ini)).build()
     k = len(run(replace(model, t_max=0.2, snapshot_times=(0.0, 0.1)),
                 datum).reports) + 1
@@ -226,8 +254,7 @@ def test_caller_error_lets_the_writer_finish(tmp_path, monkeypatch, capsys,
         results.append(files(out))
     assert results[1] == results[0]
     assert sorted(results[0]) == ["diagnostics.csv"] + [
-        f"pop{i}_t{t}.csv" for i in (1, 2) for t in ("0.000", "0.100",
-                                                     "0.200")]
+        f"pop1_t{t}.csv" for t in ("0.000", "0.100", "0.200")]
     assert len(forks) == 1
 
 
@@ -238,11 +265,10 @@ def test_configuration_error_after_the_fork(tmp_path, monkeypatch, capsys,
     # found after the writer is forked: no directory, no child left
     ini = tmp_path / "c.ini"
     if case == "outside-room":
-        ini.write_text(CROSSING + "[population.1]\n"
-                       "datum = 0.9 -6.4 3.2 -3.2 3.8\n")
+        ini.write_text(ONE.replace(BLOCKS[0], "0.9 -6.4 3.2 -3.2 3.8"))
     else:
-        ini.write_text(CROSSING.replace(SNAPSHOT_TIMES, "snapshot_times = "
-                                        "0 0.0011 0.0014 0.3\n"))
+        ini.write_text(ONE.replace(SNAPSHOT_TIMES, "snapshot_times = "
+                                   "0 0.0011 0.0014 0.3\n"))
     out = tmp_path / "out"
     code, stdout, err = command(monkeypatch, capsys, 2, [
         verb, "--config", str(ini), "--out", str(out)])
@@ -269,8 +295,8 @@ def test_blas_threads_set_and_restored(tmp_path, monkeypatch, capsys, forks,
 
     monkeypatch.setattr(solver, "split_step", watched)
     ini = tmp_path / "c.ini"
-    ini.write_text(CROSSING + ("[population.1]\ndatum = 0.9 -6.4 3.2 -3.2 3.8\n"
-                               if outcome == "configuration" else ""))
+    ini.write_text(ONE if outcome != "configuration" else
+                   ONE.replace(BLOCKS[0], "0.9 -6.4 3.2 -3.2 3.8"))
     put(before)
     try:
         code, _, _ = command(monkeypatch, capsys, cpus, [
@@ -317,7 +343,7 @@ def test_writer_exits_when_its_caller_is_killed(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     ini = tmp_path / "c.ini"
-    ini.write_text(CROSSING)
+    ini.write_text(ONE)
     argv = [sys.executable, "-c", KILLED_CALLER, "run", "--config", str(ini),
             "--out", str(tmp_path / "out")]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,

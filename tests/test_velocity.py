@@ -52,22 +52,46 @@ class TestSpeedLaw:
     def test_replaced_range_is_scanned_again(self):
         # the sups are fields set at construction: a law with a new R
         # carries the dense scan of the new [0, R], not the old one's.
-        # A constant law's v does not depend on R; linear_speed_law's v
-        # fixes its R, so replacing that R gives a different speed law
+        # A constant law's v does not depend on R; a linear law's v is
+        # built from its own vmax and R, so replacing R gives the law
+        # built with the new R
         law = constant_speed_law(2.0, 1.0)
         wide = replace(law, R=2.0)
         s = np.linspace(0.0, 2.0, 10001)
         assert wide.q_sup == float(np.abs(law.q(s)).max()) > law.q_sup
         assert wide.dq_sup == float(np.abs(law.dq(s)).max())
         assert (wide.v, wide.dv) == (law.v, law.dv)
+        wide, fresh = replace(linear_speed_law(2.0, 1.0), R=2.0), \
+            linear_speed_law(2.0, 2.0)
+        assert wide == fresh
+        assert (wide.q_sup, wide.dq_sup) == (fresh.q_sup, fresh.dq_sup)
+        assert wide.q_sup == 1.0  # q = 2 rho (1 - rho / 2) peaks at 1
+        assert np.array_equal(wide.v(s), fresh.v(s))
+        assert np.array_equal(wide.dv(s), fresh.dv(s))
+        assert np.array_equal(replace(fresh, vmax=4.0).v(s),
+                              linear_speed_law(4.0, 2.0).v(s))
 
     def test_equality_is_v_dv_and_r(self):
-        law = linear_speed_law(4.0, 1.0)
+        # a law is its v, dv and R; a linear law is its vmax and R
+        law = constant_speed_law(2.0, 1.0)
         same = SpeedLaw(v=law.v, dv=law.dv, R=1.0)
         assert same == law and hash(same) == hash(law)
         assert replace(law, R=2.0) != law
         assert replace(law, R=2.0) == SpeedLaw(v=law.v, dv=law.dv, R=2.0)
         assert SpeedLaw(v=law.v, dv=law.v, R=1.0) != law
+        linear = linear_speed_law(4.0, 1.0)
+        assert linear == linear_speed_law(4.0, 1.0)
+        assert hash(linear) == hash(linear_speed_law(4.0, 1.0))
+        assert linear != linear_speed_law(4.0, 2.0)
+        assert linear != linear_speed_law(3.0, 1.0)
+        assert SpeedLaw(v=linear.v, dv=linear.dv, R=1.0) != linear
+
+    def test_linear_law_arithmetic(self):
+        # v is vmax (1 - rho / R) and dv is -vmax / R, bit for bit
+        law = linear_speed_law(3.0, 1.25)
+        rho = np.linspace(0.0, 1.25, 97)
+        assert np.array_equal(law.v(rho), 3.0 * (1.0 - rho / 1.25))
+        assert np.array_equal(law.dv(rho), np.full_like(rho, -3.0 / 1.25))
 
     def test_constant_law(self):
         # q = 2 rho on [0, 1]: both sups are 2
