@@ -508,16 +508,31 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
     and the final state unless the last step gave it.  Under with_bounds,
     a differentiable model is a ConfigurationError.
 
-    A deviation model of n >= 2 populations with a GradientAvoidance
-    operator is stepped by the P processes of a forked.sharing(n) scope
-    where P >= 2 (_split_run).  Each then calls on_snapshot with its own
-    populations (state.first is the first one's index), in its own
-    process, so what the callback keeps in memory stays there.  Every
-    table, state and error is the one-process run's.
+    The run is stepped by the P processes of a forked.sharing scope,
+    which wants n of them for a deviation model of n >= 2 populations
+    with a GradientAvoidance operator and 1 otherwise: the caller and
+    P - 1 workers, each owning a contiguous chunk of the populations,
+    the caller the first and smallest.  Each process runs its chunk as
+    a model of its own; where P >= 2 its operator is the chunk's
+    SharedAvoidance.  The processes share, in lockstep, the boxes of the
+    saturated gradients, each chunk's cfl_dt (whose least is the whole
+    model's), and after each step each population's outflow, escaped
+    mass, min, max, the sup_gradient of its field (where there is an
+    envelope) and, at diagnostics steps, norms.  From these the caller
+    builds the StepReports, checks the maximum principle, raises the
+    envelope's running sup and adds the table rows.  Each process calls
+    on_snapshot with its own populations (state.first is the first
+    one's index) once the caller has taken the step's checks, so what
+    the callback keeps in memory stays in that process; the workers
+    post their final states.  Every table, state and error is the same
+    at any P, except that a failed run leaves every snapshot a process
+    had begun complete on disk: at the time that failed, that can be
+    more files than one process leaves.
     """
+    n, g = model.n, model.grid
     envelope = RunningEnvelope(model, datum) \
         if with_bounds or model.family == DEVIATION else None
-    bound_rows = []
+    bound_rows, reports = [], []
 
     def diag_row(t, dt, rec, escaped):
         cols = [rec.l1, rec.linf, rec.tv]
@@ -532,85 +547,32 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
             bound_rows.append((t, i + 1, meas, tvb, slack, float(linf[i]),
                                model.R))
 
-    def on_step(report, state, W):
-        if envelope is not None:
-            envelope.on_step(report, state, W)
-        if report.step % diag_every == 0:
-            diag_row(report.t, report.dt, norms(state), report.escaped)
-
-    def snapshot(t, state):
-        on_snapshot(t, state)
-        if with_bounds:
-            rec = norms(state)
-            bounds_at(t, rec.tv, rec.linf)
-
-    diag_row(0.0, 0.0, norms(datum), np.zeros(model.n))
-    split = model.family == DEVIATION and model.n >= 2 \
-        and isinstance(model.deviation, GradientAvoidance)
-    with forked.sharing(model.n if split else 1) as (procs, start):
-        if procs == 1:
-            result = run(model, datum, on_snapshot=snapshot, on_step=on_step)
-        else:
-            result = _split_run(model, datum, procs, start, diag_every,
-                                with_bounds, on_snapshot, envelope,
-                                diag_row, bounds_at)
-    if len(result.reports) % diag_every:
-        diag_row(model.t_max, result.reports[-1].dt, norms(result.state),
-                 result.escaped)
-    return result, bound_rows
-
-
-def _split_run(model: ModelSpec, datum: PopulationField, procs: int,
-               start: Callable, diag_every: int, with_bounds: bool,
-               on_snapshot: Callable[[float, PopulationField], None],
-               envelope: RunningEnvelope, diag_row: Callable,
-               bounds_at: Callable) -> RunResult:
-    """run_tables' run in the procs processes of its sharing scope: the
-    caller and procs - 1 workers from start, each owning a contiguous
-    chunk of the populations, the caller the first and smallest.
-
-    Each process runs its chunk as a model of its own, whose operator is
-    the chunk's SharedAvoidance; the processes share, in lockstep, the
-    boxes of the saturated gradients, each chunk's cfl_dt (whose least
-    is the whole model's), and after each step each population's
-    outflow, escaped mass, min, max, sup_gradient of its field and, at
-    diagnostics steps, norms.  From these the caller builds the
-    StepReports, checks the maximum principle, raises the running sup of
-    the envelope and adds the table rows, as run_tables' one-process
-    hooks do.  A process writes its snapshots once the caller has taken
-    the step's checks.  The workers post their final states.  When the
-    run fails, every snapshot a process had begun is complete on disk:
-    at the time that failed, that can be more files than the one-process
-    run leaves.
-    """
-    n, g = model.n, model.grid
-    cuts = [p * n // procs for p in range(procs + 1)]
-    G = forked.shared_array((n, 2, g.nx, g.ny))
-    reports = []
-
     def took_step(report, rows):  # the caller's: every population's rows
-        outflow, escaped, lo, hi, sup = rows[:, :5].T
+        outflow, escaped, lo, hi = rows[:, :4].T
         full = StepReport(step=report.step, t=report.t, dt=report.dt,
                           min=lo, max=hi, outflow=outflow, escaped=escaped)
         reports.append(full)
         check_range(model, full)
-        envelope.include(float(sup.max()))
+        if envelope is not None:
+            envelope.include(float(rows[:, 4].max()))
         if report.step % diag_every == 0:
-            diag_row(report.t, report.dt, NormRecord(*rows[:, 5:].T),
+            diag_row(report.t, report.dt, NormRecord(*rows[:, -3:].T),
                      escaped)
 
     def own_run(a, b, lockstep) -> RunResult:
+        deviation = model.deviation if G is None else \
+            SharedAvoidance(model.deviation, G, lockstep.share)
         part = replace(model, laws=model.laws[a:b], dirs=model.dirs[a:b],
                        kernels=model.kernels[a:b], strict=False,
-                       deviation=SharedAvoidance(model.deviation, G,
-                                                 lockstep.share))
+                       deviation=deviation)
 
         def agree(dt):
             return float(lockstep.share(np.array([dt])).min())
 
         def on_step(report, state, W):
-            cols = [report.outflow, report.escaped, report.min, report.max,
-                    [envelope.measure(Wi) for Wi in W]]
+            cols = [report.outflow, report.escaped, report.min, report.max]
+            if envelope is not None:
+                cols.append([envelope.measure(Wi) for Wi in W])
             if report.step % diag_every == 0:
                 rec = norms(state)
                 cols += [rec.l1, rec.linf, rec.tv]
@@ -636,26 +598,35 @@ def _split_run(model: ModelSpec, datum: PopulationField, procs: int,
         channel.post(result.state.data)
         return []
 
-    workers = []
-    try:
-        workers += [start(functools.partial(work, a, b))
-                    for a, b in zip(cuts[1:], cuts[2:])]
-        own = own_run(0, cuts[1], forked.Lockstep(workers))
-        states = [own.state.data, *(w.receive().reshape(-1, g.nx, g.ny)
-                                    for w in workers)]
-        for w in workers:
-            w.finish()
-    except BaseException:
-        # told to finish, not killed, so that no snapshot file is left
-        # half-written: a worker ends at its next exchange
-        for w in workers:
-            if w.pid:
-                with contextlib.suppress(Exception):
-                    w.finish()
-        raise
+    diag_row(0.0, 0.0, norms(datum), np.zeros(n))
+    split = model.family == DEVIATION and n >= 2 \
+        and isinstance(model.deviation, GradientAvoidance)
+    with forked.sharing(n if split else 1) as (procs, start):
+        cuts = [p * n // procs for p in range(procs + 1)]
+        G = forked.shared_array((n, 2, g.nx, g.ny)) if procs > 1 else None
+        workers = []
+        try:
+            workers += [start(functools.partial(work, a, b))
+                        for a, b in zip(cuts[1:], cuts[2:])]
+            state = own_run(0, cuts[1], forked.Lockstep(workers)).state
+            if workers:
+                state = PopulationField(g, np.concatenate([
+                    state.data, *(w.receive().reshape(-1, g.nx, g.ny)
+                                  for w in workers)]))
+            for w in workers:
+                w.finish()
+        except BaseException:
+            # told to finish, not killed, so that no snapshot file is left
+            # half-written: a worker ends at its next exchange
+            for w in workers:
+                if w.pid:
+                    with contextlib.suppress(Exception):
+                        w.finish()
+            raise
     escaped = reports[-1].escaped.copy() if reports else np.zeros(n)
-    return RunResult(PopulationField(g, np.concatenate(states)), reports,
-                     escaped)
+    if len(reports) % diag_every:
+        diag_row(model.t_max, reports[-1].dt, norms(state), escaped)
+    return RunResult(state, reports, escaped), bound_rows
 
 
 def _exp(x: float) -> float:

@@ -10,8 +10,6 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import functools
 import math
 import os
 import sys
@@ -19,7 +17,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import forked
 from .analysis import diagnostics_header, run_tables, stability_table
 from .config import RunConfig, parse_config, preset
 from .errors import (BoundViolationError, ConfigurationError, CrowdflowError,
@@ -176,53 +173,21 @@ def _check_snapshot_names(model: ModelSpec) -> None:
         seen[name] = t
 
 
-def write_snapshot(state: PopulationField, t: float, out_dir: str,
-                   writer: forked.Worker | None = None) -> list[str]:
+def write_snapshot(state: PopulationField, t: float,
+                   out_dir: str) -> list[str]:
     """One CSV per population: header names, header values, then ny rows
     of nx densities (row j = y index ascending).  Deterministic bytes.
     Population i of state is written as population state.first + i.
-
-    With a writer (a forked.Worker running _write_snapshots), the values
-    line and the densities are sent down its pipe as raw float64 bytes,
-    and the writer formats them while this process steps on.  The
-    writer's failure to write a file is raised here at a later send, or
-    by its finish().  Returns every population's path either way.
+    Returns every population's path.
     """
     g = state.grid
     _make_out_dir(out_dir)
     meta = [[g.nx, g.ny, g.x0, g.y0, g.dx, g.dy, t]]
     paths = [os.path.join(out_dir, _snapshot_name(state.first + i + 1, t))
              for i in range(state.n)]
-    if writer is not None:
-        writer.send(np.array([*meta[0], state.n, state.first],
-                             dtype=np.float64))
-        writer.send(np.ascontiguousarray(state.data))
-        return paths
     for path, data in zip(paths, state.data):
         _write_table(path, _SNAPSHOT_HEADER, meta, data.T)
     return paths
-
-
-def _write_snapshots(out_dir: str, stream: forked.Channel) -> list[float]:
-    """A snapshot writer's job: the populations write_snapshot sends to
-    stream, each written as write_snapshot writes it, up to the end
-    marker.  Each snapshot is its values line, the population count k
-    and the first population's index, nine float64 words, then k
-    (nx, ny) density blocks."""
-    while (word := forked.read(stream, 8)) != forked.END:
-        head = np.frombuffer(word + forked.read(stream, 64))
-        nx, ny, t, k, first = int(head[0]), int(head[1]), float(head[6]), \
-            int(head[7]), int(head[8])
-        data = forked.read_array(stream, (k, nx, ny))
-        try:
-            for i in range(k):
-                _write_table(os.path.join(out_dir,
-                                          _snapshot_name(first + i + 1, t)),
-                             _SNAPSHOT_HEADER, head[None, :7], data[i].T)
-        except ConfigurationError as exc:  # tells _cmd_run which snapshot
-            exc.snapshot_t = t
-            raise
-    return []
 
 
 def read_snapshot(path: str) -> tuple[np.ndarray, dict]:
@@ -262,52 +227,18 @@ def _cmd_run(args, with_bounds: bool) -> int:
         raise ConfigurationError(
             "strict mode of run checks the deviation family's maximum "
             "principle; a differentiable run has none to check")
-    # Where a second process can run, one writer, forked before the build
-    # so that it shares few pages, formats the snapshots, if run reports
-    # an output time strictly between 0 and t_max: with the first and
-    # last alone it overlaps too little to pay for the halved BLAS
-    # (crossing-fine, 640x320, slower in 9 of 10 run pairs on 2 vCPUs).
-    # run_tables steps a deviation model of two or more populations in
-    # as many processes, each writing its own snapshots: no writer then.
-    inner = any(0 < t < cfg.t_max
-                for t in output_times(cfg.snapshot_times, cfg.t_max))
-    split = deviation and cfg.n >= 2
-    with forked.sharing(2 if inner and not split else 1) as (procs, start):
-        writer = (start(functools.partial(_write_snapshots, cfg.out_dir))
-                  if procs > 1 else None)
-        try:
-            model, datum = cfg.build()
-            check_datum(model, datum)  # before any output or envelope input
-            _check_snapshot_names(model)
-            _make_out_dir(cfg.out_dir)
-            diag_rows, marks = [], {}
-
-            def snapshot(t, s):  # marks the rows reached at each output time
-                marks[t] = len(diag_rows)
-                write_snapshot(s, t, cfg.out_dir, writer)
-
-            try:
-                result, bound_rows = run_tables(
-                    model, datum, cfg.diag_every, with_bounds, snapshot,
-                    diag_rows)
-                if writer is not None:  # wait for the last snapshot sent
-                    writer.send(forked.END)
-                    writer.finish()
-            except ConfigurationError as exc:
-                if hasattr(exc, "snapshot_t"):  # the writer's, seen late:
-                    del diag_rows[marks[exc.snapshot_t]:]  # as in-process
-                raise
-            finally:  # a failed run still leaves the rows it reached
-                _write_table(os.path.join(cfg.out_dir, "diagnostics.csv"),
-                             diagnostics_header(model), diag_rows)
-        except BaseException:
-            if writer is not None and writer.pid:
-                # told to finish, not killed, so that every snapshot sent
-                # is written; the error raised here is this process's
-                with contextlib.suppress(Exception):
-                    writer.send(forked.END)
-                    writer.finish()
-            raise
+    model, datum = cfg.build()
+    check_datum(model, datum)  # before any output or envelope input
+    _check_snapshot_names(model)
+    _make_out_dir(cfg.out_dir)
+    diag_rows = []
+    try:
+        result, bound_rows = run_tables(
+            model, datum, cfg.diag_every, with_bounds,
+            lambda t, s: write_snapshot(s, t, cfg.out_dir), diag_rows)
+    finally:  # a failed run still leaves the rows it reached
+        _write_table(os.path.join(cfg.out_dir, "diagnostics.csv"),
+                     diagnostics_header(model), diag_rows)
 
     total0 = float(datum.mass().sum())
     total1 = float(result.state.mass().sum() + result.escaped.sum())

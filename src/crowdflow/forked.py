@@ -1,6 +1,6 @@
 """Forked workers: the one place where the package forks, and the
-process plumbing the Gateaux replays, the snapshot writer and the
-population steps of analysis.run_tables share.
+process plumbing the Gateaux replays and the population steps of
+analysis.run_tables share.
 
 sharing(wanted) is the scope forked work runs in.  It decides how many
 processes P share the CPUs: min(wanted, usable CPUs) where os.fork and
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CrowdflowError
 
-# closes a stream: no dt, and no snapshot's leading grid size, is negative
+# closes a stream: no dt is negative
 END = struct.pack("d", -1.0)
 
 Job = Callable[["Channel"], list[float]]

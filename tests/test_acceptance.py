@@ -318,8 +318,8 @@ datum = 0.6 -1.6 -2.8 1.6 -0.8
 
 def test_13_several_populations(tmp_path, capsys):
     # `bounds` twice on n = 3: the mass identity, the maximum principle,
-    # TV domination and bitwise determinism (where the snapshot writer
-    # forks, it writes populations 1-2 of the last snapshot, the command 3)
+    # TV domination and bitwise determinism (where several processes step
+    # the populations, each writes its own populations' snapshots)
     ini = tmp_path / "three.ini"
     ini.write_text(SEVERAL_INI)
     outs = (tmp_path / "a", tmp_path / "b")

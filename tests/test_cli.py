@@ -391,8 +391,8 @@ class TestMain:
         ["gateaux", "--mesh", "0.125", "--tmax", "0.05"],
         ["bounds", "--config", "{ini}"]], ids=["replay", "writer"])
     def test_worker_dying_without_reply_exit_code(self, tmp_path, argv):
-        # a replay worker or the snapshot writer that ends without a
-        # reply: one error line and exit 1, no traceback
+        # a replay worker or a population-stepping worker that ends
+        # without a reply: one error line and exit 1, no traceback
         if forked._openblas_threads() is None:
             pytest.skip("no OpenBLAS thread control: nothing is forked")
         ini = tmp_path / "c.ini"

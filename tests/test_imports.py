@@ -8,8 +8,9 @@ module; `__init__.py` re-exports by importing, and `from __future__`
 imports are directives, so both are left out.  No package module but
 forked.py may call os.fork, reach the OpenBLAS thread control or read a
 private name of forked: the policy of who forks lives in one place.
-cli.py calls no run: every run, as run_tables for run and bounds and
-stability_table for the stability pair, is library logic.
+cli.py calls no run and reads no name of forked: every run, as
+run_tables for run and bounds and stability_table for the stability
+pair, is library logic, and so is whether it forks.
 """
 
 import ast
@@ -139,6 +140,33 @@ def test_forking_checker_finds_each_kind():
         ("forked._openblas_threads", 6),
         ("lib.openblas_set_num_threads", 7), ("mmap", 10), ("mmap", 11),
         ("mmap.mmap", 11), ("mmap.mmap", 12), ("os.fork", 4), ("os.fork", 5)]
+
+
+def forked_reads(source: str) -> list[str]:
+    """forked, and each module named forked, that source imports or reads."""
+    tree = ast.parse(source)
+    modules = [node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module]
+    modules += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    found = {"forked"} & (_read_names(tree) | set(_imported(tree)))
+    found |= {m for m in modules if m.split(".")[-1] == "forked"}
+    return sorted(found)
+
+
+def test_cli_forks_nothing():
+    # whether a command forks is decided in the library (run_tables,
+    # gateaux_residual), not by the command
+    source = (ROOT / "src" / "crowdflow" / "cli.py").read_text()
+    assert forked_reads(source) == []
+
+
+def test_forked_reads_checker_finds_each_kind():
+    assert forked_reads("from . import forked\n") == ["forked"]
+    assert forked_reads("from .forked import sharing\n") == ["forked"]
+    assert forked_reads("import crowdflow.forked\n") == ["crowdflow.forked"]
+    assert forked_reads("x = forked.END\n") == ["forked"]
+    assert forked_reads("from . import forking\nforks = 1\n") == []
 
 
 def run_callers(source: str) -> list[str]:

@@ -15,18 +15,32 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from crowdflow import (GradientAvoidance, NumericError, PopulationField,
-                       SharedAvoidance, analysis, cli, forked, preset,
-                       run_tables, solver)
+from crowdflow import (DEVIATION, GradientAvoidance, NumericError,
+                       PopulationField, SharedAvoidance, StepReport, analysis,
+                       cli, forked, parse_config, preset, run_tables, solver)
 
+from test_cli import DIFFERENTIABLE_INI
 from test_linearized import assert_no_child_left, running
-from test_snapshot_writer import (CROSSING, command, files, forks,  # noqa: F401
-                                  jobs, populations_ini)
+from test_snapshot_writer import (BLOCKS, CROSSING, command, files,
+                                  forks, populations_ini)  # noqa: F401
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """The name of the job of each worker the command starts."""
+    started, init = [], forked.Worker.__init__
+
+    def recorded(self, job, earlier):
+        started.append(getattr(job, "func", job).__name__)
+        init(self, job, earlier)
+
+    monkeypatch.setattr(forked.Worker, "__init__", recorded)
+    return started
 
 
 def poisoned(monkeypatch, pops, k):
@@ -192,13 +206,14 @@ def test_killed_worker_ends_the_command(tmp_path, monkeypatch, capsys,
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("outcome", ["ok", "numeric"])
+@pytest.mark.parametrize("outcome", ["ok", "numeric", "configuration"])
 @pytest.mark.parametrize("before, cpus, during", [
     (2, 2, 1), (3, 4, 2), (1, 4, 1)], ids=["halved", "quad", "one"])
 def test_blas_threads_set_and_restored(tmp_path, monkeypatch, capsys, forks,
                                        jobs, outcome, before, cpus, during):
     # two populations share min(2, cpus) processes: the caller steps on
-    # cpus // 2 BLAS threads at most, and has its own count back after
+    # cpus // 2 BLAS threads at most, and has its own count back after;
+    # a datum outside the room stops the command before it steps or forks
     if forked._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread control: no process is forked")
     get, put = forked._openblas_threads()
@@ -212,7 +227,9 @@ def test_blas_threads_set_and_restored(tmp_path, monkeypatch, capsys, forks,
 
     monkeypatch.setattr(solver, "split_step", watched)
     ini = tmp_path / "c.ini"
-    ini.write_text(CROSSING)
+    ini.write_text(CROSSING if outcome != "configuration" else
+                   populations_ini(2).replace(BLOCKS[0],
+                                              "0.9 -6.4 3.2 -3.2 3.8"))
     put(before)
     try:
         code, _, _ = command(monkeypatch, capsys, cpus, [
@@ -220,11 +237,49 @@ def test_blas_threads_set_and_restored(tmp_path, monkeypatch, capsys, forks,
     finally:
         after = get()
         put(original)
-    assert code == {"ok": 0, "numeric": 2}[outcome]
-    assert set(seen) == {during}
+    assert code == {"ok": 0, "numeric": 2, "configuration": 1}[outcome]
+    assert set(seen) == (set() if outcome == "configuration" else {during})
     assert after == before
-    assert len(jobs) == 1 and "_write_snapshots" not in jobs
+    assert jobs == ([] if outcome == "configuration" else ["work"])
     assert_no_child_left()
+
+
+# name: INI of a run_tables call
+RUN_TABLES_INIS = {"crossing": CROSSING, "three": populations_ini(3),
+                   "one": populations_ini(1),
+                   "differentiable": DIFFERENTIABLE_INI}
+
+
+def bits(value) -> tuple:
+    """The shape and bytes of a value as a float64 array."""
+    a = np.asarray(value, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RUN_TABLES_INIS))
+def test_run_tables_result_is_the_run_result(tmp_path, monkeypatch, name,
+                                             cpus):
+    # every StepReport field, the final state and the escaped mass of
+    # run_tables' RunResult are solver.run's, bit for bit, however many
+    # processes step the run
+    ini = tmp_path / "c.ini"
+    ini.write_text(RUN_TABLES_INIS[name])
+    model, datum = parse_config(str(ini)).build()
+    want = solver.run(model, datum)
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
+    got, _ = run_tables(model, datum, 1, model.family == DEVIATION,
+                        lambda t, s: None, [])
+    assert_no_child_left()
+    assert len(got.reports) == len(want.reports) > 0
+    for a, b in zip(got.reports, want.reports):
+        for f in fields(StepReport):
+            assert bits(getattr(a, f.name)) == bits(getattr(b, f.name)), \
+                (a.step, f.name)
+    assert type(got.reports[-1].step) is int
+    assert bits(got.state.data) == bits(want.state.data)
+    assert got.state.first == want.state.first == 0
+    assert bits(got.escaped) == bits(want.escaped)
 
 
 def test_custom_operator_stays_in_one_process(monkeypatch, forks):
