@@ -9,13 +9,17 @@ nothing.  Every test compares with the run taken with one usable CPU.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
-from crowdflow import cli, forked
+from crowdflow import NumericError, cli, forked, solver
 from crowdflow.cli import main
 
-from test_linearized import assert_no_child_left
+from test_linearized import assert_no_child_left, running
 
 SNAPSHOT_TIMES = "snapshot_times = 0 0.1 0.2 0.3\n"
 CROSSING = ("[grid]\nmesh = 0.2\n[model]\npreset = crossing\ntmax = 0.3\n"
@@ -181,3 +185,90 @@ def test_configuration_error_after_the_fork(tmp_path, monkeypatch, capsys,
     assert err.startswith("configuration error:")
     assert not out.exists()
     assert forks == []
+
+
+@pytest.mark.parametrize("outcome", ["ok", "numeric", "configuration"])
+@pytest.mark.parametrize("before, cpus, during", [
+    (2, 2, 2), (3, 4, 3), (1, 4, 1)], ids=["halved", "quad", "one"])
+def test_blas_threads_set_and_restored(tmp_path, monkeypatch, capsys, forks,
+                                       outcome, before, cpus, during):
+    # the settings of the two-population cases in test_split_steps: one
+    # population forks nothing, so it steps on the caller's own BLAS
+    # thread count, whatever the CPUs, and leaves that count as it was
+    get, put = forked._openblas_threads()
+    seen, step, original = [], solver.split_step, get()
+
+    def watched(*args, **kwargs):
+        seen.append(get())
+        if outcome == "numeric":
+            raise NumericError("stop")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "split_step", watched)
+    ini = tmp_path / "c.ini"
+    ini.write_text(ONE if outcome != "configuration" else
+                   ONE.replace(BLOCKS[0], "0.9 -6.4 3.2 -3.2 3.8"))
+    put(before)
+    try:
+        code, _, _ = command(monkeypatch, capsys, cpus, [
+            "bounds", "--config", str(ini), "--out", str(tmp_path / "out")])
+    finally:
+        after = get()
+        put(original)
+    assert code == {"ok": 0, "numeric": 2, "configuration": 1}[outcome]
+    assert set(seen) == (set() if outcome == "configuration" else {during})
+    assert after == before
+    assert forks == []
+    assert_no_child_left()
+
+
+# Runs `crowdflow run` in two processes; the worker prints its pid as it
+# starts to write its first snapshot, and stalls there while its caller
+# waits on it in the lockstep exchange.
+KILLED_WHILE_WRITING = """
+import os, sys, time
+from crowdflow import cli, forked
+write, caller = cli._write_table, os.getpid()
+
+def stalled(path, *args):
+    if os.getpid() != caller and path.endswith("_t0.000.csv"):
+        print(os.getpid(), flush=True)
+        time.sleep(1)
+    return write(path, *args)
+
+forked._usable_cpus = lambda: 2
+cli._write_table = stalled
+cli.main(sys.argv[1:])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="reads process states from /proc")
+def test_writer_exits_when_its_caller_is_killed(tmp_path):
+    # a worker writes its populations' snapshots between exchanges with
+    # its caller: killed then, the caller is missed at the worker's next
+    # exchange, and the worker exits
+    if forked._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread control: no worker is forked")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    ini = tmp_path / "c.ini"
+    ini.write_text(CROSSING)
+    argv = [sys.executable, "-c", KILLED_WHILE_WRITING, "run", "--config",
+            str(ini), "--out", str(tmp_path / "out")]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          text=True) as caller:
+        try:
+            writer = int(caller.stdout.readline())
+        finally:
+            caller.kill()
+            caller.wait()
+    deadline = time.monotonic() + 10
+    try:
+        while running(writer):
+            assert time.monotonic() < deadline, "writer outlived its caller"
+            time.sleep(0.05)
+    finally:
+        if running(writer):
+            os.kill(writer, signal.SIGKILL)
+    assert (tmp_path / "out" / "pop2_t0.000.csv").exists()
