@@ -11,7 +11,7 @@ The envelope inputs are measured here too: the sup of grad V, the
 direction-field norms and the sampled C_I (estimate_ci) all differentiate
 on the grid by one central-difference rule.  RunningEnvelope keeps the
 running sup of grad V along a run and evaluates the envelopes from it;
-run_tables and stability_table are the runs of the commands.
+run_tables steps every run of the commands, stability_table's pair too.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .grid import GridSpec, NormRecord, PopulationField, norms
 from .kernel import KernelSpec
 from .nonlocal_ops import GradientAvoidance, NonlocalOperator, SharedAvoidance
 from .solver import (DEVIATION, ModelSpec, RunResult, StepReport, check_range,
-                     run)
+                     output_times, run)
 
 LOG_MAX = 700.0  # exp argument beyond which float64 overflows
 D = 2  # space dimension of every grid
@@ -103,8 +103,6 @@ class StabilityBound:
     value: float       # inf when the bound exceeds the float range
     log_value: float   # log of the bound: finite when it fits in a float,
                        # +inf when it does not, -inf for a zero bound
-    a: float
-    b: float
 
 
 def stability_bound_deviation(t: float, inputs1: BoundInputs,
@@ -128,7 +126,7 @@ def stability_bound_deviation(t: float, inputs1: BoundInputs,
              + _prod(ek, inputs1.dq_sup, tv_growth, deltas.dvec_sup))
     b = _prod(ci, _prod(ek, inputs1.dq_sup, tv_growth) + inputs1.q_sup)
     value, log_value = _gronwall(t, t * b, deltas.drho0_l1 + a)
-    return StabilityBound(value=value, log_value=log_value, a=a, b=b)
+    return StabilityBound(value=value, log_value=log_value)
 
 
 def _prod(*factors: float) -> float:
@@ -427,11 +425,11 @@ class RunningEnvelope:
     inputs, kept current.
 
     inputs holds one BoundInputs per population, measured by
-    bound_inputs_for(model, datum).  Their grad_v_sup starts at 0;
-    on_step(report, state, W), a run's on_step callback, raises it to the
-    running sup of sup_gradient(W), so that an envelope evaluated after a
-    step covers every field so far.  One object may follow several runs
-    of the same model (stability_table's pair).
+    bound_inputs_for(model, datum).  Their grad_v_sup starts at 0, and
+    include(measure(W)) after each step raises it to the running sup of
+    sup_gradient(W), so that an envelope evaluated after a step covers
+    every field so far.  One object may follow several runs of the same
+    model (stability_table's pair).
     """
 
     def __init__(self, model: ModelSpec, datum: PopulationField):
@@ -441,10 +439,6 @@ class RunningEnvelope:
         # the run, it moved the heap so that evacuation runs at mesh 0.05
         # took 4.6x the minor page faults on some output paths
         self._work: np.ndarray | None = None
-
-    def on_step(self, report: StepReport, state: PopulationField,
-                W: np.ndarray) -> None:
-        self.include(self.measure(W))
 
     def measure(self, W: np.ndarray) -> float:
         """sup_gradient(W), of one field or a stack, in this object's
@@ -468,23 +462,34 @@ def stability_table(model: ModelSpec, datum1: PopulationField,
                     datum2: PopulationField
                     ) -> list[tuple[float, float, StabilityBound]]:
     """(t, L1 distance, its envelope) of the runs of the model from datum1
-    and datum2 at t = 0 and each output time run reports.  A state of the
-    first run is kept only until the second reaches its time.  The rows
-    come after both runs from one RunningEnvelope's aggregate_inputs,
-    which serves as both runs' inputs: they share every parameter."""
+    and datum2 at t = 0 and each output time run reports.  Both runs step
+    through run_tables, sharing one RunningEnvelope built from datum1 (a
+    running maximum: the same in any process and order).  Each stepping
+    process writes its populations' first-run states to shared memory
+    and subtracts their second-run states there, so that each distance
+    is one sum here.  The rows come after both runs from the envelope's
+    aggregate_inputs, both runs' inputs: they share every parameter."""
     model = replace(model, snapshot_times=(0.0, *model.snapshot_times))
     envelope, area = RunningEnvelope(model, datum1), model.grid.cell_area
-    states, dists = {}, []
-    run(model, datum1, on_step=envelope.on_step,
-        on_snapshot=lambda t, s: states.setdefault(t, s.copy()))
-    run(model, datum2, on_step=envelope.on_step,
-        on_snapshot=lambda t, s: dists.append(
-            (t, float(np.abs(states.pop(t).data - s.data).sum()) * area)))
+    times = output_times(model.snapshot_times, model.t_max)
+    diff = forked.shared_array((len(times), model.n, model.grid.nx,
+                                model.grid.ny))
+
+    def keep(t, state):
+        diff[times.index(t), state.first:state.first + state.n] = state.data
+
+    def subtract(t, state):
+        diff[times.index(t), state.first:state.first + state.n] -= state.data
+
+    for datum, on_snapshot in ((datum1, keep), (datum2, subtract)):
+        run_tables(model, datum, 1, False, on_snapshot, diag_rows=None,
+                   envelope=envelope)
     agg = aggregate_inputs(envelope.inputs)
     deltas = ParameterDeltas(
         drho0_l1=float(np.abs(datum1.data - datum2.data).sum()) * area)
-    return [(t, d, stability_bound_deviation(t, agg, agg, deltas))
-            for t, d in dists]
+    return [(t, float(np.abs(d).sum()) * area,
+             stability_bound_deviation(t, agg, agg, deltas))
+            for t, d in zip(times, diff)]
 
 
 def diagnostics_header(model: ModelSpec) -> str:
@@ -499,14 +504,19 @@ def diagnostics_header(model: ModelSpec) -> str:
 def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
                with_bounds: bool,
                on_snapshot: Callable[[float, PopulationField], None],
-               diag_rows: list) -> tuple[RunResult, list[tuple]]:
+               diag_rows: list | None,
+               envelope: RunningEnvelope | None = None,
+               ) -> tuple[RunResult, list[tuple]]:
     """Run the model from the datum: its RunResult and the bounds.csv rows
     (t, population, tv, tv_bound, slack, linf, linf_bound), taken under
     with_bounds after on_snapshot(t, state) at each output time.  The
     rows of diagnostics_header(model) go to diag_rows as the run reaches
     them, so a failed run leaves them: t = 0, every diag_every-th step
-    and the final state unless the last step gave it.  Under with_bounds,
-    a differentiable model is a ConfigurationError.
+    and the final state unless the last step gave it; none where
+    diag_rows is None.  A given envelope follows this run too (as
+    stability_table's pair shares one); otherwise a deviation model, or
+    with_bounds, makes a RunningEnvelope(model, datum), and with_bounds
+    makes a differentiable model a ConfigurationError.
 
     The run is stepped by the P processes of a forked.sharing scope,
     which wants n of them for a deviation model of n >= 2 populations
@@ -530,9 +540,9 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
     more files than one process leaves.
     """
     n, g = model.n, model.grid
-    envelope = RunningEnvelope(model, datum) \
-        if with_bounds or model.family == DEVIATION else None
-    bound_rows, reports = [], []
+    if envelope is None and (with_bounds or model.family == DEVIATION):
+        envelope = RunningEnvelope(model, datum)
+    bound_rows, reports, diagnose = [], [], diag_rows is not None
 
     def diag_row(t, dt, rec, escaped):
         cols = [rec.l1, rec.linf, rec.tv]
@@ -555,7 +565,7 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
         check_range(model, full)
         if envelope is not None:
             envelope.include(float(rows[:, 4].max()))
-        if report.step % diag_every == 0:
+        if diagnose and report.step % diag_every == 0:
             diag_row(report.t, report.dt, NormRecord(*rows[:, -3:].T),
                      escaped)
 
@@ -573,7 +583,7 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
             cols = [report.outflow, report.escaped, report.min, report.max]
             if envelope is not None:
                 cols.append([envelope.measure(Wi) for Wi in W])
-            if report.step % diag_every == 0:
+            if diagnose and report.step % diag_every == 0:
                 rec = norms(state)
                 cols += [rec.l1, rec.linf, rec.tv]
             rows = lockstep.share(np.column_stack(cols), back=False)
@@ -598,7 +608,8 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
         channel.post(result.state.data)
         return []
 
-    diag_row(0.0, 0.0, norms(datum), np.zeros(n))
+    if diagnose:
+        diag_row(0.0, 0.0, norms(datum), np.zeros(n))
     split = model.family == DEVIATION and n >= 2 \
         and isinstance(model.deviation, GradientAvoidance)
     with forked.sharing(n if split else 1) as (procs, start):
@@ -624,7 +635,7 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
                         w.finish()
             raise
     escaped = reports[-1].escaped.copy() if reports else np.zeros(n)
-    if len(reports) % diag_every:
+    if diagnose and len(reports) % diag_every:
         diag_row(model.t_max, reports[-1].dt, norms(state), escaped)
     return RunResult(state, reports, escaped), bound_rows
 

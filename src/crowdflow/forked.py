@@ -11,18 +11,17 @@ before.  When the scope ends, by return or error, the count is restored
 and every worker that finish() has not reaped is killed and reaped.
 
 A Worker, forked by the start() the scope yields, runs one job on a
-Channel: a stream of bytes the caller writes to its pipe, float64 words
-and raw array bytes, never pickles, read with dts, read and read_array.
-It sends back one pickled reply, its floats or the exception it stopped
+Channel.  Caller and worker exchange float64 arrays, never pickles, in
+one format: post() writes a frame, the array's size and then its
+floats, and receive() at the other end reads it back, flat; Lockstep
+exchanges rows of floats that way.  A worker whose pipe from the caller
+ends before a whole frame knows that the caller is gone: it exits at
+that read, without a reply, so none outlives its caller.  A job's end
+sends back one pickled reply, its floats or the exception it stopped
 at, with the warnings it recorded, which the caller re-issues through
-its own filters.  END closes each stream.  A stream that ends without
-it means the caller is gone: the worker then exits at its next read,
-without a reply, so none outlives its caller.  While it runs, a job can
-also post float64 arrays to the caller down a second pipe, and receive
-the arrays the caller posts to it; Lockstep exchanges rows of floats
-between the caller and its workers that way.  Large arrays that every
-process reads are shared_array()s: shared memory, written before or
-between the exchanges that order its readers and writers.
+its own filters.  Large arrays that every process reads are
+shared_array()s: shared memory, written before or between the
+exchanges that order its readers and writers.
 """
 
 from __future__ import annotations
@@ -37,14 +36,11 @@ import pickle
 import struct
 import sys
 import warnings
-from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import CrowdflowError
-
-# closes a stream: no dt is negative
-END = struct.pack("d", -1.0)
 
 Job = Callable[["Channel"], list[float]]
 
@@ -87,29 +83,9 @@ def shared_array(shape: tuple[int, ...]) -> np.ndarray:
                          ).reshape(shape)
 
 
-def dts(stream: Channel) -> Iterator[float]:
-    """The dts written to stream, up to END."""
-    while (word := read(stream, len(END))) != END:
-        yield struct.unpack("d", word)[0]
-
-
-def read_array(stream: Channel, shape: tuple[int, ...]) -> np.ndarray:
-    """The next float64 array of the given shape on stream."""
-    return np.frombuffer(read(stream, 8 * math.prod(shape))).reshape(shape)
-
-
-def read(stream: Channel, n: int) -> bytes:
-    """The next n bytes of stream; a worker whose stream ends before
-    them exits (its caller is gone)."""
-    data = stream.read(n)
-    if len(data) < n:
-        raise _CallerGone
-    return data
-
-
 class _CallerGone(BaseException):
-    """A worker's stream ended before the end marker or the arrays after
-    it: the caller is gone.  A BaseException, so that no handler of the
+    """A worker's pipe from the caller ended before the frame it read:
+    the caller is gone.  A BaseException, so that no handler of the
     job's errors sends it back."""
 
 
@@ -142,17 +118,17 @@ def _openblas_threads():
 
 
 class Worker:
-    """A forked process that runs job(channel) on what the caller writes
-    to it with send() and sends back the floats job returns.
+    """A forked process that runs job(channel) on the arrays the caller
+    posts to it and sends back the floats job returns.
 
     The worker records its warnings.  finish() re-issues them here and
     returns its floats, or raises the exception it stopped at, or
-    CrowdflowError if it ended without a result; send(), post() and
-    receive() do the same once the worker has closed its end.  The
-    worker closes every pipe end it inherited from the earlier workers
-    of its scope, so each stream ends with the caller, and leaves
+    CrowdflowError if it ended without a result; post() and receive()
+    do the same once the worker has closed its end.  The worker closes
+    every pipe end it inherited from the earlier workers of its scope,
+    so each pipe from the caller ends with the caller, and leaves
     through os._exit: with status 1 and nothing written if sending its
-    reply fails or its stream ends early.
+    reply fails or that pipe ends early.
     """
 
     def __init__(self, job: Job, earlier: list[Worker]):
@@ -172,31 +148,23 @@ class Worker:
         for fd in (rfd, wfd, pfd):
             os.close(fd)
 
-    def send(self, data) -> None:
-        """Write bytes, or a C-contiguous array's bytes, to the stream."""
+    def post(self, array: np.ndarray) -> None:
+        """Send a float64 array, which the job's Channel.receive() reads
+        as a flat array."""
         try:
-            _write(self._fd, data)
+            _write_frame(self._fd, array)
         except BrokenPipeError:
             self.finish()  # raises what stopped the worker
             raise
 
-    def post(self, array: np.ndarray) -> None:
-        """Send a float64 array, which the job's Channel.receive() reads
-        as a flat array."""
-        for data in _frame(array):
-            self.send(data)
-
     def receive(self) -> np.ndarray:
         """The next array the job posted, flat.  A worker that posts no
         more, because its job ended or it was killed, is finished."""
-        head = _read_fd(self._posts, 8)
-        if len(head) == 8:
-            n = 8 * struct.unpack("q", head)[0]
-            data = _read_fd(self._posts, n)
-            if len(data) == n:
-                return np.frombuffer(data)
-        self.finish()  # raises what stopped the worker, if anything did
-        raise CrowdflowError("forked worker ended without posting")
+        array = _read_frame(self._posts)
+        if array is None:
+            self.finish()  # raises what stopped the worker, if anything did
+            raise CrowdflowError("forked worker ended without posting")
+        return array
 
     def finish(self) -> list[float]:
         """Wait for the worker and reap it: its floats, or its error."""
@@ -231,25 +199,24 @@ class Worker:
 
 
 class Channel:
-    """A worker's ends of its pipes: read(n) reads the caller's stream,
-    and post() and receive() exchange float64 arrays with the caller."""
+    """A worker's ends of its pipes: post() and receive() exchange
+    float64 arrays with the caller."""
 
-    def __init__(self, stream: BinaryIO, posts: int):
-        self._stream, self._posts = stream, posts
-
-    def read(self, n: int) -> bytes:
-        return self._stream.read(n)
+    def __init__(self, fd: int, posts: int):
+        self._fd, self._posts = fd, posts
 
     def post(self, array: np.ndarray) -> None:
         """Send a float64 array, which the caller's Worker.receive() reads
         as a flat array."""
-        for data in _frame(array):
-            _write(self._posts, data)
+        _write_frame(self._posts, array)
 
     def receive(self) -> np.ndarray:
-        """The next array the caller posted, flat."""
-        n = struct.unpack("q", read(self, 8))[0]
-        return read_array(self, (n,))
+        """The next array the caller posted, flat; a worker whose caller
+        is gone exits here."""
+        array = _read_frame(self._fd)
+        if array is None:
+            raise _CallerGone
+        return array
 
 
 class Lockstep:
@@ -285,17 +252,13 @@ class Lockstep:
         return stacked
 
 
-def _frame(array: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """A posted array as written: its size, then its float64 bytes."""
+def _write_frame(fd: int, array: np.ndarray) -> None:
+    """Post an array to the pipe fd: its size, then its float64 bytes."""
     array = np.ascontiguousarray(array, dtype=np.float64)
-    return struct.pack("q", array.size), array
-
-
-def _write(fd: int, data) -> None:
-    """Write bytes, or a C-contiguous array's bytes, to the pipe fd."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
+    for data in (struct.pack("q", array.size), array):
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def _read_fd(fd: int, n: int) -> bytes:
@@ -307,24 +270,36 @@ def _read_fd(fd: int, n: int) -> bytes:
     return b"".join(chunks)
 
 
+def _read_frame(fd: int) -> np.ndarray | None:
+    """The next posted array on the pipe fd, flat, or None where the
+    pipe ends before all of its frame."""
+    head = _read_fd(fd, 8)
+    if len(head) == 8:
+        n = 8 * struct.unpack("q", head)[0]
+        data = _read_fd(fd, n)
+        if len(data) == n:
+            return np.frombuffer(data)
+    return None
+
+
 def _serve(job: Job, rfd: int, wfd: int, pfd: int,
            inherited: list[int]) -> NoReturn:
-    """A worker's whole life: run job on the stream read from rfd and the
-    posts written to pfd, then write the pickled (True, floats,
-    warnings) or (False, exception, warnings) to wfd.  The stream and
-    the posts are closed first, so a caller still writing to the one, or
-    waiting on the other, stops at once."""
+    """A worker's whole life: run job on the arrays posted to rfd and
+    posting to pfd, then write the pickled (True, floats, warnings) or
+    (False, exception, warnings) to wfd.  rfd and pfd are closed first,
+    so a caller still posting to the one, or waiting on the other, stops
+    at once."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
         with warnings.catch_warnings(record=True) as caught:
-            with open(rfd, "rb") as stream:
-                try:
-                    reply = (True, job(Channel(stream, pfd)))
-                except Exception as exc:
-                    reply = (False, exc)
-                os.close(pfd)
+            try:
+                reply = (True, job(Channel(rfd, pfd)))
+            except Exception as exc:
+                reply = (False, exc)
+            os.close(rfd)
+            os.close(pfd)
         warned = [(w.message, w.category, w.filename, w.lineno)
                   for w in caught]
         with open(wfd, "wb") as fh:

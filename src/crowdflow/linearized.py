@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -141,8 +140,9 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     max(0, ceil((len(hs) + 2) / P) - 2), after its solve, and P - 1
     workers, forked before the solve, the rest in contiguous chunks.
     Each worker advances its chunk side by side, one split_step per base
-    dt written to its pipe, and after the end marker receives the base
-    run's final state and Sigma_t sigma0 and sends back only its floats.
+    dt posted to it as a one-float array, and after the empty array that
+    ends them receives the base run's final state and Sigma_t sigma0 and
+    sends back only its floats.
     With P = 1 the caller replays every h.  The result is that of the
     one-h-at-a-time loop, bit for bit, for every P; so are the warnings,
     which each worker records and the caller re-issues through its own
@@ -168,11 +168,15 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         defect = state.data - rho_t - h * sigma_t
         return float(np.abs(defect).sum()) * rho0.grid.cell_area
 
-    def work(chunk: list[float], stream: forked.Channel) -> list[float]:
-        """A worker's job: its chunk in lockstep with the stream."""
-        states = replay(chunk, forked.dts(stream), _face_buffers(model.grid))
-        rho_t = forked.read_array(stream, rho0.data.shape)
-        sigma_t = forked.read_array(stream, rho0.data.shape)
+    def work(chunk: list[float], channel: forked.Channel) -> list[float]:
+        """A worker's job: its chunk in lockstep with the posted dts."""
+        def dts():
+            while (dt := channel.receive()).size:
+                yield float(dt[0])
+
+        states = replay(chunk, dts(), _face_buffers(model.grid))
+        rho_t, sigma_t = (channel.receive().reshape(rho0.data.shape)
+                          for _ in range(2))
         return [residual(h, s, rho_t, sigma_t) for h, s in zip(chunk, states)]
 
     with forked.sharing(len(hs) + 1) as (procs, start):
@@ -183,22 +187,21 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         workers = [start(functools.partial(work, hs[a:b]))
                    for a, b in zip(cuts, cuts[1:])]
 
-        def stream(report):
-            word = struct.pack("d", report.dt)
+        def post_dt(report):
             for w in workers:
-                w.send(word)
+                w.post(np.array([report.dt]))
 
         base, sigma_t = solve_linearized(model, rho0, sigma0, t,
-                                         on_step=stream)
+                                         on_step=post_dt)
         for w in workers:
-            w.send(forked.END)
+            w.post(np.empty(0))
         dts = [r.dt for r in base.reports]
         faces = _face_buffers(model.grid)  # shared by the caller's replays
         out = [residual(h, replay([h], dts, faces)[0], base.state.data,
                         sigma_t.data) for h in hs[:own]]
         for w in workers:
-            w.send(np.ascontiguousarray(base.state.data))
-            w.send(np.ascontiguousarray(sigma_t.data))
+            w.post(base.state.data)
+            w.post(sigma_t.data)
         for w in workers:
             out.extend(w.finish())
         return out

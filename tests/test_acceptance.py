@@ -112,7 +112,9 @@ def test_05_tv_bound_domination():
         rows.append((t, float(norms(state).tv.sum()),
                      tv_bound_deviation(t, agg)))
 
-    run(model, datum, on_step=envelope.on_step, on_snapshot=on_snapshot)
+    run(model, datum, on_snapshot=on_snapshot,
+        on_step=lambda report, state, W: envelope.include(
+            envelope.measure(W)))
     ok = True
     min_slack = math.inf
     for t, tv, bound in rows:

@@ -7,14 +7,14 @@ import pytest
 
 from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
                        NumericError, ParameterDeltas, PopulationField,
-                       RunningEnvelope, advection_field, aggregate_inputs,
-                       bound_inputs_for, diagnostics_header, direction_norms,
-                       kappa0, kernel_norms, bump_kernel, constant_direction,
-                       linear_speed_law, make_grid, parse_config, preset,
-                       run, run_tables, sample_kernel,
+                       RunningEnvelope, StabilityBound, advection_field,
+                       aggregate_inputs, bound_inputs_for, diagnostics_header,
+                       direction_norms, kappa0, kernel_norms, bump_kernel,
+                       constant_direction, linear_speed_law, make_grid,
+                       parse_config, preset, run, run_tables, sample_kernel,
                        stability_bound_deviation, stability_table,
                        sup_gradient, tv_bound_deviation, wd)
-from crowdflow import analysis, solver
+from crowdflow import analysis, forked, solver
 from crowdflow.analysis import LOG_MAX, _diff, _gronwall
 from crowdflow.cli import _write_table, main
 from crowdflow.solver import DEVIATION, ModelSpec
@@ -52,7 +52,6 @@ def all_ones(**kw):
 def assert_infinite_envelope(sb):
     assert sb.value == math.inf
     assert sb.log_value == math.inf
-    assert not math.isnan(sb.a) and not math.isnan(sb.b)
 
 
 class TestWd:
@@ -125,14 +124,17 @@ class TestStabilityBoundDeviation:
     def test_identical_configs_zero_datum_difference(self):
         bi = sample_inputs()
         sb = stability_bound_deviation(0.5, bi, bi, ParameterDeltas())
-        assert sb.a == 0.0
-        assert sb.value == 0.0
+        assert sb == StabilityBound(value=0.0, log_value=-math.inf)
 
     def test_datum_difference_only(self):
         bi = sample_inputs(grad_v_sup=0.1, ci=0.1)
         deltas = ParameterDeltas(drho0_l1=0.25)
         sb = stability_bound_deviation(0.5, bi, bi, deltas)
-        expect = (1 + 0.5 * math.exp(0.5 * sb.b)) * 0.25
+        # the feedback rate b = C_I (exp(k0 t) sup|q'| TV(t) + sup q), with
+        # k0 = 5 * 4 * 0.1 and TV(t) = tv0 + t 2 W_2 sup q (C_I + graddiv_l1)
+        tv = 5.0 + 0.5 * (math.pi / 2) * 1.0 * (0.1 + 0.6)
+        b = 0.1 * (math.exp(2.0 * 0.5) * 4.0 * tv + 1.0)
+        expect = (1 + 0.5 * math.exp(0.5 * b)) * 0.25
         assert sb.value == pytest.approx(expect)
         assert sb.log_value == pytest.approx(math.log(expect))
 
@@ -140,7 +142,8 @@ class TestStabilityBoundDeviation:
         bi = sample_inputs()
         deltas = ParameterDeltas(dq_sup=0.1, ddq_sup=0.2)
         sb = stability_bound_deviation(0.5, bi, bi, deltas)
-        assert sb.a > 0.0 and sb.value > 0.0
+        # no datum difference: the bound is positive through a(t) alone
+        assert sb.value > 0.0 and math.isfinite(sb.log_value)
 
     def test_t_zero(self):
         bi = sample_inputs()
@@ -161,8 +164,10 @@ class TestStabilityBoundDeviation:
         bi = all_ones(grad_v_sup=100.0)
         sb = stability_bound_deviation(10.0, bi, bi,
                                        ParameterDeltas(drho0_l1=0.1))
-        assert sb.a == 0.0
         assert_infinite_envelope(sb)
+        # a(t) is 0: without the datum difference the bound is 0, not NaN
+        assert stability_bound_deviation(10.0, bi, bi, ParameterDeltas()) \
+            == StabilityBound(value=0.0, log_value=-math.inf)
 
     def test_monotone_in_time(self):
         bi = sample_inputs(grad_v_sup=0.2, ci=0.3)
@@ -447,7 +452,7 @@ class TestRunningEnvelope:
 
         def on_step(report, state, W):
             seen.append(oracle_sup_gradient(W, model.grid))
-            envelope.on_step(report, state, W)
+            envelope.include(envelope.measure(W))
             assert [bi.grad_v_sup for bi in envelope.inputs] \
                 == [max(seen)] * model.n
 
@@ -476,7 +481,8 @@ class TestRunningEnvelope:
             return [tv_bound_deviation(t, bi) for bi in inputs]
 
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
-        run(model, datum, on_step=envelope.on_step)
+        run(model, datum, on_step=lambda report, state, W: envelope.include(
+            envelope.measure(W)))
         assert envelope.inputs[0].grad_v_sup > 0.0
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
 
@@ -562,6 +568,17 @@ class TestStabilityTable:
         table = stability_table(model, datum, datum.copy())
         assert [(t, d, b.value, b.log_value) for t, d, b in table] == [
             (t, 0.0, 0.0, -math.inf) for t in (0.0, 0.05, 0.1)]
+
+    def test_takes_no_diagnostics_norms(self, monkeypatch):
+        # stability writes no diagnostics.csv, so its runs take the norms
+        # of no state: the one call is bound_inputs_for's, of datum1
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: 1)
+        model, datum = preset("crossing").with_mesh(0.4).build()
+        taken, norms = [], analysis.norms
+        monkeypatch.setattr(analysis, "norms",
+                            lambda state: taken.append(state) or norms(state))
+        stability_table(model, datum, datum.copy())
+        assert len(taken) == 1 and taken[0] is datum
 
     def test_three_populations(self, tmp_path):
         ini = tmp_path / "c.ini"

@@ -8,9 +8,10 @@ module; `__init__.py` re-exports by importing, and `from __future__`
 imports are directives, so both are left out.  No package module but
 forked.py may call os.fork, reach the OpenBLAS thread control or read a
 private name of forked: the policy of who forks lives in one place.
-cli.py calls no run and reads no name of forked: every run, as
-run_tables for run and bounds and stability_table for the stability
-pair, is library logic, and so is whether it forks.
+cli.py calls no run and reads no name of forked: every run is library
+logic, and so is whether it forks.  In analysis.py only run_tables
+calls run: run and bounds, and each run of the stability pair, step
+through its one lockstep path.
 """
 
 import ast
@@ -129,7 +130,7 @@ def test_forking_checker_finds_each_kind():
               "get, put = forked._openblas_threads()\n"
               "lib.openblas_set_num_threads(1)\n"
               "with forked.sharing(2) as (procs, start):\n"
-              "    start(job).send(forked.END)\n"
+              "    forked.Lockstep([start(job)]).share(rows)\n"
               "import mmap\n"
               "buf = mmap.mmap(-1, 8)\n"
               "from mmap import mmap as shared\n"
@@ -165,7 +166,7 @@ def test_forked_reads_checker_finds_each_kind():
     assert forked_reads("from . import forked\n") == ["forked"]
     assert forked_reads("from .forked import sharing\n") == ["forked"]
     assert forked_reads("import crowdflow.forked\n") == ["crowdflow.forked"]
-    assert forked_reads("x = forked.END\n") == ["forked"]
+    assert forked_reads("x = forked.Lockstep\n") == ["forked"]
     assert forked_reads("from . import forking\nforks = 1\n") == []
 
 
@@ -184,6 +185,13 @@ def run_callers(source: str) -> list[str]:
 def test_cli_calls_no_run():
     source = (ROOT / "src" / "crowdflow" / "cli.py").read_text()
     assert run_callers(source) == []
+
+
+def test_analysis_runs_only_in_run_tables():
+    # one stepping path in analysis.py: stability_table's pair, like run
+    # and bounds, steps through run_tables' lockstep core
+    source = (ROOT / "src" / "crowdflow" / "analysis.py").read_text()
+    assert run_callers(source) == ["run_tables"]
 
 
 def test_run_caller_checker_finds_each_kind():

@@ -7,7 +7,9 @@ one-process run, taken with one usable CPU: the outputs, the errors and
 their messages are the same, and no worker outlives the command.  The
 byte identity of every output at 1, 2 and 3 CPUs, for 1, 2 and 3
 populations, is tests/test_snapshot_writer.py's
-test_outputs_do_not_depend_on_the_writer.
+test_outputs_do_not_depend_on_the_writer; `stability`, whose two runs
+step through run_tables too, has test_stability_does_not_depend_on_the_cpus
+and a case in each lifecycle test.
 """
 
 import os
@@ -60,14 +62,17 @@ def poisoned(monkeypatch, pops, k):
     monkeypatch.setattr(solver, "split_step", wrapped)
 
 
-@pytest.mark.parametrize("n, cpus, pops", [
-    (2, 2, (1,)), (2, 2, (0, 1)), (3, 2, (2,)), (3, 3, (1, 2))],
-    ids=["worker", "both", "uneven-worker", "two-workers"])
+@pytest.mark.parametrize("verb, n, cpus, pops", [
+    ("bounds", 2, 2, (1,)), ("bounds", 2, 2, (0, 1)),
+    ("bounds", 3, 2, (2,)), ("bounds", 3, 3, (1, 2)),
+    ("stability", 3, 3, (1, 2))],
+    ids=["worker", "both", "uneven-worker", "two-workers", "stability"])
 def test_numeric_error_is_the_one_process_error(tmp_path, monkeypatch,
-                                                capsys, forks, n, cpus,
+                                                capsys, forks, verb, n, cpus,
                                                 pops):
-    # a NaN field in step 3: exit 2 with the one-process message, which
-    # names the lowest failing population, and the same files
+    # a NaN field in step 3 (of stability's first run): exit 2 with the
+    # one-process message, which names the lowest failing population, and
+    # the same files
     ini = tmp_path / "c.ini"
     ini.write_text(populations_ini(n))
     results = []
@@ -75,7 +80,7 @@ def test_numeric_error_is_the_one_process_error(tmp_path, monkeypatch,
         poisoned(monkeypatch, pops, 3)
         out = tmp_path / str(c)
         code, stdout, err = command(monkeypatch, capsys, c, [
-            "bounds", "--config", str(ini), "--out", str(out)])
+            verb, "--config", str(ini), "--out", str(out)])
         assert_no_child_left()
         results.append((code, stdout, err, files(out)))
     assert results[1] == results[0]
@@ -186,6 +191,8 @@ def test_strict_violation_writes_no_later_snapshot(tmp_path, monkeypatch,
 
 def test_killed_worker_ends_the_command(tmp_path, monkeypatch, capsys,
                                         forks):
+    # the worker is killed in its second step: of the run, and of
+    # stability's first run
     step, calls = solver.split_step, []
 
     def killing(state, *args, **kwargs):
@@ -197,13 +204,15 @@ def test_killed_worker_ends_the_command(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(solver, "split_step", killing)
     ini = tmp_path / "c.ini"
     ini.write_text(CROSSING)
-    code, stdout, err = command(monkeypatch, capsys, 2, [
-        "run", "--config", str(ini), "--out", str(tmp_path / "out")])
-    assert (code, stdout) == (1, "")
-    assert err == ("error: forked worker ended with signal 9 and no "
-                   "result\n")
-    assert len(forks) == 1
-    assert_no_child_left()
+    for verb in ("run", "stability"):
+        calls.clear()
+        code, stdout, err = command(monkeypatch, capsys, 2, [
+            verb, "--config", str(ini), "--out", str(tmp_path / verb)])
+        assert (code, stdout) == (1, "")
+        assert err == ("error: forked worker ended with signal 9 and no "
+                       "result\n")
+        assert_no_child_left()
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("outcome", ["ok", "numeric", "configuration"])
@@ -211,9 +220,10 @@ def test_killed_worker_ends_the_command(tmp_path, monkeypatch, capsys,
     (2, 2, 1), (3, 4, 2), (1, 4, 1)], ids=["halved", "quad", "one"])
 def test_blas_threads_set_and_restored(tmp_path, monkeypatch, capsys, forks,
                                        jobs, outcome, before, cpus, during):
-    # two populations share min(2, cpus) processes: the caller steps on
-    # cpus // 2 BLAS threads at most, and has its own count back after;
-    # a datum outside the room stops the command before it steps or forks
+    # two populations share min(2, cpus) processes, in bounds and in each
+    # of stability's two runs: the caller steps on cpus // 2 BLAS threads
+    # at most, and has its own count back after; a datum outside the room
+    # stops the command before it steps or forks
     if forked._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread control: no process is forked")
     get, put = forked._openblas_threads()
@@ -230,18 +240,46 @@ def test_blas_threads_set_and_restored(tmp_path, monkeypatch, capsys, forks,
     ini.write_text(CROSSING if outcome != "configuration" else
                    populations_ini(2).replace(BLOCKS[0],
                                               "0.9 -6.4 3.2 -3.2 3.8"))
-    put(before)
-    try:
-        code, _, _ = command(monkeypatch, capsys, cpus, [
-            "bounds", "--config", str(ini), "--out", str(tmp_path / "out")])
-    finally:
-        after = get()
-        put(original)
-    assert code == {"ok": 0, "numeric": 2, "configuration": 1}[outcome]
-    assert set(seen) == (set() if outcome == "configuration" else {during})
-    assert after == before
-    assert jobs == ([] if outcome == "configuration" else ["work"])
-    assert_no_child_left()
+    for verb, runs in (("bounds", 1), ("stability", 2)):
+        seen.clear()
+        jobs.clear()
+        put(before)
+        try:
+            code, _, _ = command(monkeypatch, capsys, cpus, [
+                verb, "--config", str(ini), "--out", str(tmp_path / verb)])
+        finally:
+            after = get()
+            put(original)
+        assert code == {"ok": 0, "numeric": 2, "configuration": 1}[outcome]
+        assert set(seen) == (set() if outcome == "configuration"
+                             else {during})
+        assert after == before
+        assert jobs == {"ok": ["work"] * runs, "numeric": ["work"],
+                        "configuration": []}[outcome]
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["crossing", "three"])
+def test_stability_does_not_depend_on_the_cpus(tmp_path, monkeypatch, capsys,
+                                               forks, name):
+    # both runs of the pair are stepped in min(n, cpus) processes: the
+    # table, stdout and stability.csv are the one-process command's
+    ini = tmp_path / "c.ini"
+    ini.write_text({"crossing": CROSSING, "three": populations_ini(3)}[name])
+    n, results = {"crossing": 2, "three": 3}[name], []
+    for cpus in (1, 2, 3):
+        out = tmp_path / str(cpus)
+        code, stdout, err = command(monkeypatch, capsys, cpus, [
+            "stability", "--config", str(ini), "--out", str(out)])
+        assert_no_child_left()
+        assert len(forks) == 2 * (min(n, cpus) - 1)
+        forks.clear()
+        results.append((code, stdout.replace(str(out), "OUT"), err,
+                        files(out)))
+    assert results[0][0] == 0 and results[0][2] == ""
+    assert list(results[0][3]) == ["stability.csv"]
+    assert len(results[0][1].splitlines()) == 2 + 4  # t = 0, 0.1, 0.2, 0.3
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 # name: INI of a run_tables call
