@@ -12,6 +12,12 @@ direction-field norms and the sampled C_I (estimate_ci) all differentiate
 on the grid by one central-difference rule.  RunningEnvelope keeps the
 running sup of grad V along a run and evaluates the envelopes from it;
 run_tables steps every run of the commands, stability_table's pair too.
+Every input is per population, so each process that steps a chunk of
+a run's populations measures that chunk's inputs before its first step,
+through its own part of the operator, and the caller gathers them: no
+process holds a whole-model operator value.  The one whole-datum number
+they read, the L1 norm that normalizes the sampled C_I, is taken once
+before the processes fork.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -232,17 +238,32 @@ def _gradient_norm1(f: np.ndarray, grid: GridSpec,
 # norm helpers feeding BoundInputs
 
 
-def sup_gradient(V: np.ndarray, grid: GridSpec,
-                 out: np.ndarray | None = None) -> float:
+_SLAB_ROWS = 128  # rows of each slab of sup_gradient's differences
+
+
+def sup_gradient(V: np.ndarray, grid: GridSpec) -> float:
     """Sup over cells of the entrywise 1-norm of the velocity Jacobian.
 
-    Accepts (2, nx, ny) or (n, 2, nx, ny); central differences.  out, a
-    (2, nx, ny) array, is the scratch of the differences and their sum.
+    Accepts (2, nx, ny) or (n, 2, nx, ny); central differences.  They are
+    taken in slabs of _SLAB_ROWS rows, each read with the row on either
+    side, into scratch of one slab: every cell's sum is the whole-grid
+    differences' own arithmetic, and a maximum is exact, so the sup is
+    theirs bit for bit.
     """
     if V.ndim == 3:
         V = V[None]
-    return max(0.0, *(float(_jacobian_norm1(vi, grid, out).max())
-                      for vi in V))
+    nx = V.shape[-2]
+    work = np.empty((2, min(nx, _SLAB_ROWS + 2), V.shape[-1]))
+    sups = []
+    for vi in V:
+        slabs = []
+        for r0 in range(0, nx, _SLAB_ROWS):
+            r1 = min(r0 + _SLAB_ROWS, nx)
+            lo, hi = max(r0 - 1, 0), min(r1 + 1, nx)
+            total = _jacobian_norm1(vi[:, lo:hi], grid, work[:, :hi - lo])
+            slabs.append(total[r0 - lo:r1 - lo].max())
+        sups.append(float(np.max(slabs)))  # NaN, as the whole grid's max
+    return max(0.0, *sups)
 
 
 _SCAN_ROWS = 32  # rows per block of the kernel_norms scan
@@ -302,10 +323,10 @@ def direction_norms(v: np.ndarray, grid: GridSpec) -> dict:
     )
 
 
-def estimate_ci(op: NonlocalOperator,
-                samples: Sequence[PopulationField]) -> np.ndarray:
-    """Empirical lower bound for the Lipschitz constant of each
-    population's deviation I_i, shape (n,).
+def estimate_ci(op: NonlocalOperator, samples: Sequence[PopulationField],
+                l1: np.ndarray | None = None) -> np.ndarray:
+    """Empirical lower bound for the Lipschitz constant of each of the
+    samples' populations' deviation I_i, shape (n,).
 
     Evaluates the operator once per sample and, for each population,
     maximizes the four defining ratios over single samples (sup of
@@ -314,31 +335,47 @@ def estimate_ci(op: NonlocalOperator,
     pairs (sup and L1-of-divergence Lipschitz quotients).  Divergences
     and gradients use second-order central differences, into scratch
     made for each phase, so none is alive while the operator runs.
+
+    The samples may hold one chunk of a larger field's populations (the
+    same first and n in each), whose rows op gives, as SharedAvoidance
+    does.  The norms are then the whole fields', given as l1, (m, m):
+    l1[a, a] is sample a's L1 norm and, for a < b, l1[a, b] that of
+    sample a minus sample b.  Without l1 they are the samples' own.
     """
     if len(samples) < 2:
         raise EstimationError("need at least two density samples")
     grid = samples[0].grid
-    area = grid.cell_area
-    pairs = []
-    for (a, s1), (b, s2) in combinations(enumerate(samples), 2):
-        dl1 = float(np.abs(s1.data - s2.data).sum()) * area
-        if dl1 != 0.0:
-            pairs.append((dl1, a, b))
+    if l1 is None:
+        l1 = _l1_norms(samples)
+    pairs = [(l1[a, b], a, b)
+             for a, b in combinations(range(len(samples)), 2)
+             if l1[a, b] != 0.0]
     if not pairs:
         raise EstimationError("all sample pairs are identical")
     best = np.zeros(samples[0].n)
     vals = []
-    for s in samples:
+    for a, s in enumerate(samples):
         I = op(s)
         vals.append(I)
-        l1 = float(np.abs(s.data).sum()) * area
-        if l1 != 0.0:
+        if l1[a, a] != 0.0:
             for i, ratios in enumerate(_sample_ratios(I, grid)):
-                best[i] = max(best[i], *(r / l1 for r in ratios))
+                best[i] = max(best[i], *(r / l1[a, a] for r in ratios))
     for dl1, a, b in pairs:
         for i, ratios in enumerate(_pair_ratios(vals[a], vals[b], grid)):
             best[i] = max(best[i], *(r / dl1 for r in ratios))
     return best
+
+
+def _l1_norms(samples: Sequence[PopulationField]) -> np.ndarray:
+    """estimate_ci's l1 of whole samples: their L1 norms on the diagonal,
+    the L1 norms of their differences above it."""
+    area = samples[0].grid.cell_area
+    l1 = np.zeros((len(samples), len(samples)))
+    for a, s in enumerate(samples):
+        l1[a, a] = float(np.abs(s.data).sum()) * area
+        for b in range(a + 1, len(samples)):
+            l1[a, b] = float(np.abs(s.data - samples[b].data).sum()) * area
+    return l1
 
 
 def _sample_ratios(I: np.ndarray, grid: GridSpec) -> list[tuple[float, float]]:
@@ -383,33 +420,53 @@ def _pair_ratios(I1: np.ndarray, I2: np.ndarray,
 # field names
 
 
-def bound_inputs_for(model: ModelSpec,
-                     datum: PopulationField) -> list[BoundInputs]:
+def bound_inputs_for(model: ModelSpec, datum: PopulationField,
+                     tv0: np.ndarray | None = None,
+                     datum_l1: float | None = None) -> list[BoundInputs]:
     """Per-population BoundInputs of a deviation-family configuration.
 
     Direction norms come from grid differences; the nonlocal Lipschitz
-    constants are empirical lower bounds from a small sample family;
-    grad_v_sup starts at 0, and RunningEnvelope keeps it at the running
-    maximum of the advection field's gradient.  A differentiable model
-    has no envelope to feed and raises ConfigurationError.
+    constants are empirical lower bounds from the samples datum and
+    datum / 2; grad_v_sup starts at 0, and RunningEnvelope keeps it at
+    the running maximum of the advection field's gradient.  A
+    differentiable model has no envelope to feed and raises
+    ConfigurationError.
+
+    model and datum may be one chunk of a larger model's populations, as
+    each process of run_tables measures its own: datum's populations,
+    from datum.first, with model's laws, dirs and kernels theirs and
+    model.deviation giving their rows.  datum_l1 is then the sum of
+    |rho| over the whole datum's cells, the samples' L1 normalizer, which
+    halving the datum halves exactly.  tv0 is norms(datum).tv where the
+    caller has taken it.  Left out, each is taken from datum.
     """
-    if model.family != DEVIATION:
-        raise ConfigurationError(
-            "envelopes are evaluated for the deviation family only")
-    rec = norms(datum)
+    _require_deviation(model)
+    if tv0 is None:
+        tv0 = norms(datum).tv
     # no input reads these; the benchmark's traced deviation commands
     # must call the analysis.kernel_norms span
     for spec in {k.spec for k in model.kernels}:
         kernel_norms(spec)
-    ci = np.zeros(model.n)
-    if float(np.abs(datum.data).sum()) != 0.0:
-        ci = estimate_ci(model.deviation,
-                         [datum, PopulationField(datum.grid, 0.5 * datum.data)])
-    return [BoundInputs(tv0=float(rec.tv[i]), q_sup=law.q_sup,
+    if datum_l1 is None:
+        datum_l1 = float(np.abs(datum.data).sum())
+    ci = np.zeros(datum.n)
+    if datum_l1 != 0.0:
+        area = datum.grid.cell_area
+        whole, half = datum_l1 * area, (0.5 * datum_l1) * area
+        ci = estimate_ci(model.deviation, [
+            datum, PopulationField(datum.grid, 0.5 * datum.data, datum.first)],
+            np.array([[whole, half], [0.0, half]]))
+    return [BoundInputs(tv0=float(tv0[i]), q_sup=law.q_sup,
                         dq_sup=law.dq_sup,
                         **direction_norms(model.dirs[i], model.grid),
                         ci=float(ci[i]), grad_v_sup=0.0)
             for i, law in enumerate(model.laws)]
+
+
+def _require_deviation(model: ModelSpec) -> None:
+    if model.family != DEVIATION:
+        raise ConfigurationError(
+            "envelopes are evaluated for the deviation family only")
 
 
 def aggregate_inputs(per_pop: list[BoundInputs]) -> BoundInputs:
@@ -424,28 +481,26 @@ class RunningEnvelope:
     """The envelopes of one deviation-family configuration and their
     inputs, kept current.
 
-    inputs holds one BoundInputs per population, measured by
-    bound_inputs_for(model, datum).  Their grad_v_sup starts at 0, and
-    include(measure(W)) after each step raises it to the running sup of
-    sup_gradient(W), so that an envelope evaluated after a step covers
-    every field so far.  One object may follow several runs of the same
-    model (stability_table's pair).
+    inputs holds one BoundInputs per population: bound_inputs_for(model,
+    datum) where a datum is given, and otherwise None until the first
+    run_tables run that follows this object, whose stepping processes
+    measure them from its datum, each its own populations'.  Their
+    grad_v_sup starts at 0, and include(measure(W)) after each step
+    raises it to the running sup of sup_gradient(W), so that an envelope
+    evaluated after a step covers every field so far.  One object may
+    follow several runs of the same model (stability_table's pair).
     """
 
-    def __init__(self, model: ModelSpec, datum: PopulationField):
+    def __init__(self, model: ModelSpec,
+                 datum: PopulationField | None = None):
+        _require_deviation(model)
         self.grid = model.grid
-        self.inputs = bound_inputs_for(model, datum)
-        # sup_gradient's scratch, made at the first step: made here, before
-        # the run, it moved the heap so that evacuation runs at mesh 0.05
-        # took 4.6x the minor page faults on some output paths
-        self._work: np.ndarray | None = None
+        self.inputs = None if datum is None else bound_inputs_for(model,
+                                                                  datum)
 
     def measure(self, W: np.ndarray) -> float:
-        """sup_gradient(W), of one field or a stack, in this object's
-        scratch."""
-        if self._work is None:
-            self._work = np.empty((2,) + W.shape[-2:])
-        return sup_gradient(W, self.grid, self._work)
+        """sup_gradient(W), of one field or a stack."""
+        return sup_gradient(W, self.grid)
 
     def include(self, sup: float) -> None:
         """Raise every population's grad_v_sup to at least sup."""
@@ -463,14 +518,15 @@ def stability_table(model: ModelSpec, datum1: PopulationField,
                     ) -> list[tuple[float, float, StabilityBound]]:
     """(t, L1 distance, its envelope) of the runs of the model from datum1
     and datum2 at t = 0 and each output time run reports.  Both runs step
-    through run_tables, sharing one RunningEnvelope built from datum1 (a
-    running maximum: the same in any process and order).  Each stepping
-    process writes its populations' first-run states to shared memory
-    and subtracts their second-run states there, so that each distance
-    is one sum here.  The rows come after both runs from the envelope's
-    aggregate_inputs, both runs' inputs: they share every parameter."""
+    through run_tables, sharing one RunningEnvelope, whose inputs the
+    first run measures from datum1 and whose running maximum is the same
+    in any process and order.  Each stepping process writes its
+    populations' first-run states to shared memory and subtracts their
+    second-run states there, so that each distance is one sum here.  The
+    rows come after both runs from the envelope's aggregate_inputs, both
+    runs' inputs: they share every parameter."""
     model = replace(model, snapshot_times=(0.0, *model.snapshot_times))
-    envelope, area = RunningEnvelope(model, datum1), model.grid.cell_area
+    envelope, area = RunningEnvelope(model), model.grid.cell_area
     times = output_times(model.snapshot_times, model.t_max)
     diff = forked.shared_array((len(times), model.n, model.grid.nx,
                                 model.grid.ny))
@@ -515,33 +571,38 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
     and the final state unless the last step gave it; none where
     diag_rows is None.  A given envelope follows this run too (as
     stability_table's pair shares one); otherwise a deviation model, or
-    with_bounds, makes a RunningEnvelope(model, datum), and with_bounds
-    makes a differentiable model a ConfigurationError.
+    with_bounds, makes a RunningEnvelope(model), and with_bounds makes a
+    differentiable model a ConfigurationError.
 
     The run is stepped by the P processes of a forked.sharing scope,
     which wants n of them for a deviation model of n >= 2 populations
     with a GradientAvoidance operator and 1 otherwise: the caller and
-    P - 1 workers, each owning a contiguous chunk of the populations,
-    the caller the first and smallest.  Each process runs its chunk as
-    a model of its own; where P >= 2 its operator is the chunk's
-    SharedAvoidance.  The processes share, in lockstep, the boxes of the
-    saturated gradients, each chunk's cfl_dt (whose least is the whole
-    model's), and after each step each population's outflow, escaped
-    mass, min, max, the sup_gradient of its field (where there is an
-    envelope) and, at diagnostics steps, norms.  From these the caller
-    builds the StepReports, checks the maximum principle, raises the
-    envelope's running sup and adds the table rows.  Each process calls
-    on_snapshot with its own populations (state.first is the first
-    one's index) once the caller has taken the step's checks, so what
-    the callback keeps in memory stays in that process; the workers
-    post their final states.  Every table, state and error is the same
-    at any P, except that a failed run leaves every snapshot a process
-    had begun complete on disk: at the time that failed, that can be
-    more files than one process leaves.
+    P - 1 workers, forked before any of them evaluates an operator, each
+    owning a contiguous chunk of the populations, the caller the first
+    and smallest.  Each process runs its chunk as a model of its own;
+    where P >= 2 its operator is the chunk's SharedAvoidance.  Before
+    the first step each process takes its chunk's t = 0 norms and, where
+    the envelope has no inputs yet, measures them with bound_inputs_for
+    (tv0 from those norms, C_I through its own operator); the caller
+    gathers both in one exchange.  Then the processes share, in
+    lockstep, the boxes of the saturated gradients, each chunk's cfl_dt
+    (whose least is the whole model's), and after each step each
+    population's outflow, escaped mass, min, max, the sup_gradient of
+    its field (where there is an envelope) and, at diagnostics steps,
+    norms.  From these the caller builds the StepReports, checks the
+    maximum principle, raises the envelope's running sup and adds the
+    table rows.  Each process calls on_snapshot with its own populations
+    (state.first is the first one's index) once the caller has taken the
+    step's checks, so what the callback keeps in memory stays in that
+    process; the workers post their final states.  Every table, state
+    and error is the same at any P, except that a failed run leaves
+    every snapshot a process had begun complete on disk: at the time
+    that failed, that can be more files than one process leaves.
     """
     n, g = model.n, model.grid
     if envelope is None and (with_bounds or model.family == DEVIATION):
-        envelope = RunningEnvelope(model, datum)
+        envelope = RunningEnvelope(model)
+    measure = envelope is not None and envelope.inputs is None
     bound_rows, reports, diagnose = [], [], diag_rows is not None
 
     def diag_row(t, dt, rec, escaped):
@@ -556,6 +617,13 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
             slack = tvb / meas if meas > 0 else math.inf
             bound_rows.append((t, i + 1, meas, tvb, slack, float(linf[i]),
                                model.R))
+
+    def started(rows):  # the caller's: every population's t = 0 rows
+        if measure:
+            envelope.inputs = [BoundInputs(*map(float, r))
+                               for r in rows[:, -len(fields(BoundInputs)):]]
+        if diagnose:
+            diag_row(0.0, 0.0, NormRecord(*rows[:, :3].T), np.zeros(n))
 
     def took_step(report, rows):  # the caller's: every population's rows
         outflow, escaped, lo, hi = rows[:, :4].T
@@ -575,6 +643,11 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
         part = replace(model, laws=model.laws[a:b], dirs=model.dirs[a:b],
                        kernels=model.kernels[a:b], strict=False,
                        deviation=deviation)
+        own = datum if b - a == n else PopulationField(g, datum.data[a:b], a)
+
+        def sampled(state):  # no process overwrites a G_j another reads
+            lockstep.share(np.empty(0))
+            return deviation(state)
 
         def agree(dt):
             return float(lockstep.share(np.array([dt])).min())
@@ -600,21 +673,33 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
                 if lockstep.caller:
                     bounds_at(t, *rows.reshape(n, 2).T)
 
-        return run(part, PopulationField(g, datum.data[a:b], a),
-                   on_snapshot=snapshot, on_step=on_step, agree=agree)
+        if diagnose or measure:
+            rec = norms(own)
+            cols = [rec.l1, rec.linf, rec.tv] if diagnose else []
+            if measure:
+                inputs = bound_inputs_for(replace(part, deviation=sampled),
+                                          own, rec.tv, datum_l1)
+                cols.append([astuple(bi) for bi in inputs])
+            # back to every process: none computes the first step's
+            # gradients while another still reads the last sample's
+            rows = lockstep.share(np.column_stack(cols))
+            if lockstep.caller:
+                started(rows.reshape(n, -1))
+        return run(part, own, on_snapshot=snapshot, on_step=on_step,
+                   agree=agree)
 
     def work(a, b, channel) -> list[float]:
         result = own_run(a, b, forked.Lockstep(channel=channel))
         channel.post(result.state.data)
         return []
 
-    if diagnose:
-        diag_row(0.0, 0.0, norms(datum), np.zeros(n))
     split = model.family == DEVIATION and n >= 2 \
         and isinstance(model.deviation, GradientAvoidance)
     with forked.sharing(n if split else 1) as (procs, start):
         cuts = [p * n // procs for p in range(procs + 1)]
         G = forked.shared_array((n, 2, g.nx, g.ny)) if procs > 1 else None
+        # the one whole-datum input: every process's C_I normalizer
+        datum_l1 = float(np.abs(datum.data).sum()) if measure else None
         workers = []
         try:
             workers += [start(functools.partial(work, a, b))

@@ -62,6 +62,8 @@ def _linearized_step(sigma: PopulationField, rho: PopulationField,
     base step's sweep.  Only sigma is smoothed; the additive part of
     each population is built in one (2, nx, ny) buffer, and faces are
     face-flux buffers for the sweeps (_face_buffers), as in split_step.
+    Where rho_i is +0.0 the additive part is +0.0 too, so that the sweep
+    runs on the live box of rho_i and sigma_i (_sweep_xy's window).
     """
     sconv = smoothed_total_density(sigma, model.kernels)
     new = np.zeros_like(sigma.data)
@@ -72,6 +74,7 @@ def _linearized_step(sigma: PopulationField, rho: PopulationField,
         s *= sconv
         np.multiply(s, model.dirs[i][1], out=e[1])
         s *= model.dirs[i][0]
+        e += 0.0  # v' < 0 made -0.0 where rho_i is +0.0: -0.0 is live
         _sweep_xy(sigma.data[i], W[i], _linear_flux, model.grid, dt, new[i],
                   e, faces)
     return PopulationField(model.grid, new)
@@ -258,8 +261,9 @@ def gateaux_benchmark(mesh: float = 1.0 / 64.0, t_max: float = 0.2,
 
     def hump(cx, cy, r, amp):
         d2 = ((X - cx) ** 2 + (Y - cy) ** 2) / r ** 2
-        return amp * np.where(d2 < 1, np.cos(0.5 * np.pi * np.sqrt(d2)) ** 2,
-                              0.0)
+        # +0.0 outside, whatever amp's sign: -0.0 would be a live cell
+        return np.where(d2 < 1, amp * np.cos(0.5 * np.pi * np.sqrt(d2)) ** 2,
+                        0.0)
 
     rho0 = PopulationField.from_arrays(grid, hump(0.35, 0.5, 0.25, 0.4),
                                        hump(0.6, 0.4, 0.2, 0.3))

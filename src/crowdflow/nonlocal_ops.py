@@ -21,7 +21,7 @@ analysis.estimate_ci.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,7 +44,9 @@ def saturate(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def gradient_avoidance(state: PopulationField, eps: np.ndarray,
-                       k: SampledKernel) -> np.ndarray:
+                       k: SampledKernel, G: np.ndarray | None = None,
+                       share: Callable[[np.ndarray], np.ndarray] | None = None,
+                       ) -> np.ndarray:
     """I_i = -sum_j eps_ij N(grad(rho_j conv eta)), shape (n, 2, nx, ny).
 
     Each saturated gradient is computed once, and only for a nonzero
@@ -57,21 +59,52 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
     leaves every bit of I as the whole grid gives it for finite data and
     eps.  The call reuses one gradient buffer, saturated in place, and
     one grid-sized scratch for the left products and every eps term.
+
+    With G and share (SharedAvoidance), state holds populations first,
+    first + 1, ... of the len(G) that processes step side by side: the
+    call saturates its own gradients into G[j], in memory they share,
+    share(boxes) exchanges the boxes (all four bounds 0 where j is
+    skipped), and it returns state's rows of the one-process call, bit
+    for bit.
     """
-    n, g = state.n, state.grid
-    _check_eps(eps, n)
-    out = np.zeros((n, 2, g.nx, g.ny))
-    G = np.empty((2, g.nx, g.ny))
+    g = state.grid
+    _check_eps(eps, state.n if G is None else len(G))
+    first = 0 if G is None else state.first
+    out = np.zeros((state.n, 2, g.nx, g.ny))
     scratch = np.empty((g.nx, g.ny))
-    for j in range(n):
-        if not eps[:, j].any():
-            continue
-        box = _saturated_gradient(state.data[j], k, G, scratch)
-        if box[0].start == box[0].stop:
-            continue
-        for i in range(n):
-            _subtract_term(out[i], eps[i, j], G, box, scratch)
+    for j, Gj, box in _gradients(state, eps, k, scratch, G, share):
+        for i, out_i in enumerate(out, first):
+            _subtract_term(out_i, eps[i, j], Gj, box, scratch)
     return out
+
+
+def _gradients(state: PopulationField, eps: np.ndarray, k: SampledKernel,
+               scratch: np.ndarray, G: np.ndarray | None,
+               share: Callable[[np.ndarray], np.ndarray] | None,
+               ) -> Iterator[tuple[int, np.ndarray, tuple[slice, slice]]]:
+    """(j, N(grad(rho_j conv eta)), its box) for each population j whose
+    term gradient_avoidance subtracts, in j order.  Without G, each is
+    computed into one (2, nx, ny) buffer as it is taken; with G, state's
+    own are saturated into G and every process's boxes are shared first.
+    """
+    if G is None:
+        buf = np.empty((2, state.grid.nx, state.grid.ny))
+        for j, rho in enumerate(state.data):
+            if eps[:, j].any():
+                box = _saturated_gradient(rho, k, buf, scratch)
+                if box[0].start < box[0].stop:
+                    yield j, buf, box
+        return
+    boxes = np.zeros((state.n, 4))
+    for b, rho in enumerate(state.data):
+        j = state.first + b
+        if eps[:, j].any():
+            rows, cols = _saturated_gradient(rho, k, G[j], scratch)
+            boxes[b] = rows.start, rows.stop, cols.start, cols.stop
+    for j, (r0, r1, c0, c1) in enumerate(share(boxes).reshape(-1, 4)
+                                         .astype(int)):
+        if r0 < r1:
+            yield j, G[j], (slice(r0, r1), slice(c0, c1))
 
 
 def _check_eps(eps: np.ndarray, n: int) -> None:
@@ -129,17 +162,12 @@ class GradientAvoidance:
 class SharedAvoidance:
     """The rows of a GradientAvoidance operator for the populations that
     one of the processes stepping a field holds, called on those
-    populations (a PopulationField with its own first).
-
-    Each process saturates the gradients of its own populations j into
-    G[j] of one (n, 2, nx, ny) array in memory the processes share, and
-    share(boxes), a forked.Lockstep's, exchanges the box each wrote (all
-    four bounds 0 where gradient_avoidance skips j).  Then each builds
-    its own I_i from every G_j on its box, in j order, as
-    gradient_avoidance does: the rows are that call's, bit for bit.
-    The caller of the operator shares a value, such as its time step,
-    before any process computes the next gradients, so that no process
-    overwrites a G_j that another still reads.
+    populations (a PopulationField with its own first): gradient_avoidance
+    with the shared G, an (n, 2, nx, ny) array, and share, a
+    forked.Lockstep's, that exchanges the boxes.  The caller of the
+    operator shares a value, such as its time step, before any process
+    computes the next gradients, so that no process overwrites a G_j
+    that another still reads.
     """
 
     op: GradientAvoidance
@@ -147,21 +175,5 @@ class SharedAvoidance:
     share: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, state: PopulationField) -> np.ndarray:
-        eps, k, g = self.op.eps, self.op.kernel, state.grid
-        _check_eps(eps, len(self.G))
-        own = range(state.first, state.first + state.n)
-        scratch = np.empty((g.nx, g.ny))
-        boxes = np.zeros((state.n, 4))
-        for j, rho in zip(own, state.data):
-            if eps[:, j].any():
-                rows, cols = _saturated_gradient(rho, k, self.G[j], scratch)
-                boxes[j - state.first] = (rows.start, rows.stop, cols.start,
-                                          cols.stop)
-        boxes = self.share(boxes).reshape(-1, 4).astype(int)
-        out = np.zeros((state.n, 2, g.nx, g.ny))
-        for out_i, i in zip(out, own):
-            for j, (r0, r1, c0, c1) in enumerate(boxes):
-                if r0 < r1:
-                    _subtract_term(out_i, eps[i, j], self.G[j],
-                                   (slice(r0, r1), slice(c0, c1)), scratch)
-        return out
+        return gradient_avoidance(state, self.op.eps, self.op.kernel, self.G,
+                                  self.share)

@@ -7,8 +7,8 @@ import pytest
 
 from crowdflow import (BoundInputs, ConfigurationError, KernelSpec,
                        NumericError, ParameterDeltas, PopulationField,
-                       RunningEnvelope, StabilityBound, advection_field,
-                       aggregate_inputs, bound_inputs_for, diagnostics_header,
+                       RunningEnvelope, StabilityBound, aggregate_inputs,
+                       bound_inputs_for, diagnostics_header,
                        direction_norms, kappa0, kernel_norms, bump_kernel,
                        constant_direction, linear_speed_law, make_grid,
                        parse_config, preset, run, run_tables, sample_kernel,
@@ -418,14 +418,26 @@ class TestDifferenceRule:
         assert np.array_equal(_diff(f, g, 0), np.gradient(f, 1.0, axis=0))
         assert np.array_equal(_diff(f, g, 1), np.gradient(f, 0.5, axis=1))
 
-    def test_sup_gradient_scratch_gives_same_bits(self, rng):
-        model, datum = preset("crossing").with_mesh(0.2).build()
-        W = advection_field(datum, model)
-        W *= rng.random(W.shape)
-        work = np.empty((2,) + W.shape[-2:])
-        assert sup_gradient(W, model.grid, work) \
-            == sup_gradient(W, model.grid) \
-            == oracle_sup_gradient(W, model.grid)
+    @pytest.mark.parametrize("nx", [2, 3, 127, 128, 129, 640])
+    def test_sup_gradient_slabs_are_the_dense_sup(self, rng, nx):
+        # the row slabs, each read with the row on either side, give the
+        # whole-grid differences' sup bit for bit, also where the largest
+        # cell lies on a slab's edge or on the grid's
+        grid = make_grid((0.0, 0.0, 0.1 * nx, 1.0), 0.1, 0.05)
+        shape = (2, 2, nx, grid.ny)
+        W = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        for row in (None, 0, 126, 127, 128, 129, nx - 1):
+            spiked = W.copy()
+            if row is not None and row < nx:
+                spiked[1, 0, row, 7] = 1e6
+            want = oracle_sup_gradient(spiked, grid)
+            assert bits(sup_gradient(spiked, grid)) == bits(want)
+            assert bits(sup_gradient(spiked[1], grid)) \
+                == bits(oracle_sup_gradient(spiked[1:], grid))
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
 
 
 def oracle_sup_gradient(W, grid):

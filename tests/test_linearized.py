@@ -19,6 +19,7 @@ from crowdflow import (DEVIATION, DIFFERENTIABLE, ConfigurationError,
                        linear_speed_law, make_grid, run, sample_kernel,
                        solve_linearized, split_step)
 from crowdflow import forked, linearized, solver, velocity
+from crowdflow.grid import live_box
 from crowdflow.kernel import convolve
 from crowdflow.linearized import _linearized_step
 from crowdflow.solver import _face_buffers
@@ -153,6 +154,33 @@ def _must_not_step(*args, **kwargs):
 
 
 class TestSolveLinearized:
+    def test_sweep_windows_are_the_live_boxes(self, monkeypatch):
+        # each population's linearized sweep runs on the live box of rho_i
+        # and sigma_i widened by one cell, not on the whole grid: the
+        # additive flux part and the benchmark's negative sigma_0 hump
+        # are +0.0 where they vanish
+        model, rho0, sigma0 = gateaux_benchmark(1.0 / 64.0, 0.05)
+        windows, expected = [], []
+        step, sweep = linearized._linearized_step, linearized._sweep_xy
+
+        def recorded(sigma, rho, *args, **kwargs):
+            expected.extend(live_box(rho.data[i], sigma.data[i], pad=(1, 1))
+                            for i in range(model.n))
+            return step(sigma, rho, *args, **kwargs)
+
+        def swept(*args, **kwargs):
+            out = sweep(*args, **kwargs)
+            windows.append(out[1])
+            return out
+
+        monkeypatch.setattr(linearized, "_linearized_step", recorded)
+        monkeypatch.setattr(linearized, "_sweep_xy", swept)
+        solve_linearized(model, rho0, sigma0, model.t_max)
+        assert len(windows) == len(expected) > 2 * model.n
+        assert windows == expected
+        full = (slice(0, model.grid.nx), slice(0, model.grid.ny))
+        assert full not in windows
+
     def test_zero_initial_perturbation(self):
         model = closed_model()
         rho0 = PopulationField.from_arrays(

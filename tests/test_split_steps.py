@@ -17,18 +17,19 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from crowdflow import (DEVIATION, GradientAvoidance, NumericError,
                        PopulationField, SharedAvoidance, StepReport, analysis,
-                       cli, forked, parse_config, preset, run_tables, solver)
+                       cli, forked, nonlocal_ops, parse_config, preset,
+                       run_tables, solver)
 
 from test_cli import DIFFERENTIABLE_INI
 from test_linearized import assert_no_child_left, running
-from test_snapshot_writer import (BLOCKS, CROSSING, command, files,
+from test_snapshot_writer import (BLOCKS, CONFIGS, CROSSING, command, files,
                                   forks, populations_ini)  # noqa: F401
 
 
@@ -280,6 +281,86 @@ def test_stability_does_not_depend_on_the_cpus(tmp_path, monkeypatch, capsys,
     assert list(results[0][3]) == ["stability.csv"]
     assert len(results[0][1].splitlines()) == 2 + 4  # t = 0, 0.1, 0.2, 0.3
     assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("name", ["crossing", "evacuation", "three"])
+def test_envelope_inputs_do_not_depend_on_the_cpus(tmp_path, monkeypatch,
+                                                   capsys, forks, name):
+    # each stepping process measures its own populations' inputs: every
+    # BoundInputs field is the whole-model bound_inputs_for's, bit for
+    # bit, at 1, 2 and 3 CPUs (three populations cut unevenly at 2), and
+    # diagnostics.csv, bounds.csv and stability.csv keep their bytes
+    ini = tmp_path / "c.ini"
+    ini.write_text(CONFIGS[name][0])
+    model, datum = parse_config(str(ini)).build()
+    want = [bits(astuple(bi)) for bi in analysis.bound_inputs_for(model,
+                                                                  datum)]
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
+        envelope = analysis.RunningEnvelope(model)
+        measured = []
+        include = envelope.include
+
+        def first_include(sup):  # after the first step: inputs measured
+            if not measured:
+                measured.extend(bits(astuple(replace(bi, grad_v_sup=0.0)))
+                                for bi in envelope.inputs)
+            include(sup)
+
+        monkeypatch.setattr(envelope, "include", first_include)
+        run_tables(model, datum, 1, True, lambda t, s: None, [],
+                   envelope=envelope)
+        assert measured == want
+        out = tmp_path / str(cpus)
+        for verb in ("bounds", "stability"):
+            code, _, err = command(monkeypatch, capsys, cpus, [
+                verb, "--config", str(ini), "--out", str(out)])
+            assert (code, err) == (0, "")
+        assert_no_child_left()
+        results.append(([bits(astuple(bi)) for bi in envelope.inputs],
+                        files(out)))
+    assert sorted(results[0][1]) == sorted(
+        ["diagnostics.csv", "bounds.csv", "stability.csv",
+         *(f"pop{i + 1}_t{t}.csv" for i in range(model.n)
+           for t in ("0.000", "0.100", "0.200", "0.300"))])
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("name, cpus", [("crossing", 2), ("three", 2),
+                                        ("three", 3)])
+def test_caller_measures_its_own_chunk_after_the_fork(tmp_path, monkeypatch,
+                                                      capsys, forks, name,
+                                                      cpus):
+    # in a split bounds run the caller evaluates the operator, and samples
+    # C_I, on its own populations only, and only once every worker is
+    # forked: it never holds a whole-model operator value
+    ini = tmp_path / "c.ini"
+    ini.write_text(CONFIGS[name][0])
+    n, caller, seen = CONFIGS[name][1], os.getpid(), []
+    avoid, estimate = nonlocal_ops.gradient_avoidance, analysis.estimate_ci
+
+    def watched_avoid(state, *args, **kwargs):
+        if os.getpid() == caller:
+            seen.append(("gradient_avoidance", state.first, state.n,
+                         len(forks)))
+        return avoid(state, *args, **kwargs)
+
+    def watched_estimate(op, samples, *args, **kwargs):
+        if os.getpid() == caller:
+            seen.append(("estimate_ci", samples[0].first, samples[0].n,
+                         len(forks)))
+        return estimate(op, samples, *args, **kwargs)
+
+    monkeypatch.setattr(nonlocal_ops, "gradient_avoidance", watched_avoid)
+    monkeypatch.setattr(analysis, "estimate_ci", watched_estimate)
+    code, _, err = command(monkeypatch, capsys, cpus, [
+        "bounds", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert (code, err) == (0, "")
+    assert_no_child_left()
+    calls = {call for call, *_ in seen}
+    assert calls == {"gradient_avoidance", "estimate_ci"}
+    assert {tuple(rest) for _, *rest in seen} == {(0, n // cpus, cpus - 1)}
 
 
 # name: INI of a run_tables call
