@@ -23,8 +23,7 @@ from .kernel import (KernelSpec, SampledKernel, bump_kernel, convolve,
                      convolve_gradient, sample_kernel)
 from .linearized import (CostSpec, cost_and_gradient, gateaux_benchmark,
                          gateaux_residual, solve_linearized)
-from .nonlocal_ops import (GradientAvoidance, SharedAvoidance,
-                           gradient_avoidance, saturate)
+from .nonlocal_ops import GradientAvoidance, gradient_avoidance, saturate
 from .solver import (DEVIATION, DIFFERENTIABLE, ModelSpec, RunResult,
                      StepReport, advection_field, cfl_dt, check_datum, run,
                      split_step)

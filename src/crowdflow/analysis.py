@@ -35,7 +35,8 @@ from . import forked
 from .errors import ConfigurationError, EstimationError
 from .grid import GridSpec, NormRecord, PopulationField, norms
 from .kernel import KernelSpec
-from .nonlocal_ops import GradientAvoidance, NonlocalOperator, SharedAvoidance
+from .nonlocal_ops import (GradientAvoidance, NonlocalOperator,
+                           gradient_avoidance)
 from .solver import (DEVIATION, ModelSpec, RunResult, StepReport, check_range,
                      output_times, run)
 
@@ -194,12 +195,12 @@ def _diff(f: np.ndarray, grid: GridSpec, axis: int,
 
 
 def _jacobian_norm1(u: np.ndarray, grid: GridSpec,
-                    work: np.ndarray | None = None) -> np.ndarray:
+                    work: np.ndarray) -> np.ndarray:
     """|d0 u0| + |d1 u0| + |d0 u1| + |d1 u1|, added in that order.
 
     work, a (2, nx, ny) array, holds the sum (returned) and each term.
     """
-    total, term = np.empty((2,) + u.shape[1:]) if work is None else work
+    total, term = work
     np.abs(_diff(u[0], grid, 0, out=total), out=total)
     for comp, axis in ((u[0], 1), (u[1], 0), (u[1], 1)):
         total += np.abs(_diff(comp, grid, axis, out=term), out=term)
@@ -337,10 +338,11 @@ def estimate_ci(op: NonlocalOperator, samples: Sequence[PopulationField],
     made for each phase, so none is alive while the operator runs.
 
     The samples may hold one chunk of a larger field's populations (the
-    same first and n in each), whose rows op gives, as SharedAvoidance
-    does.  The norms are then the whole fields', given as l1, (m, m):
-    l1[a, a] is sample a's L1 norm and, for a < b, l1[a, b] that of
-    sample a minus sample b.  Without l1 they are the samples' own.
+    same first and n in each), whose rows op gives, as the operator of
+    each process of a split run_tables does.  The norms are then the
+    whole fields', given as l1, (m, m): l1[a, a] is sample a's L1 norm
+    and, for a < b, l1[a, b] that of sample a minus sample b.  Without
+    l1 they are the samples' own.
     """
     if len(samples) < 2:
         raise EstimationError("need at least two density samples")
@@ -481,26 +483,19 @@ class RunningEnvelope:
     """The envelopes of one deviation-family configuration and their
     inputs, kept current.
 
-    inputs holds one BoundInputs per population: bound_inputs_for(model,
-    datum) where a datum is given, and otherwise None until the first
+    inputs holds one BoundInputs per population: None until the first
     run_tables run that follows this object, whose stepping processes
-    measure them from its datum, each its own populations'.  Their
-    grad_v_sup starts at 0, and include(measure(W)) after each step
-    raises it to the running sup of sup_gradient(W), so that an envelope
-    evaluated after a step covers every field so far.  One object may
-    follow several runs of the same model (stability_table's pair).
+    measure them from its datum with bound_inputs_for, each its own
+    populations'.  Their grad_v_sup starts at 0, and include(sup) with
+    the largest sup_gradient of a step's fields raises it to the running
+    sup, so that an envelope evaluated after a step covers every field
+    so far.  One object may follow several runs of the same model
+    (stability_table's pair).
     """
 
-    def __init__(self, model: ModelSpec,
-                 datum: PopulationField | None = None):
+    def __init__(self, model: ModelSpec):
         _require_deviation(model)
-        self.grid = model.grid
-        self.inputs = None if datum is None else bound_inputs_for(model,
-                                                                  datum)
-
-    def measure(self, W: np.ndarray) -> float:
-        """sup_gradient(W), of one field or a stack."""
-        return sup_gradient(W, self.grid)
+        self.inputs = None
 
     def include(self, sup: float) -> None:
         """Raise every population's grad_v_sup to at least sup."""
@@ -565,7 +560,7 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
                ) -> tuple[RunResult, list[tuple]]:
     """Run the model from the datum: its RunResult and the bounds.csv rows
     (t, population, tv, tv_bound, slack, linf, linf_bound), taken under
-    with_bounds after on_snapshot(t, state) at each output time.  The
+    with_bounds at each output time, just before on_snapshot(t, state).  The
     rows of diagnostics_header(model) go to diag_rows as the run reaches
     them, so a failed run leaves them: t = 0, every diag_every-th step
     and the final state unless the last step gave it; none where
@@ -580,21 +575,24 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
     P - 1 workers, forked before any of them evaluates an operator, each
     owning a contiguous chunk of the populations, the caller the first
     and smallest.  Each process runs its chunk as a model of its own;
-    where P >= 2 its operator is the chunk's SharedAvoidance.  Before
-    the first step each process takes its chunk's t = 0 norms and, where
-    the envelope has no inputs yet, measures them with bound_inputs_for
-    (tv0 from those norms, C_I through its own operator); the caller
-    gathers both in one exchange.  Then the processes share, in
-    lockstep, the boxes of the saturated gradients, each chunk's cfl_dt
-    (whose least is the whole model's), and after each step each
-    population's outflow, escaped mass, min, max, the sup_gradient of
-    its field (where there is an envelope) and, at diagnostics steps,
-    norms.  From these the caller builds the StepReports, checks the
-    maximum principle, raises the envelope's running sup and adds the
-    table rows.  Each process calls on_snapshot with its own populations
-    (state.first is the first one's index) once the caller has taken the
-    step's checks, so what the callback keeps in memory stays in that
-    process; the workers post their final states.  Every table, state
+    where P >= 2 its operator is gradient_avoidance with the shared
+    gradients G and its Lockstep's share.  Before the first step each
+    process takes its chunk's t = 0 norms and, where the envelope has no
+    inputs yet, measures them with bound_inputs_for (tv0 from those
+    norms, C_I through its own operator); the caller gathers both in one
+    exchange.  Then the processes share, in lockstep, the boxes of the
+    saturated gradients, each chunk's cfl_dt (whose least is the whole
+    model's), and after each step each population's outflow, escaped
+    mass, min, max, the sup_gradient of its field (where there is an
+    envelope) and, at diagnostics steps, norms.  From these the caller
+    builds the StepReports, checks the maximum principle, raises the
+    envelope's running sup and adds the table rows.  At an output time
+    every process waits in one exchange until the caller has taken the
+    step's checks, and sends in it, under with_bounds, each population's
+    tv and linf, from which the caller adds the bounds.csv rows; then
+    each calls on_snapshot with its own populations (state.first is the
+    first one's index), so what the callback keeps in memory stays in
+    that process.  The workers post their final states.  Every table, state
     and error is the same at any P, except that a failed run leaves
     every snapshot a process had begun complete on disk: at the time
     that failed, that can be more files than one process leaves.
@@ -638,8 +636,9 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
                      escaped)
 
     def own_run(a, b, lockstep) -> RunResult:
-        deviation = model.deviation if G is None else \
-            SharedAvoidance(model.deviation, G, lockstep.share)
+        deviation = model.deviation if G is None else functools.partial(
+            gradient_avoidance, eps=model.deviation.eps,
+            k=model.deviation.kernel, G=G, share=lockstep.share)
         part = replace(model, laws=model.laws[a:b], dirs=model.dirs[a:b],
                        kernels=model.kernels[a:b], strict=False,
                        deviation=deviation)
@@ -655,7 +654,7 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
         def on_step(report, state, W):
             cols = [report.outflow, report.escaped, report.min, report.max]
             if envelope is not None:
-                cols.append([envelope.measure(Wi) for Wi in W])
+                cols.append([sup_gradient(Wi, g) for Wi in W])
             if diagnose and report.step % diag_every == 0:
                 rec = norms(state)
                 cols += [rec.l1, rec.linf, rec.tv]
@@ -664,14 +663,14 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
                 took_step(report, rows.reshape(n, -1))
 
         def snapshot(t, state):
-            lockstep.share(np.empty(0))  # the caller has taken the step
-            on_snapshot(t, state)
+            rows = np.empty(0)
             if with_bounds:
                 rec = norms(state)
-                rows = lockstep.share(np.column_stack((rec.tv, rec.linf)),
-                                      back=False)
-                if lockstep.caller:
-                    bounds_at(t, *rows.reshape(n, 2).T)
+                rows = np.column_stack((rec.tv, rec.linf))
+            rows = lockstep.share(rows)  # the caller has taken the step
+            if with_bounds and lockstep.caller:
+                bounds_at(t, *rows.reshape(n, 2).T)
+            on_snapshot(t, state)
 
         if diagnose or measure:
             rec = norms(own)
@@ -688,10 +687,9 @@ def run_tables(model: ModelSpec, datum: PopulationField, diag_every: int,
         return run(part, own, on_snapshot=snapshot, on_step=on_step,
                    agree=agree)
 
-    def work(a, b, channel) -> list[float]:
+    def work(a, b, channel) -> None:
         result = own_run(a, b, forked.Lockstep(channel=channel))
         channel.post(result.state.data)
-        return []
 
     split = model.family == DEVIATION and n >= 2 \
         and isinstance(model.deviation, GradientAvoidance)

@@ -14,14 +14,15 @@ A Worker, forked by the start() the scope yields, runs one job on a
 Channel.  Caller and worker exchange float64 arrays, never pickles, in
 one format: post() writes a frame, the array's size and then its
 floats, and receive() at the other end reads it back, flat; Lockstep
-exchanges rows of floats that way.  A worker whose pipe from the caller
-ends before a whole frame knows that the caller is gone: it exits at
-that read, without a reply, so none outlives its caller.  A job's end
-sends back one pickled reply, its floats or the exception it stopped
-at, with the warnings it recorded, which the caller re-issues through
-its own filters.  Large arrays that every process reads are
-shared_array()s: shared memory, written before or between the
-exchanges that order its readers and writers.
+exchanges rows of floats that way, and a job posts its results so too.
+A worker whose pipe from the caller ends before a whole frame knows
+that the caller is gone: it exits at that read, without a reply, so
+none outlives its caller.  A job's end sends back one pickled reply,
+which holds no floats: the exception it stopped at, if any, and the
+warnings it recorded, which the caller re-issues through its own
+filters.  Large arrays that every process reads are shared_array()s:
+shared memory, written before or between the exchanges that order its
+readers and writers.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import CrowdflowError
 
-Job = Callable[["Channel"], list[float]]
+Job = Callable[["Channel"], None]
 
 
 @contextlib.contextmanager
@@ -119,16 +120,16 @@ def _openblas_threads():
 
 class Worker:
     """A forked process that runs job(channel) on the arrays the caller
-    posts to it and sends back the floats job returns.
+    posts to it; the job posts its results back.
 
     The worker records its warnings.  finish() re-issues them here and
-    returns its floats, or raises the exception it stopped at, or
-    CrowdflowError if it ended without a result; post() and receive()
-    do the same once the worker has closed its end.  The worker closes
-    every pipe end it inherited from the earlier workers of its scope,
-    so each pipe from the caller ends with the caller, and leaves
-    through os._exit: with status 1 and nothing written if sending its
-    reply fails or that pipe ends early.
+    raises the exception the job stopped at, if any, or CrowdflowError
+    if the worker ended without a reply; post() and receive() do the
+    same once the worker has closed its end.  The worker closes every
+    pipe end it inherited from the earlier workers of its scope, so each
+    pipe from the caller ends with the caller, and leaves through
+    os._exit: with status 1 and nothing written if sending its reply
+    fails or that pipe ends early.
     """
 
     def __init__(self, job: Job, earlier: list[Worker]):
@@ -166,8 +167,8 @@ class Worker:
             raise CrowdflowError("forked worker ended without posting")
         return array
 
-    def finish(self) -> list[float]:
-        """Wait for the worker and reap it: its floats, or its error."""
+    def finish(self) -> None:
+        """Wait for the worker and reap it, raising its error if any."""
         os.close(self._fd)
         os.close(self._posts)
         self._fd = self._posts = None
@@ -180,11 +181,10 @@ class Worker:
             end = f"exit code {code}" if code >= 0 else f"signal {-code}"
             raise CrowdflowError(f"forked worker ended with {end} and no "
                                  "result")
-        ok, value, warned = pickle.loads(reply)
+        error, warned = pickle.loads(reply)
         _reissue(warned)
-        if not ok:
-            raise value
-        return value
+        if error is not None:
+            raise error
 
     def kill(self) -> None:
         """Close what finish() has not, and kill and reap the worker
@@ -285,25 +285,26 @@ def _read_frame(fd: int) -> np.ndarray | None:
 def _serve(job: Job, rfd: int, wfd: int, pfd: int,
            inherited: list[int]) -> NoReturn:
     """A worker's whole life: run job on the arrays posted to rfd and
-    posting to pfd, then write the pickled (True, floats, warnings) or
-    (False, exception, warnings) to wfd.  rfd and pfd are closed first,
-    so a caller still posting to the one, or waiting on the other, stops
-    at once."""
+    posting to pfd, then write the pickled (None, warnings) or
+    (exception, warnings) to wfd.  rfd and pfd are closed first, so a
+    caller still posting to the one, or waiting on the other, stops at
+    once."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
         with warnings.catch_warnings(record=True) as caught:
+            error = None
             try:
-                reply = (True, job(Channel(rfd, pfd)))
+                job(Channel(rfd, pfd))
             except Exception as exc:
-                reply = (False, exc)
+                error = exc
             os.close(rfd)
             os.close(pfd)
         warned = [(w.message, w.category, w.filename, w.lineno)
                   for w in caught]
         with open(wfd, "wb") as fh:
-            fh.write(pickle.dumps(reply + (warned,)))
+            fh.write(pickle.dumps((error, warned)))
         code = 0
     finally:
         os._exit(code)

@@ -145,7 +145,7 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
     Each worker advances its chunk side by side, one split_step per base
     dt posted to it as a one-float array, and after the empty array that
     ends them receives the base run's final state and Sigma_t sigma0 and
-    sends back only its floats.
+    posts its chunk's residuals as one array.
     With P = 1 the caller replays every h.  The result is that of the
     one-h-at-a-time loop, bit for bit, for every P; so are the warnings,
     which each worker records and the caller re-issues through its own
@@ -171,7 +171,7 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         defect = state.data - rho_t - h * sigma_t
         return float(np.abs(defect).sum()) * rho0.grid.cell_area
 
-    def work(chunk: list[float], channel: forked.Channel) -> list[float]:
+    def work(chunk: list[float], channel: forked.Channel) -> None:
         """A worker's job: its chunk in lockstep with the posted dts."""
         def dts():
             while (dt := channel.receive()).size:
@@ -180,7 +180,8 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
         states = replay(chunk, dts(), _face_buffers(model.grid))
         rho_t, sigma_t = (channel.receive().reshape(rho0.data.shape)
                           for _ in range(2))
-        return [residual(h, s, rho_t, sigma_t) for h, s in zip(chunk, states)]
+        channel.post(np.array([residual(h, s, rho_t, sigma_t)
+                               for h, s in zip(chunk, states)]))
 
     with forked.sharing(len(hs) + 1) as (procs, start):
         own = max(0, math.ceil((len(hs) + _SOLVE_IN_REPLAYS) / procs)
@@ -206,7 +207,8 @@ def gateaux_residual(model: ModelSpec, rho0: PopulationField,
             w.post(base.state.data)
             w.post(sigma_t.data)
         for w in workers:
-            out.extend(w.finish())
+            out.extend(w.receive().tolist())
+            w.finish()
         return out
 
 

@@ -10,8 +10,9 @@ hypothesis that controls all deviation-model bounds.  It computes,
 saturates and sums each term only on rho_j's live box (grid.live_box)
 widened by the kernel's bandwidths, where the smoothed gradient can be
 nonzero.
-SharedAvoidance gives the rows of some populations of that operator to
-the processes that step a field's populations in parallel
+Given a shared gradient array G and an exchange of boxes, the same
+function gives the rows of some populations only: those that one of
+the processes stepping a field's populations in parallel holds
 (analysis.run_tables).
 Custom operators are any callables of the same signature.  The module
 holds operators only; the sampled Lipschitz constant of an operator is
@@ -60,12 +61,14 @@ def gradient_avoidance(state: PopulationField, eps: np.ndarray,
     eps.  The call reuses one gradient buffer, saturated in place, and
     one grid-sized scratch for the left products and every eps term.
 
-    With G and share (SharedAvoidance), state holds populations first,
-    first + 1, ... of the len(G) that processes step side by side: the
-    call saturates its own gradients into G[j], in memory they share,
-    share(boxes) exchanges the boxes (all four bounds 0 where j is
-    skipped), and it returns state's rows of the one-process call, bit
-    for bit.
+    With G and share, state holds populations first, first + 1, ... of
+    the len(G) that processes step side by side: the call saturates its
+    own gradients into G[j], an (n, 2, nx, ny) array in memory they
+    share, share(boxes) exchanges the boxes (all four bounds 0 where j
+    is skipped), and it returns state's rows of the one-process call,
+    bit for bit.  The caller shares a value, such as its time step,
+    before any process computes the next gradients, so that no process
+    overwrites a G_j that another still reads.
     """
     g = state.grid
     _check_eps(eps, state.n if G is None else len(G))
@@ -156,24 +159,3 @@ class GradientAvoidance:
 
     def __call__(self, state: PopulationField) -> np.ndarray:
         return gradient_avoidance(state, self.eps, self.kernel)
-
-
-@dataclass(frozen=True)
-class SharedAvoidance:
-    """The rows of a GradientAvoidance operator for the populations that
-    one of the processes stepping a field holds, called on those
-    populations (a PopulationField with its own first): gradient_avoidance
-    with the shared G, an (n, 2, nx, ny) array, and share, a
-    forked.Lockstep's, that exchanges the boxes.  The caller of the
-    operator shares a value, such as its time step, before any process
-    computes the next gradients, so that no process overwrites a G_j
-    that another still reads.
-    """
-
-    op: GradientAvoidance
-    G: np.ndarray
-    share: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, state: PopulationField) -> np.ndarray:
-        return gradient_avoidance(state, self.op.eps, self.op.kernel, self.G,
-                                  self.share)

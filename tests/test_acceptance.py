@@ -13,12 +13,14 @@ from dataclasses import replace
 import numpy as np
 from scipy.signal import find_peaks
 
-from crowdflow import (DIFFERENTIABLE, CostSpec, ModelSpec, PopulationField,
-                       bump_kernel, constant_direction, constant_speed_law,
-                       convolve, cost_and_gradient, gateaux_residual,
-                       linear_speed_law, make_grid, norms, preset, run,
-                       sample_kernel, split_step, tv_bound_deviation, wd)
-from crowdflow.analysis import RunningEnvelope, aggregate_inputs
+from crowdflow import (DIFFERENTIABLE, CostSpec, ModelSpec, PopulationConfig,
+                       PopulationField, RunConfig, boundary, bump_kernel,
+                       constant_direction, constant_speed_law, convolve,
+                       cost_and_gradient, gateaux_residual, linear_speed_law,
+                       make_grid, norms, preset, run, sample_kernel,
+                       split_step, tv_bound_deviation, wd)
+from crowdflow.analysis import (RunningEnvelope, aggregate_inputs,
+                                bound_inputs_for, sup_gradient)
 from crowdflow.cli import main, read_snapshot
 from crowdflow.linearized import gateaux_benchmark
 
@@ -104,7 +106,8 @@ def test_04_dimensional_constants():
 def test_05_tv_bound_domination():
     snaps = tuple(np.round(np.arange(0.0, 0.51, 0.1), 3))
     model, datum = crossing_model(0.1, 0.5, snaps)
-    envelope = RunningEnvelope(model, datum)
+    envelope = RunningEnvelope(model)
+    envelope.inputs = bound_inputs_for(model, datum)
     rows = []
 
     def on_snapshot(t, state):
@@ -114,7 +117,7 @@ def test_05_tv_bound_domination():
 
     run(model, datum, on_snapshot=on_snapshot,
         on_step=lambda report, state, W: envelope.include(
-            envelope.measure(W)))
+            sup_gradient(W, model.grid)))
     ok = True
     min_slack = math.inf
     for t, tv, bound in rows:
@@ -350,3 +353,92 @@ def test_13_several_populations(tmp_path, capsys):
     _verdict(13, "several populations", ok,
              f"mass {m0:.12g} -> {m1:.12g}, range [{lo:.2e}, {hi:.10f}], "
              f"{len(rows)} TV rows, {len(names)} files compared")
+
+
+KUZNETSOV_ORDER = 0.5  # monotone schemes on BV data; not to be tuned
+
+
+def riemann_corridor(mesh: float):
+    """One population moving right at vmax = 1 along a corridor, every
+    eps 0 and no wall discomfort: the local law rho_t + (rho (1 - rho))_x
+    = 0, from 0.5 on (-3, -1)."""
+    corridor = (-4.0, -0.5, 4.0, 0.5)
+    pop = PopulationConfig(vmax=1.0, gx=1.0, eps=(0.0,), datum_value=0.5,
+                           datum_rect=(-3.0, -0.5, -1.0, 0.5))
+    return RunConfig(bounds=corridor, room=corridor,
+                     exits=(("right", -0.5, 0.5),), delta_max=0.0,
+                     populations=(pop,), t_max=1.0).with_mesh(mesh).build()
+
+
+def riemann_cell_means(grid, t: float) -> np.ndarray:
+    """The x cell averages of Kruzkov's entropy solution at t < 4: a
+    shock at x = -3 + t/2 behind 0.5, and the fan (1 - (x + 1)/t)/2 on
+    [-1, -1 + t] ahead of it."""
+    shock, a, b = -3.0 + t / 2.0, -1.0, -1.0 + t
+
+    def mass_left_of(x):
+        c = np.clip(x, a, b) - a
+        return 0.5 * (np.clip(x, shock, a) - shock) + (c - c * c / (2 * t)) / 2
+
+    faces = mass_left_of(grid.x0 + grid.dx * np.arange(grid.nx + 1))
+    return np.diff(faces) / grid.dx
+
+
+def test_14_kruzkov_riemann_ladder():
+    # the local limit eps = 0 against its exact solution: the L1 error
+    # falls at least at Kuznetsov's rate at every halving, every row in
+    # y is the first, and the mass identity holds
+    errs, ydev, drift = [], 0.0, 0.0
+    for mesh in (0.1, 0.05, 0.025, 0.0125):
+        model, datum = riemann_corridor(mesh)
+        res = run(model, datum)
+        rho, g = res.state.data[0], model.grid
+        exact = riemann_cell_means(g, model.t_max)
+        errs.append(float(np.abs(rho - exact[:, None]).sum()) * g.cell_area)
+        ydev = max(ydev, float(np.abs(rho - rho[:, :1]).max()))
+        m0 = float(datum.mass().sum())
+        m1 = float(res.state.mass().sum() + res.escaped.sum())
+        drift = max(drift, abs(m1 - m0) / m0)
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    ok = (all(o >= KUZNETSOV_ORDER for o in orders) and ydev <= 1e-12
+          and drift <= 1e-10)
+    _verdict(14, "Kruzkov Riemann ladder", ok,
+             "L1 errors " + ", ".join(f"{e:.4g}" for e in errs)
+             + "; orders " + ", ".join(f"{o:.2f}" for o in orders)
+             + f"; y deviation {ydev:.1e}, mass drift {drift:.1e}")
+
+
+def test_15_l1_contraction():
+    # every eps 0: the solution operator of the local law is an L1
+    # contraction per population, and cfl_dt reads only the direction
+    # field, so both runs of a pair take the same time steps
+    ok, worst, detail = True, 0.0, []
+    for name in ("crossing", "evacuation"):
+        cfg = preset(name).with_mesh(0.1)
+        cfg = replace(cfg, t_max=2.0,
+                      snapshot_times=tuple(0.25 * k for k in range(8)),
+                      populations=tuple(replace(p, eps=(0.0,) * len(p.eps))
+                                        for p in cfg.populations))
+        model, datum1 = cfg.build()
+        rng = np.random.default_rng(15)
+        data2 = np.clip(datum1.data + rng.uniform(-0.2, 0.2,
+                                                  datum1.data.shape),
+                        0.0, model.R)
+        data2[:, ~boundary(model.grid).room] = 0.0
+        runs = []
+        for datum in (datum1, PopulationField(model.grid, data2)):
+            states = []
+            res = run(model, datum, on_snapshot=lambda t, s: states.append(
+                (t, s.data.copy())))
+            runs.append(([r.dt for r in res.reports], states))
+        (dts1, states1), (dts2, states2) = runs
+        d0 = np.abs(datum1.data - data2).sum(axis=(1, 2))
+        ratios = [np.abs(a - b).sum(axis=(1, 2)) / d0
+                  for (_, a), (_, b) in zip(states1, states2)]
+        ok = ok and dts1 == dts2 and len(states1) == 9 \
+            and all(r <= 1 + 1e-12 for rs in ratios for r in rs)
+        worst = max(worst, float(np.max(ratios)))
+        detail.append(f"{name} {len(dts1)} steps, last ratios "
+                      + ", ".join(f"{r:.2f}" for r in ratios[-1]))
+    _verdict(15, "L1 contraction", ok,
+             "; ".join(detail) + f"; worst ratio {worst:.3g}")

@@ -457,14 +457,15 @@ class TestRunningEnvelope:
     def test_tracks_running_sup_over_runs(self):
         model, datum = preset("crossing").with_mesh(0.4).build()
         model = replace(model, t_max=0.5, snapshot_times=())
-        envelope = RunningEnvelope(model, datum)
-        assert envelope.inputs == bound_inputs_for(model, datum)
+        envelope = RunningEnvelope(model)
+        assert envelope.inputs is None
+        envelope.inputs = bound_inputs_for(model, datum)
         assert envelope.inputs[0].grad_v_sup == 0.0
         seen = []
 
         def on_step(report, state, W):
             seen.append(oracle_sup_gradient(W, model.grid))
-            envelope.include(envelope.measure(W))
+            envelope.include(sup_gradient(W, model.grid))
             assert [bi.grad_v_sup for bi in envelope.inputs] \
                 == [max(seen)] * model.n
 
@@ -484,7 +485,8 @@ class TestRunningEnvelope:
         cfg = replace(preset("crossing").with_mesh(0.4), family=family)
         model, datum = cfg.build()
         model = replace(model, t_max=0.2, snapshot_times=())
-        envelope = RunningEnvelope(model, datum)
+        envelope = RunningEnvelope(model)
+        envelope.inputs = bound_inputs_for(model, datum)
         ts = (0.0, 0.05, 0.2)
 
         def expected(t):
@@ -494,7 +496,7 @@ class TestRunningEnvelope:
 
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
         run(model, datum, on_step=lambda report, state, W: envelope.include(
-            envelope.measure(W)))
+            sup_gradient(W, model.grid)))
         assert envelope.inputs[0].grad_v_sup > 0.0
         assert [envelope.bounds(t) for t in ts] == [expected(t) for t in ts]
 
@@ -523,9 +525,10 @@ class TestRunningEnvelope:
         cfg = replace(preset("crossing").with_mesh(0.4),
                       family="differentiable")
         model, datum = cfg.build()
-        for make in (RunningEnvelope, bound_inputs_for):
-            with pytest.raises(ConfigurationError, match="deviation"):
-                make(model, datum)
+        with pytest.raises(ConfigurationError, match="deviation"):
+            RunningEnvelope(model)
+        with pytest.raises(ConfigurationError, match="deviation"):
+            bound_inputs_for(model, datum)
 
     def test_bounds_command_envelopes(self, tmp_path, capsys):
         # every tv_bound the bounds command writes is tv_bound_deviation of

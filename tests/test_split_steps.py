@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from crowdflow import (DEVIATION, GradientAvoidance, NumericError,
-                       PopulationField, SharedAvoidance, StepReport, analysis,
-                       cli, forked, nonlocal_ops, parse_config, preset,
-                       run_tables, solver)
+                       PopulationField, StepReport, analysis, cli, forked,
+                       gradient_avoidance, parse_config, preset, run_tables,
+                       solver)
 
 from test_cli import DIFFERENTIABLE_INI
 from test_linearized import assert_no_child_left, running
@@ -104,10 +104,11 @@ def test_shared_rows_are_the_operator_rows(first, k):
     state = PopulationField(g, data)
     op = GradientAvoidance(rng.random((3, 3)), model.deviation.kernel)
     G, boxes = np.zeros((3, 2, g.nx, g.ny)), []
-    whole = SharedAvoidance(op, G, lambda b: boxes.append(b) or b)(state)
+    whole = gradient_avoidance(state, op.eps, op.kernel, G,
+                               lambda b: boxes.append(b) or b)
     assert np.array_equal(whole, op(state))
-    part = SharedAvoidance(op, G, lambda own: boxes[0])(
-        PopulationField(g, data[first:first + k], first))
+    part = gradient_avoidance(PopulationField(g, data[first:first + k], first),
+                              op.eps, op.kernel, G, lambda own: boxes[0])
     assert np.array_equal(part, whole[first:first + k])
 
 
@@ -133,14 +134,17 @@ def test_skipped_gradients_are_shared(tmp_path, monkeypatch, capsys,
     assert results[1] == results[0] and results[2] == results[0]
 
 
-@pytest.mark.parametrize("blocked", [
-    "pop1_t0.100.csv", "pop2_t0.100.csv", "pop2_t0.300.csv"],
-    ids=["caller", "worker", "worker-last"])
+@pytest.mark.parametrize("blocked, verb", [
+    (blocked, verb) for verb in ("run", "bounds") for blocked in (
+        "pop1_t0.100.csv", "pop2_t0.100.csv", "pop2_t0.300.csv")],
+    ids=["caller", "worker", "worker-last",
+         "caller-bounds", "worker-bounds", "worker-last-bounds"])
 def test_write_error_in_a_stepping_process(tmp_path, monkeypatch, capsys,
-                                           forks, blocked):
+                                           forks, blocked, verb):
     # a directory where a snapshot goes: the one-process message and
     # files, whichever process writes it, except that the worker's
-    # snapshot of the time where the caller's failed is on disk, whole
+    # snapshot of the time where the caller's failed is on disk, whole;
+    # under bounds the snapshot's exchange also carries the bounds rows
     ini = tmp_path / "c.ini"
     ini.write_text(CROSSING)
     results = []
@@ -149,7 +153,7 @@ def test_write_error_in_a_stepping_process(tmp_path, monkeypatch, capsys,
         if len(results) < 2:
             (out / blocked).mkdir(parents=True)
         code, stdout, err = command(monkeypatch, capsys, cpus, [
-            "run", "--config", str(ini), "--out", str(out)])
+            verb, "--config", str(ini), "--out", str(out)])
         assert_no_child_left()
         results.append((code, stdout, err.replace(str(out), "OUT"),
                         files(out)))
@@ -338,7 +342,7 @@ def test_caller_measures_its_own_chunk_after_the_fork(tmp_path, monkeypatch,
     ini = tmp_path / "c.ini"
     ini.write_text(CONFIGS[name][0])
     n, caller, seen = CONFIGS[name][1], os.getpid(), []
-    avoid, estimate = nonlocal_ops.gradient_avoidance, analysis.estimate_ci
+    avoid, estimate = analysis.gradient_avoidance, analysis.estimate_ci
 
     def watched_avoid(state, *args, **kwargs):
         if os.getpid() == caller:
@@ -352,7 +356,7 @@ def test_caller_measures_its_own_chunk_after_the_fork(tmp_path, monkeypatch,
                          len(forks)))
         return estimate(op, samples, *args, **kwargs)
 
-    monkeypatch.setattr(nonlocal_ops, "gradient_avoidance", watched_avoid)
+    monkeypatch.setattr(analysis, "gradient_avoidance", watched_avoid)
     monkeypatch.setattr(analysis, "estimate_ci", watched_estimate)
     code, _, err = command(monkeypatch, capsys, cpus, [
         "bounds", "--config", str(ini), "--out", str(tmp_path / "out")])
